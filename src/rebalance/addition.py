@@ -9,6 +9,9 @@ it, and nodes 1..r-1 each discard one kept part they no longer need.
 
 Total traffic is rK/(K+1) segments, which meets the lower bound exactly, so
 no coding is needed anywhere.
+
+Replicas share storage: each kept leading part is cut once per distinct
+stored int, so the old holders of a segment hold one int, not one copy each.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from . import analytics
 from .analytics import LoadReport
 from .bus import TransmissionLog, broadcast_uncoded
-from .errors import ParameterError
+from .errors import MergeFailureError, ParameterError
 from .model import (
     Database,
     Label,
@@ -116,14 +119,21 @@ def rebalance_add(db: Database) -> AdditionRun:
     contents: dict[int, dict[Label, StoredPiece]] = {n: {} for n in range(1, k + 2)}
     for i in range(1, k + 1):
         label = SegmentLabel(i, "target")
+        # the kept part is cut once per distinct stored int and shared
+        cut: dict[int, int] = {}
         for node in cyclic_range(i, r, k + 1):
             if node == k + 1:
                 bits = kept_payload[i]
             else:
                 local = db.segment_bits_at(node, i)
                 # every old node in the new layout of W_i already held W_i
-                assert local is not None, (node, i)
-                bits = slice_atoms(local, 0, kept_atoms, w)
+                if local is None:
+                    raise MergeFailureError(
+                        f"node {node} does not hold segment {i} to keep its leading part"
+                    )
+                if id(local) not in cut:
+                    cut[id(local)] = slice_atoms(local, 0, kept_atoms, w)
+                bits = cut[id(local)]
             contents[node][label] = StoredPiece(
                 label=label,
                 n_atoms=kept_atoms,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import ParameterError, RebalanceError
 from .model import SystemParams
 
 
@@ -37,7 +37,11 @@ def load_scheme1(k: int, r: int) -> Fraction:
         alt = Fraction(r - 1, 2 * (k - 1)) * (k + Fraction(r - 1, 2))
     else:
         alt = Fraction((r - 2) * k + (r - 2) * r // 2 + k, 2 * (k - 1))
-    assert val == alt, (k, r, val, alt)
+    if val != alt:
+        raise RebalanceError(
+            f"scheme 1 closed form {val} disagrees with its parity derivation {alt} "
+            f"at K={k}, r={r}"
+        )
     return val
 
 

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .errors import DecodeFailureError, ProtocolViolationError
 from .model import Database, SubsegmentLabel, SystemParams, slice_atoms
-from .removal_split import SplitPlan
 
 
 @dataclass(frozen=True)
@@ -118,12 +117,7 @@ def _coded(db, sender, labels, payload_atoms):
     )
 
 
-def decode_at_node(
-    db: Database,
-    receiver: int,
-    b: Broadcast,
-    plan: SplitPlan | None = None,
-) -> tuple[SubsegmentLabel, int] | None:
+def decode_at_node(db: Database, receiver: int, b: Broadcast) -> tuple[SubsegmentLabel, int] | None:
     """Recover the one operand addressed to this receiver, if any.
 
     Returns (label, bits) when the receiver appears in exactly one operand's

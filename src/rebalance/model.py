@@ -244,9 +244,6 @@ class Database:
         piece = self.stored(node, SegmentLabel(index, self.generation))
         return piece.bits if piece else None
 
-    def holders(self, label: Label) -> frozenset[int]:
-        return frozenset(n for n, items in self.contents.items() if label in items)
-
     def total_stored_atoms(self) -> int:
         return sum(p.n_atoms for items in self.contents.values() for p in items.values())
 

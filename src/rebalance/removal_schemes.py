@@ -118,15 +118,21 @@ def run_uncoded_removal(db: Database, plan: SplitPlan) -> TransmissionLog:
 
 
 def deliver(db: Database, log: TransmissionLog, plan: SplitPlan) -> dict[int, list[ReceivedPiece]]:
-    """Decode every broadcast at every addressed node; collect what each learned."""
+    """Decode every broadcast at every addressed node; collect what each learned.
+
+    Equal decoded pieces are interned by value, so receivers that decode the
+    same operand hold one int and the merge can share their replicas.
+    """
     received: dict[int, list[ReceivedPiece]] = {}
+    interned: dict[int, int] = {}
     for b in log.broadcasts:
         addressed = sorted({n for op in b.operands for n in op.superscript})
         for node in addressed:
-            got = decode_at_node(db, node, b, plan)
+            got = decode_at_node(db, node, b)
             if got is None:
                 continue
             label, bits = got
+            bits = interned.setdefault(bits, bits)
             received.setdefault(node, []).append(
                 (label.base.index, label.atom_start, label.atom_stop, bits)
             )

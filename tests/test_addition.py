@@ -7,15 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rebalance import (
+    MergeFailureError,
     ParameterError,
     SegmentLabel,
+    SystemParams,
+    addition_expected_layout,
     addition_lower_bound,
     build_cyclic_database,
     cyclic_range,
     default_params,
+    flip_stored_bit,
     make_addition_plan,
     rebalance_add,
     slice_atoms,
+    verify_cyclic_balanced,
+    verify_preservation,
 )
 
 
@@ -57,7 +63,8 @@ def test_golden_run_6_3():
     assert sorted(final.contents) == list(range(1, 8))
     for i in range(1, 8):
         label = SegmentLabel(i, "target")
-        assert final.holders(label) == frozenset(cyclic_range(i, 3, 7))
+        holders = {n for n, items in final.contents.items() if label in items}
+        assert holders == set(cyclic_range(i, 3, 7))
 
 
 def test_new_segment_concatenates_trailers():
@@ -121,3 +128,41 @@ def test_load_meets_lower_bound_everywhere(kr):
     assert run.log.load == addition_lower_bound(params)
     # stored volume unchanged in proportion: r replicas of K+1 equal segments
     assert run.final.total_stored_atoms() == r * (k + 1) * run.final.segment_atoms
+
+
+def test_missing_kept_segment_raises_package_error():
+    db = build_cyclic_database(default_params(6, 3), seed=0)
+    # node 3 holds W_2 but is not its sender, so only the kept-part cut fails
+    db.contents = {n: dict(items) for n, items in db.contents.items()}
+    del db.contents[3][SegmentLabel(2)]
+    with pytest.raises(MergeFailureError, match="node 3 .*segment 2"):
+        rebalance_add(db)
+
+
+def test_kept_replicas_share_one_int():
+    params = default_params(12, 4)
+    db = build_cyclic_database(params, seed=6)
+    run = rebalance_add(db)
+    final = run.final
+    for i in range(1, 14):
+        holders = cyclic_range(i, 4, 13)
+        replicas = [final.stored(n, SegmentLabel(i, "target")).bits for n in holders]
+        assert len(set(replicas)) == 1
+        if i <= 12:
+            # the old holders cut the kept part from one shared stored int
+            old = [bits for n, bits in zip(holders, replicas) if n != 13]
+            assert all(bits is old[0] for bits in old)
+
+    # a flipped bit in a shared replica damages only the node it was flipped at
+    node = 6
+    bad = flip_stored_bit(final, node, 5, 0)
+    assert final.stored(5, SegmentLabel(5, "target")).bits is final.stored(
+        node, SegmentLabel(5, "target")
+    ).bits
+    shape = SystemParams(13, 4, params.segment_bits * 12 // 13)
+    rep = verify_cyclic_balanced(bad, shape).merged(
+        verify_preservation(bad, addition_expected_layout(run.plan), params, seed=6)
+    )
+    assert rep.findings
+    for _, msg in rep.findings:
+        assert f"node {node}" in msg and "segment 5" in msg

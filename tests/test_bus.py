@@ -80,15 +80,15 @@ def test_decode_recovers_addressed_operand(setup_6_3):
     big = plan.high_corner.big  # W_6^{5}
     b = broadcast_xor(db, 1, (first, big))
     # node 2 holds W_6, strips it, keeps W_5's leading half
-    label, bits = decode_at_node(db, 2, b, plan)
+    label, bits = decode_at_node(db, 2, b)
     assert label == first
     assert bits == slice_atoms(segment_content(0, 5, 70), 0, 35, 1)
     # node 5 holds W_5, recovers the big W_6 piece
-    label, bits = decode_at_node(db, 5, b, plan)
+    label, bits = decode_at_node(db, 5, b)
     assert label == big
     assert bits == slice_atoms(segment_content(0, 6, 70), 0, 49, 1)
     # node 3 is not addressed at all
-    assert decode_at_node(db, 3, b, plan) is None
+    assert decode_at_node(db, 3, b) is None
 
 
 def test_decode_fails_without_sibling_base(setup_6_3):
@@ -103,7 +103,7 @@ def test_decode_fails_without_sibling_base(setup_6_3):
         lab: p for lab, p in crippled.contents[2].items() if lab.index != 6
     }
     with pytest.raises(DecodeFailureError):
-        decode_at_node(crippled, 2, b, plan)
+        decode_at_node(crippled, 2, b)
 
 
 def test_log_counts_payload_atoms(setup_6_3):

@@ -139,7 +139,7 @@ def test_build_cyclic_database_shape():
         assert all(isinstance(lab, SegmentLabel) for lab in items)
     assert [lab.index for lab in db.contents[1]] == [1, 5, 6]
     assert db.total_stored_atoms() == 3 * 6 * 70  # rK segments of T
-    assert db.holders(SegmentLabel(5)) == {5, 6, 1}
+    assert {n for n, items in db.contents.items() if SegmentLabel(5) in items} == {5, 6, 1}
 
 
 def test_build_rejects_invalid_params():

@@ -9,17 +9,23 @@ from hypothesis import strategies as st
 from rebalance import (
     MergeFailureError,
     SegmentLabel,
+    SystemParams,
     apply_merge,
     build_cyclic_database,
     build_merge_recipes,
     cyclic_range,
     default_params,
     deliver,
+    flip_stored_bit,
     make_split_plan,
     rebalance_remove,
+    removal_expected_layout,
     run_scheme1,
+    run_scheme2,
     slice_atoms,
     storage_set,
+    verify_cyclic_balanced,
+    verify_preservation,
 )
 
 
@@ -169,3 +175,70 @@ def test_merge_total_load_identity():
         per = params.segment_atoms * k // (k - 1)
         assert run.final.total_stored_atoms() == r * (k - 1) * per
         assert Fraction(per, params.segment_atoms) == Fraction(k, k - 1)
+
+
+def test_replicas_share_one_int_per_source_set():
+    params = default_params(12, 9)
+    db = build_cyclic_database(params, seed=2)
+    plan = make_split_plan(params, removed=5)
+    recipes = build_merge_recipes(params, plan)
+    received = deliver(db, run_scheme2(db, plan), plan)
+    final = apply_merge(db, plan, recipes, received)
+
+    # receivers that decode the same operand hold one interned int
+    by_range = {}
+    for pieces in received.values():
+        for origin, start, stop, bits in pieces:
+            by_range.setdefault((origin, start, stop), []).append(bits)
+    assert any(len(copies) > 1 for copies in by_range.values())
+    for copies in by_range.values():
+        assert all(c is copies[0] for c in copies)
+
+    def sources(holder, recipe):
+        # the (source int, offset) each part resolves to at this holder
+        node = plan.to_actual(holder)
+        key = []
+        for part in recipe.parts:
+            base = db.segment_bits_at(node, part.origin)
+            if base is not None:
+                key.append((id(base), part.atom_start))
+            else:
+                key.append(next(
+                    (id(bits), part.atom_start - start)
+                    for origin, start, stop, bits in received[node]
+                    if origin == part.origin and start <= part.atom_start and part.atom_stop <= stop
+                ))
+        return tuple(key)
+
+    shared = 0
+    for recipe in recipes:
+        groups = {}
+        for holder in recipe.holders:
+            groups.setdefault(sources(holder, recipe), []).append(holder)
+        for holders in groups.values():
+            first = final.stored(holders[0], recipe.target).bits
+            assert all(final.stored(h, recipe.target).bits is first for h in holders)
+            shared += len(holders) - 1
+        values = {final.stored(h, recipe.target).bits for h in recipe.holders}
+        assert len(values) == 1
+    assert shared > 0
+
+    # a flipped bit in a shared replica damages only the node it was flipped at
+    target = recipes[0].target
+    node = recipes[0].holders[1]
+    bad = flip_stored_bit(final, node, target.index, 3)
+    assert final.stored(recipes[0].holders[0], target).bits is final.stored(node, target).bits
+    shape = SystemParams(11, 9, params.segment_bits * 12 // 11)
+    rep = verify_cyclic_balanced(bad, shape).merged(
+        verify_preservation(bad, removal_expected_layout(recipes), params, seed=2)
+    )
+    assert rep.findings
+    for _, msg in rep.findings:
+        assert f"node {node}" in msg and f"segment {target.index}" in msg
+    assert verify_cyclic_balanced(final, shape).ok
+
+    # a holder's own damaged source is never shared with, or replaced by, another's
+    lead = plan.to_actual(1)
+    tampered = apply_merge(flip_stored_bit(db, lead, lead, 0), plan, recipes, received)
+    rep = verify_preservation(tampered, removal_expected_layout(recipes), params, seed=2)
+    assert [msg.split(" payload")[0] for _, msg in rep.findings] == ["node 1 target segment 1"]

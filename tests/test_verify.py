@@ -1,5 +1,7 @@
 """Verification and fault injection: clean runs pass, every fault is flagged."""
 
+import re
+
 import pytest
 
 from rebalance import (
@@ -8,6 +10,7 @@ from rebalance import (
     VerificationReport,
     addition_expected_layout,
     build_cyclic_database,
+    decode_at_node,
     default_params,
     drop_broadcast,
     flip_stored_bit,
@@ -80,6 +83,52 @@ def test_every_dropped_broadcast_is_detected():
             )
         )
         assert not rep.ok, f"dropped broadcast {i} went unnoticed"
+
+
+# findings about a node's own stored segment: "node X segment ..." (shape)
+# and "node X target segment ..." (content)
+OWN_SEGMENT = re.compile(r"node (\d+) (?:target )?segment ")
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+def test_dropped_broadcast_is_localized_to_its_decoders(k):
+    # every node whose replica a dropped broadcast damages must have decoded
+    # from it; with coded schedules every decoder is damaged, so shared
+    # assembly can never serve one holder from another holder's sources
+    for r in range(3, k):
+        params = default_params(k, r)
+        db = build_cyclic_database(params, seed=k * r)
+        shape = SystemParams(k - 1, r, params.segment_bits * k // (k - 1))
+        removed = k // 2 + 1
+        for scheme in ("scheme1", "scheme2", "uncoded"):
+            clean = rebalance_remove(db, removed, scheme=scheme)
+            canonical = {clean.plan.to_actual(c): c for c in range(1, k)}
+            expected = removal_expected_layout(clean.recipes)
+            for i, b in enumerate(clean.log.broadcasts):
+                addressed = {n for op in b.operands for n in op.superscript}
+                decoders = {
+                    canonical[n] for n in addressed if decode_at_node(db, n, b) is not None
+                }
+                run = rebalance_remove(
+                    db,
+                    removed,
+                    scheme=scheme,
+                    strict=False,
+                    tamper_log=lambda log, i=i: drop_broadcast(log, i),
+                )
+                rep = verify_cyclic_balanced(run.final, shape).merged(
+                    verify_preservation(run.final, expected, params, seed=k * r)
+                )
+                named = {
+                    int(m.group(1))
+                    for _, msg in rep.findings
+                    if (m := OWN_SEGMENT.match(msg))
+                }
+                where = (k, r, scheme, i)
+                if scheme == "uncoded":
+                    assert named and named <= decoders, where
+                else:
+                    assert named == decoders, where
 
 
 def test_reordered_parts_are_detected():
