@@ -17,7 +17,6 @@ stored int, so the old holders of a segment hold one int, not one copy each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import analytics
 from .analytics import LoadReport
@@ -169,8 +168,3 @@ def rebalance_add(db: Database) -> AdditionRun:
     )
     report = analytics.addition_report(params, log.load)
     return AdditionRun(final=final, log=log, report=report, plan=plan)
-
-
-def addition_lower_bound(params: SystemParams) -> Fraction:
-    """Minimum possible traffic for adding one node: rK/(K+1) segments."""
-    return analytics.addition_load(params.n_nodes, params.replication)

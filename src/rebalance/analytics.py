@@ -108,15 +108,12 @@ class LoadReport:
     """Measured vs. closed-form loads for one rebalancing run."""
 
     params: SystemParams
-    operation: str  # "removal" | "addition"
     scheme: str  # "scheme1" | "scheme2" | "uncoded" | "addition"
     measured: Fraction
     expected: Fraction  # closed form for the executed variant
     lower_bound: Fraction
     coded_scheme1: Fraction | None = None
     coded_scheme2: Fraction | None = None
-    full_scheme1: Fraction | None = None
-    full_scheme2: Fraction | None = None
     best_coded: Fraction | None = None
     uncoded: Fraction | None = None
     scheme_threshold: int | None = None
@@ -130,15 +127,12 @@ def removal_report(params: SystemParams, scheme: str, measured: Fraction) -> Loa
     k, r = params.n_nodes, params.replication
     return LoadReport(
         params=params,
-        operation="removal",
         scheme=scheme,
         measured=measured,
         expected=full_removal_load(k, r, scheme),
         lower_bound=removal_lower_bound(k, r),
         coded_scheme1=load_scheme1(k, r),
         coded_scheme2=load_scheme2(k, r),
-        full_scheme1=full_removal_load(k, r, "scheme1"),
-        full_scheme2=full_removal_load(k, r, "scheme2"),
         best_coded=best_removal_load(k, r),
         uncoded=uncoded_removal_load(k, r),
         scheme_threshold=threshold(k),
@@ -150,7 +144,6 @@ def addition_report(params: SystemParams, measured: Fraction) -> LoadReport:
     expected = addition_load(k, r)
     return LoadReport(
         params=params,
-        operation="addition",
         scheme="addition",
         measured=measured,
         expected=expected,

@@ -27,12 +27,6 @@ class Broadcast:
     payload_atoms: int
     payload: int
 
-    def describe(self) -> str:
-        if not self.operands:
-            return f"node {self.sender}: filler[{self.payload_atoms} atoms]"
-        ops = " xor ".join(op.describe() for op in self.operands)
-        return f"node {self.sender}: {ops} [{self.payload_atoms} atoms]"
-
 
 @dataclass
 class TransmissionLog:

@@ -4,7 +4,7 @@ Four commands: `remove` and `add` run one rebalancing scenario end to end and
 verify it; `sweep` runs every replication factor for one cluster size and
 writes the loads as CSV; `check-claim1` audits the scheme-selection threshold
 by brute force. Exit codes: 0 success, 1 verification or audit failure,
-2 bad parameters or unsupported configuration.
+2 bad parameters, unsupported configuration or an unwritable output path.
 """
 
 from __future__ import annotations
@@ -18,47 +18,19 @@ from fractions import Fraction
 from . import analytics
 from .addition import AdditionRun, rebalance_add
 from .errors import ParameterError, RebalanceError, UnsupportedConfigError
-from .model import Database, SystemParams, build_cyclic_database, default_params
+from .model import build_cyclic_database, default_params
 from .removal_schemes import SCHEME_CHOICES, RemovalRun, rebalance_remove
 from .verify import (
     VerificationReport,
     addition_expected_layout,
     removal_expected_layout,
-    verify_cyclic_balanced,
-    verify_preservation,
+    verify_addition,
+    verify_removal,
 )
 
 
 def _fmt(x: Fraction) -> str:
     return f"{x} ({float(x)})"
-
-
-def _verify_removal(run: RemovalRun, seed: int) -> VerificationReport:
-    params = run.final.params
-    k = params.n_nodes
-    shape = SystemParams(
-        n_nodes=k - 1,
-        replication=params.replication,
-        segment_bits=params.segment_bits * k // (k - 1),
-    )
-    report = verify_cyclic_balanced(run.final, shape)
-    return report.merged(
-        verify_preservation(run.final, removal_expected_layout(run.recipes), params, seed)
-    )
-
-
-def _verify_addition(run: AdditionRun, seed: int) -> VerificationReport:
-    params = run.final.params
-    k = params.n_nodes
-    shape = SystemParams(
-        n_nodes=k + 1,
-        replication=params.replication,
-        segment_bits=params.segment_bits * k // (k + 1),
-    )
-    report = verify_cyclic_balanced(run.final, shape)
-    return report.merged(
-        verify_preservation(run.final, addition_expected_layout(run.plan), params, seed)
-    )
 
 
 def _print_verification(v: VerificationReport) -> None:
@@ -88,19 +60,32 @@ def _write_trace(path: str, payload: dict) -> None:
         f.write("\n")
 
 
-def _trace_common(log, verification: VerificationReport, full: bool) -> dict:
+def _trace_common(
+    args: argparse.Namespace, run: RemovalRun | AdditionRun, verification: VerificationReport
+) -> dict:
+    """Trace fields shared by removal and addition: parameters, load, traffic, verdict."""
+    rep = run.report
     broadcasts = []
-    for b in log.broadcasts:
+    for b in run.log.broadcasts:
         entry = {
             "sender": b.sender,
             "kind": b.kind,
             "payload_atoms": b.payload_atoms,
             "operands": [_label_json(op) for op in b.operands],
         }
-        if full:
+        if args.full_trace:
             entry["payload_hex"] = format(b.payload, "x")
         broadcasts.append(entry)
     return {
+        "n_nodes": args.k,
+        "replication": args.r,
+        "segment_bits": rep.params.segment_bits,
+        "seed": args.seed,
+        "load": {
+            "measured": [rep.measured.numerator, rep.measured.denominator],
+            "measured_float": float(rep.measured),
+            "expected": [rep.expected.numerator, rep.expected.denominator],
+        },
         "broadcasts": broadcasts,
         "verification": {
             "balanced": verification.is_balanced,
@@ -124,11 +109,9 @@ def _targets_json(layout) -> list[dict]:
 
 
 def _cmd_remove(args: argparse.Namespace) -> int:
-    params = default_params(args.k, args.r, args.t_mult)
-    params.validate()
-    db = build_cyclic_database(params, args.seed)
+    db = build_cyclic_database(default_params(args.k, args.r, args.t_mult), args.seed)
     run = rebalance_remove(db, args.node, args.scheme)
-    verification = _verify_removal(run, args.seed)
+    verification = verify_removal(run, args.seed)
     rep = run.report
 
     print(f"removal: K={args.k} r={args.r} removed node {args.node} seed {args.seed}")
@@ -143,33 +126,22 @@ def _cmd_remove(args: argparse.Namespace) -> int:
     _print_verification(verification)
 
     if args.trace:
-        payload = {
-            "operation": "removal",
-            "n_nodes": args.k,
-            "replication": args.r,
-            "segment_bits": params.segment_bits,
-            "seed": args.seed,
-            "removed_node": args.node,
-            "scheme": rep.scheme,
-            "load": {
-                "measured": [rep.measured.numerator, rep.measured.denominator],
-                "measured_float": float(rep.measured),
-                "expected": [rep.expected.numerator, rep.expected.denominator],
-            },
-            "targets": _targets_json(removal_expected_layout(run.recipes)),
-        }
-        payload.update(_trace_common(run.log, verification, args.full_trace))
+        payload = _trace_common(args, run, verification)
+        payload.update(
+            operation="removal",
+            removed_node=args.node,
+            scheme=rep.scheme,
+            targets=_targets_json(removal_expected_layout(run.recipes)),
+        )
         _write_trace(args.trace, payload)
 
     return 0 if verification.ok and rep.matches_formula else 1
 
 
 def _cmd_add(args: argparse.Namespace) -> int:
-    params = default_params(args.k, args.r, args.t_mult)
-    params.validate()
-    db = build_cyclic_database(params, args.seed)
+    db = build_cyclic_database(default_params(args.k, args.r, args.t_mult), args.seed)
     run = rebalance_add(db)
-    verification = _verify_addition(run, args.seed)
+    verification = verify_addition(run, args.seed)
     rep = run.report
 
     print(f"addition: K={args.k} r={args.r} new node {args.k + 1} seed {args.seed}")
@@ -179,21 +151,12 @@ def _cmd_add(args: argparse.Namespace) -> int:
     _print_verification(verification)
 
     if args.trace:
-        payload = {
-            "operation": "addition",
-            "n_nodes": args.k,
-            "replication": args.r,
-            "segment_bits": params.segment_bits,
-            "seed": args.seed,
-            "added_node": args.k + 1,
-            "load": {
-                "measured": [rep.measured.numerator, rep.measured.denominator],
-                "measured_float": float(rep.measured),
-                "expected": [rep.expected.numerator, rep.expected.denominator],
-            },
-            "targets": _targets_json(addition_expected_layout(run.plan)),
-        }
-        payload.update(_trace_common(run.log, verification, args.full_trace))
+        payload = _trace_common(args, run, verification)
+        payload.update(
+            operation="addition",
+            added_node=args.k + 1,
+            targets=_targets_json(addition_expected_layout(run.plan)),
+        )
         _write_trace(args.trace, payload)
 
     return 0 if verification.ok and rep.matches_formula else 1
@@ -233,7 +196,7 @@ def sweep_rows(
         params = default_params(k, r, t_mult)
         db = build_cyclic_database(params, seed)
         run = rebalance_remove(db, node, "auto")
-        verification = _verify_removal(run, seed)
+        verification = verify_removal(run, seed)
         rep = run.report
         ok = verification.ok and rep.matches_formula
         rows.append(
@@ -365,6 +328,9 @@ def main(argv: list[str] | None = None) -> int:
     except RebalanceError as exc:
         print(f"protocol failure: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -80,14 +80,6 @@ def default_params(n_nodes: int, replication: int, t_mult: int = 1) -> SystemPar
     return SystemParams(n_nodes, replication, 2 * (n_nodes**2 - 1) * t_mult)
 
 
-def box_plus(i: int, j: int, modulus: int) -> int:
-    """Wrapping sum on node labels [1..modulus]: i + j, minus modulus if above."""
-    _check_label_arg(i, modulus)
-    _check_label_arg(j, modulus)
-    s = i + j
-    return s - modulus if s > modulus else s
-
-
 def box_minus(i: int, j: int, modulus: int) -> int:
     """Wrapping difference on node labels [1..modulus]: i - j, plus modulus if at or below zero."""
     _check_label_arg(i, modulus)
@@ -166,15 +158,6 @@ class SubsegmentLabel:
 Label = SegmentLabel | SubsegmentLabel
 
 
-@dataclass(frozen=True)
-class Atom:
-    """Unit of content accounting: one atom of one original segment."""
-
-    origin_segment: int
-    offset: int
-    payload: int
-
-
 def _mix64(x: int) -> int:
     # splitmix64 finalizer: full-period 64-bit mixing
     x &= _M64
@@ -192,13 +175,6 @@ def segment_content(seed: int, index: int, n_bits: int) -> int:
         _mix64(state + blk * _GOLDEN).to_bytes(8, "little") for blk in range(n_blocks)
     )
     return int.from_bytes(buf, "little") & ((1 << n_bits) - 1)
-
-
-def atom_payload(seed: int, origin_segment: int, offset: int, atom_bits: int, segment_atoms: int) -> Atom:
-    """Content oracle for a single atom; pure in (seed, origin, offset)."""
-    seg = segment_content(seed, origin_segment, segment_atoms * atom_bits)
-    payload = (seg >> (offset * atom_bits)) & ((1 << atom_bits) - 1)
-    return Atom(origin_segment, offset, payload)
 
 
 def slice_atoms(bits: int, start: int, stop: int, atom_bits: int) -> int:

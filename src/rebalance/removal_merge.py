@@ -100,10 +100,8 @@ def build_merge_recipes(params: SystemParams, plan: SplitPlan) -> tuple[MergeRec
             # high extended targets take low-corner pair j = gap - t + 1
             add(t, [whole, _part_from(plan.low_corner.pairs[gap - t])])
 
-    for i in range(1, r):
-        first = plan.low_corner.big if i == 1 else plan.middles[i - 2][0]
-        second = plan.high_corner.big if i == r - 1 else plan.middles[i - 1][1]
-        add(gap + i, [_part_from(first), _part_from(second)])
+    for s in range(gap + 1, k):
+        add(s, [_part_from(plan.opening(s)), _part_from(plan.closing(s + 1))])
 
     recipes.sort(key=lambda rec: rec.target.index)
     return tuple(recipes)

@@ -4,9 +4,9 @@ Both coded variants first split the r affected segments (see removal_split),
 then move every piece with XOR broadcasts plus two small uncoded corner
 batches, and finally merge (see removal_merge).
 
-Scheme 1 chains adjacent pieces: r-1 coded broadcasts, each XORing the
-leading piece of one affected segment with the trailing piece of the next.
-Cheap when replication is small.
+Scheme 1 chains adjacent pieces: r-1 coded broadcasts, each XORing the two
+pieces of one regrown target, the opening piece of one affected segment and
+the closing piece of the next. Cheap when replication is small.
 
 Scheme 2 groups pieces into K-r classes of uniform nominal size; the two
 sender nodes each transmit one slot per class, XORing the pieces whose
@@ -55,11 +55,11 @@ def run_scheme1(db: Database, plan: SplitPlan) -> TransmissionLog:
     log = TransmissionLog(plan.params)
     node1 = plan.to_actual(1)
     node_last = plan.to_actual(k - 1)
-    for i in range(2, r):
-        first = plan.middles[i - 2][0]
-        second = plan.high_corner.big if i == r - 1 else plan.middles[i - 1][1]
-        log.emit(broadcast_xor(db, node1, (first, second)))
-    log.emit(broadcast_xor(db, node_last, (plan.low_corner.big, plan.middles[0][1])))
+    # broadcast s carries target s: the opening piece of s, the closing one of s+1
+    for s in range(k - r + 2, k):
+        log.emit(broadcast_xor(db, node1, (plan.opening(s), plan.closing(s + 1))))
+    low = k - r + 1
+    log.emit(broadcast_xor(db, node_last, (plan.opening(low), plan.closing(low + 1))))
     _corner_batches(db, plan, log)
     return log
 
@@ -75,23 +75,11 @@ def run_scheme2(db: Database, plan: SplitPlan) -> TransmissionLog:
     for i in range(1, gap + 1):
         nominal = (k + r - 2 * i) * hu
         steps = (r - 1 - i) // gap  # below 0 means the class carries no pieces
-        ops_high: list[SubsegmentLabel] = []
-        ops_low: list[SubsegmentLabel] = []
-        for j in range(0, steps + 1):
-            sub_high = k + 1 - i - j * gap  # segment index, walks down from K
-            ops_high.append(
-                plan.high_corner.big
-                if sub_high == k
-                else plan.middles[sub_high - (k - r + 1) - 1][1]
-            )
-            sub_low = k - r + i + j * gap  # walks up from K-r+1
-            ops_low.append(
-                plan.low_corner.big
-                if sub_low == k - r + 1
-                else plan.middles[sub_low - (k - r + 1) - 1][0]
-            )
-        log.emit(broadcast_class(db, node1, tuple(ops_high), nominal))
-        log.emit(broadcast_class(db, node_last, tuple(ops_low), nominal))
+        # segment indices K-r apart: walking down from K, and up from K-r+1
+        ops_high = tuple(plan.closing(k + 1 - i - j * gap) for j in range(steps + 1))
+        ops_low = tuple(plan.opening(k - r + i + j * gap) for j in range(steps + 1))
+        log.emit(broadcast_class(db, node1, ops_high, nominal))
+        log.emit(broadcast_class(db, node_last, ops_low, nominal))
     _corner_batches(db, plan, log)
     return log
 
@@ -150,18 +138,10 @@ class RemovalRun:
     recipes: tuple[MergeRecipe, ...]
 
 
-def rebalance_remove(
-    db: Database,
-    removed: int,
-    scheme: str = "auto",
-    strict: bool = True,
-    tamper_log=None,
-) -> RemovalRun:
+def rebalance_remove(db: Database, removed: int, scheme: str = "auto") -> RemovalRun:
     """Run the full removal pipeline: split, broadcast, decode, merge.
 
-    scheme "auto" picks the cheaper coded variant. tamper_log, if given, maps
-    the transmission log to a modified one before delivery; fault-injection
-    tests use it together with strict=False.
+    scheme "auto" picks the cheaper coded variant.
     """
     if db.generation != "original":
         raise ParameterError("removal runs on an original-layout database")
@@ -179,11 +159,8 @@ def rebalance_remove(
     else:
         log = run_uncoded_removal(db, plan)
 
-    if tamper_log is not None:
-        log = tamper_log(log)
-
     received = deliver(db, log, plan)
     recipes = build_merge_recipes(params, plan)
-    final = apply_merge(db, plan, recipes, received, strict=strict)
+    final = apply_merge(db, plan, recipes, received)
     report = analytics.removal_report(params, scheme, log.load)
     return RemovalRun(final=final, log=log, report=report, plan=plan, recipes=recipes)

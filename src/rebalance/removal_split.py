@@ -12,8 +12,9 @@ shift that maps m onto the last position; make_split_plan applies that shift.
 
 Piece identity is physical: (base segment, atom range). At replication K-1
 the two pieces of a corner segment can carry the same superscript, so nothing
-may address pieces by superscript alone; consumers pick pieces by role
-(middle first/second, corner big/tiny/pair).
+may address pieces by superscript alone; consumers pick pieces by role:
+SplitPlan.opening and SplitPlan.closing name the two pieces that make up
+each regrown target, and the corners' broadcast batches hold the rest.
 """
 
 from __future__ import annotations
@@ -77,6 +78,27 @@ class SplitPlan:
     def to_actual(self, canonical: int) -> int:
         """Map a canonical node or segment label to the actual frame."""
         return relabel_for_removed_node(canonical, self.removed, self.params.n_nodes)
+
+    def opening(self, s: int) -> SubsegmentLabel:
+        """Piece of canonical segment s that opens target s, for s in [K-r+1, K-1].
+
+        The low corner's big piece for s = K-r+1, else middle s's first piece.
+        """
+        k, r = self.params.n_nodes, self.params.replication
+        if not k - r + 1 <= s <= k - 1:
+            raise ParameterError(f"opening segment {s} outside [{k - r + 1}, {k - 1}]")
+        return self.low_corner.big if s == k - r + 1 else self.middles[s - (k - r + 2)][0]
+
+    def closing(self, s: int) -> SubsegmentLabel:
+        """Piece of canonical segment s that closes target s-1, for s in [K-r+2, K].
+
+        The high corner's big piece for s = K (physically the leading atoms of
+        W_K), else middle s's second piece.
+        """
+        k, r = self.params.n_nodes, self.params.replication
+        if not k - r + 2 <= s <= k:
+            raise ParameterError(f"closing segment {s} outside [{k - r + 2}, {k}]")
+        return self.high_corner.big if s == k else self.middles[s - (k - r + 2)][1]
 
     def all_pieces(self) -> tuple[SubsegmentLabel, ...]:
         out = list(self.low_corner.listed())

@@ -9,7 +9,9 @@ the content generator, never from engine bookkeeping), and the targets
 together cover every original atom exactly once.
 
 Both return findings that name the offending node and segment, so a single
-suppressed broadcast or flipped bit is traceable. The fault hooks at the
+suppressed broadcast or flipped bit is traceable. verify_removal and
+verify_addition run both against the layout a membership change must reach:
+K-1 or K+1 nodes holding the same total storage. The fault hooks at the
 bottom produce tampered copies for exercising that.
 """
 
@@ -30,7 +32,8 @@ from .model import (
     storage_set,
 )
 from .removal_merge import MergeRecipe
-from .addition import AdditionPlan
+from .removal_schemes import RemovalRun
+from .addition import AdditionPlan, AdditionRun
 
 Finding = tuple[str, str]  # (category, message)
 
@@ -235,6 +238,34 @@ def verify_preservation(
                 )
             )
     return VerificationReport(tuple(findings))
+
+
+def _verify_change(
+    final: Database, n_nodes: int, expected: tuple[ExpectedTarget, ...], seed: int
+) -> VerificationReport:
+    # the original params fix atom size and total storage; the shape to reach
+    # spreads that storage evenly over n_nodes
+    params = final.params
+    shape = SystemParams(
+        n_nodes, params.replication, params.segment_bits * params.n_nodes // n_nodes
+    )
+    return verify_cyclic_balanced(final, shape).merged(
+        verify_preservation(final, expected, params, seed)
+    )
+
+
+def verify_removal(run: RemovalRun, seed: int) -> VerificationReport:
+    """Shape and content check of a removal; seed is the one the database was built with."""
+    return _verify_change(
+        run.final, run.final.params.n_nodes - 1, removal_expected_layout(run.recipes), seed
+    )
+
+
+def verify_addition(run: AdditionRun, seed: int) -> VerificationReport:
+    """Shape and content check of an addition; seed is the one the database was built with."""
+    return _verify_change(
+        run.final, run.final.params.n_nodes + 1, addition_expected_layout(run.plan), seed
+    )
 
 
 def drop_broadcast(log: TransmissionLog, index: int) -> TransmissionLog:

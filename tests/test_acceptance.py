@@ -5,25 +5,22 @@ import io
 import json
 import time
 from contextlib import redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from rebalance import (
-    SystemParams,
-    addition_expected_layout,
-    addition_lower_bound,
+    addition_load,
     build_cyclic_database,
     default_params,
-    drop_broadcast,
     flip_stored_bit,
     full_removal_load,
     rebalance_add,
     rebalance_remove,
-    removal_expected_layout,
+    verify_addition,
     verify_claim1,
-    verify_cyclic_balanced,
-    verify_preservation,
+    verify_removal,
 )
 from rebalance.cli import main
 
@@ -33,30 +30,12 @@ def report(cid: str, ok: bool, detail: str) -> None:
     assert ok, f"{cid}: {detail}"
 
 
-def survivor_shape(params) -> SystemParams:
-    k = params.n_nodes
-    return SystemParams(
-        n_nodes=k - 1,
-        replication=params.replication,
-        segment_bits=params.segment_bits * k // (k - 1),
-    )
-
-
-def full_removal_check(run, params, seed):
-    shape = survivor_shape(params)
-    return verify_cyclic_balanced(run.final, shape).merged(
-        verify_preservation(
-            run.final, removal_expected_layout(run.recipes), params, seed
-        )
-    )
-
-
 def test_c01_golden_removal_small():
     t0 = time.perf_counter()
     params = default_params(6, 3)
     db = build_cyclic_database(params, seed=0)
     run = rebalance_remove(db, 6, "auto")
-    verification = full_removal_check(run, params, 0)
+    verification = verify_removal(run, 0)
     elapsed = time.perf_counter() - t0
 
     sizes = {
@@ -86,7 +65,7 @@ def test_c02_golden_removal_large_replication():
     params = default_params(8, 6)
     db = build_cyclic_database(params, seed=0)
     run = rebalance_remove(db, 8, "auto")
-    verification = full_removal_check(run, params, 0)
+    verification = verify_removal(run, 0)
     elapsed = time.perf_counter() - t0
 
     hu = params.half_unit_atoms
@@ -128,12 +107,11 @@ def removal_grid():
     results = []
     for k in range(4, 26):
         for r in range(3, k):
-            params = default_params(k, r)
-            db = build_cyclic_database(params, seed=0)
+            db = build_cyclic_database(default_params(k, r), seed=0)
             for removed in range(1, k + 1):
                 for scheme in ("scheme1", "scheme2"):
                     run = rebalance_remove(db, removed, scheme)
-                    verification = full_removal_check(run, params, 0)
+                    verification = verify_removal(run, 0)
                     results.append(
                         (k, r, removed, scheme, run.report.measured, verification.ok)
                     )
@@ -227,19 +205,13 @@ def test_c07_addition_grid():
     bad = []
     for k in range(3, 26):
         for r in range(2, k):
-            params = default_params(k, r)
-            db = build_cyclic_database(params, seed=0)
+            db = build_cyclic_database(default_params(k, r), seed=0)
             run = rebalance_add(db)
-            shape = SystemParams(k + 1, r, params.segment_bits * k // (k + 1))
-            verification = verify_cyclic_balanced(run.final, shape).merged(
-                verify_preservation(
-                    run.final, addition_expected_layout(run.plan), params, 0
-                )
-            )
+            verification = verify_addition(run, 0)
             count += 1
             if not (
                 verification.ok
-                and run.log.load == Fraction(r * k, k + 1) == addition_lower_bound(params)
+                and run.log.load == Fraction(r * k, k + 1) == addition_load(k, r)
             ):
                 bad.append((k, r))
     elapsed = time.perf_counter() - t0
@@ -282,20 +254,15 @@ def test_c08_removed_node_invariance():
     )
 
 
-def test_c09_fault_injection():
+def test_c09_fault_injection(replay_without_broadcast):
     params = default_params(6, 3)
     db = build_cyclic_database(params, seed=0)
     clean = rebalance_remove(db, 6)
-    shape = survivor_shape(params)
-    expected = removal_expected_layout(clean.recipes)
 
     missed_drops = []
     n_broadcasts = len(clean.log.broadcasts)
     for i in range(n_broadcasts):
-        run = rebalance_remove(
-            db, 6, strict=False, tamper_log=lambda log, i=i: drop_broadcast(log, i)
-        )
-        verification = full_removal_check(run, params, 0)
+        verification = verify_removal(replay_without_broadcast(db, clean, i), 0)
         if verification.ok:
             missed_drops.append(i)
 
@@ -305,9 +272,7 @@ def test_c09_fault_injection():
         for label, piece in clean.final.contents[node].items():
             for bit in range(piece.n_atoms * params.atom_bits):
                 tampered = flip_stored_bit(clean.final, node, label.index, bit)
-                verification = verify_cyclic_balanced(tampered, shape).merged(
-                    verify_preservation(tampered, expected, params, 0)
-                )
+                verification = verify_removal(replace(clean, final=tampered), 0)
                 localized = any(
                     f"node {node}" in msg and f"segment {label.index}" in msg
                     for _, msg in verification.findings

@@ -1,5 +1,6 @@
 """Node addition: plan geometry, traffic, final layout."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,7 @@ from rebalance import (
     MergeFailureError,
     ParameterError,
     SegmentLabel,
-    SystemParams,
-    addition_expected_layout,
-    addition_lower_bound,
+    addition_load,
     build_cyclic_database,
     cyclic_range,
     default_params,
@@ -20,8 +19,7 @@ from rebalance import (
     make_addition_plan,
     rebalance_add,
     slice_atoms,
-    verify_cyclic_balanced,
-    verify_preservation,
+    verify_addition,
 )
 
 
@@ -46,7 +44,7 @@ def test_golden_run_6_3():
     params = default_params(6, 3)
     db = build_cyclic_database(params, seed=0)
     run = rebalance_add(db)
-    assert run.log.load == Fraction(18, 7) == addition_lower_bound(params)
+    assert run.log.load == Fraction(18, 7) == addition_load(6, 3)
     assert run.report.matches_formula
     assert run.report.lower_bound == run.report.measured
 
@@ -125,7 +123,7 @@ def test_load_meets_lower_bound_everywhere(kr):
     db = build_cyclic_database(params, seed=2)
     run = rebalance_add(db)
     assert run.log.load == Fraction(r * k, k + 1)
-    assert run.log.load == addition_lower_bound(params)
+    assert run.log.load == addition_load(k, r)
     # stored volume unchanged in proportion: r replicas of K+1 equal segments
     assert run.final.total_stored_atoms() == r * (k + 1) * run.final.segment_atoms
 
@@ -159,10 +157,7 @@ def test_kept_replicas_share_one_int():
     assert final.stored(5, SegmentLabel(5, "target")).bits is final.stored(
         node, SegmentLabel(5, "target")
     ).bits
-    shape = SystemParams(13, 4, params.segment_bits * 12 // 13)
-    rep = verify_cyclic_balanced(bad, shape).merged(
-        verify_preservation(bad, addition_expected_layout(run.plan), params, seed=6)
-    )
+    rep = verify_addition(replace(run, final=bad), seed=6)
     assert rep.findings
     for _, msg in rep.findings:
         assert f"node {node}" in msg and "segment 5" in msg

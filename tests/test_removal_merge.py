@@ -1,5 +1,6 @@
 """Merge recipes: target composition, sizes, holder placement, strictness."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from rebalance import (
     MergeFailureError,
     SegmentLabel,
-    SystemParams,
     apply_merge,
     build_cyclic_database,
     build_merge_recipes,
@@ -21,11 +21,10 @@ from rebalance import (
     rebalance_remove,
     removal_expected_layout,
     run_scheme1,
-    run_scheme2,
     slice_atoms,
     storage_set,
-    verify_cyclic_balanced,
     verify_preservation,
+    verify_removal,
 )
 
 
@@ -180,9 +179,9 @@ def test_merge_total_load_identity():
 def test_replicas_share_one_int_per_source_set():
     params = default_params(12, 9)
     db = build_cyclic_database(params, seed=2)
-    plan = make_split_plan(params, removed=5)
-    recipes = build_merge_recipes(params, plan)
-    received = deliver(db, run_scheme2(db, plan), plan)
+    run = rebalance_remove(db, 5, "scheme2")
+    plan, recipes = run.plan, run.recipes
+    received = deliver(db, run.log, plan)
     final = apply_merge(db, plan, recipes, received)
 
     # receivers that decode the same operand hold one interned int
@@ -228,14 +227,11 @@ def test_replicas_share_one_int_per_source_set():
     node = recipes[0].holders[1]
     bad = flip_stored_bit(final, node, target.index, 3)
     assert final.stored(recipes[0].holders[0], target).bits is final.stored(node, target).bits
-    shape = SystemParams(11, 9, params.segment_bits * 12 // 11)
-    rep = verify_cyclic_balanced(bad, shape).merged(
-        verify_preservation(bad, removal_expected_layout(recipes), params, seed=2)
-    )
+    rep = verify_removal(replace(run, final=bad), seed=2)
     assert rep.findings
     for _, msg in rep.findings:
         assert f"node {node}" in msg and f"segment {target.index}" in msg
-    assert verify_cyclic_balanced(final, shape).ok
+    assert verify_removal(replace(run, final=final), seed=2).ok
 
     # a holder's own damaged source is never shared with, or replaced by, another's
     lead = plan.to_actual(1)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from rebalance import (
     ParameterError,
     UnsupportedConfigError,
+    build_merge_recipes,
     default_params,
     make_split_plan,
     split_corners,
@@ -63,6 +64,38 @@ def test_split_plan_relabels_for_other_removed_node():
     assert as_tuple(plan.high_corner.big) == (3, (2,), 0, 49)
     assert as_tuple(plan.high_corner.tiny) == (3, (1, 6), 49, 56)
     assert plan.to_actual(6) == 3
+
+
+def test_role_accessors_cover_the_plan():
+    for k in range(4, 26):
+        for r in range(3, k):
+            params = default_params(k, r)
+            plan = make_split_plan(params, removed=r)  # one node per pair, never K
+            opening = [plan.opening(s) for s in range(k - r + 1, k)]
+            closing = [plan.closing(s) for s in range(k - r + 2, k + 1)]
+            # opening and closing pieces plus both corners' uncoded batches
+            # are every piece of the plan, each exactly once
+            by_role = (
+                opening + closing
+                + list(plan.low_corner.broadcast_batch())
+                + list(plan.high_corner.broadcast_batch())
+            )
+            assert sorted(map(as_tuple, by_role)) == sorted(map(as_tuple, plan.all_pieces()))
+            assert len(set(map(as_tuple, by_role))) == len(by_role)
+            # regrown target s is the opening piece of s, then the closing piece of s+1
+            recipes = {rec.target.index: rec for rec in build_merge_recipes(params, plan)}
+            for s in range(k - r + 1, k):
+                parts = [(p.origin, p.atom_start, p.atom_stop) for p in recipes[s].parts]
+                assert parts == [
+                    (q.base.index, q.atom_start, q.atom_stop)
+                    for q in (plan.opening(s), plan.closing(s + 1))
+                ], (k, r, s)
+            for s in (k - r, k):
+                with pytest.raises(ParameterError):
+                    plan.opening(s)
+            for s in (k - r + 1, k + 1):
+                with pytest.raises(ParameterError):
+                    plan.closing(s)
 
 
 def test_split_middle_validates_index():

@@ -1,6 +1,7 @@
 """Verification and fault injection: clean runs pass, every fault is flagged."""
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,6 @@ from rebalance import (
     ParameterError,
     SystemParams,
     VerificationReport,
-    addition_expected_layout,
     build_cyclic_database,
     decode_at_node,
     default_params,
@@ -16,72 +16,49 @@ from rebalance import (
     flip_stored_bit,
     rebalance_add,
     rebalance_remove,
-    removal_expected_layout,
     reorder_replica_parts,
+    verify_addition,
     verify_cyclic_balanced,
-    verify_preservation,
+    verify_removal,
 )
 
 
-def removal_setup(k=6, r=3, seed=0, removed=None, **kw):
-    params = default_params(k, r)
-    db = build_cyclic_database(params, seed=seed)
-    run = rebalance_remove(db, removed if removed is not None else k, **kw)
-    shape = SystemParams(k - 1, r, params.segment_bits * k // (k - 1))
-    return params, run, shape
+def removal_setup(seed=0):
+    # K=6, r=3, last node removed
+    db = build_cyclic_database(default_params(6, 3), seed=seed)
+    return rebalance_remove(db, 6)
 
 
 def test_clean_removal_verifies():
-    params, run, shape = removal_setup()
-    rep = verify_cyclic_balanced(run.final, shape)
+    rep = verify_removal(removal_setup(), seed=0)
     assert rep.ok and rep.is_balanced and rep.is_cyclic
     assert rep.replication_ok and rep.content_ok
-    rep2 = verify_preservation(
-        run.final, removal_expected_layout(run.recipes), params, seed=0
-    )
-    assert rep2.ok
-    assert rep.merged(rep2).ok
 
 
 def test_clean_addition_verifies():
-    params = default_params(6, 3)
-    db = build_cyclic_database(params, seed=5)
-    run = rebalance_add(db)
-    shape = SystemParams(7, 3, params.segment_bits * 6 // 7)
-    assert verify_cyclic_balanced(run.final, shape).ok
-    assert verify_preservation(
-        run.final, addition_expected_layout(run.plan), params, seed=5
-    ).ok
+    db = build_cyclic_database(default_params(6, 3), seed=5)
+    assert verify_addition(rebalance_add(db), seed=5).ok
 
 
 def test_flipped_bit_is_localized():
-    params, run, shape = removal_setup(seed=9)
+    run = removal_setup(seed=9)
     bad = flip_stored_bit(run.final, node=3, segment_index=2, bit=17)
-    rep = verify_cyclic_balanced(bad, shape)
+    rep = verify_removal(replace(run, final=bad), seed=9)
     assert not rep.ok and not rep.content_ok
     assert rep.is_balanced and rep.is_cyclic and rep.replication_ok
-    assert any("segment 2" in msg and "node 3" in msg for _, msg in rep.findings)
-    rep2 = verify_preservation(
-        bad, removal_expected_layout(run.recipes), params, seed=9
-    )
-    assert any("node 3" in msg and "segment 2" in msg for _, msg in rep2.findings)
+    messages = [msg for _, msg in rep.findings]
+    # the shape check sees replicas disagree, the content check names the node
+    assert any("segment 2 replicas differ" in msg and "node 3" in msg for msg in messages)
+    assert any(msg.startswith("node 3 target segment 2 ") for msg in messages)
 
 
-def test_every_dropped_broadcast_is_detected():
-    params = default_params(6, 3)
-    db = build_cyclic_database(params, seed=0)
-    n_broadcasts = len(rebalance_remove(db, 6).log.broadcasts)
+def test_every_dropped_broadcast_is_detected(replay_without_broadcast):
+    db = build_cyclic_database(default_params(6, 3), seed=0)
+    clean = rebalance_remove(db, 6)
+    n_broadcasts = len(clean.log.broadcasts)
     assert n_broadcasts == 6
     for i in range(n_broadcasts):
-        run = rebalance_remove(
-            db, 6, strict=False, tamper_log=lambda log, i=i: drop_broadcast(log, i)
-        )
-        shape = SystemParams(5, 3, params.segment_bits * 6 // 5)
-        rep = verify_cyclic_balanced(run.final, shape).merged(
-            verify_preservation(
-                run.final, removal_expected_layout(run.recipes), params, seed=0
-            )
-        )
+        rep = verify_removal(replay_without_broadcast(db, clean, i), seed=0)
         assert not rep.ok, f"dropped broadcast {i} went unnoticed"
 
 
@@ -91,34 +68,23 @@ OWN_SEGMENT = re.compile(r"node (\d+) (?:target )?segment ")
 
 
 @pytest.mark.parametrize("k", range(4, 13))
-def test_dropped_broadcast_is_localized_to_its_decoders(k):
+def test_dropped_broadcast_is_localized_to_its_decoders(k, replay_without_broadcast):
     # every node whose replica a dropped broadcast damages must have decoded
     # from it; with coded schedules every decoder is damaged, so shared
     # assembly can never serve one holder from another holder's sources
     for r in range(3, k):
-        params = default_params(k, r)
-        db = build_cyclic_database(params, seed=k * r)
-        shape = SystemParams(k - 1, r, params.segment_bits * k // (k - 1))
+        db = build_cyclic_database(default_params(k, r), seed=k * r)
         removed = k // 2 + 1
         for scheme in ("scheme1", "scheme2", "uncoded"):
             clean = rebalance_remove(db, removed, scheme=scheme)
             canonical = {clean.plan.to_actual(c): c for c in range(1, k)}
-            expected = removal_expected_layout(clean.recipes)
             for i, b in enumerate(clean.log.broadcasts):
                 addressed = {n for op in b.operands for n in op.superscript}
                 decoders = {
                     canonical[n] for n in addressed if decode_at_node(db, n, b) is not None
                 }
-                run = rebalance_remove(
-                    db,
-                    removed,
-                    scheme=scheme,
-                    strict=False,
-                    tamper_log=lambda log, i=i: drop_broadcast(log, i),
-                )
-                rep = verify_cyclic_balanced(run.final, shape).merged(
-                    verify_preservation(run.final, expected, params, seed=k * r)
-                )
+                run = replay_without_broadcast(db, clean, i)
+                rep = verify_removal(run, seed=k * r)
                 named = {
                     int(m.group(1))
                     for _, msg in rep.findings
@@ -132,22 +98,23 @@ def test_dropped_broadcast_is_localized_to_its_decoders(k):
 
 
 def test_reordered_parts_are_detected():
-    params, run, shape = removal_setup(seed=4)
+    run = removal_setup(seed=4)
     # swap the parts on every holder so the replicas stay mutually identical
     bad = run.final
     for node in (4, 5, 1):
         bad = reorder_replica_parts(bad, node=node, segment_index=4)
-    assert verify_cyclic_balanced(bad, shape).ok  # shape cannot see it...
-    rep = verify_preservation(
-        bad, removal_expected_layout(run.recipes), params, seed=4
-    )
-    assert not rep.ok  # ...but content can
+    rep = verify_removal(replace(run, final=bad), seed=4)
+    assert not rep.ok
+    # shape cannot see it, only the content check can
+    assert rep.is_balanced and rep.is_cyclic and rep.replication_ok
+    assert all("replicas differ" not in msg for _, msg in rep.findings)
     assert any("node 4" in msg and "segment 4" in msg for _, msg in rep.findings)
 
 
 def test_wrong_expected_shape_is_reported():
-    _, run, shape = removal_setup()
-    off = SystemParams(shape.n_nodes + 1, shape.replication, shape.segment_bits)
+    run = removal_setup()
+    # six nodes, where a removal from K=6 leaves five
+    off = SystemParams(6, 3, run.final.params.segment_bits * 6 // 5)
     rep = verify_cyclic_balanced(run.final, off)
     assert not rep.ok and not rep.is_cyclic
 
@@ -159,7 +126,7 @@ def test_original_database_verifies_as_original_shape():
 
 
 def test_fault_hooks_validate_arguments():
-    _, run, _ = removal_setup()
+    run = removal_setup()
     with pytest.raises(ParameterError):
         flip_stored_bit(run.final, node=1, segment_index=3, bit=0)  # not stored there
     with pytest.raises(ParameterError):
