@@ -178,6 +178,17 @@ SWEEP_COLUMNS = (
 )
 
 
+def _check_sweep(k: int, r_min: int, r_max: int, node: int, t_mult: int) -> None:
+    """Raise the ParameterError the first sweep row would raise, before any row runs."""
+    if k < 4:
+        raise ParameterError(f"sweep needs at least 4 nodes, got {k}")
+    if not 3 <= r_min <= r_max <= k - 1:
+        raise ParameterError(f"replication range [{r_min}, {r_max}] outside [3, {k - 1}]")
+    default_params(k, r_min, t_mult)
+    if not 1 <= node <= k:
+        raise ParameterError(f"removed node {node} outside [1, {k}]")
+
+
 def sweep_rows(
     k: int,
     r_min: int,
@@ -187,10 +198,7 @@ def sweep_rows(
     t_mult: int,
 ) -> list[dict]:
     """Execute and verify one removal per replication factor; return CSV rows."""
-    if k < 4:
-        raise ParameterError(f"sweep needs at least 4 nodes, got {k}")
-    if not 3 <= r_min <= r_max <= k - 1:
-        raise ParameterError(f"replication range [{r_min}, {r_max}] outside [3, {k - 1}]")
+    _check_sweep(k, r_min, r_max, node, t_mult)
     rows = []
     for r in range(r_min, r_max + 1):
         params = default_params(k, r, t_mult)
@@ -223,8 +231,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     r_min = args.r_min if args.r_min is not None else 3
     r_max = args.r_max if args.r_max is not None else k - 1
     node = args.node if args.node is not None else k
-    rows = sweep_rows(k, r_min, r_max, node, args.seed, args.t_mult)
+    # fail on bad parameters or an unwritable --out before any row runs
+    _check_sweep(k, r_min, r_max, node, args.t_mult)
     with open(args.out, "w", encoding="utf-8", newline="") as f:
+        rows = sweep_rows(k, r_min, r_max, node, args.seed, args.t_mult)
         writer = csv.DictWriter(f, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)

@@ -1,9 +1,16 @@
 """Command-line behavior: output, exit codes, CSV and trace determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rebalance
+from rebalance import cli
 from rebalance.cli import SWEEP_COLUMNS, main, sweep_rows
 
 
@@ -116,6 +123,28 @@ def test_sweep_rejects_bad_range(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_rejects_bad_parameters_before_creating_the_file(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for argv in (
+        ["--k", "10", "--r-min", "2"],
+        ["--k", "10", "--r-min", "5", "--r-max", "4"],
+        ["--k", "10", "--node", "11"],
+        ["--k", "10", "--t-mult", "0"],
+    ):
+        assert main(["sweep", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("parameter error: ")
+        assert not out.exists()
+
+
+def test_sweep_unwritable_output_runs_no_row(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "rebalance_remove", lambda *a: calls.append(a))
+    path = tmp_path / "missing" / "f.csv"
+    assert main(["sweep", "--k", "20", "--out", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("cannot write output: ")
+    assert calls == []
+
+
 def test_sweep_rows_direct():
     rows = sweep_rows(6, 3, 5, node=2, seed=1, t_mult=1)
     assert [row["scheme"] for row in rows] == ["scheme1", "scheme1", "scheme2"]
@@ -211,6 +240,53 @@ def test_unwritable_output_exits_2(argv, tmp_path, capsys):
     assert err.startswith("cannot write output: ")
     assert str(path) in err
     assert not path.exists()
+
+
+# sha256 of the --full-trace file, fixed when content generation became
+# lane-packed; the payload bits (and so these digests) must never change
+PINNED_TRACES = [
+    (
+        ["remove", "--k", "6", "--r", "3", "--node", "6"],
+        "84c78fa511e03b1b5a19d7e0a75359c893ad27e51cc4fb18f1169ae11139c5e3",
+    ),
+    (
+        ["add", "--k", "6", "--r", "3", "--seed", "3", "--t-mult", "2"],
+        "55094da04480bbb633e4a8e2ecd6940bb5a413e35cd2a0caa7ec8e2a8c7863ff",
+    ),
+    (
+        # 150 64-bit blocks per segment
+        ["remove", "--k", "40", "--r", "30", "--node", "7", "--t-mult", "3"],
+        "e738049f2518297872cf12bd5f6d832f153e16d66a236ed3b599b7eb3f89e19b",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_TRACES, ids=["remove-6-3", "add-6-3-seed3", "remove-40-30"]
+)
+def test_full_trace_bytes_are_pinned(argv, digest, tmp_path, capsys):
+    trace = tmp_path / "t.json"
+    assert main([*argv, "--trace", str(trace), "--full-trace"]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
+
+def test_optimized_interpreter_writes_the_same_trace(tmp_path, capsys):
+    # python -O strips assert statements; the run must not depend on them
+    argv = ["remove", "--k", "6", "--r", "3", "--node", "6", "--full-trace", "--trace"]
+    here, there = tmp_path / "here.json", tmp_path / "there.json"
+    assert main([*argv, str(here)]) == 0
+    capsys.readouterr()
+    src = str(Path(rebalance.__file__).resolve().parents[1])
+    code = "import sys; from rebalance.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, *argv, str(there)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert there.read_bytes() == here.read_bytes()
 
 
 def test_check_claim1(capsys):

@@ -116,6 +116,39 @@ def test_segment_content_deterministic_and_distinct():
     assert 0 <= a < (1 << 70)
 
 
+def _mix64_oracle(x):
+    # the splitmix64 finalizer, one 64-bit block at a time
+    m = (1 << 64) - 1
+    x &= m
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & m
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & m
+    return x ^ (x >> 31)
+
+
+def _segment_content_oracle(seed, index, n_bits):
+    # the per-block loop the lane-packed generator must reproduce bit for bit
+    m = (1 << 64) - 1
+    state = (seed * 0x9E3779B97F4A7C15 + index * 0xD1342543DE82EF95) & m
+    n_blocks = (n_bits + 63) // 64
+    buf = b"".join(
+        _mix64_oracle(state + b * 0x9E3779B97F4A7C15).to_bytes(8, "little")
+        for b in range(n_blocks)
+    )
+    return int.from_bytes(buf, "little") & ((1 << n_bits) - 1)
+
+
+def test_segment_content_matches_per_block_oracle():
+    sizes = {1, 63, 64, 65, 127, 128, 129}
+    sizes |= {2 * (k * k - 1) * t for k in range(3, 31) for t in range(1, 4)}
+    for seed in (0, 1, 2**63 - 1, 2**64 + 5, -1):
+        for index in (1, 2, 7, 392):
+            for n_bits in sorted(sizes):
+                want = _segment_content_oracle(seed, index, n_bits)
+                assert segment_content.__wrapped__(seed, index, n_bits) == want, (
+                    seed, index, n_bits
+                )
+
+
 def test_slice_atoms_matches_single_atom_oracle():
     p = default_params(6, 3, t_mult=3)
     seg = segment_content(7, 4, p.segment_atoms * p.atom_bits)
