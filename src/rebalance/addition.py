@@ -10,8 +10,10 @@ it, and nodes 1..r-1 each discard one kept part they no longer need.
 Total traffic is rK/(K+1) segments, which meets the lower bound exactly, so
 no coding is needed anywhere.
 
-Replicas share storage: each kept leading part is cut once per distinct
-stored int, so the old holders of a segment hold one int, not one copy each.
+Replicas share storage: each kept leading part and each trailer is cut once
+per distinct stored int, so the old holders of a segment hold one piece, not
+one copy each. Trailers are interned by value with the broadcast small parts,
+so holders of the new segment whose sources agree hold one assembled piece.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .bus import TransmissionLog, broadcast_uncoded
 from .errors import MergeFailureError, ParameterError
 from .model import (
     Database,
-    Label,
     SegmentLabel,
     StoredPiece,
     SubsegmentLabel,
@@ -72,7 +73,7 @@ def make_addition_plan(params: SystemParams) -> AdditionPlan:
             )
         )
     shipped = tuple(range(k - r + 2, k + 1))
-    discards = tuple((i, k - r + 1 + i) for i in range(1, r))
+    discards = tuple([(i, k - r + 1 + i) for i in range(1, r)])
     return AdditionPlan(
         params=params,
         kept=tuple(kept),
@@ -102,11 +103,13 @@ def rebalance_add(db: Database) -> AdditionRun:
     plan = make_addition_plan(params)
     log = TransmissionLog(params)
 
+    # small parts, and below the trailers cut locally, interned by value
+    interned: dict[int, int] = {}
     small_payload: dict[int, int] = {}
     for i in range(1, k + 1):
         b = broadcast_uncoded(db, i, plan.small[i - 1])
         log.emit(b)
-        small_payload[i] = b.payload
+        small_payload[i] = interned.setdefault(b.payload, b.payload)
     kept_payload: dict[int, int] = {}
     for i in plan.shipped:
         b = broadcast_uncoded(db, i, plan.kept[i - 1])
@@ -115,48 +118,61 @@ def rebalance_add(db: Database) -> AdditionRun:
 
     kept_atoms = plan.kept[0].size_atoms
     small_atoms = plan.small[0].size_atoms
-    contents: dict[int, dict[Label, StoredPiece]] = {n: {} for n in range(1, k + 2)}
+    contents: dict[int, dict[int, StoredPiece]] = {n: {} for n in range(1, k + 2)}
     for i in range(1, k + 1):
-        label = SegmentLabel(i, "target")
         # the kept part is cut once per distinct stored int and shared
-        cut: dict[int, int] = {}
+        cut: dict[int, StoredPiece] = {}
+        prov = ((i, 0, kept_atoms),)
         for node in cyclic_range(i, r, k + 1):
             if node == k + 1:
-                bits = kept_payload[i]
-            else:
-                local = db.segment_bits_at(node, i)
-                # every old node in the new layout of W_i already held W_i
-                if local is None:
-                    raise MergeFailureError(
-                        f"node {node} does not hold segment {i} to keep its leading part"
-                    )
-                if id(local) not in cut:
-                    cut[id(local)] = slice_atoms(local, 0, kept_atoms, w)
-                bits = cut[id(local)]
-            contents[node][label] = StoredPiece(
-                label=label,
-                n_atoms=kept_atoms,
-                bits=bits,
-                provenance=((i, 0, kept_atoms),),
-            )
+                contents[node][i] = StoredPiece(
+                    n_atoms=kept_atoms, bits=kept_payload[i], provenance=prov
+                )
+                continue
+            piece = db.stored(node, i)
+            # every old node in the new layout of W_i already held W_i
+            if piece is None:
+                raise MergeFailureError(
+                    f"node {node} does not hold segment {i} to keep its leading part"
+                )
+            kept = cut.get(id(piece.bits))
+            if kept is None:
+                bits = slice_atoms(piece.bits, 0, kept_atoms, w)
+                kept = cut[id(piece.bits)] = StoredPiece(
+                    n_atoms=kept_atoms, bits=bits, provenance=prov
+                )
+            contents[node][i] = kept
 
-    new_label = SegmentLabel(k + 1, "target")
-    prov = tuple((i, kept_atoms, kept_atoms + small_atoms) for i in range(1, k + 1))
+    # each holder of the new segment takes trailer i from its own W_i, else
+    # from the bus; trailers are cut once per stored int and interned with the
+    # broadcast ones, so holders whose sources agree share one assembled piece
+    trailer: dict[int, int] = {}
+    assembled: dict[tuple[int, ...], StoredPiece] = {}
+    new_prov = tuple([(i, kept_atoms, kept_atoms + small_atoms) for i in range(1, k + 1)])
     for node in cyclic_range(k + 1, r, k + 1):
-        bits = 0
+        own = db.contents.get(node, {})
+        parts = []
         for i in range(1, k + 1):
-            local = db.segment_bits_at(node, i)
-            if local is not None:
-                part = slice_atoms(local, kept_atoms, kept_atoms + small_atoms, w)
-            else:
-                part = small_payload[i]
-            bits |= part << ((i - 1) * small_atoms * w)
-        contents[node][new_label] = StoredPiece(
-            label=new_label,
-            n_atoms=k * small_atoms,
-            bits=bits,
-            provenance=prov,
-        )
+            piece = own.get(i)
+            if piece is None:
+                parts.append(small_payload[i])
+                continue
+            # stored ints stay alive in db throughout, so ids cannot be reused
+            part = trailer.get(id(piece.bits))
+            if part is None:
+                part = slice_atoms(piece.bits, kept_atoms, kept_atoms + small_atoms, w)
+                part = trailer[id(piece.bits)] = interned.setdefault(part, part)
+            parts.append(part)
+        key = tuple(map(id, parts))
+        new = assembled.get(key)
+        if new is None:
+            bits = 0
+            for i, part in enumerate(parts):
+                bits |= part << (i * small_atoms * w)
+            new = assembled[key] = StoredPiece(
+                n_atoms=k * small_atoms, bits=bits, provenance=new_prov
+            )
+        contents[node][k + 1] = new
 
     final = Database(
         params=params,

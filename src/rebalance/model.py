@@ -1,9 +1,11 @@
 """Core data model: parameters, cyclic index arithmetic, labels, databases.
 
 A database stores N equal-size segments over N nodes so that segment i is
-replicated on the r cyclically consecutive nodes starting at node i. Segment
-payloads are deterministic functions of (seed, segment index), generated in
-counter mode, so any component can recompute expected content independently.
+replicated on the r cyclically consecutive nodes starting at node i. Storage
+is keyed by plain segment indices; labels name pieces on the bus, not stored
+items. Segment payloads are deterministic functions of (seed, segment index),
+generated in counter mode, so any component can recompute expected content
+independently.
 The stream is splitmix64: block b of a segment is the finalizer applied to
 state + b * golden. It is evaluated lane-packed, every block of a segment at
 once in its own 128-bit lane of one int, which gives the same bits as a
@@ -103,7 +105,12 @@ def cyclic_range(start: int, count: int, modulus: int) -> tuple[int, ...]:
         raise ParameterError(f"label {start} outside [1, {modulus}]")
     if not 0 <= count <= modulus:
         raise ParameterError(f"count {count} outside [0, {modulus}]")
-    return tuple((start - 1 + o) % modulus + 1 for o in range(count))
+    # tuples from ranges are allocated at their final size; tuple(generator)
+    # guesses a size and shrinks, which strands tuples on CPython's free lists
+    stop = start + count
+    if stop <= modulus + 1:
+        return tuple(range(start, stop))
+    return tuple(range(start, modulus + 1)) + tuple(range(1, stop - modulus))
 
 
 def storage_set(index: int, n_nodes: int, replication: int) -> frozenset[int]:
@@ -126,13 +133,12 @@ def relabel_for_removed_node(label: int, removed: int, n_nodes: int) -> int:
 
 @dataclass(frozen=True)
 class SegmentLabel:
-    """A whole segment: W_index in the original layout or the rebuilt one."""
+    """A whole original segment, W_index, as the base of pieces on the bus."""
 
     index: int
-    generation: str = "original"  # "original" | "target"
 
     def describe(self) -> str:
-        return f"W~_{self.index}" if self.generation == "target" else f"W_{self.index}"
+        return f"W_{self.index}"
 
 
 @dataclass(frozen=True)
@@ -159,9 +165,6 @@ class SubsegmentLabel:
         return f"{self.base.describe()}^{{{sup}}}[{self.atom_start}:{self.atom_stop}]"
 
 
-Label = SegmentLabel | SubsegmentLabel
-
-
 @lru_cache(maxsize=32)
 def _lane_constants(n_blocks: int) -> tuple[int, int, int]:
     """Per-size constants for n_blocks 128-bit lanes: (ones, counter ramp, low-64 mask)."""
@@ -174,6 +177,11 @@ def _lane_constants(n_blocks: int) -> tuple[int, int, int]:
 @lru_cache(maxsize=4096)
 def segment_content(seed: int, index: int, n_bits: int) -> int:
     """Deterministic pseudo-random payload of segment `index`, LSB-first.
+
+    The cache is scoped to one build: build_cyclic_database clears it before
+    it generates, so it holds the segments of the latest database only. The
+    verifier of that database reuses them; checking an older database just
+    regenerates its segments.
 
     64-bit block b is the splitmix64 finalizer of state + b * golden (mod
     2^64). All blocks are mixed at once: block b sits in the b-th 128-bit lane
@@ -205,9 +213,8 @@ AtomRange = tuple[int, int, int]
 
 @dataclass(frozen=True)
 class StoredPiece:
-    """One stored item at a node: its label, size, payload, and atom origins."""
+    """One stored segment at a node: its size, payload, and atom origins."""
 
-    label: Label
     n_atoms: int
     bits: int
     provenance: tuple[AtomRange, ...]
@@ -217,9 +224,12 @@ class StoredPiece:
 class Database:
     """Snapshot of what every node stores.
 
-    params are always those of the original build (they fix the atom size and
-    the load unit); n_nodes and segment_atoms describe the current layout,
-    which differs from params after a rebalance.
+    contents maps node -> segment index -> stored segment, both plain ints.
+    Which layout the indices refer to is the database's generation:
+    "original" for a fresh build, "target" after a rebalance. params are
+    always those of the original build (they fix the atom size and the load
+    unit); n_nodes and segment_atoms describe the current layout, which
+    differs from params after a rebalance.
     """
 
     params: SystemParams
@@ -227,17 +237,21 @@ class Database:
     n_nodes: int
     generation: str
     segment_atoms: int
-    contents: dict[int, dict[Label, StoredPiece]] = field(default_factory=dict)
+    contents: dict[int, dict[int, StoredPiece]] = field(default_factory=dict)
 
-    def stored(self, node: int, label: Label) -> StoredPiece | None:
-        return self.contents.get(node, {}).get(label)
+    def stored(self, node: int, index: int) -> StoredPiece | None:
+        return self.contents.get(node, _NOTHING).get(index)
 
     def segment_bits_at(self, node: int, index: int) -> int | None:
-        piece = self.stored(node, SegmentLabel(index, self.generation))
-        return piece.bits if piece else None
+        piece = self.contents.get(node, _NOTHING).get(index)
+        return None if piece is None else piece.bits
 
     def total_stored_atoms(self) -> int:
         return sum(p.n_atoms for items in self.contents.values() for p in items.values())
+
+
+# empty node contents for lookups at a node that stores nothing; never written
+_NOTHING: dict[int, StoredPiece] = {}
 
 
 def build_cyclic_database(params: SystemParams, seed: int = 0) -> Database:
@@ -246,26 +260,23 @@ def build_cyclic_database(params: SystemParams, seed: int = 0) -> Database:
     k, r = params.n_nodes, params.replication
     n_atoms = params.segment_atoms
     n_bits = n_atoms * params.atom_bits
-    contents: dict[int, dict[Label, StoredPiece]] = {n: {} for n in range(1, k + 1)}
+    # the content cache serves this build and its verification, nothing older
+    segment_content.cache_clear()
+    contents: dict[int, dict[int, StoredPiece]] = {n: {} for n in range(1, k + 1)}
+    # ascending i keeps each node's segments in ascending index order
     for i in range(1, k + 1):
         piece = StoredPiece(
-            label=SegmentLabel(i),
             n_atoms=n_atoms,
             bits=segment_content(seed, i, n_bits),
             provenance=((i, 0, n_atoms),),
         )
-        for node in storage_set(i, k, r):
-            contents[node][piece.label] = piece
-    # keep each node's segments in ascending index order for stable iteration
-    ordered = {
-        n: dict(sorted(items.items(), key=lambda kv: kv[0].index))
-        for n, items in contents.items()
-    }
+        for node in cyclic_range(i, r, k):
+            contents[node][i] = piece
     return Database(
         params=params,
         seed=seed,
         n_nodes=k,
         generation="original",
         segment_atoms=n_atoms,
-        contents=ordered,
+        contents=contents,
     )

@@ -13,8 +13,8 @@ its own stored base segment when it has one, otherwise from what it decoded
 off the bus; a received whole-segment copy also works as a slice source.
 
 Replicas share storage: holders whose parts resolve to the same source ints
-at the same offsets hold one assembled int, so each target is assembled once
-per distinct source set rather than once per holder. Sources are still
+at the same offsets hold one assembled piece, so each target is assembled
+once per distinct source set rather than once per holder. Sources are still
 resolved per holder, so a missing piece fails, or leaves a short replica, at
 exactly the node that lacks it.
 """
@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from .errors import MergeFailureError
 from .model import (
     Database,
-    Label,
-    SegmentLabel,
     StoredPiece,
     SubsegmentLabel,
     SystemParams,
@@ -55,7 +53,7 @@ class MergePart:
 
 @dataclass(frozen=True)
 class MergeRecipe:
-    target: SegmentLabel  # canonical target index, generation "target"
+    target: int  # canonical target segment index
     holders: tuple[int, ...]  # canonical survivor labels, sorted
     parts: tuple[MergePart, ...]
 
@@ -82,7 +80,7 @@ def build_merge_recipes(params: SystemParams, plan: SplitPlan) -> tuple[MergeRec
             )
         recipes.append(
             MergeRecipe(
-                target=SegmentLabel(target, "target"),
+                target=target,
                 holders=tuple(sorted(cyclic_range(target, r, k - 1))),
                 parts=tuple(parts),
             )
@@ -103,7 +101,7 @@ def build_merge_recipes(params: SystemParams, plan: SplitPlan) -> tuple[MergeRec
     for s in range(gap + 1, k):
         add(s, [_part_from(plan.opening(s)), _part_from(plan.closing(s + 1))])
 
-    recipes.sort(key=lambda rec: rec.target.index)
+    recipes.sort(key=lambda rec: rec.target)
     return tuple(recipes)
 
 
@@ -116,9 +114,10 @@ def apply_merge(
 ) -> Database:
     """Assemble every target at every holder and return the survivor database.
 
-    Each holder resolves every part from its own sources. Holders whose parts
-    resolve to the same source ints at the same offsets share one assembled
-    int, so a target is built once per distinct source set.
+    Each holder resolves every part from its own sources: its own stored
+    segment by index, else what it received. Holders whose parts resolve to
+    the same source ints at the same offsets share one assembled piece, so a
+    target is built once per distinct source set.
 
     With strict=True a holder that cannot source a part raises
     MergeFailureError; with strict=False the part is skipped, leaving a short
@@ -127,36 +126,42 @@ def apply_merge(
     params = db.params
     k = params.n_nodes
     w = params.atom_bits
-    contents: dict[int, dict[Label, StoredPiece]] = {n: {} for n in range(1, k)}
+    # canonical survivor label -> actual node, once per merge
+    actual = {c: plan.to_actual(c) for c in range(1, k)}
+    contents: dict[int, dict[int, StoredPiece]] = {n: {} for n in range(1, k)}
 
     for recipe in recipes:
+        target = recipe.target
         assembled: dict[tuple, StoredPiece] = {}
         for holder in recipe.holders:
-            actual = plan.to_actual(holder)
+            node = actual[holder]
+            own = db.contents.get(node, {})
             sources: list[tuple[int, int] | None] = []
+            # flat (id(source int), offset) per part; (None, None) for a skipped part
+            key: list[int | None] = []
             for part in recipe.parts:
-                src = _resolve(db, received, actual, part)
-                if src is None and strict:
-                    raise MergeFailureError(
-                        f"node {actual} cannot source atoms "
-                        f"[{part.atom_start}:{part.atom_stop}] of segment {part.origin} "
-                        f"for target {recipe.target.index}"
-                    )
+                piece = own.get(part.origin)
+                if piece is not None:
+                    src = (piece.bits, part.atom_start)
+                else:
+                    src = _received(received.get(node, ()), part)
+                if src is None:
+                    if strict:
+                        raise MergeFailureError(
+                            f"node {node} cannot source atoms "
+                            f"[{part.atom_start}:{part.atom_stop}] of segment {part.origin} "
+                            f"for target {target}"
+                        )
+                    key += (None, None)
+                else:
+                    # source ints stay alive for the whole merge, so ids cannot be reused
+                    key += (id(src[0]), src[1])
                 sources.append(src)
-            # source ints stay alive for the whole merge, so ids cannot be reused
-            key = tuple(None if src is None else (id(src[0]), src[1]) for src in sources)
-            piece = assembled.get(key)
-            if piece is None:
-                piece = assembled[key] = _assemble(recipe, sources, w)
-            # share the int, not the StoredPiece: sharing pieces too means fewer
-            # allocations, hence fewer full collections emptying CPython's free
-            # lists, and measured higher peak RSS over many small runs
-            contents[holder][recipe.target] = StoredPiece(
-                label=recipe.target,
-                n_atoms=piece.n_atoms,
-                bits=piece.bits,
-                provenance=piece.provenance,
-            )
+            flat = tuple(key)
+            shared = assembled.get(flat)
+            if shared is None:
+                shared = assembled[flat] = _assemble(recipe, sources, w)
+            contents[holder][target] = shared
 
     return Database(
         params=params,
@@ -183,25 +188,12 @@ def _assemble(
         bits |= val << (offset * atom_bits)
         prov.append((part.origin, part.atom_start, part.atom_stop))
         offset += part.size_atoms
-    return StoredPiece(
-        label=recipe.target,
-        n_atoms=offset,
-        bits=bits,
-        provenance=tuple(prov),
-    )
+    return StoredPiece(n_atoms=offset, bits=bits, provenance=tuple(prov))
 
 
-def _resolve(
-    db: Database,
-    received: dict[int, list[ReceivedPiece]],
-    node: int,
-    part: MergePart,
-) -> tuple[int, int] | None:
-    """(source bits, atom offset of the part within them) at this node, or None."""
-    base_bits = db.segment_bits_at(node, part.origin)
-    if base_bits is not None:
-        return base_bits, part.atom_start
-    for origin, start, stop, bits in received.get(node, ()):
+def _received(got: list[ReceivedPiece], part: MergePart) -> tuple[int, int] | None:
+    """(bits, atom offset of the part within them) of a received piece covering the part."""
+    for origin, start, stop, bits in got:
         if origin == part.origin and start <= part.atom_start and part.atom_stop <= stop:
             return bits, part.atom_start - start
     return None

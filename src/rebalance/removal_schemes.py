@@ -76,8 +76,8 @@ def run_scheme2(db: Database, plan: SplitPlan) -> TransmissionLog:
         nominal = (k + r - 2 * i) * hu
         steps = (r - 1 - i) // gap  # below 0 means the class carries no pieces
         # segment indices K-r apart: walking down from K, and up from K-r+1
-        ops_high = tuple(plan.closing(k + 1 - i - j * gap) for j in range(steps + 1))
-        ops_low = tuple(plan.opening(k - r + i + j * gap) for j in range(steps + 1))
+        ops_high = tuple([plan.closing(k + 1 - i - j * gap) for j in range(steps + 1)])
+        ops_low = tuple([plan.opening(k - r + i + j * gap) for j in range(steps + 1)])
         log.emit(broadcast_class(db, node1, ops_high, nominal))
         log.emit(broadcast_class(db, node_last, ops_low, nominal))
     _corner_batches(db, plan, log)

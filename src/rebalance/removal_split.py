@@ -110,7 +110,7 @@ class SplitPlan:
 
 def _desc_cyclic_range(start: int, count: int, modulus: int) -> tuple[int, ...]:
     # count consecutive labels walking downward from start, wrapping in [1..modulus]
-    return tuple((start - 1 - o) % modulus + 1 for o in range(count))
+    return tuple([(start - 1 - o) % modulus + 1 for o in range(count)])
 
 
 def _piece(base: int, superscript: tuple[int, ...], start_hu: int, size_hu: int, hu: int) -> SubsegmentLabel:
@@ -201,11 +201,11 @@ def make_split_plan(params: SystemParams, removed: int) -> SplitPlan:
         return CornerSplit(
             big=shift(c.big),
             tiny=shift(c.tiny) if c.tiny is not None else None,
-            pairs=tuple(shift(x) for x in c.pairs),
+            pairs=tuple([shift(x) for x in c.pairs]),
         )
 
     middles = tuple(
-        (shift(a), shift(b)) for a, b in (split_middle(i, params) for i in range(1, r - 1))
+        [(shift(a), shift(b)) for a, b in (split_middle(i, params) for i in range(1, r - 1))]
     )
     low, high = split_corners(params)
     return SplitPlan(

@@ -24,7 +24,6 @@ from .errors import ParameterError
 from .model import (
     AtomRange,
     Database,
-    SegmentLabel,
     StoredPiece,
     SystemParams,
     segment_content,
@@ -85,17 +84,17 @@ def verify_cyclic_balanced(db: Database, expected: SystemParams) -> Verification
     for node in sorted(nodes):
         items = db.contents[node]
         total_bits = 0
-        for label, piece in items.items():
-            if not isinstance(label, SegmentLabel) or label.generation != db.generation:
-                findings.append(("cyclicity", f"node {node} stores stray item {label!r}"))
+        for index, piece in items.items():
+            if not isinstance(index, int):
+                findings.append(("cyclicity", f"node {node} stores stray item {index!r}"))
                 continue
-            holders.setdefault(label.index, []).append(node)
+            holders.setdefault(index, []).append(node)
             total_bits += piece.n_atoms * w
             if piece.n_atoms * w != seg_bits:
                 findings.append(
                     (
                         "balance",
-                        f"node {node} segment {label.index} has {piece.n_atoms * w} bits, "
+                        f"node {node} segment {index} has {piece.n_atoms * w} bits, "
                         f"expected {seg_bits}",
                     )
                 )
@@ -109,7 +108,7 @@ def verify_cyclic_balanced(db: Database, expected: SystemParams) -> Verification
             ("cyclicity", f"segment set {sorted(holders)} is not 1..{n}")
         )
     for index in sorted(holders):
-        where = holders[index]
+        where = holders[index]  # ascending node order
         if len(where) != r:
             findings.append(
                 ("replication", f"segment {index} stored on {len(where)} nodes, expected {r}")
@@ -119,15 +118,15 @@ def verify_cyclic_balanced(db: Database, expected: SystemParams) -> Verification
             findings.append(
                 (
                     "cyclicity",
-                    f"segment {index} on nodes {sorted(where)}, expected {sorted(want)}",
+                    f"segment {index} on nodes {where}, expected {sorted(want)}",
                 )
             )
-        label = SegmentLabel(index, db.generation)
-        reference_node = min(where)
-        reference = db.stored(reference_node, label)
-        for node in sorted(where):
-            piece = db.stored(node, label)
-            if piece is not None and reference is not None and piece.bits != reference.bits:
+        reference_node = where[0]
+        reference = db.contents[reference_node][index].bits
+        for node in where:
+            bits = db.contents[node][index].bits
+            # a replica that is the reference int cannot differ from it
+            if bits is not reference and bits != reference:
                 findings.append(
                     (
                         "content",
@@ -149,12 +148,14 @@ class ExpectedTarget:
 
 def removal_expected_layout(recipes: tuple[MergeRecipe, ...]) -> tuple[ExpectedTarget, ...]:
     return tuple(
-        ExpectedTarget(
-            index=rec.target.index,
-            holders=rec.holders,
-            parts=tuple((p.origin, p.atom_start, p.atom_stop) for p in rec.parts),
-        )
-        for rec in recipes
+        [
+            ExpectedTarget(
+                index=rec.target,
+                holders=rec.holders,
+                parts=tuple([(p.origin, p.atom_start, p.atom_stop) for p in rec.parts]),
+            )
+            for rec in recipes
+        ]
     )
 
 
@@ -174,7 +175,7 @@ def addition_expected_layout(plan: AdditionPlan) -> tuple[ExpectedTarget, ...]:
         ExpectedTarget(
             index=k + 1,
             holders=tuple(sorted(storage_set(k + 1, k + 1, r))),
-            parts=tuple((i, kept_atoms, params.segment_atoms) for i in range(1, k + 1)),
+            parts=tuple([(i, kept_atoms, params.segment_atoms) for i in range(1, k + 1)]),
         )
     )
     return tuple(out)
@@ -200,14 +201,17 @@ def verify_preservation(
             want |= slice_atoms(src, start, stop, w) << (offset * w)
             offset += stop - start
             coverage[origin].append((start, stop))
-        label = SegmentLabel(tgt.index, "target")
+        # ids of stored ints already found equal to want; final keeps them alive
+        equal: set[int] = set()
         for node in tgt.holders:
-            piece = final.stored(node, label)
+            piece = final.stored(node, tgt.index)
             if piece is None:
                 findings.append(
                     ("content", f"node {node} is missing target segment {tgt.index}")
                 )
-            elif piece.n_atoms != offset or piece.bits != want:
+            elif piece.n_atoms == offset and (id(piece.bits) in equal or piece.bits == want):
+                equal.add(id(piece.bits))
+            else:
                 findings.append(
                     (
                         "content",
@@ -278,21 +282,17 @@ def drop_broadcast(log: TransmissionLog, index: int) -> TransmissionLog:
 
 def flip_stored_bit(db: Database, node: int, segment_index: int, bit: int) -> Database:
     """Tampered copy of a database with one stored bit inverted."""
-    label = SegmentLabel(segment_index, db.generation)
-    piece = db.stored(node, label)
+    piece = db.stored(node, segment_index)
     if piece is None:
         raise ParameterError(f"node {node} does not store segment {segment_index}")
     width = piece.n_atoms * db.params.atom_bits
     if not 0 <= bit < width:
         raise ParameterError(f"bit {bit} outside [0, {width})")
     flipped = StoredPiece(
-        label=piece.label,
-        n_atoms=piece.n_atoms,
-        bits=piece.bits ^ (1 << bit),
-        provenance=piece.provenance,
+        n_atoms=piece.n_atoms, bits=piece.bits ^ (1 << bit), provenance=piece.provenance
     )
     contents = {n: dict(items) for n, items in db.contents.items()}
-    contents[node][label] = flipped
+    contents[node][segment_index] = flipped
     return Database(
         params=db.params,
         seed=db.seed,
@@ -305,8 +305,7 @@ def flip_stored_bit(db: Database, node: int, segment_index: int, bit: int) -> Da
 
 def reorder_replica_parts(db: Database, node: int, segment_index: int) -> Database:
     """Tampered copy with the first two recorded parts of one replica swapped."""
-    label = SegmentLabel(segment_index, db.generation)
-    piece = db.stored(node, label)
+    piece = db.stored(node, segment_index)
     if piece is None:
         raise ParameterError(f"node {node} does not store segment {segment_index}")
     if len(piece.provenance) < 2:
@@ -320,8 +319,8 @@ def reorder_replica_parts(db: Database, node: int, segment_index: int) -> Databa
     swapped = second | (first << (b * w)) | (rest << ((a + b) * w))
     prov = (piece.provenance[1], piece.provenance[0]) + piece.provenance[2:]
     contents = {n: dict(items) for n, items in db.contents.items()}
-    contents[node][label] = StoredPiece(
-        label=piece.label, n_atoms=piece.n_atoms, bits=swapped, provenance=prov
+    contents[node][segment_index] = StoredPiece(
+        n_atoms=piece.n_atoms, bits=swapped, provenance=prov
     )
     return Database(
         params=db.params,

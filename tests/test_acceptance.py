@@ -226,7 +226,7 @@ def test_c07_addition_grid():
 
 def structure_signature(db):
     return tuple(
-        (n, tuple(sorted((lab.index, p.n_atoms) for lab, p in db.contents[n].items())))
+        (n, tuple(sorted((index, p.n_atoms) for index, p in db.contents[n].items())))
         for n in sorted(db.contents)
     )
 
@@ -269,17 +269,17 @@ def test_c09_fault_injection(replay_without_broadcast):
     flips = 0
     missed_flips = []
     for node in sorted(clean.final.contents):
-        for label, piece in clean.final.contents[node].items():
+        for index, piece in clean.final.contents[node].items():
             for bit in range(piece.n_atoms * params.atom_bits):
-                tampered = flip_stored_bit(clean.final, node, label.index, bit)
+                tampered = flip_stored_bit(clean.final, node, index, bit)
                 verification = verify_removal(replace(clean, final=tampered), 0)
                 localized = any(
-                    f"node {node}" in msg and f"segment {label.index}" in msg
+                    f"node {node}" in msg and f"segment {index}" in msg
                     for _, msg in verification.findings
                 )
                 flips += 1
                 if verification.ok or not localized:
-                    missed_flips.append((node, label.index, bit))
+                    missed_flips.append((node, index, bit))
 
     ok = (
         n_broadcasts == 6

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from rebalance import (
     MergeFailureError,
     ParameterError,
-    SegmentLabel,
     addition_load,
     build_cyclic_database,
     cyclic_range,
@@ -60,8 +59,7 @@ def test_golden_run_6_3():
     assert final.segment_atoms == 60
     assert sorted(final.contents) == list(range(1, 8))
     for i in range(1, 8):
-        label = SegmentLabel(i, "target")
-        holders = {n for n, items in final.contents.items() if label in items}
+        holders = {n for n, items in final.contents.items() if i in items}
         assert holders == set(cyclic_range(i, 3, 7))
 
 
@@ -75,7 +73,7 @@ def test_new_segment_concatenates_trailers():
         src = db.segment_bits_at(i, i)
         want |= slice_atoms(src, 60, 70, w) << ((i - 1) * 10 * w)
     for node in (7, 1, 2):
-        piece = run.final.stored(node, SegmentLabel(7, "target"))
+        piece = run.final.stored(node, 7)
         assert piece.bits == want
         assert piece.n_atoms == 60
 
@@ -88,7 +86,7 @@ def test_kept_parts_are_leading_slices():
     for i in range(1, 7):
         want = slice_atoms(db.segment_bits_at(i, i), 0, 60, w)
         for node in cyclic_range(i, 3, 7):
-            assert run.final.stored(node, SegmentLabel(i, "target")).bits == want
+            assert run.final.stored(node, i).bits == want
 
 
 def test_smallest_system_3_2():
@@ -132,7 +130,7 @@ def test_missing_kept_segment_raises_package_error():
     db = build_cyclic_database(default_params(6, 3), seed=0)
     # node 3 holds W_2 but is not its sender, so only the kept-part cut fails
     db.contents = {n: dict(items) for n, items in db.contents.items()}
-    del db.contents[3][SegmentLabel(2)]
+    del db.contents[3][2]
     with pytest.raises(MergeFailureError, match="node 3 .*segment 2"):
         rebalance_add(db)
 
@@ -144,19 +142,20 @@ def test_kept_replicas_share_one_int():
     final = run.final
     for i in range(1, 14):
         holders = cyclic_range(i, 4, 13)
-        replicas = [final.stored(n, SegmentLabel(i, "target")).bits for n in holders]
+        replicas = [final.stored(n, i).bits for n in holders]
         assert len(set(replicas)) == 1
         if i <= 12:
             # the old holders cut the kept part from one shared stored int
             old = [bits for n, bits in zip(holders, replicas) if n != 13]
             assert all(bits is old[0] for bits in old)
+        else:
+            # local and broadcast trailers agree, so the new segment is built once
+            assert all(bits is replicas[0] for bits in replicas)
 
     # a flipped bit in a shared replica damages only the node it was flipped at
     node = 6
     bad = flip_stored_bit(final, node, 5, 0)
-    assert final.stored(5, SegmentLabel(5, "target")).bits is final.stored(
-        node, SegmentLabel(5, "target")
-    ).bits
+    assert final.stored(5, 5).bits is final.stored(node, 5).bits
     rep = verify_addition(replace(run, final=bad), seed=6)
     assert rep.findings
     for _, msg in rep.findings:

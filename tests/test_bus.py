@@ -100,7 +100,7 @@ def test_decode_fails_without_sibling_base(setup_6_3):
     crippled = build_cyclic_database(params, seed=0)
     crippled.contents = {n: dict(items) for n, items in crippled.contents.items()}
     crippled.contents[2] = {
-        lab: p for lab, p in crippled.contents[2].items() if lab.index != 6
+        index: p for index, p in crippled.contents[2].items() if index != 6
     }
     with pytest.raises(DecodeFailureError):
         decode_at_node(crippled, 2, b)

@@ -6,16 +6,18 @@ from hypothesis import given, settings, strategies as st
 from rebalance import (
     Database,
     ParameterError,
-    SegmentLabel,
     SystemParams,
     box_minus,
     build_cyclic_database,
     cyclic_range,
     default_params,
+    rebalance_add,
+    rebalance_remove,
     relabel_for_removed_node,
     segment_content,
     slice_atoms,
     storage_set,
+    verify_removal,
 )
 
 pair = st.integers(min_value=3, max_value=60).flatmap(
@@ -172,10 +174,37 @@ def test_build_cyclic_database_shape():
     assert sorted(db.contents) == list(range(1, 7))
     for node, items in db.contents.items():
         assert len(items) == 3
-        assert all(isinstance(lab, SegmentLabel) for lab in items)
-    assert [lab.index for lab in db.contents[1]] == [1, 5, 6]
+        assert all(type(index) is int for index in items)
+    assert list(db.contents[1]) == [1, 5, 6]
     assert db.total_stored_atoms() == 3 * 6 * 70  # rK segments of T
-    assert {n for n, items in db.contents.items() if SegmentLabel(5) in items} == {5, 6, 1}
+    assert {n for n, items in db.contents.items() if 5 in items} == {5, 6, 1}
+
+
+def test_storage_is_keyed_by_plain_ints_in_range():
+    # original, removal-target and addition-target layouts alike: nodes and
+    # segment indices are ints in 1..n_nodes of that layout
+    for k in range(3, 13):
+        for r in range(2, k):
+            db = build_cyclic_database(default_params(k, r), seed=k + r)
+            dbs = [db, rebalance_add(db).final]
+            if r >= 3:
+                dbs.append(rebalance_remove(db, (k * r) % k + 1).final)
+            for layout in dbs:
+                span = range(1, layout.n_nodes + 1)
+                for node, items in layout.contents.items():
+                    assert type(node) is int and node in span, (k, r, layout.generation)
+                    for index in items:
+                        assert type(index) is int and index in span, (k, r, node)
+
+
+def test_content_cache_holds_only_the_latest_build():
+    params = default_params(12, 5)
+    first = build_cyclic_database(params, seed=1)
+    run = rebalance_remove(first, 4)
+    build_cyclic_database(params, seed=2)
+    assert segment_content.cache_info().currsize <= params.n_nodes
+    # the first database's segments are gone from the cache and regenerate
+    assert verify_removal(run, seed=1).ok
 
 
 def test_build_rejects_invalid_params():

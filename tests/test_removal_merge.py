@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from rebalance import (
     MergeFailureError,
-    SegmentLabel,
     apply_merge,
     build_cyclic_database,
     build_merge_recipes,
@@ -30,7 +29,7 @@ from rebalance import (
 
 def recipe_map(params, removed):
     plan = make_split_plan(params, removed)
-    return plan, {r.target.index: r for r in build_merge_recipes(params, plan)}
+    return plan, {r.target: r for r in build_merge_recipes(params, plan)}
 
 
 def parts(recipe):
@@ -115,7 +114,7 @@ def test_merged_database_shape():
     assert final.segment_atoms == 84
     assert sorted(final.contents) == [1, 2, 3, 4, 5]
     for node, pieces in final.contents.items():
-        held = sorted(lab.index for lab in pieces)
+        held = sorted(pieces)
         assert held == sorted(t for t in range(1, 6) if node in storage_set(t, 5, 3))
         assert all(p.n_atoms == 84 for p in pieces.values())
     assert final.total_stored_atoms() == 3 * 5 * 84
@@ -129,7 +128,7 @@ def test_merged_target_concatenates_in_listed_order():
     lead = slice_atoms(db.segment_bits_at(4, 4), 0, 49, w)
     trail = slice_atoms(db.segment_bits_at(5, 5), 35, 70, w)
     want = lead | (trail << (49 * w))
-    got = run.final.stored(4, SegmentLabel(4, "target"))
+    got = run.final.stored(4, 4)
     assert got.bits == want
     assert got.provenance == ((4, 0, 49), (5, 35, 70))
 
@@ -160,7 +159,7 @@ def test_holders_follow_relabeling():
         assert len(copies) == 1
     # content is sourced from the shifted originals: target 1 starts with the
     # actual segment stored at plan.to_actual(1)
-    lead = final.stored(1, SegmentLabel(1, "target")).bits
+    lead = final.stored(1, 1).bits
     lead &= (1 << (70 * params.atom_bits)) - 1
     assert lead == db.segment_bits_at(plan.to_actual(1), plan.to_actual(1))
 
@@ -225,12 +224,12 @@ def test_replicas_share_one_int_per_source_set():
     # a flipped bit in a shared replica damages only the node it was flipped at
     target = recipes[0].target
     node = recipes[0].holders[1]
-    bad = flip_stored_bit(final, node, target.index, 3)
+    bad = flip_stored_bit(final, node, target, 3)
     assert final.stored(recipes[0].holders[0], target).bits is final.stored(node, target).bits
     rep = verify_removal(replace(run, final=bad), seed=2)
     assert rep.findings
     for _, msg in rep.findings:
-        assert f"node {node}" in msg and f"segment {target.index}" in msg
+        assert f"node {node}" in msg and f"segment {target}" in msg
     assert verify_removal(replace(run, final=final), seed=2).ok
 
     # a holder's own damaged source is never shared with, or replaced by, another's

@@ -83,7 +83,7 @@ def test_role_accessors_cover_the_plan():
             assert sorted(map(as_tuple, by_role)) == sorted(map(as_tuple, plan.all_pieces()))
             assert len(set(map(as_tuple, by_role))) == len(by_role)
             # regrown target s is the opening piece of s, then the closing piece of s+1
-            recipes = {rec.target.index: rec for rec in build_merge_recipes(params, plan)}
+            recipes = {rec.target: rec for rec in build_merge_recipes(params, plan)}
             for s in range(k - r + 1, k):
                 parts = [(p.origin, p.atom_start, p.atom_stop) for p in recipes[s].parts]
                 assert parts == [

@@ -23,6 +23,35 @@ from rebalance import (
 )
 
 
+def with_piece(db, node, index, piece):
+    """Copy of a database with one stored item set at one node."""
+    contents = {n: dict(items) for n, items in db.contents.items()}
+    contents[node][index] = piece
+    return replace(db, contents=contents)
+
+
+def change_12_9(op):
+    # (12,9) sits on the scheme-2 side of the threshold, where most replicas share ints
+    db = build_cyclic_database(default_params(12, 9), seed=21)
+    if op == "remove":
+        return rebalance_remove(db, 5), verify_removal
+    return rebalance_add(db), verify_addition
+
+
+def shared_replica(final):
+    """(segment, node) of the first replica, past a segment's first holder, whose
+    int an earlier holder of the segment holds too."""
+    for index in range(1, final.n_nodes + 1):
+        holders = sorted(n for n, items in final.contents.items() if index in items)
+        seen = set()
+        for node in holders:
+            bits = final.stored(node, index).bits
+            if id(bits) in seen:
+                return index, node
+            seen.add(id(bits))
+    raise AssertionError("no two replicas share an int")
+
+
 def removal_setup(seed=0):
     # K=6, r=3, last node removed
     db = build_cyclic_database(default_params(6, 3), seed=seed)
@@ -50,6 +79,49 @@ def test_flipped_bit_is_localized():
     # the shape check sees replicas disagree, the content check names the node
     assert any("segment 2 replicas differ" in msg and "node 3" in msg for msg in messages)
     assert any(msg.startswith("node 3 target segment 2 ") for msg in messages)
+
+
+@pytest.mark.parametrize("op", ["remove", "add"])
+def test_a_flip_in_a_shared_int_is_found_at_that_holder_only(op):
+    run, verify = change_12_9(op)
+    # both checks have seen the shared int at an earlier holder by then
+    index, node = shared_replica(run.final)
+    bad = flip_stored_bit(run.final, node, index, 5)
+    rep = verify(replace(run, final=bad), 21)
+    assert not rep.ok and not rep.content_ok
+    assert rep.is_balanced and rep.is_cyclic and rep.replication_ok
+    for _, msg in rep.findings:
+        assert re.search(rf"\bnode {node}\b", msg), msg
+        assert re.search(rf"\bsegment {index}\b", msg), msg
+
+
+@pytest.mark.parametrize("op", ["remove", "add"])
+def test_an_equal_but_distinct_int_verifies(op):
+    run, verify = change_12_9(op)
+    index, node = shared_replica(run.final)
+    piece = run.final.stored(node, index)
+    twin = (piece.bits ^ 1) ^ 1
+    assert twin == piece.bits and twin is not piece.bits
+    equal = with_piece(run.final, node, index, replace(piece, bits=twin))
+    assert verify(replace(run, final=equal), 21).ok
+
+
+def test_a_segment_stored_outside_its_run_is_reported():
+    run = removal_setup()
+    # target 2 of the five survivors lives on nodes 2, 3, 4; node 5 gets a copy too
+    bad = with_piece(run.final, 5, 2, run.final.stored(2, 2))
+    rep = verify_removal(replace(run, final=bad), seed=0)
+    assert ("replication", "segment 2 stored on 4 nodes, expected 3") in rep.findings
+    assert ("cyclicity", "segment 2 on nodes [2, 3, 4, 5], expected [2, 3, 4]") in rep.findings
+    assert ("balance", "node 5 stores 336 bits, expected 252") in rep.findings
+    assert rep.content_ok
+
+
+def test_a_stray_item_is_reported():
+    run = removal_setup()
+    bad = with_piece(run.final, 1, "W~_1", run.final.stored(1, 1))
+    rep = verify_removal(replace(run, final=bad), seed=0)
+    assert rep.findings == (("cyclicity", "node 1 stores stray item 'W~_1'"),)
 
 
 def test_every_dropped_broadcast_is_detected(replay_without_broadcast):
