@@ -26,7 +26,6 @@ from .bus import TransmissionLog, broadcast_uncoded
 from .errors import MergeFailureError, ParameterError
 from .model import (
     Database,
-    SegmentLabel,
     StoredPiece,
     SubsegmentLabel,
     SystemParams,
@@ -43,7 +42,6 @@ class AdditionPlan:
     kept: tuple[SubsegmentLabel, ...]  # per segment: leading K/(K+1), stays replicated
     small: tuple[SubsegmentLabel, ...]  # per segment: trailing 1/(K+1), broadcast
     shipped: tuple[int, ...]  # segments whose kept part also goes to the new node
-    discards: tuple[tuple[int, int], ...]  # (node, segment) kept parts dropped
 
 
 def make_addition_plan(params: SystemParams) -> AdditionPlan:
@@ -56,7 +54,7 @@ def make_addition_plan(params: SystemParams) -> AdditionPlan:
     for i in range(1, k + 1):
         kept.append(
             SubsegmentLabel(
-                base=SegmentLabel(i),
+                base=i,
                 superscript=(k + 1,) if i >= k - r + 2 else (),
                 atom_start=0,
                 atom_stop=kept_atoms,
@@ -66,20 +64,17 @@ def make_addition_plan(params: SystemParams) -> AdditionPlan:
         sup = tuple(range(1, min(r - 1, i - 1) + 1)) + (k + 1,)
         small.append(
             SubsegmentLabel(
-                base=SegmentLabel(i),
+                base=i,
                 superscript=sup,
                 atom_start=kept_atoms,
                 atom_stop=seg_atoms,
             )
         )
-    shipped = tuple(range(k - r + 2, k + 1))
-    discards = tuple([(i, k - r + 1 + i) for i in range(1, r)])
     return AdditionPlan(
         params=params,
         kept=tuple(kept),
         small=tuple(small),
-        shipped=shipped,
-        discards=discards,
+        shipped=tuple(range(k - r + 2, k + 1)),
     )
 
 
@@ -176,7 +171,6 @@ def rebalance_add(db: Database) -> AdditionRun:
 
     final = Database(
         params=params,
-        seed=db.seed,
         n_nodes=k + 1,
         generation="target",
         segment_atoms=kept_atoms,

@@ -50,10 +50,10 @@ class TransmissionLog:
 
 def piece_bits(db: Database, node: int, label: SubsegmentLabel) -> int:
     """Extract a piece's payload from the node's stored copy of the base segment."""
-    base_bits = db.segment_bits_at(node, label.base.index)
+    base_bits = db.segment_bits_at(node, label.base)
     if base_bits is None:
         raise ProtocolViolationError(
-            f"node {node} does not hold segment {label.base.index} "
+            f"node {node} does not hold segment {label.base} "
             f"needed for {label.describe()}"
         )
     return slice_atoms(base_bits, label.atom_start, label.atom_stop, db.params.atom_bits)
@@ -127,7 +127,7 @@ def decode_at_node(db: Database, receiver: int, b: Broadcast) -> tuple[Subsegmen
     for op in b.operands:
         if op is target:
             continue
-        base_bits = db.segment_bits_at(receiver, op.base.index)
+        base_bits = db.segment_bits_at(receiver, op.base)
         if base_bits is None:
             raise DecodeFailureError(
                 f"node {receiver} cannot rebuild {op.describe()} "

@@ -19,14 +19,9 @@ from . import analytics
 from .addition import AdditionRun, rebalance_add
 from .errors import ParameterError, RebalanceError, UnsupportedConfigError
 from .model import build_cyclic_database, default_params
+from .removal_merge import MergeRecipe
 from .removal_schemes import SCHEME_CHOICES, RemovalRun, rebalance_remove
-from .verify import (
-    VerificationReport,
-    addition_expected_layout,
-    removal_expected_layout,
-    verify_addition,
-    verify_removal,
-)
+from .verify import VerificationReport, addition_expected_layout, verify_addition, verify_removal
 
 
 def _fmt(x: Fraction) -> str:
@@ -47,7 +42,7 @@ def _print_verification(v: VerificationReport) -> None:
 
 def _label_json(label) -> dict:
     return {
-        "base": label.base.index,
+        "base": label.base,
         "superscript": list(label.superscript),
         "atom_start": label.atom_start,
         "atom_stop": label.atom_stop,
@@ -97,14 +92,14 @@ def _trace_common(
     }
 
 
-def _targets_json(layout) -> list[dict]:
+def _targets_json(targets: tuple[MergeRecipe, ...]) -> list[dict]:
     return [
         {
-            "index": tgt.index,
+            "index": tgt.target,
             "holders": list(tgt.holders),
             "parts": [list(p) for p in tgt.parts],
         }
-        for tgt in layout
+        for tgt in targets
     ]
 
 
@@ -131,7 +126,7 @@ def _cmd_remove(args: argparse.Namespace) -> int:
             operation="removal",
             removed_node=args.node,
             scheme=rep.scheme,
-            targets=_targets_json(removal_expected_layout(run.recipes)),
+            targets=_targets_json(run.recipes),
         )
         _write_trace(args.trace, payload)
 

@@ -86,19 +86,6 @@ def default_params(n_nodes: int, replication: int, t_mult: int = 1) -> SystemPar
     return SystemParams(n_nodes, replication, 2 * (n_nodes**2 - 1) * t_mult)
 
 
-def box_minus(i: int, j: int, modulus: int) -> int:
-    """Wrapping difference on node labels [1..modulus]: i - j, plus modulus if at or below zero."""
-    _check_label_arg(i, modulus)
-    _check_label_arg(j, modulus)
-    d = i - j
-    return d + modulus if d <= 0 else d
-
-
-def _check_label_arg(v: int, modulus: int) -> None:
-    if not 1 <= v <= modulus:
-        raise ParameterError(f"label {v} outside [1, {modulus}]")
-
-
 def cyclic_range(start: int, count: int, modulus: int) -> tuple[int, ...]:
     """count consecutive labels starting at start, wrapping within [1..modulus]."""
     if not 1 <= start <= modulus:
@@ -122,23 +109,14 @@ def relabel_for_removed_node(label: int, removed: int, n_nodes: int) -> int:
     """Map a label from the canonical remove-the-last-node frame to the actual frame.
 
     The protocol is specified for removing node n_nodes; removing node
-    `removed` instead shifts every label so the removed node plays the last
-    node's role. Identity when removed == n_nodes.
+    `removed` instead shifts every label cyclically by `removed` so the removed
+    node plays the last node's role. Identity when removed == n_nodes.
     """
-    if removed == n_nodes:
-        _check_label_arg(label, n_nodes)
-        return label
-    return box_minus(label, n_nodes - removed, n_nodes)
-
-
-@dataclass(frozen=True)
-class SegmentLabel:
-    """A whole original segment, W_index, as the base of pieces on the bus."""
-
-    index: int
-
-    def describe(self) -> str:
-        return f"W_{self.index}"
+    if not 1 <= label <= n_nodes:
+        raise ParameterError(f"label {label} outside [1, {n_nodes}]")
+    if not 1 <= removed <= n_nodes:
+        raise ParameterError(f"removed node {removed} outside [1, {n_nodes}]")
+    return (label + removed - 1) % n_nodes + 1
 
 
 @dataclass(frozen=True)
@@ -151,7 +129,7 @@ class SubsegmentLabel:
     is (base index, atom range), never the superscript.
     """
 
-    base: SegmentLabel
+    base: int  # original segment index
     superscript: tuple[int, ...]
     atom_start: int
     atom_stop: int
@@ -162,7 +140,7 @@ class SubsegmentLabel:
 
     def describe(self) -> str:
         sup = ",".join(str(n) for n in self.superscript)
-        return f"{self.base.describe()}^{{{sup}}}[{self.atom_start}:{self.atom_stop}]"
+        return f"W_{self.base}^{{{sup}}}[{self.atom_start}:{self.atom_stop}]"
 
 
 @lru_cache(maxsize=32)
@@ -233,7 +211,6 @@ class Database:
     """
 
     params: SystemParams
-    seed: int
     n_nodes: int
     generation: str
     segment_atoms: int
@@ -274,7 +251,6 @@ def build_cyclic_database(params: SystemParams, seed: int = 0) -> Database:
             contents[node][i] = piece
     return Database(
         params=params,
-        seed=seed,
         n_nodes=k,
         generation="original",
         segment_atoms=n_atoms,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .errors import MergeFailureError
 from .model import (
+    AtomRange,
     Database,
     StoredPiece,
     SubsegmentLabel,
@@ -39,27 +40,20 @@ ReceivedPiece = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
-class MergePart:
-    """One slice of an original segment, in concatenation order within a target."""
-
-    origin: int  # actual original segment index
-    atom_start: int
-    atom_stop: int
-
-    @property
-    def size_atoms(self) -> int:
-        return self.atom_stop - self.atom_start
-
-
-@dataclass(frozen=True)
 class MergeRecipe:
-    target: int  # canonical target segment index
-    holders: tuple[int, ...]  # canonical survivor labels, sorted
-    parts: tuple[MergePart, ...]
+    """One target segment: its atom ranges in concatenation order, and its holders.
+
+    The engine assembles removal targets from these, and the verifier checks
+    both removal and addition targets against them.
+    """
+
+    target: int  # target segment index
+    holders: tuple[int, ...]  # node labels of the target layout, sorted
+    parts: tuple[AtomRange, ...]  # (actual original segment, atom start, atom stop)
 
 
-def _part_from(label: SubsegmentLabel) -> MergePart:
-    return MergePart(label.base.index, label.atom_start, label.atom_stop)
+def _part_from(label: SubsegmentLabel) -> AtomRange:
+    return (label.base, label.atom_start, label.atom_stop)
 
 
 def build_merge_recipes(params: SystemParams, plan: SplitPlan) -> tuple[MergeRecipe, ...]:
@@ -71,8 +65,8 @@ def build_merge_recipes(params: SystemParams, plan: SplitPlan) -> tuple[MergeRec
     seg_atoms = params.segment_atoms
     recipes: list[MergeRecipe] = []
 
-    def add(target: int, parts: list[MergePart]) -> None:
-        total = sum(q.size_atoms for q in parts)
+    def add(target: int, parts: list[AtomRange]) -> None:
+        total = sum(stop - start for _, start, stop in parts)
         if total != seg_atoms * k // (k - 1):
             raise MergeFailureError(
                 f"target {target} recipe covers {total} atoms, "
@@ -88,7 +82,7 @@ def build_merge_recipes(params: SystemParams, plan: SplitPlan) -> tuple[MergeRec
 
     mid = (gap + 1) // 2 if odd else 0
     for t in range(1, gap + 1):
-        whole = MergePart(plan.to_actual(t), 0, seg_atoms)
+        whole = (plan.to_actual(t), 0, seg_atoms)
         if odd and t == mid:
             add(t, [whole, _part_from(plan.high_corner.tiny), _part_from(plan.low_corner.tiny)])
         elif t <= p:
@@ -139,18 +133,17 @@ def apply_merge(
             sources: list[tuple[int, int] | None] = []
             # flat (id(source int), offset) per part; (None, None) for a skipped part
             key: list[int | None] = []
-            for part in recipe.parts:
-                piece = own.get(part.origin)
+            for origin, start, stop in recipe.parts:
+                piece = own.get(origin)
                 if piece is not None:
-                    src = (piece.bits, part.atom_start)
+                    src = (piece.bits, start)
                 else:
-                    src = _received(received.get(node, ()), part)
+                    src = _received(received.get(node, ()), origin, start, stop)
                 if src is None:
                     if strict:
                         raise MergeFailureError(
-                            f"node {node} cannot source atoms "
-                            f"[{part.atom_start}:{part.atom_stop}] of segment {part.origin} "
-                            f"for target {target}"
+                            f"node {node} cannot source atoms [{start}:{stop}] "
+                            f"of segment {origin} for target {target}"
                         )
                     key += (None, None)
                 else:
@@ -165,7 +158,6 @@ def apply_merge(
 
     return Database(
         params=params,
-        seed=db.seed,
         n_nodes=k - 1,
         generation="target",
         segment_atoms=params.segment_atoms * k // (k - 1),
@@ -179,21 +171,23 @@ def _assemble(
     # concatenate the resolved parts, skipping unsourced ones
     bits = 0
     offset = 0
-    prov: list[tuple[int, int, int]] = []
+    prov: list[AtomRange] = []
     for part, src in zip(recipe.parts, sources):
         if src is None:
             continue
-        src_bits, start = src
-        val = slice_atoms(src_bits, start, start + part.size_atoms, atom_bits)
-        bits |= val << (offset * atom_bits)
-        prov.append((part.origin, part.atom_start, part.atom_stop))
-        offset += part.size_atoms
+        _, start, stop = part
+        src_bits, at = src
+        bits |= slice_atoms(src_bits, at, at + stop - start, atom_bits) << (offset * atom_bits)
+        prov.append(part)
+        offset += stop - start
     return StoredPiece(n_atoms=offset, bits=bits, provenance=tuple(prov))
 
 
-def _received(got: list[ReceivedPiece], part: MergePart) -> tuple[int, int] | None:
-    """(bits, atom offset of the part within them) of a received piece covering the part."""
-    for origin, start, stop, bits in got:
-        if origin == part.origin and start <= part.atom_start and part.atom_stop <= stop:
-            return bits, part.atom_start - start
+def _received(
+    got: list[ReceivedPiece], origin: int, start: int, stop: int
+) -> tuple[int, int] | None:
+    """(bits, atom offset of the range within them) of a received piece covering the range."""
+    for got_origin, got_start, got_stop, bits in got:
+        if got_origin == origin and got_start <= start and stop <= got_stop:
+            return bits, start - got_start
     return None

@@ -32,7 +32,7 @@ from .bus import (
     decode_at_node,
 )
 from .errors import ParameterError
-from .model import Database, SegmentLabel, SubsegmentLabel, storage_set
+from .model import Database, SubsegmentLabel, storage_set
 from .removal_merge import MergeRecipe, ReceivedPiece, apply_merge, build_merge_recipes
 from .removal_split import SplitPlan, make_split_plan
 
@@ -96,7 +96,7 @@ def run_uncoded_removal(db: Database, plan: SplitPlan) -> TransmissionLog:
         sender = min(holders)
         needing = sorted(survivors - storage_set(actual, k, r))
         label = SubsegmentLabel(
-            base=SegmentLabel(actual),
+            base=actual,
             superscript=tuple(needing),
             atom_start=0,
             atom_stop=params.segment_atoms,
@@ -122,7 +122,7 @@ def deliver(db: Database, log: TransmissionLog, plan: SplitPlan) -> dict[int, li
             label, bits = got
             bits = interned.setdefault(bits, bits)
             received.setdefault(node, []).append(
-                (label.base.index, label.atom_start, label.atom_stop, bits)
+                (label.base, label.atom_start, label.atom_stop, bits)
             )
     return received
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 from .model import (
-    SegmentLabel,
     SubsegmentLabel,
     SystemParams,
     cyclic_range,
@@ -115,7 +114,7 @@ def _desc_cyclic_range(start: int, count: int, modulus: int) -> tuple[int, ...]:
 
 def _piece(base: int, superscript: tuple[int, ...], start_hu: int, size_hu: int, hu: int) -> SubsegmentLabel:
     return SubsegmentLabel(
-        base=SegmentLabel(base),
+        base=base,
         superscript=tuple(sorted(superscript)),
         atom_start=start_hu * hu,
         atom_stop=(start_hu + size_hu) * hu,
@@ -189,7 +188,7 @@ def make_split_plan(params: SystemParams, removed: int) -> SplitPlan:
 
     def shift(label: SubsegmentLabel) -> SubsegmentLabel:
         return SubsegmentLabel(
-            base=SegmentLabel(relabel_for_removed_node(label.base.index, removed, k)),
+            base=relabel_for_removed_node(label.base, removed, k),
             superscript=tuple(
                 sorted(relabel_for_removed_node(s, removed, k) for s in label.superscript)
             ),

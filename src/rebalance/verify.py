@@ -17,12 +17,11 @@ bottom produce tampered copies for exercising that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bus import TransmissionLog
 from .errors import ParameterError
 from .model import (
-    AtomRange,
     Database,
     StoredPiece,
     SystemParams,
@@ -35,8 +34,6 @@ from .removal_schemes import RemovalRun
 from .addition import AdditionPlan, AdditionRun
 
 Finding = tuple[str, str]  # (category, message)
-
-_CATEGORIES = ("balance", "cyclicity", "replication", "content")
 
 
 @dataclass(frozen=True)
@@ -137,43 +134,31 @@ def verify_cyclic_balanced(db: Database, expected: SystemParams) -> Verification
     return VerificationReport(tuple(findings))
 
 
-@dataclass(frozen=True)
-class ExpectedTarget:
-    """What one target segment should contain and where it should live."""
+def removal_expected_layout(recipes: tuple[MergeRecipe, ...]) -> tuple[MergeRecipe, ...]:
+    """A removal's targets are its merge recipes, returned unchanged.
 
-    index: int
-    holders: tuple[int, ...]
-    parts: tuple[AtomRange, ...]
-
-
-def removal_expected_layout(recipes: tuple[MergeRecipe, ...]) -> tuple[ExpectedTarget, ...]:
-    return tuple(
-        [
-            ExpectedTarget(
-                index=rec.target,
-                holders=rec.holders,
-                parts=tuple([(p.origin, p.atom_start, p.atom_stop) for p in rec.parts]),
-            )
-            for rec in recipes
-        ]
-    )
+    Kept so that callers can treat removal and addition alike; the benchmark
+    harness (benchmark/harness.py) calls it.
+    """
+    return recipes
 
 
-def addition_expected_layout(plan: AdditionPlan) -> tuple[ExpectedTarget, ...]:
+def addition_expected_layout(plan: AdditionPlan) -> tuple[MergeRecipe, ...]:
+    """An addition's targets, built from its parameters alone, never from engine state."""
     params = plan.params
     k, r = params.n_nodes, params.replication
     kept_atoms = plan.kept[0].size_atoms
     out = [
-        ExpectedTarget(
-            index=i,
+        MergeRecipe(
+            target=i,
             holders=tuple(sorted(storage_set(i, k + 1, r))),
             parts=((i, 0, kept_atoms),),
         )
         for i in range(1, k + 1)
     ]
     out.append(
-        ExpectedTarget(
-            index=k + 1,
+        MergeRecipe(
+            target=k + 1,
             holders=tuple(sorted(storage_set(k + 1, k + 1, r))),
             parts=tuple([(i, kept_atoms, params.segment_atoms) for i in range(1, k + 1)]),
         )
@@ -183,7 +168,7 @@ def addition_expected_layout(plan: AdditionPlan) -> tuple[ExpectedTarget, ...]:
 
 def verify_preservation(
     final: Database,
-    expected: tuple[ExpectedTarget, ...],
+    expected: tuple[MergeRecipe, ...],
     params: SystemParams,
     seed: int,
 ) -> VerificationReport:
@@ -204,10 +189,10 @@ def verify_preservation(
         # ids of stored ints already found equal to want; final keeps them alive
         equal: set[int] = set()
         for node in tgt.holders:
-            piece = final.stored(node, tgt.index)
+            piece = final.stored(node, tgt.target)
             if piece is None:
                 findings.append(
-                    ("content", f"node {node} is missing target segment {tgt.index}")
+                    ("content", f"node {node} is missing target segment {tgt.target}")
                 )
             elif piece.n_atoms == offset and (id(piece.bits) in equal or piece.bits == want):
                 equal.add(id(piece.bits))
@@ -215,7 +200,7 @@ def verify_preservation(
                 findings.append(
                     (
                         "content",
-                        f"node {node} target segment {tgt.index} payload does not match "
+                        f"node {node} target segment {tgt.target} payload does not match "
                         f"its source atoms",
                     )
                 )
@@ -245,7 +230,7 @@ def verify_preservation(
 
 
 def _verify_change(
-    final: Database, n_nodes: int, expected: tuple[ExpectedTarget, ...], seed: int
+    final: Database, n_nodes: int, expected: tuple[MergeRecipe, ...], seed: int
 ) -> VerificationReport:
     # the original params fix atom size and total storage; the shape to reach
     # spreads that storage evenly over n_nodes
@@ -261,7 +246,7 @@ def _verify_change(
 def verify_removal(run: RemovalRun, seed: int) -> VerificationReport:
     """Shape and content check of a removal; seed is the one the database was built with."""
     return _verify_change(
-        run.final, run.final.params.n_nodes - 1, removal_expected_layout(run.recipes), seed
+        run.final, run.final.params.n_nodes - 1, run.recipes, seed
     )
 
 
@@ -293,14 +278,7 @@ def flip_stored_bit(db: Database, node: int, segment_index: int, bit: int) -> Da
     )
     contents = {n: dict(items) for n, items in db.contents.items()}
     contents[node][segment_index] = flipped
-    return Database(
-        params=db.params,
-        seed=db.seed,
-        n_nodes=db.n_nodes,
-        generation=db.generation,
-        segment_atoms=db.segment_atoms,
-        contents=contents,
-    )
+    return replace(db, contents=contents)
 
 
 def reorder_replica_parts(db: Database, node: int, segment_index: int) -> Database:
@@ -322,11 +300,4 @@ def reorder_replica_parts(db: Database, node: int, segment_index: int) -> Databa
     contents[node][segment_index] = StoredPiece(
         n_atoms=piece.n_atoms, bits=swapped, provenance=prov
     )
-    return Database(
-        params=db.params,
-        seed=db.seed,
-        n_nodes=db.n_nodes,
-        generation=db.generation,
-        segment_atoms=db.segment_atoms,
-        contents=contents,
-    )
+    return replace(db, contents=contents)

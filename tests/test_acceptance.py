@@ -73,7 +73,7 @@ def test_c02_golden_removal_large_replication():
         (
             b.sender,
             b.kind,
-            frozenset((op.base.index, op.superscript) for op in b.operands),
+            frozenset((op.base, op.superscript) for op in b.operands),
             b.payload_atoms // hu,
         )
         for b in run.log.broadcasts

@@ -36,7 +36,6 @@ def test_golden_plan_6_3():
         (1, 2, 7),
     ]
     assert plan.shipped == (5, 6)
-    assert plan.discards == ((1, 5), (2, 6))
 
 
 def test_golden_run_6_3():

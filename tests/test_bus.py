@@ -37,10 +37,19 @@ def test_uncoded_broadcast_carries_exact_slice(setup_6_3):
     assert b.payload == want
 
 
+def test_label_text_names_base_superscript_and_atom_range(setup_6_3):
+    params, db, plan = setup_6_3
+    assert plan.high_corner.tiny.describe() == "W_6^{3,4}[49:56]"
+    assert plan.middles[0][0].describe() == "W_5^{2}[0:35]"
+
+
 def test_uncoded_broadcast_requires_possession(setup_6_3):
     params, db, plan = setup_6_3
     # node 3 does not hold W_6 (stored on 6, 1, 2)
-    with pytest.raises(ProtocolViolationError):
+    with pytest.raises(
+        ProtocolViolationError,
+        match=r"^node 3 does not hold segment 6 needed for W_6\^\{3,4\}\[49:56\]$",
+    ):
         broadcast_uncoded(db, 3, plan.high_corner.tiny)
 
 
@@ -102,7 +111,10 @@ def test_decode_fails_without_sibling_base(setup_6_3):
     crippled.contents[2] = {
         index: p for index, p in crippled.contents[2].items() if index != 6
     }
-    with pytest.raises(DecodeFailureError):
+    with pytest.raises(
+        DecodeFailureError,
+        match=r"^node 2 cannot rebuild W_6\^\{5\}\[0:49\] to decode W_5\^\{2\}\[0:35\]$",
+    ):
         decode_at_node(crippled, 2, b)
 
 

@@ -7,7 +7,6 @@ from rebalance import (
     Database,
     ParameterError,
     SystemParams,
-    box_minus,
     build_cyclic_database,
     cyclic_range,
     default_params,
@@ -25,35 +24,40 @@ pair = st.integers(min_value=3, max_value=60).flatmap(
 )
 
 
-def box_plus(i, j, modulus):
-    # wrapping sum on labels [1..modulus], the inverse of box_minus
-    return (i + j - 1) % modulus + 1
+# The paper's wrapping label arithmetic is relabel_for_removed_node:
+# i box-plus j is relabel(i, j, K), and i box-minus j is relabel(i, K - j, K)
+# for j < K, relabel(i, K, K) for j = K.
+def minus_shift(j, modulus):
+    return modulus - j if j < modulus else modulus
 
 
 def test_box_ops_known_values():
-    assert box_plus(5, 3, 6) == 2
-    assert box_plus(2, 3, 6) == 5
-    assert box_minus(1, 3, 6) == 4
-    assert box_minus(6, 3, 6) == 3
-    assert box_minus(4, 4, 6) == 6
+    assert relabel_for_removed_node(5, 3, 6) == 2
+    assert relabel_for_removed_node(2, 3, 6) == 5
+    assert relabel_for_removed_node(1, minus_shift(3, 6), 6) == 4
+    assert relabel_for_removed_node(6, minus_shift(3, 6), 6) == 3
+    assert relabel_for_removed_node(4, minus_shift(4, 6), 6) == 6
 
 
 def test_box_ops_range_validation():
-    with pytest.raises(ParameterError):
-        box_minus(0, 1, 6)
-    with pytest.raises(ParameterError):
-        box_minus(1, 7, 6)
-    with pytest.raises(ParameterError):
-        box_minus(7, 1, 6)
+    # the label-range cases: 0 - 1 and 7 - 1 on [1..6]
+    with pytest.raises(ParameterError, match=r"^label 0 outside \[1, 6\]$"):
+        relabel_for_removed_node(0, minus_shift(1, 6), 6)
+    with pytest.raises(ParameterError, match=r"^label 7 outside \[1, 6\]$"):
+        relabel_for_removed_node(7, minus_shift(1, 6), 6)
+    # 1 - 7: a shift of 6 - 7 = -1 names no node
+    with pytest.raises(ParameterError, match=r"^removed node -1 outside \[1, 6\]$"):
+        relabel_for_removed_node(1, 6 - 7, 6)
 
 
 @settings(derandomize=True)
 @given(pair)
 def test_box_ops_inverse(t):
     k, i, j = t
-    assert box_minus(box_plus(i, j, k), j, k) == i
-    assert box_plus(box_minus(i, j, k), j, k) == i
-    assert 1 <= box_plus(i, j, k) <= k
+    back = minus_shift(j, k)
+    assert relabel_for_removed_node(relabel_for_removed_node(i, j, k), back, k) == i
+    assert relabel_for_removed_node(relabel_for_removed_node(i, back, k), j, k) == i
+    assert 1 <= relabel_for_removed_node(i, j, k) <= k
 
 
 def test_cyclic_range_wraps():
@@ -73,6 +77,19 @@ def test_relabel_for_removed_node():
     assert relabel_for_removed_node(6, 3, 6) == 3
     assert relabel_for_removed_node(1, 3, 6) == 4
     assert relabel_for_removed_node(4, 6, 6) == 4  # identity when the last node leaves
+
+
+@pytest.mark.parametrize("removed", [0, 7])
+def test_relabel_rejects_a_removed_node_outside_the_cluster(removed):
+    with pytest.raises(ParameterError, match=rf"^removed node {removed} outside \[1, 6\]$"):
+        relabel_for_removed_node(3, removed, 6)
+
+
+@pytest.mark.parametrize("label", [0, 7])
+def test_relabel_rejects_a_label_outside_the_cluster(label):
+    for removed in (3, 6):
+        with pytest.raises(ParameterError, match=rf"^label {label} outside \[1, 6\]$"):
+            relabel_for_removed_node(label, removed, 6)
 
 
 @settings(derandomize=True)

@@ -33,7 +33,7 @@ def recipe_map(params, removed):
 
 
 def parts(recipe):
-    return [(p.origin, p.atom_start, p.atom_stop) for p in recipe.parts]
+    return list(recipe.parts)
 
 
 def test_golden_recipes_6_3():
@@ -51,7 +51,7 @@ def test_golden_recipes_6_3():
 
     for t, recipe in by_target.items():
         assert recipe.holders == tuple(sorted(cyclic_range(t, 3, 5)))
-        assert sum(p.size_atoms for p in recipe.parts) == 84  # 70 * 6/5
+        assert sum(stop - start for _, start, stop in recipe.parts) == 84  # 70 * 6/5
 
 
 def test_golden_recipes_8_6():
@@ -92,9 +92,9 @@ def test_recipe_sizes_and_coverage(kr):
     target_atoms = params.segment_atoms * k // (k - 1)
     seen = {}
     for recipe in recipes:
-        assert sum(p.size_atoms for p in recipe.parts) == target_atoms
-        for p in recipe.parts:
-            seen.setdefault(p.origin, []).append((p.atom_start, p.atom_stop))
+        assert sum(stop - start for _, start, stop in recipe.parts) == target_atoms
+        for origin, start, stop in recipe.parts:
+            seen.setdefault(origin, []).append((start, stop))
     # every original atom lands in exactly one target
     assert set(seen) == set(range(1, k + 1))
     for origin, ranges in seen.items():
@@ -196,15 +196,15 @@ def test_replicas_share_one_int_per_source_set():
         # the (source int, offset) each part resolves to at this holder
         node = plan.to_actual(holder)
         key = []
-        for part in recipe.parts:
-            base = db.segment_bits_at(node, part.origin)
+        for origin, start, stop in recipe.parts:
+            base = db.segment_bits_at(node, origin)
             if base is not None:
-                key.append((id(base), part.atom_start))
+                key.append((id(base), start))
             else:
                 key.append(next(
-                    (id(bits), part.atom_start - start)
-                    for origin, start, stop, bits in received[node]
-                    if origin == part.origin and start <= part.atom_start and part.atom_stop <= stop
+                    (id(bits), start - got_start)
+                    for got_origin, got_start, got_stop, bits in received[node]
+                    if got_origin == origin and got_start <= start and stop <= got_stop
                 ))
         return tuple(key)
 

@@ -24,7 +24,7 @@ from rebalance import (
 
 
 def shape(b, half_unit):
-    ops = frozenset((op.base.index, op.superscript) for op in b.operands)
+    ops = frozenset((op.base, op.superscript) for op in b.operands)
     return (b.sender, b.kind, ops, b.payload_atoms // half_unit)
 
 
@@ -90,7 +90,7 @@ def test_uncoded_baseline_load_is_replication():
     assert all(b.kind == "uncoded" and b.payload_atoms == 70 for b in log.broadcasts)
     # senders are the lowest surviving holders of each affected segment;
     # W_5 lives on {5, 6, 1} so node 1 is its lowest survivor
-    assert [(b.sender, b.operands[0].base.index) for b in log.broadcasts] == [
+    assert [(b.sender, b.operands[0].base) for b in log.broadcasts] == [
         (4, 4),
         (1, 5),
         (1, 6),
@@ -146,4 +146,4 @@ def test_every_broadcast_sender_holds_its_operands():
             for log in (run_scheme1(db, plan), run_scheme2(db, plan)):
                 for b in log.broadcasts:
                     for op in b.operands:
-                        assert db.segment_bits_at(b.sender, op.base.index) is not None
+                        assert db.segment_bits_at(b.sender, op.base) is not None

@@ -20,7 +20,7 @@ kr = st.integers(min_value=4, max_value=30).flatmap(
 
 
 def as_tuple(piece):
-    return (piece.base.index, piece.superscript, piece.atom_start, piece.atom_stop)
+    return (piece.base, piece.superscript, piece.atom_start, piece.atom_stop)
 
 
 def test_golden_split_6_3():
@@ -85,9 +85,8 @@ def test_role_accessors_cover_the_plan():
             # regrown target s is the opening piece of s, then the closing piece of s+1
             recipes = {rec.target: rec for rec in build_merge_recipes(params, plan)}
             for s in range(k - r + 1, k):
-                parts = [(p.origin, p.atom_start, p.atom_stop) for p in recipes[s].parts]
-                assert parts == [
-                    (q.base.index, q.atom_start, q.atom_stop)
+                assert list(recipes[s].parts) == [
+                    (q.base, q.atom_start, q.atom_stop)
                     for q in (plan.opening(s), plan.closing(s + 1))
                 ], (k, r, s)
             for s in (k - r, k):
@@ -134,7 +133,7 @@ def test_split_partitions_every_segment(t):
     hu = params.half_unit_atoms
     by_base = {}
     for piece in plan.all_pieces():
-        by_base.setdefault(piece.base.index, []).append(piece)
+        by_base.setdefault(piece.base, []).append(piece)
         assert piece.size_atoms % hu == 0
         assert piece.size_atoms > 0
     assert sorted(by_base) == list(range(k - r + 1, k + 1))
@@ -158,7 +157,7 @@ def test_split_superscripts_avoid_current_holders(t):
         sup = set(piece.superscript)
         assert sup, piece
         assert sup <= set(range(1, k)), piece
-        assert not sup & storage_set(piece.base.index, k, r), piece
+        assert not sup & storage_set(piece.base, k, r), piece
 
 
 @settings(derandomize=True, max_examples=60)
@@ -173,7 +172,7 @@ def test_split_relabeling_preserves_shape(t):
         assert (a.atom_start, a.atom_stop) == (b.atom_start, b.atom_stop)
         assert len(a.superscript) == len(b.superscript)
     # the split touches exactly the segments the removed node held
-    bases = {p.base.index for p in shifted.all_pieces()}
+    bases = {p.base for p in shifted.all_pieces()}
     assert bases == {i for i in range(1, k + 1) if removed in storage_set(i, k, r)}
     # no piece is addressed to the removed node
     for piece in shifted.all_pieces():

@@ -213,6 +213,38 @@ def test_fault_hooks_validate_arguments():
         reorder_replica_parts(db, node=1, segment_index=1)
 
 
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda db: flip_stored_bit(db, node=4, segment_index=4, bit=0),
+        lambda db: reorder_replica_parts(db, node=4, segment_index=4),
+    ],
+    ids=["flip", "reorder"],
+)
+def test_fault_hooks_copy_the_database(tamper):
+    final = removal_setup().final  # a target layout: its shape differs from params
+    before = {n: dict(items) for n, items in final.contents.items()}
+    bad = tamper(final)
+    assert bad is not final
+    assert (bad.params, bad.n_nodes, bad.generation, bad.segment_atoms) == (
+        final.params, 5, "target", 84
+    )
+    # the input keeps every piece object; the copy differs at (4, 4) only
+    assert final.contents == before
+    assert {n: set(items) for n, items in bad.contents.items()} == {
+        n: set(items) for n, items in before.items()
+    }
+    assert all(
+        final.contents[n][i] is piece for n, items in before.items() for i, piece in items.items()
+    )
+    changed = {
+        (n, i) for n, items in bad.contents.items() for i, piece in items.items()
+        if piece is not before[n][i]
+    }
+    assert changed == {(4, 4)}
+    assert bad.contents[4][4].bits != final.contents[4][4].bits
+
+
 def test_report_merge_and_flags():
     a = VerificationReport((("balance", "x"),))
     b = VerificationReport((("content", "y"),))
