@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -228,11 +229,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     node = args.node if args.node is not None else k
     # fail on bad parameters or an unwritable --out before any row runs
     _check_sweep(k, r_min, r_max, node, args.t_mult)
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        rows = sweep_rows(k, r_min, r_max, node, args.seed, args.t_mult)
-        writer = csv.DictWriter(f, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as f:
+            rows = sweep_rows(k, r_min, r_max, node, args.seed, args.t_mult)
+            writer = csv.DictWriter(f, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+    except RebalanceError:
+        os.remove(args.out)  # a row that fails leaves no empty CSV behind
+        raise
     bad = [row for row in rows if row["verified"] != "true"]
     print(f"wrote {len(rows)} rows to {args.out}")
     if bad:

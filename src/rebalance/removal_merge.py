@@ -12,11 +12,12 @@ reference actual original segments for content. A holder fills each part from
 its own stored base segment when it has one, otherwise from what it decoded
 off the bus; a received whole-segment copy also works as a slice source.
 
-Replicas share storage: holders whose parts resolve to the same source ints
-at the same offsets hold one assembled piece, so each target is assembled
-once per distinct source set rather than once per holder. Sources are still
-resolved per holder, so a missing piece fails, or leaves a short replica, at
-exactly the node that lacks it.
+Replicas share storage: each part is cut once per source int and offset
+and interned by value, holders whose cuts are equal form one class, and each
+class assembles the target once, so in a clean run all r replicas of a
+target are one int. Sources are still resolved for every holder: a missing
+piece fails, or leaves a short replica, at exactly the node that lacks it,
+and a damaged own source shares only where its cut is unchanged.
 """
 
 from __future__ import annotations
@@ -108,10 +109,11 @@ def apply_merge(
 ) -> Database:
     """Assemble every target at every holder and return the survivor database.
 
-    Each holder resolves every part from its own sources: its own stored
-    segment by index, else what it received. Holders whose parts resolve to
-    the same source ints at the same offsets share one assembled piece, so a
-    target is built once per distinct source set.
+    Holders are handled in classes. Part by part, a target's holders are
+    split by the int and offset each one sources the part from (its own
+    stored segment by index, else what it received); the part is cut once
+    per (source int, offset) and interned by value, and holders whose cuts
+    are equal stay in one class. Each class assembles the target once.
 
     With strict=True a holder that cannot source a part raises
     MergeFailureError; with strict=False the part is skipped, leaving a short
@@ -122,39 +124,83 @@ def apply_merge(
     w = params.atom_bits
     # canonical survivor label -> actual node, once per merge
     actual = {c: plan.to_actual(c) for c in range(1, k)}
+    # origin -> [(stored int, canonical survivors storing it)], one entry per distinct int
+    owners: dict[int, list[tuple[int, set[int]]]] = {}
+    for c, node in actual.items():
+        for origin, piece in db.contents.get(node, {}).items():
+            entries = owners.setdefault(origin, [])
+            for bits, holders in entries:
+                if bits is piece.bits:
+                    holders.add(c)
+                    break
+            else:
+                entries.append((piece.bits, {c}))
+    # (actual node, origin) -> received (start, stop, bits), in arrival order
+    got: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for node, pieces in received.items():
+        for origin, start, stop, bits in pieces:
+            got.setdefault((node, origin), []).append((start, stop, bits))
     contents: dict[int, dict[int, StoredPiece]] = {n: {} for n in range(1, k)}
 
     for recipe in recipes:
-        target = recipe.target
-        assembled: dict[tuple, StoredPiece] = {}
-        for holder in recipe.holders:
-            node = actual[holder]
-            own = db.contents.get(node, {})
-            sources: list[tuple[int, int] | None] = []
-            # flat (id(source int), offset) per part; (None, None) for a skipped part
-            key: list[int | None] = []
-            for origin, start, stop in recipe.parts:
-                piece = own.get(origin)
-                if piece is not None:
-                    src = (piece.bits, start)
-                else:
-                    src = _received(received.get(node, ()), origin, start, stop)
-                if src is None:
-                    if strict:
-                        raise MergeFailureError(
-                            f"node {node} cannot source atoms [{start}:{stop}] "
-                            f"of segment {origin} for target {target}"
-                        )
-                    key += (None, None)
-                else:
-                    # source ints stay alive for the whole merge, so ids cannot be reused
-                    key += (id(src[0]), src[1])
-                sources.append(src)
-            flat = tuple(key)
-            shared = assembled.get(flat)
-            if shared is None:
-                shared = assembled[flat] = _assemble(recipe, sources, w)
-            contents[holder][target] = shared
+        # ids of the cuts so far -> (holders that cut every part so far to those
+        # values, the cuts); None for a part a holder cannot source
+        classes: dict[tuple, tuple[set[int], tuple]] = {(): (set(recipe.holders), ())}
+        missing = False
+        # interned cuts stay alive for the whole recipe, so their ids cannot be reused
+        interned: dict[int, int] = {}
+        for origin, start, stop in recipe.parts:
+            by_int = owners.get(origin, ())
+            # (id(source int), offset) -> interned cut; source ints outlive the merge
+            cut_of: dict[tuple[int, int], int] = {}
+            refined: dict[tuple, tuple[set[int], tuple]] = {}
+            for key, (members, cuts) in classes.items():
+                sources = []  # (holders, source int or None, offset)
+                for bits, holders in by_int:
+                    own = members & holders
+                    if own:
+                        sources.append((own, bits, start))
+                        members -= own  # consumed: the class is replaced by its refinement
+                # only holders that do not store the origin look it up in what they received
+                by_src: dict[tuple[int, int | None], tuple] = {}
+                for holder in members:
+                    bits, at = _received(got.get((actual[holder], origin), ()), start, stop)
+                    group = by_src.get((id(bits), at))
+                    if group is None:
+                        by_src[id(bits), at] = ({holder}, bits, at)
+                    else:
+                        group[0].add(holder)
+                sources += by_src.values()
+                for group, bits, at in sources:
+                    missing = missing or bits is None
+                    cut = cut_of.get((id(bits), at))
+                    if cut is None and bits is not None:
+                        cut = slice_atoms(bits, at, at + stop - start, w)
+                        cut = cut_of[id(bits), at] = interned.setdefault(cut, cut)
+                    same = refined.get(key + (id(cut),))
+                    if same is None:
+                        refined[key + (id(cut),)] = (group, cuts + (cut,))
+                    else:
+                        same[0].update(group)
+            classes = refined
+
+        if strict and missing:
+            # holder -> its first unsourced part; raise for the first such holder
+            lacking = {
+                h: cuts.index(None) for hs, cuts in classes.values() if None in cuts for h in hs
+            }
+            holder = next(h for h in recipe.holders if h in lacking)
+            origin, start, stop = recipe.parts[lacking[holder]]
+            raise MergeFailureError(
+                f"node {actual[holder]} cannot source atoms [{start}:{stop}] "
+                f"of segment {origin} for target {recipe.target}"
+            )
+
+        # classes differ in at least one cut, so each assembles a distinct tuple of cuts
+        for members, cuts in classes.values():
+            shared = _assemble(recipe.parts, cuts, w)
+            for holder in members:
+                contents[holder][recipe.target] = shared
 
     return Database(
         params=params,
@@ -166,28 +212,27 @@ def apply_merge(
 
 
 def _assemble(
-    recipe: MergeRecipe, sources: list[tuple[int, int] | None], atom_bits: int
+    parts: tuple[AtomRange, ...], cuts: tuple[int | None, ...], atom_bits: int
 ) -> StoredPiece:
-    # concatenate the resolved parts, skipping unsourced ones
+    # concatenate the cut parts, skipping unsourced ones
     bits = 0
     offset = 0
     prov: list[AtomRange] = []
-    for part, src in zip(recipe.parts, sources):
-        if src is None:
+    for part, cut in zip(parts, cuts):
+        if cut is None:
             continue
         _, start, stop = part
-        src_bits, at = src
-        bits |= slice_atoms(src_bits, at, at + stop - start, atom_bits) << (offset * atom_bits)
+        bits |= cut << (offset * atom_bits)
         prov.append(part)
         offset += stop - start
     return StoredPiece(n_atoms=offset, bits=bits, provenance=tuple(prov))
 
 
 def _received(
-    got: list[ReceivedPiece], origin: int, start: int, stop: int
-) -> tuple[int, int] | None:
+    got: list[tuple[int, int, int]], start: int, stop: int
+) -> tuple[int, int] | tuple[None, None]:
     """(bits, atom offset of the range within them) of a received piece covering the range."""
-    for got_origin, got_start, got_stop, bits in got:
-        if got_origin == origin and got_start <= start and stop <= got_stop:
+    for got_start, got_stop, bits in got:
+        if got_start <= start and stop <= got_stop:
             return bits, start - got_start
-    return None
+    return None, None

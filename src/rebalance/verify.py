@@ -120,10 +120,14 @@ def verify_cyclic_balanced(db: Database, expected: SystemParams) -> Verification
             )
         reference_node = where[0]
         reference = db.contents[reference_node][index].bits
+        # id of each other distinct replica int -> equal to the reference; db keeps the ints alive
+        equal: dict[int, bool] = {}
         for node in where:
             bits = db.contents[node][index].bits
-            # a replica that is the reference int cannot differ from it
-            if bits is not reference and bits != reference:
+            same = bits is reference or equal.get(id(bits))
+            if same is None:
+                same = equal[id(bits)] = bits == reference
+            if not same:
                 findings.append(
                     (
                         "content",

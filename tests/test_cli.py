@@ -297,3 +297,14 @@ def test_check_claim1(capsys):
 def test_check_claim1_rejects_small_kmax(capsys):
     assert main(["check-claim1", "--kmax", "3"]) == 2
     capsys.readouterr()
+
+
+def test_sweep_row_failure_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise rebalance.MergeFailureError("node 3 cannot source atoms [56:70] of segment 6")
+
+    monkeypatch.setattr(cli, "rebalance_remove", fail)
+    path = tmp_path / "f.csv"
+    assert main(["sweep", "--k", "6", "--out", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("protocol failure: node 3 cannot source")
+    assert not path.exists()

@@ -1,5 +1,7 @@
 """Merge recipes: target composition, sizes, holder placement, strictness."""
 
+import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,18 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rebalance import (
+    Database,
     MergeFailureError,
+    StoredPiece,
     apply_merge,
     build_cyclic_database,
     build_merge_recipes,
     cyclic_range,
     default_params,
     deliver,
+    drop_broadcast,
     flip_stored_bit,
     make_split_plan,
     rebalance_remove,
     removal_expected_layout,
     run_scheme1,
+    run_scheme2,
+    run_uncoded_removal,
     slice_atoms,
     storage_set,
     verify_preservation,
@@ -138,7 +145,9 @@ def test_strict_merge_requires_every_part():
     db = build_cyclic_database(params, seed=0)
     plan = make_split_plan(params, removed=6)
     recipes = build_merge_recipes(params, plan)
-    with pytest.raises(MergeFailureError):
+    # the first holder of target 1 in holder order, and its first unsourced part
+    want = "node 3 cannot source atoms [56:70] of segment 6 for target 1"
+    with pytest.raises(MergeFailureError, match=f"^{re.escape(want)}$"):
         apply_merge(db, plan, recipes, {n: [] for n in range(1, 6)})
     # lenient mode produces short replicas instead of raising
     partial = apply_merge(db, plan, recipes, {n: [] for n in range(1, 6)}, strict=False)
@@ -237,3 +246,132 @@ def test_replicas_share_one_int_per_source_set():
     tampered = apply_merge(flip_stored_bit(db, lead, lead, 0), plan, recipes, received)
     rep = verify_preservation(tampered, removal_expected_layout(recipes), params, seed=2)
     assert [msg.split(" payload")[0] for _, msg in rep.findings] == ["node 1 target segment 1"]
+
+
+def oracle_merge(db, plan, recipes, received, strict=True):
+    """The merge one holder at a time: each holder resolves and assembles its own parts."""
+    params = db.params
+    k, w = params.n_nodes, params.atom_bits
+    contents = {n: {} for n in range(1, k)}
+    for recipe in recipes:
+        for holder in recipe.holders:
+            node = plan.to_actual(holder)
+            bits, offset, prov = 0, 0, []
+            for origin, start, stop in recipe.parts:
+                src = None
+                own = db.segment_bits_at(node, origin)
+                if own is not None:
+                    src = (own, start)
+                else:
+                    for got_origin, got_start, got_stop, got in received.get(node, ()):
+                        if got_origin == origin and got_start <= start and stop <= got_stop:
+                            src = (got, start - got_start)
+                            break
+                if src is None:
+                    if strict:
+                        raise MergeFailureError(
+                            f"node {node} cannot source atoms [{start}:{stop}] "
+                            f"of segment {origin} for target {recipe.target}"
+                        )
+                    continue
+                at = src[1]
+                bits |= slice_atoms(src[0], at, at + stop - start, w) << (offset * w)
+                prov.append((origin, start, stop))
+                offset += stop - start
+            contents[holder][recipe.target] = StoredPiece(offset, bits, tuple(prov))
+    return Database(params, k - 1, "target", params.segment_atoms * k // (k - 1), contents)
+
+
+SCHEDULES = {"scheme1": run_scheme1, "scheme2": run_scheme2, "uncoded": run_uncoded_removal}
+
+
+def merge_outcome(merge, db, plan, recipes, received, strict):
+    """The error text, or every stored (node, target) with its size, payload and origins."""
+    try:
+        final = merge(db, plan, recipes, received, strict=strict)
+    except MergeFailureError as exc:
+        return str(exc)
+    return (
+        final.n_nodes,
+        final.generation,
+        final.segment_atoms,
+        [
+            (node, [(t, p.n_atoms, p.bits, p.provenance) for t, p in items.items()])
+            for node, items in final.contents.items()
+        ],
+    )
+
+
+@pytest.mark.parametrize("k", range(4, 11))
+def test_merge_matches_the_per_holder_oracle(k):
+    rng = random.Random(k)
+    errors = short = 0
+    for r in range(3, k):
+        params = default_params(k, r)
+        for name, schedule in SCHEDULES.items():
+            removed = rng.randint(1, k)
+            plan = make_split_plan(params, removed)
+            recipes = build_merge_recipes(params, plan)
+            clean = build_cyclic_database(params, seed=rng.randrange(1 << 16))
+            log = schedule(clean, plan)
+            # a flipped bit in one survivor's stored segment, before the broadcasts
+            node = rng.choice([n for n in range(1, k + 1) if n != removed])
+            index = rng.choice(sorted(clean.contents[node]))
+            flipped = flip_stored_bit(clean, node, index, rng.randrange(params.segment_bits))
+            dropped = drop_broadcast(log, rng.randrange(len(log.broadcasts)))
+            variants = [
+                (clean, deliver(clean, log, plan)),
+                (clean, deliver(clean, dropped, plan)),
+                (flipped, deliver(flipped, schedule(flipped, plan), plan)),
+            ]
+            for db, received in variants:
+                for strict in (True, False):
+                    want = merge_outcome(oracle_merge, db, plan, recipes, received, strict)
+                    got = merge_outcome(apply_merge, db, plan, recipes, received, strict)
+                    assert got == want, (k, r, name, removed, strict)
+                    if strict:
+                        errors += isinstance(want, str)
+                    else:
+                        short += any(n < want[2] for _, items in want[3] for _, n, _, _ in items)
+    # the dropped broadcasts starve some holder in every K
+    assert errors > 0 and short > 0
+
+
+@pytest.mark.parametrize("k, r", [(12, 9), (25, 20)])
+@pytest.mark.parametrize("scheme", sorted(SCHEDULES))
+def test_clean_replicas_of_a_target_are_one_int(k, r, scheme):
+    db = build_cyclic_database(default_params(k, r), seed=k)
+    final = rebalance_remove(db, 5, scheme).final
+    for target in range(1, k):
+        holders = [n for n, items in final.contents.items() if target in items]
+        assert len({id(final.stored(n, target).bits) for n in holders}) == 1
+    stored = {id(p.bits) for items in final.contents.values() for p in items.values()}
+    assert len(stored) == k - 1
+
+
+def test_a_flipped_source_bit_shares_only_outside_the_cut_range():
+    params = default_params(12, 9)
+    db = build_cyclic_database(params, seed=2)
+    run = rebalance_remove(db, 5, "scheme2")
+    plan, recipes = run.plan, run.recipes
+    received = deliver(db, run.log, plan)
+    # a regrown target leads with an opening slice (origin, 0, stop) of its own segment
+    recipe = recipes[-1]
+    origin, start, stop = recipe.parts[0]
+    assert start == 0 and stop < params.segment_atoms
+    holder = next(h for h in recipe.holders if db.stored(plan.to_actual(h), origin))
+    node = plan.to_actual(holder)
+    w = params.atom_bits
+
+    def replicas(bit):
+        final = apply_merge(flip_stored_bit(db, node, origin, bit), plan, recipes, received)
+        return {h: final.stored(h, recipe.target).bits for h in recipe.holders}
+
+    # past the slice: the holder cuts the same value, so it shares the one int
+    outside = replicas(stop * w)
+    assert len({id(bits) for bits in outside.values()}) == 1
+    # inside the slice: the holder alone keeps its own, different int
+    inside = replicas((stop - 1) * w)
+    others = {id(bits) for h, bits in inside.items() if h != holder}
+    assert len(others) == 1 and id(inside[holder]) not in others
+    assert inside[holder] != outside[holder]

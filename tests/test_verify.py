@@ -106,6 +106,23 @@ def test_an_equal_but_distinct_int_verifies(op):
     assert verify(replace(run, final=equal), 21).ok
 
 
+def test_equal_replica_ints_are_compared_once_and_a_flip_stays_at_its_node():
+    run = removal_setup()
+    # target 2 lives on nodes 2, 3, 4: give each holder its own equal int
+    equal = run.final
+    for node in (2, 3, 4):
+        piece = equal.stored(node, 2)
+        equal = with_piece(equal, node, 2, replace(piece, bits=(piece.bits ^ 1) ^ 1))
+    assert len({id(equal.stored(n, 2).bits) for n in (2, 3, 4)}) == 3
+    assert verify_removal(replace(run, final=equal), seed=0).ok
+    bad = flip_stored_bit(equal, 3, 2, 40)
+    rep = verify_removal(replace(run, final=bad), seed=0)
+    assert rep.findings == (
+        ("content", "segment 2 replicas differ between node 2 and node 3"),
+        ("content", "node 3 target segment 2 payload does not match its source atoms"),
+    )
+
+
 def test_a_segment_stored_outside_its_run_is_reported():
     run = removal_setup()
     # target 2 of the five survivors lives on nodes 2, 3, 4; node 5 gets a copy too
