@@ -7,9 +7,9 @@ items. Segment payloads are deterministic functions of (seed, segment index),
 generated in counter mode, so any component can recompute expected content
 independently.
 The stream is splitmix64: block b of a segment is the finalizer applied to
-state + b * golden. It is evaluated lane-packed, every block of a segment at
-once in its own 128-bit lane of one int, which gives the same bits as a
-per-block loop at a fraction of the interpreter work.
+state + b * golden. It is evaluated lane-packed, all blocks of a segment at
+once in 128-bit lanes of one int (even blocks, a gap lane, odd blocks), which
+gives the same bits as a per-block loop at a fraction of the interpreter work.
 
 Bit layout convention: a segment of n atoms is a Python int whose bits are
 LSB-first, atom o occupying bit offsets [o * atom_bits, (o + 1) * atom_bits).
@@ -144,12 +144,15 @@ class SubsegmentLabel:
 
 
 @lru_cache(maxsize=32)
-def _lane_constants(n_blocks: int) -> tuple[int, int, int]:
-    """Per-size constants for n_blocks 128-bit lanes: (ones, counter ramp, low-64 mask)."""
-    ones = int.from_bytes((b"\x01" + bytes(15)) * n_blocks, "little")
-    ramp = b"".join(((b * _GOLDEN) & _M64).to_bytes(16, "little") for b in range(n_blocks))
-    mask = int.from_bytes((b"\xff" * 8 + bytes(8)) * n_blocks, "little")
-    return ones, int.from_bytes(ramp, "little"), mask
+def _lane_constants(n_blocks: int) -> tuple[int, int, int, int]:
+    """Per-size constants for n_blocks 128-bit lanes: (ones, ramp, low-64 mask, odd shift)."""
+    h = (n_blocks + 1) // 2
+    one = b"\x01" + bytes(15)
+    # lanes: even blocks, an all-zero gap lane, odd blocks
+    ones = int.from_bytes(one * h + bytes(16) + one * (n_blocks // 2), "little")
+    steps = [((b * _GOLDEN) & _M64).to_bytes(16, "little") for b in range(n_blocks)]
+    ramp = int.from_bytes(b"".join([*steps[::2], bytes(16), *steps[1::2]]), "little")
+    return ones, ramp, ones * _M64, 128 * h + 64
 
 
 @lru_cache(maxsize=4096)
@@ -162,21 +165,21 @@ def segment_content(seed: int, index: int, n_bits: int) -> int:
     regenerates its segments.
 
     64-bit block b is the splitmix64 finalizer of state + b * golden (mod
-    2^64). All blocks are mixed at once: block b sits in the b-th 128-bit lane
-    of one int, and the mask clears each lane's high half after every step
-    that could spill into it (a carry, a product, or the bits `>>` pulls down
-    from the next lane), so no lane ever sees another's bits.
+    2^64). All blocks are mixed at once, each in the low half of a 128-bit lane
+    of one int: even blocks 0, 2, ... in lanes 0..h-1 (h = ceil(n_blocks / 2)),
+    an all-zero gap lane, then odd blocks 1, 3, .... The mask clears each
+    lane's high half after every step that could spill into it (a carry, a
+    product, or the bits `>>` pulls down from the next lane). Even block 2j is
+    then at bit 128j, and one shift past the gap puts odd block 2j+1 at 128j+64;
+    the truncation to n_bits drops the lanes left above and the last block's tail.
     """
     state = (seed * _GOLDEN + index * _SEGMENT_SALT) & _M64
-    n_blocks = (n_bits + 63) // 64
-    ones, ramp, mask = _lane_constants(n_blocks)
+    ones, ramp, mask, shift = _lane_constants((n_bits + 63) // 64)
     x = (state * ones + ramp) & mask
     x = (((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
     x = (((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB) & mask
-    x ^= x >> 31
-    # the low 8 bytes of each 16-byte lane, in order; raw bytes, so byte-order free
-    buf = memoryview(x.to_bytes(16 * n_blocks, "little")).cast("Q")[::2].tobytes()
-    return int.from_bytes(buf, "little") & ((1 << n_bits) - 1)
+    x = (x ^ (x >> 31)) & mask
+    return (x | (x >> shift)) & ((1 << n_bits) - 1)
 
 
 def slice_atoms(bits: int, start: int, stop: int, atom_bits: int) -> int:

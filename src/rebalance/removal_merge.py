@@ -231,7 +231,8 @@ def _assemble(
 def _received(
     got: list[tuple[int, int, int]], start: int, stop: int
 ) -> tuple[int, int] | tuple[None, None]:
-    """(bits, atom offset of the range within them) of a received piece covering the range."""
+    """(bits, atom offset of the range within them) of the first received piece,
+    in arrival order, that covers the range."""
     for got_start, got_stop, bits in got:
         if got_start <= start and stop <= got_stop:
             return bits, start - got_start

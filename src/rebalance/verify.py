@@ -185,11 +185,19 @@ def verify_preservation(
     for tgt in expected:
         want = 0
         offset = 0
+        reported = len(findings)
         for origin, start, stop in tgt.parts:
+            if origin not in coverage or not 0 <= start <= stop <= params.segment_atoms:
+                part = f"atoms [{start}:{stop}] of segment {origin}"
+                where = f"outside segments 1..{params.n_nodes} of {params.segment_atoms} atoms"
+                findings.append(("content", f"target segment {tgt.target} expects {part}, {where}"))
+                continue
             src = segment_content(seed, origin, orig_bits)
             want |= slice_atoms(src, start, stop, w) << (offset * w)
             offset += stop - start
             coverage[origin].append((start, stop))
+        if len(findings) > reported:  # a bad part: no payload to compare the replicas with
+            continue
         # ids of stored ints already found equal to want; final keeps them alive
         equal: set[int] = set()
         for node in tgt.holders:

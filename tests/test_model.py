@@ -157,7 +157,9 @@ def _segment_content_oracle(seed, index, n_bits):
 
 
 def test_segment_content_matches_per_block_oracle():
-    sizes = {1, 63, 64, 65, 127, 128, 129}
+    # 191..193 and 255..257 bits: odd and even block counts, each with and
+    # without a partial last block
+    sizes = {1, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257}
     sizes |= {2 * (k * k - 1) * t for k in range(3, 31) for t in range(1, 4)}
     for seed in (0, 1, 2**63 - 1, 2**64 + 5, -1):
         for index in (1, 2, 7, 392):
@@ -166,6 +168,26 @@ def test_segment_content_matches_per_block_oracle():
                 assert segment_content.__wrapped__(seed, index, n_bits) == want, (
                     seed, index, n_bits
                 )
+    # the segment sizes of the benchmark's K=240 and K=300 cases
+    for k in (240, 300):
+        n_bits = 2 * (k * k - 1)
+        assert segment_content.__wrapped__(41, k - 1, n_bits) == _segment_content_oracle(
+            41, k - 1, n_bits
+        ), n_bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=1, max_value=700),
+    st.integers(min_value=0, max_value=700),
+)
+def test_segment_content_truncates_to_a_prefix(seed, index, n, extra):
+    # a shorter segment is the low bits of a longer one with the same seed and index
+    m = n + extra
+    short = segment_content.__wrapped__(seed, index, n)
+    assert short == segment_content.__wrapped__(seed, index, m) & ((1 << n) - 1)
 
 
 def test_slice_atoms_matches_single_atom_oracle():

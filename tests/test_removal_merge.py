@@ -337,6 +337,40 @@ def test_merge_matches_the_per_holder_oracle(k):
     assert errors > 0 and short > 0
 
 
+@pytest.mark.parametrize("arrival", ["whole-first", "whole-last", "short-first"])
+def test_overlapping_received_pieces_are_taken_in_arrival_order(arrival):
+    params = default_params(12, 9)
+    db = build_cyclic_database(params, seed=6)
+    run = rebalance_remove(db, 5, "scheme2")
+    plan, recipes = run.plan, run.recipes
+    clean = deliver(db, run.log, plan)
+    # a holder that sources a part from a decoded piece starting where the part starts
+    recipe, holder, (origin, start, stop) = next(
+        (rec, h, part)
+        for rec in recipes
+        for h in rec.holders
+        for part in rec.parts
+        if db.stored(plan.to_actual(h), part[0]) is None
+    )
+    node = plan.to_actual(holder)
+    assert (origin, start) in {piece[:2] for piece in clean[node]} and stop - start > 1
+    # other content: a whole segment that covers the part, or a one-atom piece
+    # at the part's start that does not
+    whole = (origin, 0, params.segment_atoms, (1 << params.segment_bits) - 1)
+    short = (origin, start, start + 1, (1 << params.atom_bits) - 1)
+    pieces = {
+        "whole-first": [whole, *clean[node]],
+        "whole-last": [*clean[node], whole],
+        "short-first": [short, *clean[node]],
+    }[arrival]
+    received = {**clean, node: pieces}
+    want = merge_outcome(oracle_merge, db, plan, recipes, received, True)
+    assert merge_outcome(apply_merge, db, plan, recipes, received, True) == want
+    final = apply_merge(db, plan, recipes, received)
+    changed = final.stored(holder, recipe.target).bits != run.final.stored(holder, recipe.target).bits
+    assert changed == (arrival == "whole-first")
+
+
 @pytest.mark.parametrize("k, r", [(12, 9), (25, 20)])
 @pytest.mark.parametrize("scheme", sorted(SCHEDULES))
 def test_clean_replicas_of_a_target_are_one_int(k, r, scheme):

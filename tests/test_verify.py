@@ -19,6 +19,7 @@ from rebalance import (
     reorder_replica_parts,
     verify_addition,
     verify_cyclic_balanced,
+    verify_preservation,
     verify_removal,
 )
 
@@ -198,6 +199,32 @@ def test_reordered_parts_are_detected():
     assert rep.is_balanced and rep.is_cyclic and rep.replication_ok
     assert all("replicas differ" not in msg for _, msg in rep.findings)
     assert any("node 4" in msg and "segment 4" in msg for _, msg in rep.findings)
+
+
+@pytest.mark.parametrize(
+    "part",
+    [(9, 0, 10), (0, 0, 10), (2, -1, 10), (2, 60, 71), (2, 10, 5)],
+    ids=["origin-9", "origin-0", "negative-start", "past-the-end", "start-after-stop"],
+)
+def test_a_bad_expected_part_is_a_finding(part):
+    run = removal_setup()
+    # target 1 expects a part that is no atom range of an original segment in
+    # place of its last one; its holders are not blamed, the atoms it no longer
+    # expects are lost, and a flipped bit at target 2 is still found
+    *kept, (lost, lost_start, lost_stop) = run.recipes[0].parts
+    expected = (replace(run.recipes[0], parts=(*kept, part)), *run.recipes[1:])
+    bad = flip_stored_bit(run.final, 3, 2, 40)
+    rep = verify_preservation(bad, expected, run.final.params, seed=0)
+    origin, start, stop = part
+    assert rep.findings == (
+        (
+            "content",
+            f"target segment 1 expects atoms [{start}:{stop}] of segment {origin}, "
+            "outside segments 1..6 of 70 atoms",
+        ),
+        ("content", "node 3 target segment 2 payload does not match its source atoms"),
+        ("content", f"origin segment {lost} atoms [{lost_start}:{lost_stop}] lost across targets"),
+    )
 
 
 def test_wrong_expected_shape_is_reported():
