@@ -12,8 +12,10 @@ no coding is needed anywhere.
 
 Replicas share storage: each kept leading part and each trailer is cut once
 per distinct stored int, so the old holders of a segment hold one piece, not
-one copy each. Trailers are interned by value with the broadcast small parts,
-so holders of the new segment whose sources agree hold one assembled piece.
+one copy each, and the new node shares that piece when the kept part it
+received equals it. Trailers are interned by value with the broadcast small
+parts, so holders of the new segment whose sources agree hold one assembled
+piece.
 """
 
 from __future__ import annotations
@@ -120,9 +122,11 @@ def rebalance_add(db: Database) -> AdditionRun:
         prov = ((i, 0, kept_atoms),)
         for node in cyclic_range(i, r, k + 1):
             if node == k + 1:
-                contents[node][i] = StoredPiece(
-                    n_atoms=kept_atoms, bits=kept_payload[i], provenance=prov
-                )
+                # share the sender's kept piece (node i, cut first) if the payload equals it
+                sent = contents[i][i]
+                if sent.bits != kept_payload[i]:
+                    sent = StoredPiece(n_atoms=kept_atoms, bits=kept_payload[i], provenance=prov)
+                contents[node][i] = sent
                 continue
             piece = db.stored(node, i)
             # every old node in the new layout of W_i already held W_i

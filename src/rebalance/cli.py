@@ -14,7 +14,9 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from typing import Iterator, TextIO
 
 from . import analytics
 from .addition import AdditionRun, rebalance_add
@@ -50,10 +52,28 @@ def _label_json(label) -> dict:
     }
 
 
-def _write_trace(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(json.dumps(payload, indent=2, sort_keys=True))
-        f.write("\n")
+@contextmanager
+def _output(path: str | None, newline: str) -> Iterator[TextIO | None]:
+    """Open an output file before the work, so an unwritable path fails fast. Appending
+    keeps an existing file as it was until the writer truncates it; a file the work
+    created is removed if the work ends in a package error."""
+    if not path:
+        yield None
+        return
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a", encoding="utf-8", newline=newline) as f:
+            yield f
+    except RebalanceError:
+        if not existed:
+            os.remove(path)
+        raise
+
+
+def _write_trace(f: TextIO, payload: dict) -> None:
+    f.truncate(0)
+    f.write(json.dumps(payload, indent=2, sort_keys=True))
+    f.write("\n")
 
 
 def _trace_common(
@@ -105,57 +125,59 @@ def _targets_json(targets: tuple[MergeRecipe, ...]) -> list[dict]:
 
 
 def _cmd_remove(args: argparse.Namespace) -> int:
-    db = build_cyclic_database(default_params(args.k, args.r, args.t_mult), args.seed)
-    run = rebalance_remove(db, args.node, args.scheme)
-    verification = verify_removal(run, args.seed)
-    rep = run.report
+    with _output(args.trace, "\n") as trace:
+        db = build_cyclic_database(default_params(args.k, args.r, args.t_mult), args.seed)
+        run = rebalance_remove(db, args.node, args.scheme)
+        verification = verify_removal(run, args.seed)
+        rep = run.report
 
-    print(f"removal: K={args.k} r={args.r} removed node {args.node} seed {args.seed}")
-    print(f"scheme: {rep.scheme}")
-    print(f"measured load: {_fmt(rep.measured)}")
-    print(f"expected load: {_fmt(rep.expected)}")
-    print(
-        f"coded loads: scheme1 {rep.coded_scheme1}, scheme2 {rep.coded_scheme2}, "
-        f"threshold r>={rep.scheme_threshold}"
-    )
-    print(f"uncoded baseline: {rep.uncoded}, lower bound: {_fmt(rep.lower_bound)}")
-    _print_verification(verification)
-
-    if args.trace:
-        payload = _trace_common(args, run, verification)
-        payload.update(
-            operation="removal",
-            removed_node=args.node,
-            scheme=rep.scheme,
-            targets=_targets_json(run.recipes),
+        print(f"removal: K={args.k} r={args.r} removed node {args.node} seed {args.seed}")
+        print(f"scheme: {rep.scheme}")
+        print(f"measured load: {_fmt(rep.measured)}")
+        print(f"expected load: {_fmt(rep.expected)}")
+        print(
+            f"coded loads: scheme1 {rep.coded_scheme1}, scheme2 {rep.coded_scheme2}, "
+            f"threshold r>={rep.scheme_threshold}"
         )
-        _write_trace(args.trace, payload)
+        print(f"uncoded baseline: {rep.uncoded}, lower bound: {_fmt(rep.lower_bound)}")
+        _print_verification(verification)
 
-    return 0 if verification.ok and rep.matches_formula else 1
+        if trace is not None:
+            payload = _trace_common(args, run, verification)
+            payload.update(
+                operation="removal",
+                removed_node=args.node,
+                scheme=rep.scheme,
+                targets=_targets_json(run.recipes),
+            )
+            _write_trace(trace, payload)
+
+        return 0 if verification.ok and rep.matches_formula else 1
 
 
 def _cmd_add(args: argparse.Namespace) -> int:
-    db = build_cyclic_database(default_params(args.k, args.r, args.t_mult), args.seed)
-    run = rebalance_add(db)
-    verification = verify_addition(run, args.seed)
-    rep = run.report
+    with _output(args.trace, "\n") as trace:
+        db = build_cyclic_database(default_params(args.k, args.r, args.t_mult), args.seed)
+        run = rebalance_add(db)
+        verification = verify_addition(run, args.seed)
+        rep = run.report
 
-    print(f"addition: K={args.k} r={args.r} new node {args.k + 1} seed {args.seed}")
-    print(f"measured load: {_fmt(rep.measured)}")
-    print(f"lower bound: {_fmt(rep.lower_bound)}")
-    print(f"optimal: {str(rep.measured == rep.lower_bound).lower()}")
-    _print_verification(verification)
+        print(f"addition: K={args.k} r={args.r} new node {args.k + 1} seed {args.seed}")
+        print(f"measured load: {_fmt(rep.measured)}")
+        print(f"lower bound: {_fmt(rep.lower_bound)}")
+        print(f"optimal: {str(rep.measured == rep.lower_bound).lower()}")
+        _print_verification(verification)
 
-    if args.trace:
-        payload = _trace_common(args, run, verification)
-        payload.update(
-            operation="addition",
-            added_node=args.k + 1,
-            targets=_targets_json(addition_expected_layout(run.plan)),
-        )
-        _write_trace(args.trace, payload)
+        if trace is not None:
+            payload = _trace_common(args, run, verification)
+            payload.update(
+                operation="addition",
+                added_node=args.k + 1,
+                targets=_targets_json(addition_expected_layout(run.plan)),
+            )
+            _write_trace(trace, payload)
 
-    return 0 if verification.ok and rep.matches_formula else 1
+        return 0 if verification.ok and rep.matches_formula else 1
 
 
 SWEEP_COLUMNS = (
@@ -229,15 +251,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     node = args.node if args.node is not None else k
     # fail on bad parameters or an unwritable --out before any row runs
     _check_sweep(k, r_min, r_max, node, args.t_mult)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
-            rows = sweep_rows(k, r_min, r_max, node, args.seed, args.t_mult)
-            writer = csv.DictWriter(f, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-    except RebalanceError:
-        os.remove(args.out)  # a row that fails leaves no empty CSV behind
-        raise
+    with _output(args.out, "") as f:
+        rows = sweep_rows(k, r_min, r_max, node, args.seed, args.t_mult)
+        f.truncate(0)
+        writer = csv.DictWriter(f, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     bad = [row for row in rows if row["verified"] != "true"]
     print(f"wrote {len(rows)} rows to {args.out}")
     if bad:

@@ -183,9 +183,14 @@ def segment_content(seed: int, index: int, n_bits: int) -> int:
 
 
 def slice_atoms(bits: int, start: int, stop: int, atom_bits: int) -> int:
-    """Extract atoms [start, stop) from an LSB-first payload."""
+    """Extract atoms [start, stop) from an LSB-first payload; the whole payload is
+    returned as it is, not copied, since it shifts and masks only when needed."""
     width = (stop - start) * atom_bits
-    return (bits >> (start * atom_bits)) & ((1 << width) - 1)
+    if start:
+        bits >>= start * atom_bits
+    if bits >= 0 and bits.bit_length() <= width:
+        return bits
+    return bits & ((1 << width) - 1)
 
 
 # provenance entry: (origin segment index, atom start, atom stop)

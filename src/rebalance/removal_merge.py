@@ -222,7 +222,8 @@ def _assemble(
         if cut is None:
             continue
         _, start, stop = part
-        bits |= cut << (offset * atom_bits)
+        # the first cut is taken as it is, not copied by 0 | cut
+        bits = (bits | (cut << (offset * atom_bits))) if offset else cut
         prov.append(part)
         offset += stop - start
     return StoredPiece(n_atoms=offset, bits=bits, provenance=tuple(prov))

@@ -8,16 +8,23 @@ concatenation of the original atoms it is supposed to carry (recomputed from
 the content generator, never from engine bookkeeping), and the targets
 together cover every original atom exactly once.
 
-Both return findings that name the offending node and segment, so a single
-suppressed broadcast or flipped bit is traceable. verify_removal and
-verify_addition run both against the layout a membership change must reach:
-K-1 or K+1 nodes holding the same total storage. The fault hooks at the
-bottom produce tampered copies for exercising that.
+Each check first tries a certificate that accepts a clean layout, where a
+segment's replicas are one shared piece, with C-level list compares per node
+(shape) or target (content). Only if it fails does the walk run, item by
+item; the walk alone produces findings, so their text and order never depend
+on the certificate.
+
+Findings name the offending node and segment, so a single suppressed
+broadcast or flipped bit is traceable. verify_removal and verify_addition run
+both checks against the layout a membership change must reach: K-1 or K+1
+nodes holding the same total storage. The fault hooks at the bottom produce
+tampered copies for exercising that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 from .bus import TransmissionLog
 from .errors import ParameterError
@@ -69,6 +76,38 @@ class VerificationReport:
 
 def verify_cyclic_balanced(db: Database, expected: SystemParams) -> VerificationReport:
     """Shape check against an expected (node count, replication, segment bits)."""
+    if _shape_certified(db, expected):
+        return VerificationReport(())
+    return _shape_walk(db, expected)
+
+
+def _shape_certified(db: Database, expected: SystemParams) -> bool:
+    """True when every node m stores exactly segments m-r+1..m (cyclic), each equal
+    to the right-sized piece node i holds for segment i: every walk check follows.
+    list == takes identity first, so shared pieces cost no payload compare."""
+    n, r, seg_bits = expected.n_nodes, expected.replication, expected.segment_bits
+    contents = db.contents
+    segments = range(1, n + 1)
+    if not 1 <= r <= n or contents.keys() != set(segments):
+        return False
+    w = db.params.atom_bits
+    refs = [contents[i].get(i) for i in segments]
+    if any(ref is None or ref.n_atoms * w != seg_bits for ref in refs):
+        return False
+    # doubled[j] and indices[j] are segment j mod n + 1's piece and index, so
+    # node m's window of segments m-r+1..m is the slice [m-r+n, m+n)
+    doubled = refs + refs
+    indices = [*segments, *segments]
+    for m in segments:
+        items = contents[m]
+        lo, hi = m - r + n, m + n
+        if len(items) != r or list(map(items.get, indices[lo:hi])) != doubled[lo:hi]:
+            return False
+    return True
+
+
+def _shape_walk(db: Database, expected: SystemParams) -> VerificationReport:
+    """The shape check item by item; the one source of shape findings."""
     n, r, seg_bits = expected.n_nodes, expected.replication, expected.segment_bits
     w = db.params.atom_bits
     findings: list[Finding] = []
@@ -118,23 +157,12 @@ def verify_cyclic_balanced(db: Database, expected: SystemParams) -> Verification
                     f"segment {index} on nodes {where}, expected {sorted(want)}",
                 )
             )
-        reference_node = where[0]
-        reference = db.contents[reference_node][index].bits
-        # id of each other distinct replica int -> equal to the reference; db keeps the ints alive
-        equal: dict[int, bool] = {}
+        first = where[0]
+        reference = db.contents[first][index].bits
         for node in where:
-            bits = db.contents[node][index].bits
-            same = bits is reference or equal.get(id(bits))
-            if same is None:
-                same = equal[id(bits)] = bits == reference
-            if not same:
-                findings.append(
-                    (
-                        "content",
-                        f"segment {index} replicas differ between node {reference_node} "
-                        f"and node {node}",
-                    )
-                )
+            if db.contents[node][index].bits != reference:
+                differ = f"segment {index} replicas differ between node {first} and node {node}"
+                findings.append(("content", differ))
     return VerificationReport(tuple(findings))
 
 
@@ -198,24 +226,19 @@ def verify_preservation(
             coverage[origin].append((start, stop))
         if len(findings) > reported:  # a bad part: no payload to compare the replicas with
             continue
-        # ids of stored ints already found equal to want; final keeps them alive
-        equal: set[int] = set()
-        for node in tgt.holders:
-            piece = final.stored(node, tgt.target)
+        # each holder's piece, None where its node or the item is missing
+        node_items = map(final.contents.get, tgt.holders, repeat({}))
+        pieces = list(map(dict.get, node_items, repeat(tgt.target)))
+        if _content_certified(pieces, offset, want):
+            continue
+        for node, piece in zip(tgt.holders, pieces):
             if piece is None:
                 findings.append(
                     ("content", f"node {node} is missing target segment {tgt.target}")
                 )
-            elif piece.n_atoms == offset and (id(piece.bits) in equal or piece.bits == want):
-                equal.add(id(piece.bits))
-            else:
-                findings.append(
-                    (
-                        "content",
-                        f"node {node} target segment {tgt.target} payload does not match "
-                        f"its source atoms",
-                    )
-                )
+            elif piece.n_atoms != offset or piece.bits != want:
+                payload = f"node {node} target segment {tgt.target} payload"
+                findings.append(("content", f"{payload} does not match its source atoms"))
 
     for origin in sorted(coverage):
         spans = sorted(coverage[origin])
@@ -239,6 +262,14 @@ def verify_preservation(
                 )
             )
     return VerificationReport(tuple(findings))
+
+
+def _content_certified(pieces: list[StoredPiece | None], n_atoms: int, bits: int) -> bool:
+    """True when every piece equals the first, which has the expected size and
+    payload; count takes identity first, so shared pieces cost no compare."""
+    first = pieces[0] if pieces else None
+    same = first is not None and pieces.count(first) == len(pieces)
+    return same and first.n_atoms == n_atoms and first.bits == bits
 
 
 def _verify_change(

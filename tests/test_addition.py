@@ -147,6 +147,9 @@ def test_kept_replicas_share_one_int():
             # the old holders cut the kept part from one shared stored int
             old = [bits for n, bits in zip(holders, replicas) if n != 13]
             assert all(bits is old[0] for bits in old)
+            if 13 in holders:
+                # the new node shares the old holders' piece of a shipped kept part
+                assert final.stored(13, i) is final.stored(holders[0], i)
         else:
             # local and broadcast trailers agree, so the new segment is built once
             assert all(bits is replicas[0] for bits in replicas)

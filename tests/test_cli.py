@@ -237,6 +237,68 @@ def test_unwritable_output_exits_2(argv, tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, engine",
+    [
+        (["remove", "--k", "200", "--r", "100", "--node", "7"], "rebalance_remove"),
+        (["add", "--k", "200", "--r", "100"], "rebalance_add"),
+    ],
+    ids=["remove", "add"],
+)
+def test_unwritable_trace_runs_nothing(argv, engine, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, engine, lambda *a: calls.append(a))
+    path = tmp_path / "missing" / "t.json"
+    assert main([*argv, "--trace", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("cannot write output: ")
+    assert out == ""
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, engine",
+    [
+        (["remove", "--k", "6", "--r", "3", "--node", "6"], "rebalance_remove"),
+        (["add", "--k", "6", "--r", "3"], "rebalance_add"),
+    ],
+    ids=["remove", "add"],
+)
+def test_a_run_that_raises_leaves_no_trace(argv, engine, tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise rebalance.MergeFailureError("node 3 cannot source atoms [56:70] of segment 6")
+
+    monkeypatch.setattr(cli, engine, fail)
+    path = tmp_path / "t.json"
+    assert main([*argv, "--trace", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("protocol failure: node 3 cannot source")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["remove", "--k", "6", "--r", "2", "--node", "1", "--trace"],
+        ["add", "--k", "2", "--r", "2", "--trace"],
+    ],
+    ids=["remove", "add"],
+)
+def test_bad_parameters_keep_an_existing_trace(argv, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text("earlier run\n")
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(("parameter error: ", "unsupported configuration: "))
+    assert path.read_text() == "earlier run\n"
+
+
+def test_a_trace_overwrites_an_existing_file(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text("x" * 100_000)
+    assert main(["remove", "--k", "6", "--r", "3", "--node", "6", "--trace", str(path)]) == 0
+    capsys.readouterr()
+    assert json.loads(path.read_text())["operation"] == "removal"
+
+
 # sha256 of the --full-trace file, fixed when content generation became
 # lane-packed; the payload bits (and so these digests) must never change
 PINNED_TRACES = [

@@ -207,6 +207,28 @@ def test_slice_atoms_concat_roundtrip():
     assert lo | (hi << 49) == bits
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=-80, max_value=80),
+    st.data(),
+)
+def test_slice_atoms_matches_the_mask_formula(start, n_atoms, atom_bits, spare, data):
+    # payloads shorter than, as long as and longer than the slice's end, and negative ints
+    top = max(0, (start + n_atoms) * atom_bits + spare)
+    bits = data.draw(st.integers(min_value=-(2**top), max_value=2**top - 1))
+    width = n_atoms * atom_bits
+    want = (bits >> (start * atom_bits)) & ((1 << width) - 1)
+    assert slice_atoms(bits, start, start + n_atoms, atom_bits) == want
+
+
+def test_a_whole_range_slice_is_the_payload_itself():
+    bits = segment_content(3, 2, 70 * 5)
+    assert slice_atoms(bits, 0, 70, 5) is bits
+
+
 def test_build_cyclic_database_shape():
     db = build_cyclic_database(default_params(6, 3), seed=0)
     assert db.n_nodes == 6

@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import pytest
 
+from rebalance import verify as verify_module
 from rebalance import (
     ParameterError,
+    StoredPiece,
     SystemParams,
     VerificationReport,
     build_cyclic_database,
@@ -233,6 +235,119 @@ def test_wrong_expected_shape_is_reported():
     off = SystemParams(6, 3, run.final.params.segment_bits * 6 // 5)
     rep = verify_cyclic_balanced(run.final, off)
     assert not rep.ok and not rep.is_cyclic
+
+
+def test_a_wrong_segment_size_is_reported():
+    run = removal_setup()
+    # five nodes and r=3 as a removal from K=6 leaves, one bit too many per segment
+    right = SystemParams(5, 3, run.final.params.segment_bits * 6 // 5)
+    assert verify_cyclic_balanced(run.final, right).ok
+    rep = verify_cyclic_balanced(run.final, replace(right, segment_bits=85))
+    assert rep.findings[:4] == (
+        ("balance", "node 1 segment 1 has 84 bits, expected 85"),
+        ("balance", "node 1 segment 4 has 84 bits, expected 85"),
+        ("balance", "node 1 segment 5 has 84 bits, expected 85"),
+        ("balance", "node 1 stores 252 bits, expected 255"),
+    )
+    assert len(rep.findings) == 5 * 4 and rep.is_cyclic and rep.replication_ok
+
+
+def by_walk(monkeypatch, check, *args):
+    """check(*args) with both certificates refusing, so only the walk decides."""
+    with monkeypatch.context() as m:
+        m.setattr(verify_module, "_shape_certified", lambda *a: False)
+        m.setattr(verify_module, "_content_certified", lambda *a: False)
+        return check(*args)
+
+
+def clean_changes():
+    """(run, check, seed) for every removal schedule and addition with K <= 10."""
+    for k in range(3, 11):
+        for r in range(2, k):
+            seed = 100 * k + r
+            db = build_cyclic_database(default_params(k, r), seed=seed)
+            yield rebalance_add(db), verify_addition, seed
+            if r >= 3:
+                for scheme in ("scheme1", "scheme2", "uncoded"):
+                    yield rebalance_remove(db, k // 2 + 1, scheme), verify_removal, seed
+
+
+def test_clean_changes_are_certified_and_agree_with_the_walk(monkeypatch):
+    accepted = []
+    content_certified = verify_module._content_certified
+
+    def record(*args):
+        accepted.append(content_certified(*args))
+        return accepted[-1]
+
+    def no_walk(*args):
+        raise AssertionError("the shape walk ran on a clean layout")
+
+    n_runs = 0
+    for run, check, seed in clean_changes():
+        assert by_walk(monkeypatch, check, run, seed).ok
+        with monkeypatch.context() as m:
+            m.setattr(verify_module, "_content_certified", record)
+            m.setattr(verify_module, "_shape_walk", no_walk)
+            assert check(run, seed).ok
+        n_runs += 1
+    assert n_runs == 36 + 3 * 28
+    assert len(accepted) > n_runs and all(accepted)
+
+
+def tampered_finals(final):
+    """(name, database) for damage of every kind the verifier reports, plus one
+    equal-but-distinct replica, which it must accept."""
+    index, node = shared_replica(final)
+    piece = final.stored(node, index)
+    twin = replace(piece, bits=(piece.bits ^ 1) ^ 1)
+    yield "equal-but-distinct", with_piece(final, node, index, twin)
+    for node, items in final.contents.items():
+        for index, piece in items.items():
+            yield f"flip {node}/{index}", flip_stored_bit(final, node, index, piece.n_atoms - 1)
+            if len(piece.provenance) >= 2:
+                yield f"reorder {node}/{index}", reorder_replica_parts(final, node, index)
+    yield "stray item", with_piece(final, 1, "W~_1", final.stored(1, 1))
+    yield "stray index", with_piece(final, 1, final.n_nodes + 1, final.stored(1, 1))
+    contents = {n: dict(items) for n, items in final.contents.items()}
+    del contents[2][2]
+    yield "missing item", replace(final, contents=contents)
+    # one shorter piece shared by every holder of segment 1
+    w = final.params.atom_bits
+    piece = final.stored(1, 1)
+    short = StoredPiece(piece.n_atoms - 1, piece.bits >> w, piece.provenance)
+    contents = {n: dict(items) for n, items in final.contents.items()}
+    for items in contents.values():
+        if 1 in items:
+            items[1] = short
+    yield "shorter shared piece", replace(final, contents=contents)
+
+
+@pytest.mark.parametrize("op", ["remove", "add"])
+@pytest.mark.parametrize("k, r", [(6, 3), (12, 9)])
+def test_tampered_layouts_get_the_walks_findings(op, k, r, monkeypatch):
+    db = build_cyclic_database(default_params(k, r), seed=21)
+    run, check = (rebalance_remove(db, 5), verify_removal) if op == "remove" else (
+        rebalance_add(db), verify_addition
+    )
+    for name, final in tampered_finals(run.final):
+        bad = replace(run, final=final)
+        rep = check(bad, 21)
+        assert rep == by_walk(monkeypatch, check, bad, 21), name
+        assert rep.ok == (name == "equal-but-distinct"), name
+
+
+def test_dropped_broadcasts_get_the_walks_findings(replay_without_broadcast, monkeypatch):
+    for k, r in [(6, 3), (9, 5), (12, 9)]:
+        db = build_cyclic_database(default_params(k, r), seed=k * r)
+        for scheme in ("scheme1", "scheme2", "uncoded"):
+            clean = rebalance_remove(db, 2, scheme)
+            for i, b in enumerate(clean.log.broadcasts):
+                run = replay_without_broadcast(db, clean, i)
+                rep = verify_removal(run, k * r)
+                # a scheme-2 filler slot carries no operand: dropping it damages nothing
+                assert rep.ok == (not b.operands)
+                assert rep == by_walk(monkeypatch, verify_removal, run, k * r), (k, r, scheme, i)
 
 
 def test_original_database_verifies_as_original_shape():
