@@ -119,13 +119,12 @@ def rebalance_add(db: Database) -> AdditionRun:
     for i in range(1, k + 1):
         # the kept part is cut once per distinct stored int and shared
         cut: dict[int, StoredPiece] = {}
-        prov = ((i, 0, kept_atoms),)
         for node in cyclic_range(i, r, k + 1):
             if node == k + 1:
                 # share the sender's kept piece (node i, cut first) if the payload equals it
                 sent = contents[i][i]
                 if sent.bits != kept_payload[i]:
-                    sent = StoredPiece(n_atoms=kept_atoms, bits=kept_payload[i], provenance=prov)
+                    sent = StoredPiece(kept_atoms, kept_payload[i])
                 contents[node][i] = sent
                 continue
             piece = db.stored(node, i)
@@ -137,9 +136,7 @@ def rebalance_add(db: Database) -> AdditionRun:
             kept = cut.get(id(piece.bits))
             if kept is None:
                 bits = slice_atoms(piece.bits, 0, kept_atoms, w)
-                kept = cut[id(piece.bits)] = StoredPiece(
-                    n_atoms=kept_atoms, bits=bits, provenance=prov
-                )
+                kept = cut[id(piece.bits)] = StoredPiece(kept_atoms, bits)
             contents[node][i] = kept
 
     # each holder of the new segment takes trailer i from its own W_i, else
@@ -147,7 +144,6 @@ def rebalance_add(db: Database) -> AdditionRun:
     # broadcast ones, so holders whose sources agree share one assembled piece
     trailer: dict[int, int] = {}
     assembled: dict[tuple[int, ...], StoredPiece] = {}
-    new_prov = tuple([(i, kept_atoms, kept_atoms + small_atoms) for i in range(1, k + 1)])
     for node in cyclic_range(k + 1, r, k + 1):
         own = db.contents.get(node, {})
         parts = []
@@ -168,17 +164,8 @@ def rebalance_add(db: Database) -> AdditionRun:
             bits = 0
             for i, part in enumerate(parts):
                 bits |= part << (i * small_atoms * w)
-            new = assembled[key] = StoredPiece(
-                n_atoms=k * small_atoms, bits=bits, provenance=new_prov
-            )
+            new = assembled[key] = StoredPiece(k * small_atoms, bits)
         contents[node][k + 1] = new
 
-    final = Database(
-        params=params,
-        n_nodes=k + 1,
-        generation="target",
-        segment_atoms=kept_atoms,
-        contents=contents,
-    )
     report = analytics.addition_report(params, log.load)
-    return AdditionRun(final=final, log=log, report=report, plan=plan)
+    return AdditionRun(final=Database(params, k + 1, contents), log=log, report=report, plan=plan)

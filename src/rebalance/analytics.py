@@ -112,11 +112,6 @@ class LoadReport:
     measured: Fraction
     expected: Fraction  # closed form for the executed variant
     lower_bound: Fraction
-    coded_scheme1: Fraction | None = None
-    coded_scheme2: Fraction | None = None
-    best_coded: Fraction | None = None
-    uncoded: Fraction | None = None
-    scheme_threshold: int | None = None
 
     @property
     def matches_formula(self) -> bool:
@@ -131,11 +126,6 @@ def removal_report(params: SystemParams, scheme: str, measured: Fraction) -> Loa
         measured=measured,
         expected=full_removal_load(k, r, scheme),
         lower_bound=removal_lower_bound(k, r),
-        coded_scheme1=load_scheme1(k, r),
-        coded_scheme2=load_scheme2(k, r),
-        best_coded=best_removal_load(k, r),
-        uncoded=uncoded_removal_load(k, r),
-        scheme_threshold=threshold(k),
     )
 
 

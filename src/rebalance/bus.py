@@ -50,13 +50,13 @@ class TransmissionLog:
 
 def piece_bits(db: Database, node: int, label: SubsegmentLabel) -> int:
     """Extract a piece's payload from the node's stored copy of the base segment."""
-    base_bits = db.segment_bits_at(node, label.base)
-    if base_bits is None:
+    base = db.stored(node, label.base)
+    if base is None:
         raise ProtocolViolationError(
             f"node {node} does not hold segment {label.base} "
             f"needed for {label.describe()}"
         )
-    return slice_atoms(base_bits, label.atom_start, label.atom_stop, db.params.atom_bits)
+    return slice_atoms(base.bits, label.atom_start, label.atom_stop, db.params.atom_bits)
 
 
 def broadcast_uncoded(db: Database, sender: int, label: SubsegmentLabel) -> Broadcast:
@@ -127,12 +127,12 @@ def decode_at_node(db: Database, receiver: int, b: Broadcast) -> tuple[Subsegmen
     for op in b.operands:
         if op is target:
             continue
-        base_bits = db.segment_bits_at(receiver, op.base)
-        if base_bits is None:
+        base = db.stored(receiver, op.base)
+        if base is None:
             raise DecodeFailureError(
                 f"node {receiver} cannot rebuild {op.describe()} "
                 f"to decode {target.describe()}"
             )
-        acc ^= slice_atoms(base_bits, op.atom_start, op.atom_stop, db.params.atom_bits)
+        acc ^= slice_atoms(base.bits, op.atom_start, op.atom_stop, db.params.atom_bits)
     width = target.size_atoms * db.params.atom_bits
     return target, acc & ((1 << width) - 1)

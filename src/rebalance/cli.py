@@ -135,11 +135,13 @@ def _cmd_remove(args: argparse.Namespace) -> int:
         print(f"scheme: {rep.scheme}")
         print(f"measured load: {_fmt(rep.measured)}")
         print(f"expected load: {_fmt(rep.expected)}")
+        k, r = args.k, args.r
         print(
-            f"coded loads: scheme1 {rep.coded_scheme1}, scheme2 {rep.coded_scheme2}, "
-            f"threshold r>={rep.scheme_threshold}"
+            f"coded loads: scheme1 {analytics.load_scheme1(k, r)}, "
+            f"scheme2 {analytics.load_scheme2(k, r)}, threshold r>={analytics.threshold(k)}"
         )
-        print(f"uncoded baseline: {rep.uncoded}, lower bound: {_fmt(rep.lower_bound)}")
+        uncoded = analytics.uncoded_removal_load(k, r)
+        print(f"uncoded baseline: {uncoded}, lower bound: {_fmt(rep.lower_bound)}")
         _print_verification(verification)
 
         if trace is not None:
@@ -233,11 +235,11 @@ def sweep_rows(
                 "load_num": rep.measured.numerator,
                 "load_den": rep.measured.denominator,
                 "load_float": float(rep.measured),
-                "L1_float": float(rep.coded_scheme1),
-                "L2_float": float(rep.coded_scheme2),
-                "L_u": r,
+                "L1_float": float(analytics.load_scheme1(k, r)),
+                "L2_float": float(analytics.load_scheme2(k, r)),
+                "L_u": analytics.uncoded_removal_load(k, r),
                 "lower_bound_float": float(rep.lower_bound),
-                "r_th": rep.scheme_threshold,
+                "r_th": analytics.threshold(k),
                 "verified": "true" if ok else "false",
             }
         )

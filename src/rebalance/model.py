@@ -193,17 +193,12 @@ def slice_atoms(bits: int, start: int, stop: int, atom_bits: int) -> int:
     return bits & ((1 << width) - 1)
 
 
-# provenance entry: (origin segment index, atom start, atom stop)
-AtomRange = tuple[int, int, int]
-
-
 @dataclass(frozen=True)
 class StoredPiece:
-    """One stored segment at a node: its size, payload, and atom origins."""
+    """One stored segment at a node: its size and payload."""
 
     n_atoms: int
     bits: int
-    provenance: tuple[AtomRange, ...]
 
 
 @dataclass
@@ -211,25 +206,27 @@ class Database:
     """Snapshot of what every node stores.
 
     contents maps node -> segment index -> stored segment, both plain ints.
-    Which layout the indices refer to is the database's generation:
-    "original" for a fresh build, "target" after a rebalance. params are
-    always those of the original build (they fix the atom size and the load
-    unit); n_nodes and segment_atoms describe the current layout, which
-    differs from params after a rebalance.
+    params are always those of the original build (they fix the atom size and
+    the load unit); n_nodes is the current node count, which differs from
+    params after a rebalance. Total storage never changes, so the layout's
+    generation and segment size follow from the two.
     """
 
     params: SystemParams
     n_nodes: int
-    generation: str
-    segment_atoms: int
     contents: dict[int, dict[int, StoredPiece]] = field(default_factory=dict)
+
+    @property
+    def generation(self) -> str:
+        # "original" for a fresh build, "target" after a rebalance
+        return "original" if self.n_nodes == self.params.n_nodes else "target"
+
+    @property
+    def segment_atoms(self) -> int:
+        return self.params.segment_atoms * self.params.n_nodes // self.n_nodes
 
     def stored(self, node: int, index: int) -> StoredPiece | None:
         return self.contents.get(node, _NOTHING).get(index)
-
-    def segment_bits_at(self, node: int, index: int) -> int | None:
-        piece = self.contents.get(node, _NOTHING).get(index)
-        return None if piece is None else piece.bits
 
     def total_stored_atoms(self) -> int:
         return sum(p.n_atoms for items in self.contents.values() for p in items.values())
@@ -250,17 +247,7 @@ def build_cyclic_database(params: SystemParams, seed: int = 0) -> Database:
     contents: dict[int, dict[int, StoredPiece]] = {n: {} for n in range(1, k + 1)}
     # ascending i keeps each node's segments in ascending index order
     for i in range(1, k + 1):
-        piece = StoredPiece(
-            n_atoms=n_atoms,
-            bits=segment_content(seed, i, n_bits),
-            provenance=((i, 0, n_atoms),),
-        )
+        piece = StoredPiece(n_atoms, segment_content(seed, i, n_bits))
         for node in cyclic_range(i, r, k):
             contents[node][i] = piece
-    return Database(
-        params=params,
-        n_nodes=k,
-        generation="original",
-        segment_atoms=n_atoms,
-        contents=contents,
-    )
+    return Database(params, k, contents)

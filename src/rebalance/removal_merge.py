@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from .errors import MergeFailureError
 from .model import (
-    AtomRange,
     Database,
     StoredPiece,
     SubsegmentLabel,
@@ -36,6 +35,8 @@ from .model import (
 )
 from .removal_split import SplitPlan
 
+# part of a target: (actual original segment, atom start, atom stop)
+AtomRange = tuple[int, int, int]
 # decoded or received material at a node: (origin segment, atom start, atom stop, bits)
 ReceivedPiece = tuple[int, int, int, int]
 
@@ -50,7 +51,7 @@ class MergeRecipe:
 
     target: int  # target segment index
     holders: tuple[int, ...]  # node labels of the target layout, sorted
-    parts: tuple[AtomRange, ...]  # (actual original segment, atom start, atom stop)
+    parts: tuple[AtomRange, ...]
 
 
 def _part_from(label: SubsegmentLabel) -> AtomRange:
@@ -202,13 +203,7 @@ def apply_merge(
             for holder in members:
                 contents[holder][recipe.target] = shared
 
-    return Database(
-        params=params,
-        n_nodes=k - 1,
-        generation="target",
-        segment_atoms=params.segment_atoms * k // (k - 1),
-        contents=contents,
-    )
+    return Database(params, k - 1, contents)
 
 
 def _assemble(
@@ -217,16 +212,13 @@ def _assemble(
     # concatenate the cut parts, skipping unsourced ones
     bits = 0
     offset = 0
-    prov: list[AtomRange] = []
-    for part, cut in zip(parts, cuts):
+    for (_, start, stop), cut in zip(parts, cuts):
         if cut is None:
             continue
-        _, start, stop = part
         # the first cut is taken as it is, not copied by 0 | cut
         bits = (bits | (cut << (offset * atom_bits))) if offset else cut
-        prov.append(part)
         offset += stop - start
-    return StoredPiece(n_atoms=offset, bits=bits, provenance=tuple(prov))
+    return StoredPiece(offset, bits)
 
 
 def _received(

@@ -110,6 +110,9 @@ def deliver(db: Database, log: TransmissionLog, plan: SplitPlan) -> dict[int, li
 
     Equal decoded pieces are interned by value, so receivers that decode the
     same operand hold one int and the merge can share their replicas.
+
+    plan is unused; it stays only because the benchmark harness
+    (benchmark/harness.py) passes it, and goes with the next change there.
     """
     received: dict[int, list[ReceivedPiece]] = {}
     interned: dict[int, int] = {}

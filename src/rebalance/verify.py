@@ -316,31 +316,24 @@ def flip_stored_bit(db: Database, node: int, segment_index: int, bit: int) -> Da
     width = piece.n_atoms * db.params.atom_bits
     if not 0 <= bit < width:
         raise ParameterError(f"bit {bit} outside [0, {width})")
-    flipped = StoredPiece(
-        n_atoms=piece.n_atoms, bits=piece.bits ^ (1 << bit), provenance=piece.provenance
-    )
     contents = {n: dict(items) for n, items in db.contents.items()}
-    contents[node][segment_index] = flipped
+    contents[node][segment_index] = replace(piece, bits=piece.bits ^ (1 << bit))
     return replace(db, contents=contents)
 
 
-def reorder_replica_parts(db: Database, node: int, segment_index: int) -> Database:
-    """Tampered copy with the first two recorded parts of one replica swapped."""
-    piece = db.stored(node, segment_index)
+def reorder_replica_parts(db: Database, node: int, target: MergeRecipe) -> Database:
+    """Tampered copy with the first two parts of one replica of a target swapped."""
+    piece = db.stored(node, target.target)
     if piece is None:
-        raise ParameterError(f"node {node} does not store segment {segment_index}")
-    if len(piece.provenance) < 2:
-        raise ParameterError(f"segment {segment_index} has fewer than two parts")
+        raise ParameterError(f"node {node} does not store segment {target.target}")
+    if len(target.parts) < 2:
+        raise ParameterError(f"segment {target.target} has fewer than two parts")
     w = db.params.atom_bits
-    sizes = [stop - start for _, start, stop in piece.provenance]
-    a, b = sizes[0], sizes[1]
+    a, b = (stop - start for _, start, stop in target.parts[:2])
     first = slice_atoms(piece.bits, 0, a, w)
     second = slice_atoms(piece.bits, a, a + b, w)
     rest = piece.bits >> ((a + b) * w)
     swapped = second | (first << (b * w)) | (rest << ((a + b) * w))
-    prov = (piece.provenance[1], piece.provenance[0]) + piece.provenance[2:]
     contents = {n: dict(items) for n, items in db.contents.items()}
-    contents[node][segment_index] = StoredPiece(
-        n_atoms=piece.n_atoms, bits=swapped, provenance=prov
-    )
+    contents[node][target.target] = replace(piece, bits=swapped)
     return replace(db, contents=contents)

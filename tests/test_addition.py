@@ -69,7 +69,7 @@ def test_new_segment_concatenates_trailers():
     w = params.atom_bits
     want = 0
     for i in range(1, 7):
-        src = db.segment_bits_at(i, i)
+        src = db.stored(i, i).bits
         want |= slice_atoms(src, 60, 70, w) << ((i - 1) * 10 * w)
     for node in (7, 1, 2):
         piece = run.final.stored(node, 7)
@@ -83,7 +83,7 @@ def test_kept_parts_are_leading_slices():
     run = rebalance_add(db)
     w = params.atom_bits
     for i in range(1, 7):
-        want = slice_atoms(db.segment_bits_at(i, i), 0, 60, w)
+        want = slice_atoms(db.stored(i, i).bits, 0, 60, w)
         for node in cyclic_range(i, 3, 7):
             assert run.final.stored(node, i).bits == want
 

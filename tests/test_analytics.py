@@ -66,7 +66,9 @@ def test_scheme2_closed_form_equals_class_sum(kr):
 @given(kr_pairs)
 def test_full_load_bounds(kr):
     k, r = kr
-    best = corner_overhead(k, r) + best_removal_load(k, r)
+    # best_removal_load already includes the corner overhead
+    best = best_removal_load(k, r)
+    assert best == min(full_removal_load(k, r, "scheme1"), full_removal_load(k, r, "scheme2"))
     assert removal_lower_bound(k, r) <= best < uncoded_removal_load(k, r)
 
 

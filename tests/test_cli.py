@@ -328,6 +328,25 @@ def test_full_trace_bytes_are_pinned(argv, digest, tmp_path, capsys):
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
 
 
+# sha256 of a removal's stdout and of a sweep's CSV; their closed-form lines
+# and columns (coded loads, threshold, uncoded baseline) must never change
+REMOVE_12_9_STDOUT = "a84d08f30b8fe8baf70a0b25515ed66383d42c3f43bc6ee0279c2059221134ba"
+SWEEP_15_CSV = "028ab1fc5bf308d849b51273b3713675370db0c2bce34afcb004bfed133b44ef"
+
+
+def test_remove_stdout_bytes_are_pinned(capsys):
+    assert main(["remove", "--k", "12", "--r", "9", "--node", "5"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REMOVE_12_9_STDOUT
+
+
+def test_sweep_csv_bytes_are_pinned(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    assert main(["sweep", "--k", "15", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_15_CSV
+
+
 def test_optimized_interpreter_writes_the_same_trace(tmp_path, capsys):
     # python -O strips assert statements; the run must not depend on them
     argv = ["remove", "--k", "6", "--r", "3", "--node", "6", "--full-trace", "--trace"]

@@ -241,6 +241,20 @@ def test_build_cyclic_database_shape():
     assert {n for n, items in db.contents.items() if 5 in items} == {5, 6, 1}
 
 
+@pytest.mark.parametrize("change", ["remove", "add"])
+def test_a_rebalanced_database_is_refused(change):
+    db = build_cyclic_database(default_params(6, 3), seed=0)
+    final = (rebalance_remove(db, 6) if change == "remove" else rebalance_add(db)).final
+    # the layout's generation follows from its node count and cannot be set
+    assert (db.generation, final.generation) == ("original", "target")
+    with pytest.raises(AttributeError):
+        final.generation = "original"
+    with pytest.raises(ParameterError, match="^removal runs on an original-layout database$"):
+        rebalance_remove(final, 1)
+    with pytest.raises(ParameterError, match="^addition runs on an original-layout database$"):
+        rebalance_add(final)
+
+
 def test_storage_is_keyed_by_plain_ints_in_range():
     # original, removal-target and addition-target layouts alike: nodes and
     # segment indices are ints in 1..n_nodes of that layout

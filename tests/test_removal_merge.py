@@ -132,12 +132,12 @@ def test_merged_target_concatenates_in_listed_order():
     db = build_cyclic_database(params, seed=7)
     run = rebalance_remove(db, removed=6)
     w = params.atom_bits
-    lead = slice_atoms(db.segment_bits_at(4, 4), 0, 49, w)
-    trail = slice_atoms(db.segment_bits_at(5, 5), 35, 70, w)
+    lead = slice_atoms(db.stored(4, 4).bits, 0, 49, w)
+    trail = slice_atoms(db.stored(5, 5).bits, 35, 70, w)
     want = lead | (trail << (49 * w))
     got = run.final.stored(4, 4)
     assert got.bits == want
-    assert got.provenance == ((4, 0, 49), (5, 35, 70))
+    assert got.n_atoms == 49 + 35
 
 
 def test_strict_merge_requires_every_part():
@@ -170,7 +170,7 @@ def test_holders_follow_relabeling():
     # actual segment stored at plan.to_actual(1)
     lead = final.stored(1, 1).bits
     lead &= (1 << (70 * params.atom_bits)) - 1
-    assert lead == db.segment_bits_at(plan.to_actual(1), plan.to_actual(1))
+    assert lead == db.stored(plan.to_actual(1), plan.to_actual(1)).bits
 
 
 def test_merge_total_load_identity():
@@ -206,9 +206,9 @@ def test_replicas_share_one_int_per_source_set():
         node = plan.to_actual(holder)
         key = []
         for origin, start, stop in recipe.parts:
-            base = db.segment_bits_at(node, origin)
+            base = db.stored(node, origin)
             if base is not None:
-                key.append((id(base), start))
+                key.append((id(base.bits), start))
             else:
                 key.append(next(
                     (id(bits), start - got_start)
@@ -256,12 +256,12 @@ def oracle_merge(db, plan, recipes, received, strict=True):
     for recipe in recipes:
         for holder in recipe.holders:
             node = plan.to_actual(holder)
-            bits, offset, prov = 0, 0, []
+            bits, offset = 0, 0
             for origin, start, stop in recipe.parts:
                 src = None
-                own = db.segment_bits_at(node, origin)
+                own = db.stored(node, origin)
                 if own is not None:
-                    src = (own, start)
+                    src = (own.bits, start)
                 else:
                     for got_origin, got_start, got_stop, got in received.get(node, ()):
                         if got_origin == origin and got_start <= start and stop <= got_stop:
@@ -276,17 +276,16 @@ def oracle_merge(db, plan, recipes, received, strict=True):
                     continue
                 at = src[1]
                 bits |= slice_atoms(src[0], at, at + stop - start, w) << (offset * w)
-                prov.append((origin, start, stop))
                 offset += stop - start
-            contents[holder][recipe.target] = StoredPiece(offset, bits, tuple(prov))
-    return Database(params, k - 1, "target", params.segment_atoms * k // (k - 1), contents)
+            contents[holder][recipe.target] = StoredPiece(offset, bits)
+    return Database(params, k - 1, contents)
 
 
 SCHEDULES = {"scheme1": run_scheme1, "scheme2": run_scheme2, "uncoded": run_uncoded_removal}
 
 
 def merge_outcome(merge, db, plan, recipes, received, strict):
-    """The error text, or every stored (node, target) with its size, payload and origins."""
+    """The error text, or every stored (node, target) with its size and payload."""
     try:
         final = merge(db, plan, recipes, received, strict=strict)
     except MergeFailureError as exc:
@@ -296,7 +295,7 @@ def merge_outcome(merge, db, plan, recipes, received, strict):
         final.generation,
         final.segment_atoms,
         [
-            (node, [(t, p.n_atoms, p.bits, p.provenance) for t, p in items.items()])
+            (node, [(t, p.n_atoms, p.bits) for t, p in items.items()])
             for node, items in final.contents.items()
         ],
     )
@@ -332,7 +331,7 @@ def test_merge_matches_the_per_holder_oracle(k):
                     if strict:
                         errors += isinstance(want, str)
                     else:
-                        short += any(n < want[2] for _, items in want[3] for _, n, _, _ in items)
+                        short += any(n < want[2] for _, items in want[3] for _, n, _ in items)
     # the dropped broadcasts starve some holder in every K
     assert errors > 0 and short > 0
 

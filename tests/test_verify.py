@@ -11,6 +11,7 @@ from rebalance import (
     StoredPiece,
     SystemParams,
     VerificationReport,
+    addition_expected_layout,
     build_cyclic_database,
     decode_at_node,
     default_params,
@@ -193,8 +194,10 @@ def test_reordered_parts_are_detected():
     run = removal_setup(seed=4)
     # swap the parts on every holder so the replicas stay mutually identical
     bad = run.final
-    for node in (4, 5, 1):
-        bad = reorder_replica_parts(bad, node=node, segment_index=4)
+    target = run.recipes[3]
+    assert target.target == 4 and target.holders == (1, 4, 5)
+    for node in target.holders:
+        bad = reorder_replica_parts(bad, node=node, target=target)
     rep = verify_removal(replace(run, final=bad), seed=4)
     assert not rep.ok
     # shape cannot see it, only the content check can
@@ -295,7 +298,7 @@ def test_clean_changes_are_certified_and_agree_with_the_walk(monkeypatch):
     assert len(accepted) > n_runs and all(accepted)
 
 
-def tampered_finals(final):
+def tampered_finals(final, targets):
     """(name, database) for damage of every kind the verifier reports, plus one
     equal-but-distinct replica, which it must accept."""
     index, node = shared_replica(final)
@@ -305,8 +308,11 @@ def tampered_finals(final):
     for node, items in final.contents.items():
         for index, piece in items.items():
             yield f"flip {node}/{index}", flip_stored_bit(final, node, index, piece.n_atoms - 1)
-            if len(piece.provenance) >= 2:
-                yield f"reorder {node}/{index}", reorder_replica_parts(final, node, index)
+    for target in targets:
+        if len(target.parts) >= 2:
+            for node in target.holders:
+                name = f"reorder {node}/{target.target}"
+                yield name, reorder_replica_parts(final, node, target)
     yield "stray item", with_piece(final, 1, "W~_1", final.stored(1, 1))
     yield "stray index", with_piece(final, 1, final.n_nodes + 1, final.stored(1, 1))
     contents = {n: dict(items) for n, items in final.contents.items()}
@@ -315,7 +321,7 @@ def tampered_finals(final):
     # one shorter piece shared by every holder of segment 1
     w = final.params.atom_bits
     piece = final.stored(1, 1)
-    short = StoredPiece(piece.n_atoms - 1, piece.bits >> w, piece.provenance)
+    short = StoredPiece(piece.n_atoms - 1, piece.bits >> w)
     contents = {n: dict(items) for n, items in final.contents.items()}
     for items in contents.values():
         if 1 in items:
@@ -327,10 +333,13 @@ def tampered_finals(final):
 @pytest.mark.parametrize("k, r", [(6, 3), (12, 9)])
 def test_tampered_layouts_get_the_walks_findings(op, k, r, monkeypatch):
     db = build_cyclic_database(default_params(k, r), seed=21)
-    run, check = (rebalance_remove(db, 5), verify_removal) if op == "remove" else (
-        rebalance_add(db), verify_addition
-    )
-    for name, final in tampered_finals(run.final):
+    if op == "remove":
+        run, check = rebalance_remove(db, 5), verify_removal
+        targets = run.recipes
+    else:
+        run, check = rebalance_add(db), verify_addition
+        targets = addition_expected_layout(run.plan)
+    for name, final in tampered_finals(run.final, targets):
         bad = replace(run, final=final)
         rep = check(bad, 21)
         assert rep == by_walk(monkeypatch, check, bad, 21), name
@@ -364,26 +373,29 @@ def test_fault_hooks_validate_arguments():
         flip_stored_bit(run.final, node=1, segment_index=1, bit=10**6)
     with pytest.raises(ParameterError):
         drop_broadcast(run.log, 99)
-    with pytest.raises(ParameterError):
-        reorder_replica_parts(run.final, node=1, segment_index=2)  # not stored there
-    # a fresh replica records a single part, nothing to swap
-    db = build_cyclic_database(default_params(6, 3), seed=0)
-    with pytest.raises(ParameterError):
-        reorder_replica_parts(db, node=1, segment_index=1)
+    target = run.recipes[1]  # target 2, held by nodes 2, 3 and 4
+    with pytest.raises(ParameterError, match="^node 1 does not store segment 2$"):
+        reorder_replica_parts(run.final, node=1, target=target)
+    # a kept segment of an addition is a single part, nothing to swap
+    add = rebalance_add(build_cyclic_database(default_params(6, 3), seed=0))
+    kept = addition_expected_layout(add.plan)[0]
+    with pytest.raises(ParameterError, match="^segment 1 has fewer than two parts$"):
+        reorder_replica_parts(add.final, node=1, target=kept)
 
 
 @pytest.mark.parametrize(
     "tamper",
     [
-        lambda db: flip_stored_bit(db, node=4, segment_index=4, bit=0),
-        lambda db: reorder_replica_parts(db, node=4, segment_index=4),
+        lambda run: flip_stored_bit(run.final, node=4, segment_index=4, bit=0),
+        lambda run: reorder_replica_parts(run.final, node=4, target=run.recipes[3]),
     ],
     ids=["flip", "reorder"],
 )
 def test_fault_hooks_copy_the_database(tamper):
-    final = removal_setup().final  # a target layout: its shape differs from params
+    run = removal_setup()
+    final = run.final  # a target layout: its shape differs from params
     before = {n: dict(items) for n, items in final.contents.items()}
-    bad = tamper(final)
+    bad = tamper(run)
     assert bad is not final
     assert (bad.params, bad.n_nodes, bad.generation, bad.segment_atoms) == (
         final.params, 5, "target", 84
