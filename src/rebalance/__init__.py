@@ -10,20 +10,16 @@ against closed-form loads in exact rational arithmetic.
 from .addition import (
     AdditionPlan,
     AdditionRun,
-    make_addition_plan,
     rebalance_add,
 )
 from .analytics import (
     Claim1Report,
     LoadReport,
     addition_load,
-    best_removal_load,
     choose_scheme,
-    corner_overhead,
     full_removal_load,
     load_scheme1,
     load_scheme2,
-    removal_lower_bound,
     threshold,
     uncoded_removal_load,
     verify_claim1,
@@ -60,7 +56,7 @@ from .removal_schemes import (
     run_scheme2,
     run_uncoded_removal,
 )
-from .removal_split import CornerSplit, SplitPlan, make_split_plan, split_corners, split_middle
+from .removal_split import SplitPlan, make_split_plan
 from .verify import (
     VerificationReport,
     addition_expected_layout,
@@ -79,7 +75,6 @@ __all__ = [
     "AdditionRun",
     "Broadcast",
     "Claim1Report",
-    "CornerSplit",
     "Database",
     "DecodeFailureError",
     "LoadReport",
@@ -100,14 +95,12 @@ __all__ = [
     "addition_expected_layout",
     "addition_load",
     "apply_merge",
-    "best_removal_load",
     "broadcast_class",
     "broadcast_uncoded",
     "broadcast_xor",
     "build_cyclic_database",
     "build_merge_recipes",
     "choose_scheme",
-    "corner_overhead",
     "cyclic_range",
     "decode_at_node",
     "default_params",
@@ -117,21 +110,17 @@ __all__ = [
     "full_removal_load",
     "load_scheme1",
     "load_scheme2",
-    "make_addition_plan",
     "make_split_plan",
     "rebalance_add",
     "rebalance_remove",
     "relabel_for_removed_node",
     "removal_expected_layout",
-    "removal_lower_bound",
     "reorder_replica_parts",
     "run_scheme1",
     "run_scheme2",
     "run_uncoded_removal",
     "segment_content",
     "slice_atoms",
-    "split_corners",
-    "split_middle",
     "storage_set",
     "threshold",
     "uncoded_removal_load",

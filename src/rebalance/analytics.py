@@ -68,10 +68,6 @@ def full_removal_load(k: int, r: int, scheme: str) -> Fraction:
     raise ParameterError(f"unknown scheme {scheme!r}")
 
 
-def best_removal_load(k: int, r: int) -> Fraction:
-    return corner_overhead(k, r) + min(load_scheme1(k, r), load_scheme2(k, r))
-
-
 def uncoded_removal_load(k: int, r: int) -> Fraction:
     """Baseline: each of the r affected segments retransmitted whole."""
     _check_removal_pair(k, r)

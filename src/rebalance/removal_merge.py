@@ -8,16 +8,19 @@ appends both corner tiny pieces instead).
 
 Recipes are expressed in canonical survivor labels 1..K-1 so the final
 database always has the same structure no matter which node left; parts
-reference actual original segments for content. A holder fills each part from
-its own stored base segment when it has one, otherwise from what it decoded
-off the bus; a received whole-segment copy also works as a slice source.
+reference actual original segments for content. One source rule fills every
+part: each origin has one source table, the stored segments first (one entry
+per distinct int), then the pieces decoded off the bus in first-decode order,
+and a holder takes the part from the first source that covers its atom range
+and lists the holder. A received whole segment is a slice source like any
+other piece.
 
-Replicas share storage: each part is cut once per source int and offset
-and interned by value, holders whose cuts are equal form one class, and each
-class assembles the target once, so in a clean run all r replicas of a
-target are one int. Sources are still resolved for every holder: a missing
-piece fails, or leaves a short replica, at exactly the node that lacks it,
-and a damaged own source shares only where its cut is unchanged.
+Replicas share storage: holders are split by source with set intersections,
+each part is cut once per source int and offset and interned by value,
+holders whose cuts are equal form one class, and each class assembles the
+target once, so in a clean run all r replicas of a target are one int. A
+holder that no source lists fails, or leaves a short replica, at exactly that
+holder, and a damaged own source shares only where its cut is unchanged.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ from .removal_split import SplitPlan
 
 # part of a target: (actual original segment, atom start, atom stop)
 AtomRange = tuple[int, int, int]
-# decoded or received material at a node: (origin segment, atom start, atom stop, bits)
-ReceivedPiece = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -105,16 +106,20 @@ def apply_merge(
     db: Database,
     plan: SplitPlan,
     recipes: tuple[MergeRecipe, ...],
-    received: dict[int, list[ReceivedPiece]],
+    received: dict[tuple[int, int, int, int], list[int]],
     strict: bool = True,
 ) -> Database:
     """Assemble every target at every holder and return the survivor database.
 
-    Holders are handled in classes. Part by part, a target's holders are
-    split by the int and offset each one sources the part from (its own
-    stored segment by index, else what it received); the part is cut once
-    per (source int, offset) and interned by value, and holders whose cuts
-    are equal stay in one class. Each class assembles the target once.
+    received maps each decoded piece (origin, atom start, atom stop, bits) to
+    the actual nodes that decoded it, in first-decode order, as deliver
+    returns it. Each origin has one source table: the stored segments first,
+    one entry per distinct int, then the decoded pieces in that order. Part by
+    part, each class of a target's holders is split by intersecting it with
+    the holders of every source that covers the part, in table order; what is
+    left cannot source the part. The part is cut once per (source int,
+    offset) and interned by value, and holders whose cuts are equal stay in
+    one class. Each class assembles the target once.
 
     With strict=True a holder that cannot source a part raises
     MergeFailureError; with strict=False the part is skipped, leaving a short
@@ -123,24 +128,22 @@ def apply_merge(
     params = db.params
     k = params.n_nodes
     w = params.atom_bits
-    # canonical survivor label -> actual node, once per merge
+    # canonical survivor label -> actual node, and back, once per merge
     actual = {c: plan.to_actual(c) for c in range(1, k)}
-    # origin -> [(stored int, canonical survivors storing it)], one entry per distinct int
-    owners: dict[int, list[tuple[int, set[int]]]] = {}
+    canonical = {node: c for c, node in actual.items()}
+    # origin -> [(start, stop, source int, canonical survivors holding it)]
+    table: dict[int, list[tuple[int, int, int, set[int]]]] = {}
     for c, node in actual.items():
         for origin, piece in db.contents.get(node, {}).items():
-            entries = owners.setdefault(origin, [])
-            for bits, holders in entries:
+            entries = table.setdefault(origin, [])
+            for _, _, bits, holders in entries:
                 if bits is piece.bits:
                     holders.add(c)
                     break
             else:
-                entries.append((piece.bits, {c}))
-    # (actual node, origin) -> received (start, stop, bits), in arrival order
-    got: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for node, pieces in received.items():
-        for origin, start, stop, bits in pieces:
-            got.setdefault((node, origin), []).append((start, stop, bits))
+                entries.append((0, params.segment_atoms, piece.bits, {c}))
+    for (origin, start, stop, bits), nodes in received.items():
+        table.setdefault(origin, []).append((start, stop, bits, {canonical[n] for n in nodes}))
     contents: dict[int, dict[int, StoredPiece]] = {n: {} for n in range(1, k)}
 
     for recipe in recipes:
@@ -151,27 +154,25 @@ def apply_merge(
         # interned cuts stay alive for the whole recipe, so their ids cannot be reused
         interned: dict[int, int] = {}
         for origin, start, stop in recipe.parts:
-            by_int = owners.get(origin, ())
+            covering = [
+                (bits, start - got_start, holders)
+                for got_start, got_stop, bits, holders in table.get(origin, ())
+                if got_start <= start and stop <= got_stop
+            ]
             # (id(source int), offset) -> interned cut; source ints outlive the merge
             cut_of: dict[tuple[int, int], int] = {}
             refined: dict[tuple, tuple[set[int], tuple]] = {}
             for key, (members, cuts) in classes.items():
                 sources = []  # (holders, source int or None, offset)
-                for bits, holders in by_int:
-                    own = members & holders
-                    if own:
-                        sources.append((own, bits, start))
-                        members -= own  # consumed: the class is replaced by its refinement
-                # only holders that do not store the origin look it up in what they received
-                by_src: dict[tuple[int, int | None], tuple] = {}
-                for holder in members:
-                    bits, at = _received(got.get((actual[holder], origin), ()), start, stop)
-                    group = by_src.get((id(bits), at))
-                    if group is None:
-                        by_src[id(bits), at] = ({holder}, bits, at)
-                    else:
-                        group[0].add(holder)
-                sources += by_src.values()
+                for bits, at, holders in covering:
+                    sourced = members & holders
+                    if sourced:
+                        sources.append((sourced, bits, at))
+                        members = members - sourced
+                        if not members:
+                            break
+                if members:
+                    sources.append((members, None, None))
                 for group, bits, at in sources:
                     missing = missing or bits is None
                     cut = cut_of.get((id(bits), at))
@@ -219,14 +220,3 @@ def _assemble(
         bits = (bits | (cut << (offset * atom_bits))) if offset else cut
         offset += stop - start
     return StoredPiece(offset, bits)
-
-
-def _received(
-    got: list[tuple[int, int, int]], start: int, stop: int
-) -> tuple[int, int] | tuple[None, None]:
-    """(bits, atom offset of the range within them) of the first received piece,
-    in arrival order, that covers the range."""
-    for got_start, got_stop, bits in got:
-        if got_start <= start and stop <= got_stop:
-            return bits, start - got_start
-    return None, None

@@ -33,7 +33,7 @@ from .bus import (
 )
 from .errors import ParameterError
 from .model import Database, SubsegmentLabel, storage_set
-from .removal_merge import MergeRecipe, ReceivedPiece, apply_merge, build_merge_recipes
+from .removal_merge import MergeRecipe, apply_merge, build_merge_recipes
 from .removal_split import SplitPlan, make_split_plan
 
 SCHEME_CHOICES = ("auto", "scheme1", "scheme2", "uncoded")
@@ -105,28 +105,43 @@ def run_uncoded_removal(db: Database, plan: SplitPlan) -> TransmissionLog:
     return log
 
 
-def deliver(db: Database, log: TransmissionLog, plan: SplitPlan) -> dict[int, list[ReceivedPiece]]:
-    """Decode every broadcast at every addressed node; collect what each learned.
+def deliver(
+    db: Database, log: TransmissionLog, plan: SplitPlan
+) -> dict[tuple[int, int, int, int], list[int]]:
+    """Decode every broadcast once per receiver group; map each piece to its receivers.
 
-    Equal decoded pieces are interned by value, so receivers that decode the
-    same operand hold one int and the merge can share their replicas.
+    Addressed nodes that want the same operand and store the same pieces for
+    the other operands strip the same bits, so they form one group, and
+    decode_at_node runs once at the group's lowest node (a missing base fails
+    there). Each distinct decoded piece (origin, atom start, atom stop, bits)
+    is one key, mapped to the nodes that decoded it, in first-decode order.
+    The key interns the bits, so receivers of equal pieces share one int.
 
     plan is unused; it stays only because the benchmark harness
     (benchmark/harness.py) passes it, and goes with the next change there.
     """
-    received: dict[int, list[ReceivedPiece]] = {}
-    interned: dict[int, int] = {}
+    received: dict[tuple[int, int, int, int], list[int]] = {}
     for b in log.broadcasts:
-        addressed = sorted({n for op in b.operands for n in op.superscript})
-        for node in addressed:
-            got = decode_at_node(db, node, b)
-            if got is None:
-                continue
-            label, bits = got
-            bits = interned.setdefault(bits, bits)
-            received.setdefault(node, []).append(
-                (label.base, label.atom_start, label.atom_stop, bits)
-            )
+        ops = b.operands
+        # addressed node -> (index of its operand, bases of the others), or
+        # None when named in several operands
+        wants: dict[int, tuple[int, list[int]] | None] = {}
+        for i, op in enumerate(ops):
+            strip = (i, [other.base for other in ops if other is not op])
+            for node in op.superscript:
+                wants[node] = None if node in wants else strip
+        # (operand index, ids of the node's pieces of those bases) -> nodes, ascending
+        groups: dict[tuple, list[int]] = {}
+        for node in sorted(wants):
+            strip = wants[node]
+            if strip is not None:
+                stored = db.contents.get(node, {})
+                key = (strip[0], *[id(stored.get(base)) for base in strip[1]])
+                groups.setdefault(key, []).append(node)
+        for nodes in groups.values():
+            label, bits = decode_at_node(db, nodes[0], b)
+            key = (label.base, label.atom_start, label.atom_stop, bits)
+            received.setdefault(key, []).extend(nodes)
     return received
 
 

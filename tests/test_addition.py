@@ -15,11 +15,11 @@ from rebalance import (
     cyclic_range,
     default_params,
     flip_stored_bit,
-    make_addition_plan,
     rebalance_add,
     slice_atoms,
     verify_addition,
 )
+from rebalance.addition import make_addition_plan
 
 
 def test_golden_plan_6_3():

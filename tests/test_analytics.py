@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 from rebalance import (
     ParameterError,
     addition_load,
-    best_removal_load,
     choose_scheme,
-    corner_overhead,
     full_removal_load,
     load_scheme1,
     load_scheme2,
-    removal_lower_bound,
     threshold,
     uncoded_removal_load,
     verify_claim1,
 )
+from rebalance.analytics import corner_overhead, removal_lower_bound
 
 kr_pairs = st.integers(4, 60).flatmap(
     lambda k: st.tuples(st.just(k), st.integers(3, k - 1))
@@ -38,7 +36,7 @@ def test_frozen_values():
     assert full_removal_load(7, 4, "scheme1") == Fraction(31, 12)
     assert full_removal_load(6, 3, "scheme1") == 2
     assert full_removal_load(8, 6, "scheme2") == Fraction(24, 7)
-    assert best_removal_load(6, 3) == 2
+    assert full_removal_load(6, 3, choose_scheme(6, 3)) == 2
     assert uncoded_removal_load(9, 5) == 5
     assert removal_lower_bound(15, 3) == Fraction(3, 2)
     assert addition_load(6, 3) == Fraction(18, 7)
@@ -66,8 +64,8 @@ def test_scheme2_closed_form_equals_class_sum(kr):
 @given(kr_pairs)
 def test_full_load_bounds(kr):
     k, r = kr
-    # best_removal_load already includes the corner overhead
-    best = best_removal_load(k, r)
+    # full_removal_load already includes the corner overhead
+    best = full_removal_load(k, r, choose_scheme(k, r))
     assert best == min(full_removal_load(k, r, "scheme1"), full_removal_load(k, r, "scheme2"))
     assert removal_lower_bound(k, r) <= best < uncoded_removal_load(k, r)
 

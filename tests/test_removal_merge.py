@@ -148,9 +148,9 @@ def test_strict_merge_requires_every_part():
     # the first holder of target 1 in holder order, and its first unsourced part
     want = "node 3 cannot source atoms [56:70] of segment 6 for target 1"
     with pytest.raises(MergeFailureError, match=f"^{re.escape(want)}$"):
-        apply_merge(db, plan, recipes, {n: [] for n in range(1, 6)})
+        apply_merge(db, plan, recipes, {})
     # lenient mode produces short replicas instead of raising
-    partial = apply_merge(db, plan, recipes, {n: [] for n in range(1, 6)}, strict=False)
+    partial = apply_merge(db, plan, recipes, {}, strict=False)
     assert partial.total_stored_atoms() < 3 * 5 * 84
 
 
@@ -194,9 +194,8 @@ def test_replicas_share_one_int_per_source_set():
 
     # receivers that decode the same operand hold one interned int
     by_range = {}
-    for pieces in received.values():
-        for origin, start, stop, bits in pieces:
-            by_range.setdefault((origin, start, stop), []).append(bits)
+    for (origin, start, stop, bits), nodes in received.items():
+        by_range.setdefault((origin, start, stop), []).extend(bits for _ in nodes)
     assert any(len(copies) > 1 for copies in by_range.values())
     for copies in by_range.values():
         assert all(c is copies[0] for c in copies)
@@ -212,8 +211,9 @@ def test_replicas_share_one_int_per_source_set():
             else:
                 key.append(next(
                     (id(bits), start - got_start)
-                    for got_origin, got_start, got_stop, bits in received[node]
-                    if got_origin == origin and got_start <= start and stop <= got_stop
+                    for (got_origin, got_start, got_stop, bits), nodes in received.items()
+                    if node in nodes
+                    and got_origin == origin and got_start <= start and stop <= got_stop
                 ))
         return tuple(key)
 
@@ -249,7 +249,11 @@ def test_replicas_share_one_int_per_source_set():
 
 
 def oracle_merge(db, plan, recipes, received, strict=True):
-    """The merge one holder at a time: each holder resolves and assembles its own parts."""
+    """The merge one holder at a time: each holder resolves and assembles its own parts.
+
+    A holder takes its own stored segment, else the first received piece, in
+    dict order, that covers the range and lists the holder's node.
+    """
     params = db.params
     k, w = params.n_nodes, params.atom_bits
     contents = {n: {} for n in range(1, k)}
@@ -263,8 +267,13 @@ def oracle_merge(db, plan, recipes, received, strict=True):
                 if own is not None:
                     src = (own.bits, start)
                 else:
-                    for got_origin, got_start, got_stop, got in received.get(node, ()):
-                        if got_origin == origin and got_start <= start and stop <= got_stop:
+                    for (got_origin, got_start, got_stop, got), nodes in received.items():
+                        if (
+                            node in nodes
+                            and got_origin == origin
+                            and got_start <= start
+                            and stop <= got_stop
+                        ):
                             src = (got, start - got_start)
                             break
                 if src is None:
@@ -352,17 +361,17 @@ def test_overlapping_received_pieces_are_taken_in_arrival_order(arrival):
         if db.stored(plan.to_actual(h), part[0]) is None
     )
     node = plan.to_actual(holder)
-    assert (origin, start) in {piece[:2] for piece in clean[node]} and stop - start > 1
+    assert (origin, start) in {key[:2] for key, nodes in clean.items() if node in nodes}
+    assert stop - start > 1
     # other content: a whole segment that covers the part, or a one-atom piece
     # at the part's start that does not
     whole = (origin, 0, params.segment_atoms, (1 << params.segment_bits) - 1)
     short = (origin, start, start + 1, (1 << params.atom_bits) - 1)
-    pieces = {
-        "whole-first": [whole, *clean[node]],
-        "whole-last": [*clean[node], whole],
-        "short-first": [short, *clean[node]],
+    received = {
+        "whole-first": {whole: [node], **clean},
+        "whole-last": {**clean, whole: [node]},
+        "short-first": {short: [node], **clean},
     }[arrival]
-    received = {**clean, node: pieces}
     want = merge_outcome(oracle_merge, db, plan, recipes, received, True)
     assert merge_outcome(apply_merge, db, plan, recipes, received, True) == want
     final = apply_merge(db, plan, recipes, received)

@@ -1,15 +1,20 @@
 """Broadcast schedules: golden transmissions, loads, scheme selection."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from rebalance import (
+    Database,
+    DecodeFailureError,
     ParameterError,
     build_cyclic_database,
     choose_scheme,
-    corner_overhead,
+    decode_at_node,
     default_params,
+    deliver,
+    flip_stored_bit,
     load_scheme1,
     load_scheme2,
     make_split_plan,
@@ -19,6 +24,10 @@ from rebalance import (
     run_uncoded_removal,
     threshold,
 )
+from rebalance import removal_schemes
+from rebalance.analytics import corner_overhead
+
+SCHEDULES = {"scheme1": run_scheme1, "scheme2": run_scheme2, "uncoded": run_uncoded_removal}
 
 
 def shape(b, half_unit):
@@ -140,3 +149,90 @@ def test_every_broadcast_sender_holds_its_operands():
                 for b in log.broadcasts:
                     for op in b.operands:
                         assert db.stored(b.sender, op.base) is not None
+
+
+def decodes_node_by_node(db, log):
+    """(broadcast index, node, piece) for every decode at every addressed node."""
+    out = []
+    for j, b in enumerate(log.broadcasts):
+        for node in sorted({n for op in b.operands for n in op.superscript}):
+            got = decode_at_node(db, node, b)
+            if got is not None:
+                label, bits = got
+                out.append((j, node, (label.base, label.atom_start, label.atom_stop, bits)))
+    return out
+
+
+def receiver_groups(db, log):
+    """Per broadcast, the nodes named in one operand, grouped by that operand and
+    the stored bits they strip for the others; the number of groups in the log."""
+    count = 0
+    for b in log.broadcasts:
+        groups = set()
+        for node in {n for op in b.operands for n in op.superscript}:
+            mine = [i for i, op in enumerate(b.operands) if node in op.superscript]
+            if len(mine) == 1:
+                others = [op for i, op in enumerate(b.operands) if i != mine[0]]
+                groups.add((mine[0], *[db.stored(node, op.base).bits for op in others]))
+        count += len(groups)
+    return count
+
+
+@pytest.mark.parametrize("k", range(4, 11))
+def test_deliver_decodes_once_per_receiver_group(k, monkeypatch):
+    calls = []
+    real = removal_schemes.decode_at_node
+
+    def counted(db, node, b):
+        calls.append(node)
+        return real(db, node, b)
+
+    monkeypatch.setattr(removal_schemes, "decode_at_node", counted)
+    flips = 0
+    for r in range(3, k):
+        params = default_params(k, r)
+        clean = build_cyclic_database(params, seed=k * r)
+        for name, schedule in SCHEDULES.items():
+            plan = make_split_plan(params, removed=r % k + 1)
+            log = schedule(clean, plan)
+            dbs = [clean]
+            coded = next((b for b in log.broadcasts if len(b.operands) > 1), None)
+            if coded is not None:
+                # one receiver of the first operand strips a damaged sibling
+                node, sibling = coded.operands[0].superscript[0], coded.operands[1]
+                bit = sibling.atom_start * params.atom_bits
+                dbs.append(flip_stored_bit(clean, node, sibling.base, bit))
+            keys = []
+            for db in dbs:
+                want = decodes_node_by_node(db, log)
+                calls.clear()
+                received = deliver(db, log, plan)
+                assert len(calls) == receiver_groups(db, log), (k, r, name)
+                # each decode once, under the key holding its bits, and no other entries
+                assert list(received) == list(dict.fromkeys(piece for _, _, piece in want))
+                for piece, nodes in received.items():
+                    assert nodes == [n for _, n, got in want if got == piece]
+                    assert len(set(nodes)) == len(nodes)
+                # first-decode order is each node's own arrival order
+                for node in {n for _, n, _ in want}:
+                    mine = [piece for piece, nodes in received.items() if node in nodes]
+                    assert mine == [got for _, n, got in want if n == node], (k, r, name, node)
+                keys.append(set(received))
+            # the damaged sibling changes what its receiver decodes
+            flips += len(keys) == 2 and keys[0] != keys[1]
+    assert flips > 0
+
+
+def test_decode_failure_names_the_lowest_receiver_lacking_a_base():
+    params = default_params(8, 6)
+    clean = build_cyclic_database(params, seed=0)
+    plan = make_split_plan(params, removed=8)
+    log = run_scheme2(clean, plan)
+    # the first class slot XORs pieces of W_8, W_6 and W_4 for nodes 7, 5 and 3;
+    # node 7 loses its W_6 and node 3 its W_8, so both lack a sibling base
+    assert [op.superscript for op in log.broadcasts[0].operands] == [(7,), (5,), (3,)]
+    contents = {n: dict(items) for n, items in clean.contents.items()}
+    del contents[7][6], contents[3][8]
+    want = "node 3 cannot rebuild W_8^{7}[0:108] to decode W_4^{3}[90:126]"
+    with pytest.raises(DecodeFailureError, match=f"^{re.escape(want)}$"):
+        deliver(Database(params, 8, contents), log, plan)

@@ -9,10 +9,9 @@ from rebalance import (
     build_merge_recipes,
     default_params,
     make_split_plan,
-    split_corners,
-    split_middle,
     storage_set,
 )
+from rebalance.removal_split import split_corners, split_middle
 
 kr = st.integers(min_value=4, max_value=30).flatmap(
     lambda k: st.tuples(st.just(k), st.integers(min_value=3, max_value=k - 1))
