@@ -10,12 +10,18 @@ it, and nodes 1..r-1 each discard one kept part they no longer need.
 Total traffic is rK/(K+1) segments, which meets the lower bound exactly, so
 no coding is needed anywhere.
 
-Replicas share storage: each kept leading part and each trailer is cut once
-per distinct stored int, so the old holders of a segment hold one piece, not
-one copy each, and the new node shares that piece when the kept part it
-received equals it. Trailers are interned by value with the broadcast small
-parts, so holders of the new segment whose sources agree hold one assembled
-piece.
+The layout is certified once, then built per segment, not per replica. When
+cyclic_refs finds every old holder of W_i storing node i's piece (the piece
+both broadcasts of W_i were cut from), each kept part is cut once, the new
+segment is assembled once from the broadcast trailers, and cyclic_layout
+places each of the K+1 pieces at all its r holders as one shared object.
+Any other input, such as a missing or damaged replica, goes through the walk,
+replica by replica: it cuts each kept part and each trailer once per distinct
+stored int, so holders of one stored piece share one cut, and the new node
+shares the sender's kept piece when the kept part it received equals it.
+Trailers are interned by value with the broadcast small parts, so holders of
+the new segment whose sources agree share one assembled piece. Only the walk
+raises MergeFailureError, naming the node that lacks a segment it must keep.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ from .model import (
     StoredPiece,
     SubsegmentLabel,
     SystemParams,
+    cyclic_layout,
     cyclic_range,
+    cyclic_refs,
     slice_atoms,
 )
 
@@ -100,7 +108,7 @@ def rebalance_add(db: Database) -> AdditionRun:
     plan = make_addition_plan(params)
     log = TransmissionLog(params)
 
-    # small parts, and below the trailers cut locally, interned by value
+    # small parts, interned by value with the trailers the walk cuts locally
     interned: dict[int, int] = {}
     small_payload: dict[int, int] = {}
     for i in range(1, k + 1):
@@ -113,6 +121,44 @@ def rebalance_add(db: Database) -> AdditionRun:
         log.emit(b)
         kept_payload[i] = b.payload
 
+    refs = cyclic_refs(db.contents, k, r)
+    if refs is None:
+        contents = _layout_by_walk(db, plan, small_payload, kept_payload, interned)
+    else:
+        # every holder of W_i holds a piece equal to node i's, which both
+        # broadcasts of W_i were cut from: cut each kept part once, assemble the
+        # new segment once from the broadcast trailers, share each piece
+        kept_atoms, small_atoms = plan.kept[0].size_atoms, plan.small[0].size_atoms
+        # one mask for all K cuts: building it costs several times the & itself
+        mask = (1 << kept_atoms * w) - 1
+        pieces = [StoredPiece(kept_atoms, p.bits & mask) for p in refs]
+        new_bits = _concatenate(list(small_payload.values()), small_atoms * w)
+        pieces.append(StoredPiece(k * small_atoms, new_bits))
+        contents = cyclic_layout(pieces, r)
+
+    report = analytics.addition_report(params, log.load)
+    return AdditionRun(final=Database(params, k + 1, contents), log=log, report=report, plan=plan)
+
+
+def _concatenate(parts: list[int], width: int) -> int:
+    # parts of width bits each, the first at the low end and taken as it is
+    bits = parts[0]
+    for i in range(1, len(parts)):
+        bits |= parts[i] << (i * width)
+    return bits
+
+
+def _layout_by_walk(
+    db: Database,
+    plan: AdditionPlan,
+    small_payload: dict[int, int],
+    kept_payload: dict[int, int],
+    interned: dict[int, int],
+) -> dict[int, dict[int, StoredPiece]]:
+    """The K+1 node contents, replica by replica, for a layout cyclic_refs does not
+    certify; the one source of MergeFailureError."""
+    k, r = plan.params.n_nodes, plan.params.replication
+    w = plan.params.atom_bits
     kept_atoms = plan.kept[0].size_atoms
     small_atoms = plan.small[0].size_atoms
     contents: dict[int, dict[int, StoredPiece]] = {n: {} for n in range(1, k + 2)}
@@ -161,11 +207,7 @@ def rebalance_add(db: Database) -> AdditionRun:
         key = tuple(map(id, parts))
         new = assembled.get(key)
         if new is None:
-            bits = 0
-            for i, part in enumerate(parts):
-                bits |= part << (i * small_atoms * w)
+            bits = _concatenate(parts, small_atoms * w)
             new = assembled[key] = StoredPiece(k * small_atoms, bits)
         contents[node][k + 1] = new
-
-    report = analytics.addition_report(params, log.load)
-    return AdditionRun(final=Database(params, k + 1, contents), log=log, report=report, plan=plan)
+    return contents

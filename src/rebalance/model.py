@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
+from operator import is_
 
 from .errors import ParameterError, UnsupportedConfigError
 
@@ -228,26 +230,65 @@ class Database:
     def stored(self, node: int, index: int) -> StoredPiece | None:
         return self.contents.get(node, _NOTHING).get(index)
 
-    def total_stored_atoms(self) -> int:
-        return sum(p.n_atoms for items in self.contents.values() for p in items.values())
-
 
 # empty node contents for lookups at a node that stores nothing; never written
 _NOTHING: dict[int, StoredPiece] = {}
 
 
+def cyclic_layout(pieces: list[StoredPiece], r: int) -> dict[int, dict[int, StoredPiece]]:
+    """Contents of n = len(pieces) nodes holding segment i's piece pieces[i-1] on
+    nodes i..i+r-1 (cyclic): node m stores segments m-r+1..m, in ascending index
+    order, each one the same piece object at all its holders."""
+    n = len(pieces)
+    indices = list(range(1, n + 1))
+    contents: dict[int, dict[int, StoredPiece]] = {}
+    for m in indices:
+        lo = m - r
+        if lo >= 0:
+            contents[m] = dict(zip(indices[lo:m], pieces[lo:m]))
+        else:
+            # the window wraps: segments 1..m, then the last r-m
+            contents[m] = dict(zip(indices[:m] + indices[lo:], pieces[:m] + pieces[lo:]))
+    return contents
+
+
+def cyclic_refs(
+    contents: dict[int, dict[int, StoredPiece]], n: int, r: int
+) -> list[StoredPiece] | None:
+    """Node i's piece of segment i for i = 1..n, when nodes 1..n each store exactly
+    their window of r of them (node m: segments m-r+1..m, cyclic); else None.
+
+    Replicas need only be equal, not shared. list == takes identity first, so
+    shared replicas cost no payload compare, and the missing-piece test is by
+    identity too: `None in refs` would call StoredPiece.__eq__ per piece.
+    """
+    segments = range(1, n + 1)
+    if not 1 <= r <= n or contents.keys() != set(segments):
+        return None
+    refs = [contents[i].get(i) for i in segments]
+    if any(map(is_, refs, repeat(None))):
+        return None
+    # doubled[j] and indices[j] are segment j mod n + 1's piece and index, so
+    # node m's window of segments m-r+1..m is the slice [m-r+n, m+n)
+    doubled = refs + refs
+    indices = [*segments, *segments]
+    for m in segments:
+        items = contents[m]
+        lo, hi = m - r + n, m + n
+        if len(items) != r or list(map(items.get, indices[lo:hi])) != doubled[lo:hi]:
+            return None
+    return refs
+
+
 def build_cyclic_database(params: SystemParams, seed: int = 0) -> Database:
     """Fresh database: segment i on nodes i..i+r-1 (cyclic), content from the generator."""
     params.validate()
-    k, r = params.n_nodes, params.replication
     n_atoms = params.segment_atoms
     n_bits = n_atoms * params.atom_bits
     # the content cache serves this build and its verification, nothing older
     segment_content.cache_clear()
-    contents: dict[int, dict[int, StoredPiece]] = {n: {} for n in range(1, k + 1)}
-    # ascending i keeps each node's segments in ascending index order
-    for i in range(1, k + 1):
-        piece = StoredPiece(n_atoms, segment_content(seed, i, n_bits))
-        for node in cyclic_range(i, r, k):
-            contents[node][i] = piece
-    return Database(params, k, contents)
+    pieces = [
+        StoredPiece(n_atoms, segment_content(seed, i, n_bits))
+        for i in range(1, params.n_nodes + 1)
+    ]
+    return Database(params, params.n_nodes, cyclic_layout(pieces, params.replication))

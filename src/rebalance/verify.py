@@ -32,6 +32,8 @@ from .model import (
     Database,
     StoredPiece,
     SystemParams,
+    cyclic_range,
+    cyclic_refs,
     segment_content,
     slice_atoms,
     storage_set,
@@ -82,28 +84,11 @@ def verify_cyclic_balanced(db: Database, expected: SystemParams) -> Verification
 
 
 def _shape_certified(db: Database, expected: SystemParams) -> bool:
-    """True when every node m stores exactly segments m-r+1..m (cyclic), each equal
-    to the right-sized piece node i holds for segment i: every walk check follows.
-    list == takes identity first, so shared pieces cost no payload compare."""
-    n, r, seg_bits = expected.n_nodes, expected.replication, expected.segment_bits
-    contents = db.contents
-    segments = range(1, n + 1)
-    if not 1 <= r <= n or contents.keys() != set(segments):
-        return False
-    w = db.params.atom_bits
-    refs = [contents[i].get(i) for i in segments]
-    if any(ref is None or ref.n_atoms * w != seg_bits for ref in refs):
-        return False
-    # doubled[j] and indices[j] are segment j mod n + 1's piece and index, so
-    # node m's window of segments m-r+1..m is the slice [m-r+n, m+n)
-    doubled = refs + refs
-    indices = [*segments, *segments]
-    for m in segments:
-        items = contents[m]
-        lo, hi = m - r + n, m + n
-        if len(items) != r or list(map(items.get, indices[lo:hi])) != doubled[lo:hi]:
-            return False
-    return True
+    """True when the layout is cyclic (cyclic_refs) and every segment has the
+    expected size: every walk check follows."""
+    refs = cyclic_refs(db.contents, expected.n_nodes, expected.replication)
+    w, seg_bits = db.params.atom_bits, expected.segment_bits
+    return refs is not None and all(ref.n_atoms * w == seg_bits for ref in refs)
 
 
 def _shape_walk(db: Database, expected: SystemParams) -> VerificationReport:
@@ -183,7 +168,7 @@ def addition_expected_layout(plan: AdditionPlan) -> tuple[MergeRecipe, ...]:
     out = [
         MergeRecipe(
             target=i,
-            holders=tuple(sorted(storage_set(i, k + 1, r))),
+            holders=tuple(sorted(cyclic_range(i, r, k + 1))),
             parts=((i, 0, kept_atoms),),
         )
         for i in range(1, k + 1)
@@ -191,7 +176,7 @@ def addition_expected_layout(plan: AdditionPlan) -> tuple[MergeRecipe, ...]:
     out.append(
         MergeRecipe(
             target=k + 1,
-            holders=tuple(sorted(storage_set(k + 1, k + 1, r))),
+            holders=tuple(sorted(cyclic_range(k + 1, r, k + 1))),
             parts=tuple([(i, kept_atoms, params.segment_atoms) for i in range(1, k + 1)]),
         )
     )
@@ -220,8 +205,9 @@ def verify_preservation(
                 where = f"outside segments 1..{params.n_nodes} of {params.segment_atoms} atoms"
                 findings.append(("content", f"target segment {tgt.target} expects {part}, {where}"))
                 continue
-            src = segment_content(seed, origin, orig_bits)
-            want |= slice_atoms(src, start, stop, w) << (offset * w)
+            part = slice_atoms(segment_content(seed, origin, orig_bits), start, stop, w)
+            # the first part is taken as it is, not copied by 0 | part
+            want = (want | (part << (offset * w))) if offset else part
             offset += stop - start
             coverage[origin].append((start, stop))
         if len(findings) > reported:  # a bad part: no payload to compare the replicas with

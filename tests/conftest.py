@@ -23,3 +23,13 @@ def replay_without_broadcast():
         return replace(clean, final=final, log=log)
 
     return replay
+
+
+@pytest.fixture(scope="session")
+def total_stored_atoms():
+    """Atoms a database stores over all nodes and replicas: a function of the database."""
+
+    def total(db):
+        return sum(p.n_atoms for items in db.contents.values() for p in items.values())
+
+    return total

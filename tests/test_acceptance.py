@@ -30,7 +30,7 @@ def report(cid: str, ok: bool, detail: str) -> None:
     assert ok, f"{cid}: {detail}"
 
 
-def test_c01_golden_removal_small():
+def test_c01_golden_removal_small(total_stored_atoms):
     t0 = time.perf_counter()
     params = default_params(6, 3)
     db = build_cyclic_database(params, seed=0)
@@ -48,7 +48,7 @@ def test_c01_golden_removal_small():
         and run.report.measured == Fraction(2)
         and run.final.n_nodes == 5
         and sizes == {84}
-        and run.final.total_stored_atoms() * params.atom_bits == 1260
+        and total_stored_atoms(run.final) * params.atom_bits == 1260
         and verification.ok
         and elapsed < 1.0
     )

@@ -1,5 +1,7 @@
 """Node addition: plan geometry, traffic, final layout."""
 
+import hashlib
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from rebalance import (
     MergeFailureError,
     ParameterError,
+    RebalanceError,
     addition_load,
     build_cyclic_database,
     cyclic_range,
@@ -19,6 +22,7 @@ from rebalance import (
     slice_atoms,
     verify_addition,
 )
+from rebalance import addition as addition_module
 from rebalance.addition import make_addition_plan
 
 
@@ -114,7 +118,7 @@ def test_load_independent_of_segment_size():
 
 @settings(max_examples=40, derandomize=True)
 @given(st.integers(3, 20).flatmap(lambda k: st.tuples(st.just(k), st.integers(2, k - 1))))
-def test_load_meets_lower_bound_everywhere(kr):
+def test_load_meets_lower_bound_everywhere(total_stored_atoms, kr):
     k, r = kr
     params = default_params(k, r)
     db = build_cyclic_database(params, seed=2)
@@ -122,7 +126,7 @@ def test_load_meets_lower_bound_everywhere(kr):
     assert run.log.load == Fraction(r * k, k + 1)
     assert run.log.load == addition_load(k, r)
     # stored volume unchanged in proportion: r replicas of K+1 equal segments
-    assert run.final.total_stored_atoms() == r * (k + 1) * run.final.segment_atoms
+    assert total_stored_atoms(run.final) == r * (k + 1) * run.final.segment_atoms
 
 
 def test_missing_kept_segment_raises_package_error():
@@ -162,3 +166,79 @@ def test_kept_replicas_share_one_int():
     assert rep.findings
     for _, msg in rep.findings:
         assert f"node {node}" in msg and "segment 5" in msg
+
+
+def addition_outcome(db):
+    """Everything an addition produces: every (node, index, n_atoms, bits) in
+    node and key order, which replicas are one object (numbered by first
+    appearance), the broadcasts, load and report; or the error it raised."""
+    try:
+        run = rebalance_add(db)
+    except RebalanceError as exc:
+        return type(exc).__name__, str(exc)
+    stream, sharing, first = [], [], {}
+    for node, items in run.final.contents.items():
+        for index, piece in items.items():
+            stream.append((node, index, piece.n_atoms, piece.bits))
+            sharing.append(first.setdefault(id(piece), len(first)))
+    return stream, sharing, run.log.broadcasts, run.log.load, run.report
+
+
+def damaged_inputs(db, rng):
+    """(name, database): the clean build, one replica flipped, one replica deleted."""
+    yield "clean", db
+    node = rng.randint(1, db.n_nodes)
+    index = rng.choice(list(db.contents[node]))
+    bit = rng.randrange(db.segment_atoms * db.params.atom_bits)
+    yield "flipped", flip_stored_bit(db, node, index, bit)
+    node = rng.randint(1, db.n_nodes)
+    index = rng.choice(list(db.contents[node]))
+    deleted = replace(db, contents={n: dict(items) for n, items in db.contents.items()})
+    del deleted.contents[node][index]
+    yield "deleted", deleted
+
+
+def test_certified_additions_equal_the_walk(monkeypatch):
+    rng = random.Random(12)
+    walked = []
+    layout_by_walk = addition_module._layout_by_walk
+
+    def counted_walk(*args):
+        walked.append(args[0])
+        return layout_by_walk(*args)
+
+    monkeypatch.setattr(addition_module, "_layout_by_walk", counted_walk)
+    kinds = set()
+    for k in range(3, 13):
+        for r in range(2, k):
+            db = build_cyclic_database(default_params(k, r, t_mult=1 + k % 2), seed=k * r)
+            for name, case in damaged_inputs(db, rng):
+                walked.clear()
+                fast = addition_outcome(case)
+                # a clean build is certified and never walks; damage walks
+                # unless a broadcast's sender lacked its piece before the layout
+                if name == "clean" or fast[0] == "ProtocolViolationError":
+                    assert walked == [], (k, r, name)
+                else:
+                    assert walked == [case], (k, r, name)
+                with monkeypatch.context() as m:
+                    m.setattr(addition_module, "cyclic_refs", lambda *a: None)
+                    assert addition_outcome(case) == fast, (k, r, name)
+                kinds.add(fast[0] if isinstance(fast[0], str) else name)
+    assert kinds == {"clean", "flipped", "deleted", "MergeFailureError", "ProtocolViolationError"}
+
+
+# sha256 of an addition's (node, index, n_atoms, bits) stream and broadcast
+# payloads at a size well beyond the pinned (6,3) trace; these bits must never change
+ADD_40_30_SEED_7 = "b6127198c6d7169212f1fbd48780f1d0684d9ed158f4db15163939152f4514d2"
+
+
+def test_addition_stream_is_pinned_at_40_30():
+    run = rebalance_add(build_cyclic_database(default_params(40, 30), seed=7))
+    h = hashlib.sha256()
+    for node, items in run.final.contents.items():
+        for index, piece in items.items():
+            h.update(f"{node} {index} {piece.n_atoms} {piece.bits:x}\n".encode())
+    for b in run.log.broadcasts:
+        h.update(f"{b.sender} {b.payload_atoms} {b.payload:x}\n".encode())
+    assert h.hexdigest() == ADD_40_30_SEED_7

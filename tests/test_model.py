@@ -1,15 +1,20 @@
 """Core model: index arithmetic, content generator, database construction."""
 
+import operator
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rebalance import (
     Database,
     ParameterError,
+    StoredPiece,
     SystemParams,
     build_cyclic_database,
     cyclic_range,
     default_params,
+    flip_stored_bit,
     rebalance_add,
     rebalance_remove,
     relabel_for_removed_node,
@@ -18,6 +23,7 @@ from rebalance import (
     storage_set,
     verify_removal,
 )
+from rebalance.model import cyclic_layout, cyclic_refs
 
 pair = st.integers(min_value=3, max_value=60).flatmap(
     lambda k: st.tuples(st.just(k), st.integers(min_value=1, max_value=k), st.integers(min_value=1, max_value=k))
@@ -229,7 +235,7 @@ def test_a_whole_range_slice_is_the_payload_itself():
     assert slice_atoms(bits, 0, 70, 5) is bits
 
 
-def test_build_cyclic_database_shape():
+def test_build_cyclic_database_shape(total_stored_atoms):
     db = build_cyclic_database(default_params(6, 3), seed=0)
     assert db.n_nodes == 6
     assert sorted(db.contents) == list(range(1, 7))
@@ -237,8 +243,56 @@ def test_build_cyclic_database_shape():
         assert len(items) == 3
         assert all(type(index) is int for index in items)
     assert list(db.contents[1]) == [1, 5, 6]
-    assert db.total_stored_atoms() == 3 * 6 * 70  # rK segments of T
+    assert total_stored_atoms(db) == 3 * 6 * 70  # rK segments of T
     assert {n for n, items in db.contents.items() if 5 in items} == {5, 6, 1}
+
+
+def test_cyclic_refs_certify_exactly_the_cyclic_layout():
+    for k in range(3, 10):
+        for r in range(2, k):
+            db = build_cyclic_database(default_params(k, r), seed=k * r)
+            refs = cyclic_refs(db.contents, k, r)
+            # node i's own piece objects, which cyclic_layout places back as built
+            assert all(refs[i - 1] is db.contents[i][i] for i in range(1, k + 1))
+            # segment i on nodes i..i+r-1, each node's segments in ascending order
+            expected = {n: {} for n in range(1, k + 1)}
+            for i in range(1, k + 1):
+                for n in cyclic_range(i, r, k):
+                    expected[n][i] = refs[i - 1]
+            for layout in (cyclic_layout(refs, r), db.contents):
+                assert list(layout) == list(expected)
+                for n, items in layout.items():
+                    assert list(items) == list(expected[n]), (k, r, n)
+                    assert all(map(operator.is_, items.values(), expected[n].values()))
+            # replicas need only be equal, not one object
+            node = r % k + 1
+            index = next(iter(db.contents[node]))
+            piece = db.contents[node][index]
+            copy = StoredPiece(piece.n_atoms, piece.bits)
+            assert cyclic_refs(tampered(db, node, index, copy).contents, k, r)
+
+            outside = next(i for i in range(1, k + 1) if i not in db.contents[node])
+            for bad in (
+                {n: items for n, items in db.contents.items() if n != node},  # missing node
+                {**db.contents, k + 1: {}},  # extra node
+                tampered(db, node, index, None).contents,  # missing item
+                tampered(db, node, node, None).contents,  # missing own segment
+                tampered(db, node, outside, piece).contents,  # extra item
+                flip_stored_bit(db, node, index, 0).contents,  # flipped replica
+            ):
+                assert cyclic_refs(bad, k, r) is None, (k, r)
+            assert cyclic_refs(db.contents, k, r - 1) is None
+            assert cyclic_refs(db.contents, k + 1, r) is None
+
+
+def tampered(db, node, index, piece):
+    """Copy of db with node's item index set to piece, or deleted for None."""
+    contents = {n: dict(items) for n, items in db.contents.items()}
+    if piece is None:
+        del contents[node][index]
+    else:
+        contents[node][index] = piece
+    return replace(db, contents=contents)
 
 
 @pytest.mark.parametrize("change", ["remove", "add"])

@@ -111,7 +111,7 @@ def test_recipe_sizes_and_coverage(kr):
             assert b == c, origin
 
 
-def test_merged_database_shape():
+def test_merged_database_shape(total_stored_atoms):
     params = default_params(6, 3)
     db = build_cyclic_database(params, seed=7)
     run = rebalance_remove(db, removed=6)
@@ -124,7 +124,7 @@ def test_merged_database_shape():
         held = sorted(pieces)
         assert held == sorted(t for t in range(1, 6) if node in storage_set(t, 5, 3))
         assert all(p.n_atoms == 84 for p in pieces.values())
-    assert final.total_stored_atoms() == 3 * 5 * 84
+    assert total_stored_atoms(final) == 3 * 5 * 84
 
 
 def test_merged_target_concatenates_in_listed_order():
@@ -140,7 +140,7 @@ def test_merged_target_concatenates_in_listed_order():
     assert got.n_atoms == 49 + 35
 
 
-def test_strict_merge_requires_every_part():
+def test_strict_merge_requires_every_part(total_stored_atoms):
     params = default_params(6, 3)
     db = build_cyclic_database(params, seed=0)
     plan = make_split_plan(params, removed=6)
@@ -151,7 +151,7 @@ def test_strict_merge_requires_every_part():
         apply_merge(db, plan, recipes, {})
     # lenient mode produces short replicas instead of raising
     partial = apply_merge(db, plan, recipes, {}, strict=False)
-    assert partial.total_stored_atoms() < 3 * 5 * 84
+    assert total_stored_atoms(partial) < 3 * 5 * 84
 
 
 def test_holders_follow_relabeling():
@@ -173,14 +173,14 @@ def test_holders_follow_relabeling():
     assert lead == db.stored(plan.to_actual(1), plan.to_actual(1)).bits
 
 
-def test_merge_total_load_identity():
+def test_merge_total_load_identity(total_stored_atoms):
     # stored volume after merge equals r * (K-1) target segments regardless of K
     for k, r in [(5, 3), (7, 5), (10, 4)]:
         params = default_params(k, r)
         db = build_cyclic_database(params, seed=1)
         run = rebalance_remove(db, removed=k)
         per = params.segment_atoms * k // (k - 1)
-        assert run.final.total_stored_atoms() == r * (k - 1) * per
+        assert total_stored_atoms(run.final) == r * (k - 1) * per
         assert Fraction(per, params.segment_atoms) == Fraction(k, k - 1)
 
 
