@@ -59,23 +59,26 @@ def make_addition_plan(params: SystemParams) -> AdditionPlan:
     k, r = params.n_nodes, params.replication
     seg_atoms = params.segment_atoms
     kept_atoms = seg_atoms * k // (k + 1)
+    # superscripts are built once and shared: a shipped kept part goes to the new
+    # node, and a small part to the new node plus the old nodes that precede
+    # segment i, which are nodes 1..r-1 for every segment i >= r
+    to_new = (k + 1,)
+    wide = (*range(1, r), k + 1)
     kept = []
     small = []
     for i in range(1, k + 1):
         kept.append(
             SubsegmentLabel(
                 base=i,
-                superscript=(k + 1,) if i >= k - r + 2 else (),
+                superscript=to_new if i >= k - r + 2 else (),
                 atom_start=0,
                 atom_stop=kept_atoms,
             )
         )
-        # addressed to the new node plus the old nodes that precede segment i
-        sup = tuple(range(1, min(r - 1, i - 1) + 1)) + (k + 1,)
         small.append(
             SubsegmentLabel(
                 base=i,
-                superscript=sup,
+                superscript=wide if i >= r else (*range(1, i), k + 1),
                 atom_start=kept_atoms,
                 atom_stop=seg_atoms,
             )

@@ -15,12 +15,23 @@ and a holder takes the part from the first source that covers its atom range
 and lists the holder. A received whole segment is a slice source like any
 other piece.
 
-Replicas share storage: holders are split by source with set intersections,
-each part is cut once per source int and offset and interned by value,
-holders whose cuts are equal form one class, and each class assembles the
-target once, so in a clean run all r replicas of a target are one int. A
-holder that no source lists fails, or leaves a short replica, at exactly that
+The layout is certified once, then merged per target, not per replica. When
+cyclic_refs finds every node storing its window of equal segments, each
+recipe part is cut once from the stored segment, and only the holders that do
+not store the part's origin are checked: each must be listed by the first
+covering decoded piece that names it, with a cut equal to the stored one.
+Then each target is assembled once and cyclic_layout places it at its r
+holders as one shared piece. Any other input goes through the walk: a
+damaged or missing replica, or a dropped broadcast or damaged payload that
+leaves some holder's part unsourced or cut differently.
+
+The walk shares storage by source: holders are split by source with set
+intersections, each part is cut once per source int and offset and interned
+by value, holders whose cuts are equal form one class, and each class
+assembles the target once, so equal sources still give one int. A holder
+that no source lists fails, or leaves a short replica, at exactly that
 holder, and a damaged own source shares only where its cut is unchanged.
+Only the walk raises MergeFailureError.
 """
 
 from __future__ import annotations
@@ -33,7 +44,9 @@ from .model import (
     StoredPiece,
     SubsegmentLabel,
     SystemParams,
+    cyclic_layout,
     cyclic_range,
+    cyclic_refs,
     slice_atoms,
 )
 from .removal_split import SplitPlan
@@ -111,19 +124,101 @@ def apply_merge(
 ) -> Database:
     """Assemble every target at every holder and return the survivor database.
 
-    received maps each decoded piece (origin, atom start, atom stop, bits) to
-    the actual nodes that decoded it, in first-decode order, as deliver
-    returns it. Each origin has one source table: the stored segments first,
-    one entry per distinct int, then the decoded pieces in that order. Part by
-    part, each class of a target's holders is split by intersecting it with
-    the holders of every source that covers the part, in table order; what is
-    left cannot source the part. The part is cut once per (source int,
-    offset) and interned by value, and holders whose cuts are equal stay in
-    one class. Each class assembles the target once.
+    recipes are build_merge_recipes' output: targets 1..K-1 in order, each
+    held by its cyclic window. received maps each decoded piece (origin, atom
+    start, atom stop, bits) to the actual nodes that decoded it, in
+    first-decode order, as deliver returns it. A certified layout whose
+    decoded cuts all equal the stored ones is merged per target
+    (_layout_by_target); any other input by the walk (_merge_by_walk), which
+    gives the same result wherever both apply.
 
     With strict=True a holder that cannot source a part raises
     MergeFailureError; with strict=False the part is skipped, leaving a short
     replica for the verifier to flag (used by fault injection).
+    """
+    params = db.params
+    refs = cyclic_refs(db.contents, params.n_nodes, params.replication)
+    if refs is not None:
+        contents = _layout_by_target(params, plan, recipes, received, refs)
+        if contents is not None:
+            return Database(params, params.n_nodes - 1, contents)
+    return _merge_by_walk(db, plan, recipes, received, strict)
+
+
+def _layout_by_target(
+    params: SystemParams,
+    plan: SplitPlan,
+    recipes: tuple[MergeRecipe, ...],
+    received: dict[tuple[int, int, int, int], list[int]],
+    refs: list[StoredPiece],
+) -> dict[int, dict[int, StoredPiece]] | None:
+    """The survivor contents, one assembly per target, when refs certify db and
+    every holder that does not store a part's origin takes, from the first
+    covering decoded piece that lists it, a cut equal to the stored one; else
+    None, and the walk decides."""
+    k, r, w = params.n_nodes, params.replication, params.atom_bits
+    if [recipe.target for recipe in recipes] != list(range(1, k)):
+        return None
+    # actual label -> canonical label, the removed node and its segment being k
+    canonical = {plan.to_actual(c): c for c in range(1, k + 1)}
+    # origin -> [(start, stop, bits, actual receivers)], in first-decode order
+    decoded: dict[int, list[tuple[int, int, int, list[int]]]] = {}
+    for (origin, start, stop, bits), nodes in received.items():
+        decoded.setdefault(origin, []).append((start, stop, bits, nodes))
+    pieces = []
+    for recipe in recipes:
+        held = _spans(recipe.target, r, k - 1)
+        cuts = []
+        for origin, start, stop in recipe.parts:
+            cut = slice_atoms(refs[origin - 1].bits, start, stop, w)
+            # the holders the walk sources off the bus: canonical segment s is
+            # stored on nodes s..s+r-1 (mod k), so the k-r nodes from s+r lack it
+            lacking = _spans((canonical[origin] + r - 1) % k + 1, k - r, k)
+            need = set()
+            for lo, hi in held:
+                for a, b in lacking:
+                    need.update(range(max(lo, a), min(hi, b)))
+            for got_start, got_stop, bits, nodes in decoded.get(origin, ()):
+                if not need:
+                    break
+                if got_start <= start and stop <= got_stop:
+                    named = need.intersection(map(canonical.get, nodes))
+                    if named:
+                        if slice_atoms(bits, start - got_start, stop - got_start, w) != cut:
+                            return None
+                        need -= named
+            if need:
+                return None
+            cuts.append(cut)
+        pieces.append(_assemble(recipe.parts, tuple(cuts), w))
+    return cyclic_layout(pieces, r)
+
+
+def _spans(start: int, count: int, modulus: int) -> tuple[tuple[int, int], ...]:
+    # cyclic_range(start, count, modulus) as at most two half-open ranges
+    stop = start + count
+    if stop <= modulus + 1:
+        return ((start, stop),)
+    return ((start, modulus + 1), (1, stop - modulus))
+
+
+def _merge_by_walk(
+    db: Database,
+    plan: SplitPlan,
+    recipes: tuple[MergeRecipe, ...],
+    received: dict[tuple[int, int, int, int], list[int]],
+    strict: bool,
+) -> Database:
+    """The survivor database for any input, class by class; the one source of
+    MergeFailureError and of short replicas.
+
+    Each origin has one source table: the stored segments first, one entry per
+    distinct int, then the decoded pieces in first-decode order. Part by part,
+    each class of a target's holders is split by intersecting it with the
+    holders of every source that covers the part, in table order; what is left
+    cannot source the part. The part is cut once per (source int, offset) and
+    interned by value, and holders whose cuts are equal stay in one class.
+    Each class assembles the target once.
     """
     params = db.params
     k = params.n_nodes

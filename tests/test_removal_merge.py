@@ -1,5 +1,6 @@
 """Merge recipes: target composition, sizes, holder placement, strictness."""
 
+import hashlib
 import random
 import re
 from dataclasses import replace
@@ -24,6 +25,7 @@ from rebalance import (
     make_split_plan,
     rebalance_remove,
     removal_expected_layout,
+    removal_merge,
     run_scheme1,
     run_scheme2,
     run_uncoded_removal,
@@ -417,3 +419,103 @@ def test_a_flipped_source_bit_shares_only_outside_the_cut_range():
     others = {id(bits) for h, bits in inside.items() if h != holder}
     assert len(others) == 1 and id(inside[holder]) not in others
     assert inside[holder] != outside[holder]
+
+
+def shared_outcome(db, plan, recipes, received, strict):
+    """The error text, or every stored (node, target, n_atoms, bits) in node and
+    key order, each with the number of its piece object by first appearance,
+    so replicas that are one object carry one number."""
+    try:
+        final = apply_merge(db, plan, recipes, received, strict=strict)
+    except MergeFailureError as exc:
+        return str(exc)
+    first = {}
+    return final.n_nodes, [
+        (node, t, p.n_atoms, p.bits, first.setdefault(id(p), len(first)))
+        for node, items in final.contents.items()
+        for t, p in items.items()
+    ]
+
+
+def merge_variants(db, plan, schedule, rng):
+    """(name, database, received): a clean removal, each broadcast dropped, a
+    stored bit flipped before the broadcasts, a broadcast payload bit flipped,
+    and one replica replaced by an equal int that is not shared."""
+    params = db.params
+    log = schedule(db, plan)
+    yield "clean", db, deliver(db, log, plan)
+    for i in range(len(log.broadcasts)):
+        yield "dropped", db, deliver(db, drop_broadcast(log, i), plan)
+    node = rng.randint(1, params.n_nodes)
+    index = rng.choice(sorted(db.contents[node]))
+    flipped = flip_stored_bit(db, node, index, rng.randrange(params.segment_bits))
+    yield "stored bit", flipped, deliver(flipped, schedule(flipped, plan), plan)
+    broadcasts = list(log.broadcasts)
+    i = rng.choice([i for i, b in enumerate(broadcasts) if b.payload_atoms])
+    bit = rng.randrange(broadcasts[i].payload_atoms * params.atom_bits)
+    broadcasts[i] = replace(broadcasts[i], payload=broadcasts[i].payload ^ (1 << bit))
+    yield "payload bit", db, deliver(db, replace(log, broadcasts=broadcasts), plan)
+    node = rng.randint(1, params.n_nodes)
+    index = rng.choice(sorted(db.contents[node]))
+    piece = db.contents[node][index]
+    copy = StoredPiece(piece.n_atoms, piece.bits ^ 1 ^ 1)
+    assert copy.bits == piece.bits and copy.bits is not piece.bits
+    unshared = replace(db, contents={n: dict(items) for n, items in db.contents.items()})
+    unshared.contents[node][index] = copy
+    yield "unshared", unshared, deliver(unshared, schedule(unshared, plan), plan)
+
+
+def test_certified_merges_equal_the_walk(monkeypatch):
+    rng = random.Random(13)
+    walked = []
+    merge_by_walk = removal_merge._merge_by_walk
+
+    def counted_walk(db, *args):
+        walked.append(db)
+        return merge_by_walk(db, *args)
+
+    monkeypatch.setattr(removal_merge, "_merge_by_walk", counted_walk)
+    fast_kinds = set()
+    outcomes = errors = 0
+    for k in range(4, 13):
+        for r in range(3, k):
+            params = default_params(k, r)
+            db = build_cyclic_database(params, seed=k * r)
+            for name, schedule in SCHEDULES.items():
+                for removed in (1, k):
+                    plan = make_split_plan(params, removed)
+                    recipes = build_merge_recipes(params, plan)
+                    for kind, case, received in merge_variants(db, plan, schedule, rng):
+                        for strict in (True, False):
+                            walked.clear()
+                            fast = shared_outcome(case, plan, recipes, received, strict)
+                            if kind == "clean":
+                                assert walked == [], (k, r, name, removed, strict)
+                            elif not walked:
+                                fast_kinds.add(kind)
+                            with monkeypatch.context() as m:
+                                m.setattr(removal_merge, "cyclic_refs", lambda *a: None)
+                                walk = shared_outcome(case, plan, recipes, received, strict)
+                            assert fast == walk, (k, r, name, removed, kind, strict)
+                            outcomes += 1
+                            errors += isinstance(fast, str)
+    # equal replicas certify whether or not they are shared, and so does damage
+    # that no holder's cut reads (an empty broadcast dropped, a payload bit
+    # outside the ranges holders take); a flipped stored replica never does
+    assert fast_kinds == {"dropped", "payload bit", "unshared"}
+    assert outcomes > 6000 and errors > 0
+
+
+# sha256 of a removal's merged (node, index, n_atoms, bits) stream at (40,30),
+# node 7 removed, seed 7: every schedule ends in the same survivor database
+REMOVE_40_30_NODE_7_SEED_7 = "f7d1ff34f99ebb922cce6884aa1be01cf1198b9ab214903c7ba01ce6c540141d"
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEDULES))
+def test_removal_stream_is_pinned_at_40_30(scheme):
+    run = rebalance_remove(build_cyclic_database(default_params(40, 30), seed=7), 7, scheme)
+    h = hashlib.sha256()
+    for node, items in run.final.contents.items():
+        for index, piece in items.items():
+            h.update(f"{node} {index} {piece.n_atoms} {piece.bits:x}\n".encode())
+    assert h.hexdigest() == REMOVE_40_30_NODE_7_SEED_7
