@@ -9,11 +9,10 @@ appends both corner tiny pieces instead).
 Recipes are expressed in canonical survivor labels 1..K-1 so the final
 database always has the same structure no matter which node left; parts
 reference actual original segments for content. One source rule fills every
-part: each origin has one source table, the stored segments first (one entry
-per distinct int), then the pieces decoded off the bus in first-decode order,
-and a holder takes the part from the first source that covers its atom range
-and lists the holder. A received whole segment is a slice source like any
-other piece.
+part: a holder takes it from its own stored segment of the origin, else from
+the first piece decoded off the bus, in first-decode order, that covers its
+atom range and lists the holder. A received whole segment is a slice source
+like any other piece.
 
 The layout is certified once, then merged per target, not per replica. When
 cyclic_refs finds every node storing its window of equal segments, each
@@ -25,13 +24,12 @@ holders as one shared piece. Any other input goes through the walk: a
 damaged or missing replica, or a dropped broadcast or damaged payload that
 leaves some holder's part unsourced or cut differently.
 
-The walk shares storage by source: holders are split by source with set
-intersections, each part is cut once per source int and offset and interned
-by value, holders whose cuts are equal form one class, and each class
-assembles the target once, so equal sources still give one int. A holder
-that no source lists fails, or leaves a short replica, at exactly that
-holder, and a damaged own source shares only where its cut is unchanged.
-Only the walk raises MergeFailureError.
+The walk follows the source rule literally, holder by holder, in target
+and holder order, so a holder that no source lists fails, or leaves a short
+replica, at exactly that holder. Holders whose parts resolve to the same
+(source int, offset) per part take one replica, and equal replicas of a
+target are one piece, so a damaged own source shares only where its cut is
+unchanged. Only the walk raises MergeFailureError.
 """
 
 from __future__ import annotations
@@ -137,19 +135,23 @@ def apply_merge(
     replica for the verifier to flag (used by fault injection).
     """
     params = db.params
+    # origin -> [(start, stop, bits, actual receivers)], in first-decode order
+    decoded: dict[int, list[tuple[int, int, int, list[int]]]] = {}
+    for (origin, start, stop, bits), nodes in received.items():
+        decoded.setdefault(origin, []).append((start, stop, bits, nodes))
     refs = cyclic_refs(db.contents, params.n_nodes, params.replication)
     if refs is not None:
-        contents = _layout_by_target(params, plan, recipes, received, refs)
+        contents = _layout_by_target(params, plan, recipes, decoded, refs)
         if contents is not None:
             return Database(params, params.n_nodes - 1, contents)
-    return _merge_by_walk(db, plan, recipes, received, strict)
+    return _merge_by_walk(db, plan, recipes, decoded, strict)
 
 
 def _layout_by_target(
     params: SystemParams,
     plan: SplitPlan,
     recipes: tuple[MergeRecipe, ...],
-    received: dict[tuple[int, int, int, int], list[int]],
+    decoded: dict[int, list[tuple[int, int, int, list[int]]]],
     refs: list[StoredPiece],
 ) -> dict[int, dict[int, StoredPiece]] | None:
     """The survivor contents, one assembly per target, when refs certify db and
@@ -161,14 +163,10 @@ def _layout_by_target(
         return None
     # actual label -> canonical label, the removed node and its segment being k
     canonical = {plan.to_actual(c): c for c in range(1, k + 1)}
-    # origin -> [(start, stop, bits, actual receivers)], in first-decode order
-    decoded: dict[int, list[tuple[int, int, int, list[int]]]] = {}
-    for (origin, start, stop, bits), nodes in received.items():
-        decoded.setdefault(origin, []).append((start, stop, bits, nodes))
     pieces = []
     for recipe in recipes:
         held = _spans(recipe.target, r, k - 1)
-        cuts = []
+        cuts: list[int | None] = []
         for origin, start, stop in recipe.parts:
             cut = slice_atoms(refs[origin - 1].bits, start, stop, w)
             # the holders the walk sources off the bus: canonical segment s is
@@ -190,7 +188,7 @@ def _layout_by_target(
             if need:
                 return None
             cuts.append(cut)
-        pieces.append(_assemble(recipe.parts, tuple(cuts), w))
+        pieces.append(_assemble(recipe.parts, cuts, w))
     return cyclic_layout(pieces, r)
 
 
@@ -206,104 +204,61 @@ def _merge_by_walk(
     db: Database,
     plan: SplitPlan,
     recipes: tuple[MergeRecipe, ...],
-    received: dict[tuple[int, int, int, int], list[int]],
+    decoded: dict[int, list[tuple[int, int, int, list[int]]]],
     strict: bool,
 ) -> Database:
-    """The survivor database for any input, class by class; the one source of
+    """The survivor database for any input, holder by holder; the one source of
     MergeFailureError and of short replicas.
 
-    Each origin has one source table: the stored segments first, one entry per
-    distinct int, then the decoded pieces in first-decode order. Part by part,
-    each class of a target's holders is split by intersecting it with the
-    holders of every source that covers the part, in table order; what is left
-    cannot source the part. The part is cut once per (source int, offset) and
-    interned by value, and holders whose cuts are equal stay in one class.
-    Each class assembles the target once.
+    A holder takes each part from its own stored segment of the origin, else
+    from the first decoded piece, in first-decode order, that covers the part
+    and lists the holder's node. Holders that resolve every part to the same
+    (source int, offset) share one replica, and a replica equal to one built
+    before for the same target is replaced by that one.
     """
     params = db.params
-    k = params.n_nodes
-    w = params.atom_bits
-    # canonical survivor label -> actual node, and back, once per merge
-    actual = {c: plan.to_actual(c) for c in range(1, k)}
-    canonical = {node: c for c, node in actual.items()}
-    # origin -> [(start, stop, source int, canonical survivors holding it)]
-    table: dict[int, list[tuple[int, int, int, set[int]]]] = {}
-    for c, node in actual.items():
-        for origin, piece in db.contents.get(node, {}).items():
-            entries = table.setdefault(origin, [])
-            for _, _, bits, holders in entries:
-                if bits is piece.bits:
-                    holders.add(c)
-                    break
-            else:
-                entries.append((0, params.segment_atoms, piece.bits, {c}))
-    for (origin, start, stop, bits), nodes in received.items():
-        table.setdefault(origin, []).append((start, stop, bits, {canonical[n] for n in nodes}))
+    k, w = params.n_nodes, params.atom_bits
     contents: dict[int, dict[int, StoredPiece]] = {n: {} for n in range(1, k)}
-
     for recipe in recipes:
-        # ids of the cuts so far -> (holders that cut every part so far to those
-        # values, the cuts); None for a part a holder cannot source
-        classes: dict[tuple, tuple[set[int], tuple]] = {(): (set(recipe.holders), ())}
-        missing = False
-        # interned cuts stay alive for the whole recipe, so their ids cannot be reused
-        interned: dict[int, int] = {}
-        for origin, start, stop in recipe.parts:
-            covering = [
-                (bits, start - got_start, holders)
-                for got_start, got_stop, bits, holders in table.get(origin, ())
-                if got_start <= start and stop <= got_stop
-            ]
-            # (id(source int), offset) -> interned cut; source ints outlive the merge
-            cut_of: dict[tuple[int, int], int] = {}
-            refined: dict[tuple, tuple[set[int], tuple]] = {}
-            for key, (members, cuts) in classes.items():
-                sources = []  # (holders, source int or None, offset)
-                for bits, at, holders in covering:
-                    sourced = members & holders
-                    if sourced:
-                        sources.append((sourced, bits, at))
-                        members = members - sourced
-                        if not members:
-                            break
-                if members:
-                    sources.append((members, None, None))
-                for group, bits, at in sources:
-                    missing = missing or bits is None
-                    cut = cut_of.get((id(bits), at))
-                    if cut is None and bits is not None:
-                        cut = slice_atoms(bits, at, at + stop - start, w)
-                        cut = cut_of[id(bits), at] = interned.setdefault(cut, cut)
-                    same = refined.get(key + (id(cut),))
-                    if same is None:
-                        refined[key + (id(cut),)] = (group, cuts + (cut,))
-                    else:
-                        same[0].update(group)
-            classes = refined
-
-        if strict and missing:
-            # holder -> its first unsourced part; raise for the first such holder
-            lacking = {
-                h: cuts.index(None) for hs, cuts in classes.values() if None in cuts for h in hs
-            }
-            holder = next(h for h in recipe.holders if h in lacking)
-            origin, start, stop = recipe.parts[lacking[holder]]
-            raise MergeFailureError(
-                f"node {actual[holder]} cannot source atoms [{start}:{stop}] "
-                f"of segment {origin} for target {recipe.target}"
-            )
-
-        # classes differ in at least one cut, so each assembles a distinct tuple of cuts
-        for members, cuts in classes.values():
-            shared = _assemble(recipe.parts, cuts, w)
-            for holder in members:
-                contents[holder][recipe.target] = shared
-
+        # (id(source int), offset) per part -> replica; the source ints live in
+        # db and decoded for the whole merge, so their ids are not reused
+        built: dict[tuple[tuple[int, int], ...], StoredPiece] = {}
+        equal: dict[tuple[int, int], StoredPiece] = {}  # (n_atoms, bits) -> replica
+        for holder in recipe.holders:
+            node = plan.to_actual(holder)
+            stored = db.contents.get(node, {})
+            sources: list[tuple[int | None, int]] = []  # (source int, offset)
+            for origin, start, stop in recipe.parts:
+                own = stored.get(origin)
+                if own is not None:
+                    sources.append((own.bits, start))
+                    continue
+                for got_start, got_stop, bits, nodes in decoded.get(origin, ()):
+                    if got_start <= start and stop <= got_stop and node in nodes:
+                        sources.append((bits, start - got_start))
+                        break
+                else:
+                    if strict:
+                        raise MergeFailureError(
+                            f"node {node} cannot source atoms [{start}:{stop}] "
+                            f"of segment {origin} for target {recipe.target}"
+                        )
+                    sources.append((None, 0))
+            key = tuple([(id(bits), at) for bits, at in sources])
+            replica = built.get(key)
+            if replica is None:
+                cuts = [
+                    None if bits is None else slice_atoms(bits, at, at + stop - start, w)
+                    for (bits, at), (_, start, stop) in zip(sources, recipe.parts)
+                ]
+                replica = _assemble(recipe.parts, cuts, w)
+                replica = built[key] = equal.setdefault((replica.n_atoms, replica.bits), replica)
+            contents[holder][recipe.target] = replica
     return Database(params, k - 1, contents)
 
 
 def _assemble(
-    parts: tuple[AtomRange, ...], cuts: tuple[int | None, ...], atom_bits: int
+    parts: tuple[AtomRange, ...], cuts: list[int | None], atom_bits: int
 ) -> StoredPiece:
     # concatenate the cut parts, skipping unsourced ones
     bits = 0

@@ -8,7 +8,8 @@ unit T / (2*(K-1)), which is K+1 atoms.
 
 The cutting rules are written for the canonical case "last node removed".
 Removing node m instead relabels every node and segment index by the cyclic
-shift that maps m onto the last position; make_split_plan applies that shift.
+shift that maps m onto the last position. make_split_plan computes that map
+once, and each piece is built straight in actual labels through it.
 
 Piece identity is physical: (base segment, atom range). At replication K-1
 the two pieces of a corner segment can carry the same superscript, so nothing
@@ -19,6 +20,7 @@ each regrown target, and the corners' broadcast batches hold the rest.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -112,17 +114,28 @@ def _desc_cyclic_range(start: int, count: int, modulus: int) -> tuple[int, ...]:
     return tuple([(start - 1 - o) % modulus + 1 for o in range(count)])
 
 
-def _piece(base: int, superscript: tuple[int, ...], start_hu: int, size_hu: int, hu: int) -> SubsegmentLabel:
+def _piece(
+    actual: Sequence[int],
+    base: int,
+    superscript: tuple[int, ...],
+    start_hu: int,
+    size_hu: int,
+    hu: int,
+) -> SubsegmentLabel:
+    # base and superscript are canonical labels; actual[c] is c's actual label
     return SubsegmentLabel(
-        base=base,
-        superscript=tuple(sorted(superscript)),
+        base=actual[base],
+        superscript=tuple(sorted([actual[s] for s in superscript])),
         atom_start=start_hu * hu,
         atom_stop=(start_hu + size_hu) * hu,
     )
 
 
-def split_middle(i: int, params: SystemParams) -> tuple[SubsegmentLabel, SubsegmentLabel]:
-    """Two pieces of canonical middle segment K-r+1+i, for i in [1..r-2].
+def split_middle(
+    i: int, params: SystemParams, actual: Sequence[int]
+) -> tuple[SubsegmentLabel, SubsegmentLabel]:
+    """Two pieces of canonical middle segment K-r+1+i, for i in [1..r-2],
+    labelled through actual (actual[c] is canonical label c's actual label).
 
     The piece listed first, addressed to survivor i+1, takes the leading
     K+r-2i-2 half units; the piece for survivor i+K-r takes the trailing
@@ -134,13 +147,14 @@ def split_middle(i: int, params: SystemParams) -> tuple[SubsegmentLabel, Subsegm
     hu = params.half_unit_atoms
     base = k - r + 1 + i
     first_hu = k + r - 2 * i - 2
-    first = _piece(base, (i + 1,), 0, first_hu, hu)
-    second = _piece(base, (i + k - r,), first_hu, k - r + 2 * i, hu)
+    first = _piece(actual, base, (i + 1,), 0, first_hu, hu)
+    second = _piece(actual, base, (i + k - r,), first_hu, k - r + 2 * i, hu)
     return first, second
 
 
-def split_corners(params: SystemParams) -> tuple[CornerSplit, CornerSplit]:
-    """Splits of canonical segments K-r+1 (low) and K (high).
+def split_corners(params: SystemParams, actual: Sequence[int]) -> tuple[CornerSplit, CornerSplit]:
+    """Splits of canonical segments K-r+1 (low) and K (high), labelled
+    through actual as in split_middle.
 
     Listing order fixes the atom layout: big first, then tiny when K-r is
     odd, then pairs j = 1..p with p = floor((K-r)/2). The two corners mirror
@@ -156,15 +170,15 @@ def split_corners(params: SystemParams) -> tuple[CornerSplit, CornerSplit]:
     def build(base: int, big_sup: tuple[int, ...], tiny_sup: tuple[int, ...] | None,
               pair_sup: list[tuple[int, ...]]) -> CornerSplit:
         cursor = 0
-        big = _piece(base, big_sup, cursor, k + r - 2, hu)
+        big = _piece(actual, base, big_sup, cursor, k + r - 2, hu)
         cursor += k + r - 2
         tiny = None
         if tiny_sup is not None:
-            tiny = _piece(base, tiny_sup, cursor, 1, hu)
+            tiny = _piece(actual, base, tiny_sup, cursor, 1, hu)
             cursor += 1
         pairs = []
         for sup in pair_sup:
-            pairs.append(_piece(base, sup, cursor, 2, hu))
+            pairs.append(_piece(actual, base, sup, cursor, 2, hu))
             cursor += 2
         return CornerSplit(big, tiny, tuple(pairs))
 
@@ -186,31 +200,10 @@ def make_split_plan(params: SystemParams, removed: int) -> SplitPlan:
     if not 1 <= removed <= k:
         raise ParameterError(f"removed node {removed} outside [1, {k}]")
 
-    def shift(label: SubsegmentLabel) -> SubsegmentLabel:
-        return SubsegmentLabel(
-            base=relabel_for_removed_node(label.base, removed, k),
-            superscript=tuple(
-                sorted(relabel_for_removed_node(s, removed, k) for s in label.superscript)
-            ),
-            atom_start=label.atom_start,
-            atom_stop=label.atom_stop,
-        )
-
-    def shift_corner(c: CornerSplit) -> CornerSplit:
-        return CornerSplit(
-            big=shift(c.big),
-            tiny=shift(c.tiny) if c.tiny is not None else None,
-            pairs=tuple([shift(x) for x in c.pairs]),
-        )
-
-    middles = tuple(
-        [(shift(a), shift(b)) for a, b in (split_middle(i, params) for i in range(1, r - 1))]
-    )
-    low, high = split_corners(params)
+    # canonical label c -> actual label, for c in 1..k; index 0 is unused
+    actual = [0] + [relabel_for_removed_node(c, removed, k) for c in range(1, k + 1)]
+    middles = tuple([split_middle(i, params, actual) for i in range(1, r - 1)])
+    low, high = split_corners(params, actual)
     return SplitPlan(
-        params=params,
-        removed=removed,
-        middles=middles,
-        low_corner=shift_corner(low),
-        high_corner=shift_corner(high),
+        params=params, removed=removed, middles=middles, low_corner=low, high_corner=high
     )

@@ -499,6 +499,11 @@ def test_certified_merges_equal_the_walk(monkeypatch):
                             assert fast == walk, (k, r, name, removed, kind, strict)
                             outcomes += 1
                             errors += isinstance(fast, str)
+                            if not isinstance(fast, str):
+                                # replicas of one target equal in (n_atoms, bits) are one object
+                                number = {}
+                                for _, t, n_atoms, bits, obj in fast[1]:
+                                    assert number.setdefault((t, n_atoms, bits), obj) == obj
     # equal replicas certify whether or not they are shared, and so does damage
     # that no holder's cut reads (an empty broadcast dropped, a payload bit
     # outside the ranges holders take); a flipped stored replica never does
@@ -512,8 +517,18 @@ REMOVE_40_30_NODE_7_SEED_7 = "f7d1ff34f99ebb922cce6884aa1be01cf1198b9ab214903c7b
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEDULES))
-def test_removal_stream_is_pinned_at_40_30(scheme):
+def test_removal_stream_is_pinned_at_40_30(scheme, monkeypatch):
+    walks = []
+    merge_by_walk = removal_merge._merge_by_walk
+
+    def counted_walk(*args):
+        walks.append(args)
+        return merge_by_walk(*args)
+
+    # a clean removal of this size is merged per target, never by the walk
+    monkeypatch.setattr(removal_merge, "_merge_by_walk", counted_walk)
     run = rebalance_remove(build_cyclic_database(default_params(40, 30), seed=7), 7, scheme)
+    assert walks == []
     h = hashlib.sha256()
     for node, items in run.final.contents.items():
         for index, piece in items.items():

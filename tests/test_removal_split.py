@@ -98,10 +98,11 @@ def test_role_accessors_cover_the_plan():
 
 def test_split_middle_validates_index():
     params = default_params(6, 3)
+    canonical = range(7)  # node 6 removed: every label maps to itself
     with pytest.raises(ParameterError):
-        split_middle(0, params)
+        split_middle(0, params, canonical)
     with pytest.raises(ParameterError):
-        split_middle(2, params)  # only r-2 = 1 middle exists
+        split_middle(2, params, canonical)  # only r-2 = 1 middle exists
 
 
 def test_make_split_plan_rejects_bad_input():
@@ -116,7 +117,7 @@ def test_make_split_plan_rejects_bad_input():
 def test_corner_label_collision_at_max_replication():
     # K-r = 1: big and tiny of each corner carry the same superscript and are
     # distinguished only by their atom ranges
-    low, high = split_corners(default_params(6, 5))
+    low, high = split_corners(default_params(6, 5), range(7))  # node 6 removed
     assert low.big.superscript == low.tiny.superscript == (1,)
     assert low.big.size_atoms != low.tiny.size_atoms
     assert high.big.superscript == high.tiny.superscript == (5,)
