@@ -10,6 +10,7 @@ against closed-form loads in exact rational arithmetic.
 from .addition import (
     AdditionPlan,
     AdditionRun,
+    addition_expected_layout,
     rebalance_add,
 )
 from .analytics import (
@@ -59,7 +60,6 @@ from .removal_schemes import (
 from .removal_split import SplitPlan, make_split_plan
 from .verify import (
     VerificationReport,
-    addition_expected_layout,
     drop_broadcast,
     flip_stored_bit,
     removal_expected_layout,

@@ -15,23 +15,22 @@ cyclic_refs finds every old holder of W_i storing node i's piece (the piece
 both broadcasts of W_i were cut from), each kept part is cut once, the new
 segment is assembled once from the broadcast trailers, and cyclic_layout
 places each of the K+1 pieces at all its r holders as one shared object.
-Any other input, such as a missing or damaged replica, goes through the walk,
-replica by replica: it cuts each kept part and each trailer once per distinct
-stored int, so holders of one stored piece share one cut, and the new node
-shares the sender's kept piece when the kept part it received equals it.
-Trailers are interned by value with the broadcast small parts, so holders of
-the new segment whose sources agree share one assembled piece. Only the walk
-raises MergeFailureError, naming the node that lacks a segment it must keep.
+Any other input, such as a missing or damaged replica, is delivered and
+merged by the removal's walk (removal_merge.merge_by_walk) against the
+recipes of addition_expected_layout, under the removal's source rule: a
+holder takes each part from its own stored segment, else from the first
+broadcast that covers it and lists the holder. Only the walk raises
+MergeFailureError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import analytics
+from . import analytics, removal_merge
 from .analytics import LoadReport
 from .bus import TransmissionLog, broadcast_uncoded
-from .errors import MergeFailureError, ParameterError
+from .errors import ParameterError
 from .model import (
     Database,
     StoredPiece,
@@ -40,8 +39,9 @@ from .model import (
     cyclic_layout,
     cyclic_range,
     cyclic_refs,
-    slice_atoms,
 )
+from .removal_merge import MergeRecipe
+from .removal_schemes import deliver
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,29 @@ def make_addition_plan(params: SystemParams) -> AdditionPlan:
     )
 
 
+def addition_expected_layout(plan: AdditionPlan) -> tuple[MergeRecipe, ...]:
+    """An addition's targets, built from its parameters alone, never from engine state."""
+    params = plan.params
+    k, r = params.n_nodes, params.replication
+    kept_atoms = plan.kept[0].size_atoms
+    out = [
+        MergeRecipe(
+            target=i,
+            holders=tuple(sorted(cyclic_range(i, r, k + 1))),
+            parts=((i, 0, kept_atoms),),
+        )
+        for i in range(1, k + 1)
+    ]
+    out.append(
+        MergeRecipe(
+            target=k + 1,
+            holders=tuple(sorted(cyclic_range(k + 1, r, k + 1))),
+            parts=tuple([(i, kept_atoms, params.segment_atoms) for i in range(1, k + 1)]),
+        )
+    )
+    return tuple(out)
+
+
 @dataclass
 class AdditionRun:
     """Everything produced by one addition run."""
@@ -111,22 +134,21 @@ def rebalance_add(db: Database) -> AdditionRun:
     plan = make_addition_plan(params)
     log = TransmissionLog(params)
 
-    # small parts, interned by value with the trailers the walk cuts locally
-    interned: dict[int, int] = {}
-    small_payload: dict[int, int] = {}
+    trailers = []
     for i in range(1, k + 1):
         b = broadcast_uncoded(db, i, plan.small[i - 1])
         log.emit(b)
-        small_payload[i] = interned.setdefault(b.payload, b.payload)
-    kept_payload: dict[int, int] = {}
+        trailers.append(b.payload)
     for i in plan.shipped:
-        b = broadcast_uncoded(db, i, plan.kept[i - 1])
-        log.emit(b)
-        kept_payload[i] = b.payload
+        log.emit(broadcast_uncoded(db, i, plan.kept[i - 1]))
 
     refs = cyclic_refs(db.contents, k, r)
     if refs is None:
-        contents = _layout_by_walk(db, plan, small_payload, kept_payload, interned)
+        # holder labels are node labels; the new node stores nothing, so it
+        # takes every part off the bus
+        received = deliver(db, log, plan)
+        recipes = addition_expected_layout(plan)
+        final = removal_merge.merge_by_walk(db, list(range(k + 2)), recipes, received, True)
     else:
         # every holder of W_i holds a piece equal to node i's, which both
         # broadcasts of W_i were cut from: cut each kept part once, assemble the
@@ -135,82 +157,12 @@ def rebalance_add(db: Database) -> AdditionRun:
         # one mask for all K cuts: building it costs several times the & itself
         mask = (1 << kept_atoms * w) - 1
         pieces = [StoredPiece(kept_atoms, p.bits & mask) for p in refs]
-        new_bits = _concatenate(list(small_payload.values()), small_atoms * w)
+        # trailer i at the low end first; the first is taken as it is
+        new_bits = trailers[0]
+        for i in range(1, k):
+            new_bits |= trailers[i] << (i * small_atoms * w)
         pieces.append(StoredPiece(k * small_atoms, new_bits))
-        contents = cyclic_layout(pieces, r)
+        final = Database(params, k + 1, cyclic_layout(pieces, r))
 
     report = analytics.addition_report(params, log.load)
-    return AdditionRun(final=Database(params, k + 1, contents), log=log, report=report, plan=plan)
-
-
-def _concatenate(parts: list[int], width: int) -> int:
-    # parts of width bits each, the first at the low end and taken as it is
-    bits = parts[0]
-    for i in range(1, len(parts)):
-        bits |= parts[i] << (i * width)
-    return bits
-
-
-def _layout_by_walk(
-    db: Database,
-    plan: AdditionPlan,
-    small_payload: dict[int, int],
-    kept_payload: dict[int, int],
-    interned: dict[int, int],
-) -> dict[int, dict[int, StoredPiece]]:
-    """The K+1 node contents, replica by replica, for a layout cyclic_refs does not
-    certify; the one source of MergeFailureError."""
-    k, r = plan.params.n_nodes, plan.params.replication
-    w = plan.params.atom_bits
-    kept_atoms = plan.kept[0].size_atoms
-    small_atoms = plan.small[0].size_atoms
-    contents: dict[int, dict[int, StoredPiece]] = {n: {} for n in range(1, k + 2)}
-    for i in range(1, k + 1):
-        # the kept part is cut once per distinct stored int and shared
-        cut: dict[int, StoredPiece] = {}
-        for node in cyclic_range(i, r, k + 1):
-            if node == k + 1:
-                # share the sender's kept piece (node i, cut first) if the payload equals it
-                sent = contents[i][i]
-                if sent.bits != kept_payload[i]:
-                    sent = StoredPiece(kept_atoms, kept_payload[i])
-                contents[node][i] = sent
-                continue
-            piece = db.stored(node, i)
-            # every old node in the new layout of W_i already held W_i
-            if piece is None:
-                raise MergeFailureError(
-                    f"node {node} does not hold segment {i} to keep its leading part"
-                )
-            kept = cut.get(id(piece.bits))
-            if kept is None:
-                bits = slice_atoms(piece.bits, 0, kept_atoms, w)
-                kept = cut[id(piece.bits)] = StoredPiece(kept_atoms, bits)
-            contents[node][i] = kept
-
-    # each holder of the new segment takes trailer i from its own W_i, else
-    # from the bus; trailers are cut once per stored int and interned with the
-    # broadcast ones, so holders whose sources agree share one assembled piece
-    trailer: dict[int, int] = {}
-    assembled: dict[tuple[int, ...], StoredPiece] = {}
-    for node in cyclic_range(k + 1, r, k + 1):
-        own = db.contents.get(node, {})
-        parts = []
-        for i in range(1, k + 1):
-            piece = own.get(i)
-            if piece is None:
-                parts.append(small_payload[i])
-                continue
-            # stored ints stay alive in db throughout, so ids cannot be reused
-            part = trailer.get(id(piece.bits))
-            if part is None:
-                part = slice_atoms(piece.bits, kept_atoms, kept_atoms + small_atoms, w)
-                part = trailer[id(piece.bits)] = interned.setdefault(part, part)
-            parts.append(part)
-        key = tuple(map(id, parts))
-        new = assembled.get(key)
-        if new is None:
-            bits = _concatenate(parts, small_atoms * w)
-            new = assembled[key] = StoredPiece(k * small_atoms, bits)
-        contents[node][k + 1] = new
-    return contents
+    return AdditionRun(final=final, log=log, report=report, plan=plan)

@@ -19,12 +19,12 @@ from fractions import Fraction
 from typing import Iterator, TextIO
 
 from . import analytics
-from .addition import AdditionRun, rebalance_add
+from .addition import AdditionRun, addition_expected_layout, rebalance_add
 from .errors import ParameterError, RebalanceError, UnsupportedConfigError
 from .model import build_cyclic_database, default_params
 from .removal_merge import MergeRecipe
 from .removal_schemes import SCHEME_CHOICES, RemovalRun, rebalance_remove
-from .verify import VerificationReport, addition_expected_layout, verify_addition, verify_removal
+from .verify import VerificationReport, verify_addition, verify_removal
 
 
 def _fmt(x: Fraction) -> str:

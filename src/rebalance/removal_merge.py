@@ -1,4 +1,5 @@
-"""Reassembly of target segments after a node removal.
+"""Reassembly of target segments after a node removal; the merge walk both
+membership changes share.
 
 The K-1 survivors end up holding K-1 target segments of size K/(K-1) * T in
 cyclic layout. Targets 1..K-r keep a retained whole segment and append one
@@ -24,12 +25,15 @@ holders as one shared piece. Any other input goes through the walk: a
 damaged or missing replica, or a dropped broadcast or damaged payload that
 leaves some holder's part unsourced or cut differently.
 
-The walk follows the source rule literally, holder by holder, in target
-and holder order, so a holder that no source lists fails, or leaves a short
-replica, at exactly that holder. Holders whose parts resolve to the same
-(source int, offset) per part take one replica, and equal replicas of a
-target are one piece, so a damaged own source shares only where its cut is
-unchanged. Only the walk raises MergeFailureError.
+The walk (merge_by_walk) follows the source rule literally, holder by
+holder, in target and holder order, so a holder that no source lists fails,
+or leaves a short replica, at exactly that holder. Holders whose parts
+resolve to the same (source int, offset) per part take one replica, and
+equal replicas of a target are one piece, so a damaged own source shares
+only where its cut is unchanged. It merges an addition that does not certify
+too, against the addition's own recipes in node labels; the new node stores
+nothing and takes every part off the bus. Only the walk raises
+MergeFailureError.
 """
 
 from __future__ import annotations
@@ -57,8 +61,8 @@ AtomRange = tuple[int, int, int]
 class MergeRecipe:
     """One target segment: its atom ranges in concatenation order, and its holders.
 
-    The engine assembles removal targets from these, and the verifier checks
-    both removal and addition targets against them.
+    The merge assembles the targets of either change from these, and the
+    verifier checks the result against them.
     """
 
     target: int  # target segment index
@@ -127,7 +131,7 @@ def apply_merge(
     start, atom stop, bits) to the actual nodes that decoded it, in
     first-decode order, as deliver returns it. A certified layout whose
     decoded cuts all equal the stored ones is merged per target
-    (_layout_by_target); any other input by the walk (_merge_by_walk), which
+    (_layout_by_target); any other input by the walk (merge_by_walk), which
     gives the same result wherever both apply.
 
     With strict=True a holder that cannot source a part raises
@@ -135,16 +139,24 @@ def apply_merge(
     replica for the verifier to flag (used by fault injection).
     """
     params = db.params
+    k = params.n_nodes
+    refs = cyclic_refs(db.contents, k, params.replication)
+    if refs is not None:
+        contents = _layout_by_target(params, plan, recipes, _by_origin(received), refs)
+        if contents is not None:
+            return Database(params, k - 1, contents)
+    actual = [0] + [plan.to_actual(c) for c in range(1, k)]
+    return merge_by_walk(db, actual, recipes, received, strict)
+
+
+def _by_origin(
+    received: dict[tuple[int, int, int, int], list[int]],
+) -> dict[int, list[tuple[int, int, int, list[int]]]]:
     # origin -> [(start, stop, bits, actual receivers)], in first-decode order
     decoded: dict[int, list[tuple[int, int, int, list[int]]]] = {}
-    for (origin, start, stop, bits), nodes in received.items():
-        decoded.setdefault(origin, []).append((start, stop, bits, nodes))
-    refs = cyclic_refs(db.contents, params.n_nodes, params.replication)
-    if refs is not None:
-        contents = _layout_by_target(params, plan, recipes, decoded, refs)
-        if contents is not None:
-            return Database(params, params.n_nodes - 1, contents)
-    return _merge_by_walk(db, plan, recipes, decoded, strict)
+    for (origin, start, stop, bits), receivers in received.items():
+        decoded.setdefault(origin, []).append((start, stop, bits, receivers))
+    return decoded
 
 
 def _layout_by_target(
@@ -200,32 +212,35 @@ def _spans(start: int, count: int, modulus: int) -> tuple[tuple[int, int], ...]:
     return ((start, modulus + 1), (1, stop - modulus))
 
 
-def _merge_by_walk(
+def merge_by_walk(
     db: Database,
-    plan: SplitPlan,
+    actual: list[int],
     recipes: tuple[MergeRecipe, ...],
-    decoded: dict[int, list[tuple[int, int, int, list[int]]]],
+    received: dict[tuple[int, int, int, int], list[int]],
     strict: bool,
 ) -> Database:
-    """The survivor database for any input, holder by holder; the one source of
-    MergeFailureError and of short replicas.
+    """The database after a membership change, for any input, holder by holder;
+    the one source of MergeFailureError and of short replicas.
 
-    A holder takes each part from its own stored segment of the origin, else
-    from the first decoded piece, in first-decode order, that covers the part
-    and lists the holder's node. Holders that resolve every part to the same
-    (source int, offset) share one replica, and a replica equal to one built
-    before for the same target is replaced by that one.
+    actual[holder] is the node whose stored data and decoded pieces a holder
+    uses (index 0 unused); the final database has len(actual) - 1 nodes.
+    received is deliver's output. A holder takes each part from its own stored
+    segment of the origin, else from the first decoded piece, in first-decode
+    order, that covers the part and lists the holder's node. Holders that
+    resolve every part to the same (source int, offset) share one replica, and
+    a replica equal to one built before for the same target is replaced by
+    that one.
     """
-    params = db.params
-    k, w = params.n_nodes, params.atom_bits
-    contents: dict[int, dict[int, StoredPiece]] = {n: {} for n in range(1, k)}
+    w = db.params.atom_bits
+    decoded = _by_origin(received)
+    contents: dict[int, dict[int, StoredPiece]] = {n: {} for n in range(1, len(actual))}
     for recipe in recipes:
         # (id(source int), offset) per part -> replica; the source ints live in
-        # db and decoded for the whole merge, so their ids are not reused
+        # db and received for the whole merge, so their ids are not reused
         built: dict[tuple[tuple[int, int], ...], StoredPiece] = {}
         equal: dict[tuple[int, int], StoredPiece] = {}  # (n_atoms, bits) -> replica
         for holder in recipe.holders:
-            node = plan.to_actual(holder)
+            node = actual[holder]
             stored = db.contents.get(node, {})
             sources: list[tuple[int | None, int]] = []  # (source int, offset)
             for origin, start, stop in recipe.parts:
@@ -233,8 +248,8 @@ def _merge_by_walk(
                 if own is not None:
                     sources.append((own.bits, start))
                     continue
-                for got_start, got_stop, bits, nodes in decoded.get(origin, ()):
-                    if got_start <= start and stop <= got_stop and node in nodes:
+                for got_start, got_stop, bits, receivers in decoded.get(origin, ()):
+                    if got_start <= start and stop <= got_stop and node in receivers:
                         sources.append((bits, start - got_start))
                         break
                 else:
@@ -254,7 +269,7 @@ def _merge_by_walk(
                 replica = _assemble(recipe.parts, cuts, w)
                 replica = built[key] = equal.setdefault((replica.n_atoms, replica.bits), replica)
             contents[holder][recipe.target] = replica
-    return Database(params, k - 1, contents)
+    return Database(db.params, len(actual) - 1, contents)
 
 
 def _assemble(

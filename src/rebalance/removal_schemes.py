@@ -106,7 +106,7 @@ def run_uncoded_removal(db: Database, plan: SplitPlan) -> TransmissionLog:
 
 
 def deliver(
-    db: Database, log: TransmissionLog, plan: SplitPlan
+    db: Database, log: TransmissionLog, plan: object
 ) -> dict[tuple[int, int, int, int], list[int]]:
     """Decode every broadcast once per receiver group; map each piece to its receivers.
 
@@ -117,8 +117,12 @@ def deliver(
     is one key, mapped to the nodes that decoded it, in first-decode order.
     The key interns the bits, so receivers of equal pieces share one int.
 
-    plan is unused; it stays only because the benchmark harness
-    (benchmark/harness.py) passes it, and goes with the next change there.
+    Both membership changes deliver their logs here: a removal's output feeds
+    apply_merge, and a damaged addition's feeds the walk directly
+    (removal_merge.merge_by_walk). plan, a removal's SplitPlan or an
+    addition's AdditionPlan, is unused; it stays only because the benchmark
+    harness (benchmark/harness.py) passes it, and goes with the next change
+    there.
     """
     received: dict[tuple[int, int, int, int], list[int]] = {}
     for b in log.broadcasts:

@@ -32,7 +32,6 @@ from .model import (
     Database,
     StoredPiece,
     SystemParams,
-    cyclic_range,
     cyclic_refs,
     segment_content,
     slice_atoms,
@@ -40,7 +39,7 @@ from .model import (
 )
 from .removal_merge import MergeRecipe
 from .removal_schemes import RemovalRun
-from .addition import AdditionPlan, AdditionRun
+from .addition import AdditionRun, addition_expected_layout
 
 Finding = tuple[str, str]  # (category, message)
 
@@ -158,29 +157,6 @@ def removal_expected_layout(recipes: tuple[MergeRecipe, ...]) -> tuple[MergeReci
     harness (benchmark/harness.py) calls it.
     """
     return recipes
-
-
-def addition_expected_layout(plan: AdditionPlan) -> tuple[MergeRecipe, ...]:
-    """An addition's targets, built from its parameters alone, never from engine state."""
-    params = plan.params
-    k, r = params.n_nodes, params.replication
-    kept_atoms = plan.kept[0].size_atoms
-    out = [
-        MergeRecipe(
-            target=i,
-            holders=tuple(sorted(cyclic_range(i, r, k + 1))),
-            parts=((i, 0, kept_atoms),),
-        )
-        for i in range(1, k + 1)
-    ]
-    out.append(
-        MergeRecipe(
-            target=k + 1,
-            holders=tuple(sorted(cyclic_range(k + 1, r, k + 1))),
-            parts=tuple([(i, kept_atoms, params.segment_atoms) for i in range(1, k + 1)]),
-        )
-    )
-    return tuple(out)
 
 
 def verify_preservation(

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from rebalance import (
     verify_addition,
 )
 from rebalance import addition as addition_module
+from rebalance import removal_merge
 from rebalance.addition import make_addition_plan
 
 
@@ -134,8 +136,32 @@ def test_missing_kept_segment_raises_package_error():
     # node 3 holds W_2 but is not its sender, so only the kept-part cut fails
     db.contents = {n: dict(items) for n, items in db.contents.items()}
     del db.contents[3][2]
-    with pytest.raises(MergeFailureError, match="node 3 .*segment 2"):
+    message = "node 3 cannot source atoms [0:60] of segment 2 for target 2"
+    with pytest.raises(MergeFailureError, match=re.escape(message)):
         rebalance_add(db)
+
+
+@pytest.mark.parametrize("k,r", [(6, 3), (12, 9), (20, 5)])
+def test_a_discarded_segment_is_sourced_off_the_bus(k, r):
+    params = default_params(k, r)
+    db = build_cyclic_database(params, seed=k + r)
+    w = params.atom_bits
+    for n in range(1, r):
+        # node n discards segment i = K-r+1+n but needs its trailer for segment K+1
+        i = k - r + 1 + n
+        damaged = replace(db, contents={m: dict(items) for m, items in db.contents.items()})
+        del damaged.contents[n][i]
+        run = rebalance_add(damaged)
+        assert verify_addition(run, seed=k + r).ok, (k, r, n)
+        # the trailer in node n's new segment is the broadcast that lists node n;
+        # the small parts go first, in segment order
+        sent = run.log.broadcasts[i - 1]
+        assert sent.operands == (run.plan.small[i - 1],)
+        assert n in sent.operands[0].superscript
+        small_atoms = run.plan.small[0].size_atoms
+        new = run.final.stored(n, k + 1)
+        assert slice_atoms(new.bits, (i - 1) * small_atoms, i * small_atoms, w) == sent.payload
+        assert new is run.final.stored(k + 1, k + 1)
 
 
 def test_kept_replicas_share_one_int():
@@ -201,13 +227,13 @@ def damaged_inputs(db, rng):
 def test_certified_additions_equal_the_walk(monkeypatch):
     rng = random.Random(12)
     walked = []
-    layout_by_walk = addition_module._layout_by_walk
+    merge_by_walk = removal_merge.merge_by_walk
 
     def counted_walk(*args):
         walked.append(args[0])
-        return layout_by_walk(*args)
+        return merge_by_walk(*args)
 
-    monkeypatch.setattr(addition_module, "_layout_by_walk", counted_walk)
+    monkeypatch.setattr(removal_merge, "merge_by_walk", counted_walk)
     kinds = set()
     for k in range(3, 13):
         for r in range(2, k):
@@ -225,6 +251,11 @@ def test_certified_additions_equal_the_walk(monkeypatch):
                     m.setattr(addition_module, "cyclic_refs", lambda *a: None)
                     assert addition_outcome(case) == fast, (k, r, name)
                 kinds.add(fast[0] if isinstance(fast[0], str) else name)
+                if not isinstance(fast[0], str):
+                    # replicas of one target equal in (n_atoms, bits) are one object
+                    number = {}
+                    for (_, index, n_atoms, bits), obj in zip(fast[0], fast[1]):
+                        assert number.setdefault((index, n_atoms, bits), obj) == obj, (k, r, name)
     assert kinds == {"clean", "flipped", "deleted", "MergeFailureError", "ProtocolViolationError"}
 
 
@@ -233,8 +264,18 @@ def test_certified_additions_equal_the_walk(monkeypatch):
 ADD_40_30_SEED_7 = "b6127198c6d7169212f1fbd48780f1d0684d9ed158f4db15163939152f4514d2"
 
 
-def test_addition_stream_is_pinned_at_40_30():
+def test_addition_stream_is_pinned_at_40_30(monkeypatch):
+    walks = []
+    merge_by_walk = removal_merge.merge_by_walk
+
+    def counted_walk(*args):
+        walks.append(args)
+        return merge_by_walk(*args)
+
+    # a clean addition of this size is built per segment, never by the walk
+    monkeypatch.setattr(removal_merge, "merge_by_walk", counted_walk)
     run = rebalance_add(build_cyclic_database(default_params(40, 30), seed=7))
+    assert walks == []
     h = hashlib.sha256()
     for node, items in run.final.contents.items():
         for index, piece in items.items():

@@ -468,13 +468,13 @@ def merge_variants(db, plan, schedule, rng):
 def test_certified_merges_equal_the_walk(monkeypatch):
     rng = random.Random(13)
     walked = []
-    merge_by_walk = removal_merge._merge_by_walk
+    merge_by_walk = removal_merge.merge_by_walk
 
     def counted_walk(db, *args):
         walked.append(db)
         return merge_by_walk(db, *args)
 
-    monkeypatch.setattr(removal_merge, "_merge_by_walk", counted_walk)
+    monkeypatch.setattr(removal_merge, "merge_by_walk", counted_walk)
     fast_kinds = set()
     outcomes = errors = 0
     for k in range(4, 13):
@@ -519,14 +519,14 @@ REMOVE_40_30_NODE_7_SEED_7 = "f7d1ff34f99ebb922cce6884aa1be01cf1198b9ab214903c7b
 @pytest.mark.parametrize("scheme", sorted(SCHEDULES))
 def test_removal_stream_is_pinned_at_40_30(scheme, monkeypatch):
     walks = []
-    merge_by_walk = removal_merge._merge_by_walk
+    merge_by_walk = removal_merge.merge_by_walk
 
     def counted_walk(*args):
         walks.append(args)
         return merge_by_walk(*args)
 
     # a clean removal of this size is merged per target, never by the walk
-    monkeypatch.setattr(removal_merge, "_merge_by_walk", counted_walk)
+    monkeypatch.setattr(removal_merge, "merge_by_walk", counted_walk)
     run = rebalance_remove(build_cyclic_database(default_params(40, 30), seed=7), 7, scheme)
     assert walks == []
     h = hashlib.sha256()
