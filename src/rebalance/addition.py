@@ -36,6 +36,7 @@ from .model import (
     StoredPiece,
     SubsegmentLabel,
     SystemParams,
+    concat_bits,
     cyclic_layout,
     cyclic_range,
     cyclic_refs,
@@ -157,10 +158,8 @@ def rebalance_add(db: Database) -> AdditionRun:
         # one mask for all K cuts: building it costs several times the & itself
         mask = (1 << kept_atoms * w) - 1
         pieces = [StoredPiece(kept_atoms, p.bits & mask) for p in refs]
-        # trailer i at the low end first; the first is taken as it is
-        new_bits = trailers[0]
-        for i in range(1, k):
-            new_bits |= trailers[i] << (i * small_atoms * w)
+        # trailer i at the low end first
+        new_bits = concat_bits(trailers, [small_atoms * w] * k)
         pieces.append(StoredPiece(k * small_atoms, new_bits))
         final = Database(params, k + 1, cyclic_layout(pieces, r))
 

@@ -10,6 +10,10 @@ The stream is splitmix64: block b of a segment is the finalizer applied to
 state + b * golden. It is evaluated lane-packed, all blocks of a segment at
 once in 128-bit lanes of one int (even blocks, a gap lane, odd blocks), which
 gives the same bits as a per-block loop at a fraction of the interpreter work.
+A segment's state is the previous segment's plus a fixed salt, so a build
+generates its N segments in one walk, stepping one lane-packed counter by one
+add per segment, and keeps them as the one cached database content that its
+verifier reads back.
 
 Bit layout convention: a segment of n atoms is a Python int whose bits are
 LSB-first, atom o occupying bit offsets [o * atom_bits, (o + 1) * atom_bits).
@@ -146,42 +150,87 @@ class SubsegmentLabel:
 
 
 @lru_cache(maxsize=32)
-def _lane_constants(n_blocks: int) -> tuple[int, int, int, int]:
-    """Per-size constants for n_blocks 128-bit lanes: (ones, ramp, low-64 mask, odd shift)."""
+def _lane_constants(n_bits: int) -> tuple[int, ...]:
+    """Per-size constants for an n_bits segment's 128-bit lanes: (ones, ramp,
+    low-64 mask, odd shift, segment step, block mask, low-33 mask, truncation mask)."""
+    n_blocks = (n_bits + 63) // 64
     h = (n_blocks + 1) // 2
     one = b"\x01" + bytes(15)
     # lanes: even blocks, an all-zero gap lane, odd blocks
     ones = int.from_bytes(one * h + bytes(16) + one * (n_blocks // 2), "little")
     steps = [((b * _GOLDEN) & _M64).to_bytes(16, "little") for b in range(n_blocks)]
     ramp = int.from_bytes(b"".join([*steps[::2], bytes(16), *steps[1::2]]), "little")
-    return ones, ramp, ones * _M64, 128 * h + 64
+    low33 = int.from_bytes(b"\xff\xff\xff\xff\x01\x00\x00\x00" * n_blocks, "little")
+    # the salt is below 2^64, so its product with ones carries into no lane
+    step = ones * _SEGMENT_SALT
+    blocks = (1 << 64 * n_blocks) - 1
+    return ones, ramp, ones * _M64, 128 * h + 64, step, blocks, low33, (1 << n_bits) - 1
 
 
-@lru_cache(maxsize=4096)
+def _content_walk(seed: int, first: int, count: int, n_bits: int) -> list[int]:
+    """Payloads of segments first..first+count-1, stepping one lane-packed counter.
+
+    64-bit block b of segment i is the splitmix64 finalizer of state_i + b *
+    golden (mod 2^64), state_i = seed * golden + i * salt. All blocks of a
+    segment are mixed at once, each in the low half of a 128-bit lane of one
+    int: even blocks 0, 2, ... in lanes 0..h-1 (h = ceil(n_blocks / 2)), an
+    all-zero gap lane, then odd blocks 1, 3, .... Segment i's counter lanes are
+    segment i-1's plus the salt, so one add steps the counter from one segment
+    to the next. The lane mask clears each lane's high half after every step
+    that could spill into it (a carry, a product, or the bits `>>` pulls down
+    from the next lane).
+
+    Before the finalizer's last xor-shift the blocks are packed: even block 2j
+    is at bit 128j, within the block mask, and one shift past the gap puts odd
+    block 2j+1 at 128j+64. The packed int is half as wide as the lanes, and the
+    low-33 mask keeps the last xor-shift inside each 64-bit block. The
+    truncation to n_bits drops the last block's tail.
+    """
+    ones, ramp, mask, shift, step, blocks, low33, trunc = _lane_constants(n_bits)
+    # the counter of segment first - 1; the loop steps before it mixes
+    c = (((seed * _GOLDEN + (first - 1) * _SEGMENT_SALT) & _M64) * ones + ramp) & mask
+    out = []
+    for _ in range(count):
+        c = (c + step) & mask
+        x = (((c ^ (c >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+        x = (((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB) & mask
+        x = (x & blocks) | (x >> shift)
+        out.append((x ^ ((x >> 31) & low33)) & trunc)
+    return out
+
+
 def segment_content(seed: int, index: int, n_bits: int) -> int:
     """Deterministic pseudo-random payload of segment `index`, LSB-first.
 
-    The cache is scoped to one build: build_cyclic_database clears it before
-    it generates, so it holds the segments of the latest database only. The
-    verifier of that database reuses them; checking an older database just
-    regenerates its segments.
-
-    64-bit block b is the splitmix64 finalizer of state + b * golden (mod
-    2^64). All blocks are mixed at once, each in the low half of a 128-bit lane
-    of one int: even blocks 0, 2, ... in lanes 0..h-1 (h = ceil(n_blocks / 2)),
-    an all-zero gap lane, then odd blocks 1, 3, .... The mask clears each
-    lane's high half after every step that could spill into it (a carry, a
-    product, or the bits `>>` pulls down from the next lane). Even block 2j is
-    then at bit 128j, and one shift past the gap puts odd block 2j+1 at 128j+64;
-    the truncation to n_bits drops the lanes left above and the last block's tail.
+    Uncached: the content of a whole database comes from database_content,
+    which generates its segments in one walk and keeps the latest build.
     """
-    state = (seed * _GOLDEN + index * _SEGMENT_SALT) & _M64
-    ones, ramp, mask, shift = _lane_constants((n_bits + 63) // 64)
-    x = (state * ones + ramp) & mask
-    x = (((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
-    x = (((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB) & mask
-    x = (x ^ (x >> 31)) & mask
-    return (x | (x >> shift)) & ((1 << n_bits) - 1)
+    return _content_walk(seed, index, 1, n_bits)[0]
+
+
+@lru_cache(maxsize=1)
+def database_content(seed: int, n: int, n_bits: int) -> tuple[int, ...]:
+    """Payloads of segments 1..n, entry i-1 being segment_content(seed, i, n_bits).
+
+    The one cached content: build_cyclic_database fills it, so the verifier of
+    the latest build indexes the very ints the build stored, and checking an
+    older database runs one fresh walk in its place.
+    """
+    return tuple(_content_walk(seed, 1, n, n_bits))
+
+
+# masks of the widths cut lately, keyed by width, at most 32: a cut at K=240
+# costs several times less with its mask built once. A plain dict, because an
+# lru_cache hit costs more than building a mask of a few hundred bits; it is a
+# memo of a pure function, so clearing it, or a race on it, changes no result
+_MASKS: dict[int, int] = {}
+
+
+def _new_mask(width: int) -> int:
+    if len(_MASKS) >= 32:
+        _MASKS.clear()
+    mask = _MASKS[width] = (1 << width) - 1
+    return mask
 
 
 def slice_atoms(bits: int, start: int, stop: int, atom_bits: int) -> int:
@@ -192,7 +241,34 @@ def slice_atoms(bits: int, start: int, stop: int, atom_bits: int) -> int:
         bits >>= start * atom_bits
     if bits >= 0 and bits.bit_length() <= width:
         return bits
-    return bits & ((1 << width) - 1)
+    try:
+        return bits & _MASKS[width]
+    except KeyError:
+        return bits & _new_mask(width)
+
+
+def concat_bits(parts: list[int], widths: list[int]) -> int:
+    """parts[0] | parts[1] << widths[0] | parts[2] << (widths[0] + widths[1]) ...
+
+    Adjacent parts are merged pairwise while more than eight remain, so a bit
+    is copied about log2(len(parts)) times, not once per later part as when
+    one int takes every part in turn; the last few are taken in turn, which
+    costs less interpreter work for a target of two or three parts.
+    """
+    while len(parts) > 8:
+        merged = [lo | (hi << w) for lo, hi, w in zip(parts[::2], parts[1::2], widths[::2])]
+        merged_widths = [a + b for a, b in zip(widths[::2], widths[1::2])]
+        if len(parts) % 2:
+            merged.append(parts[-1])
+            merged_widths.append(widths[-1])
+        parts, widths = merged, merged_widths
+    if not parts:
+        return 0
+    bits, offset = parts[0], widths[0]
+    for part, width in zip(parts[1:], widths[1:]):
+        bits |= part << offset
+        offset += width
+    return bits
 
 
 @dataclass(frozen=True)
@@ -285,10 +361,10 @@ def build_cyclic_database(params: SystemParams, seed: int = 0) -> Database:
     params.validate()
     n_atoms = params.segment_atoms
     n_bits = n_atoms * params.atom_bits
-    # the content cache serves this build and its verification, nothing older
-    segment_content.cache_clear()
+    # the cache holds one database's content: drop the last build's before this
+    # one is generated, so the two are never held at once
+    database_content.cache_clear()
     pieces = [
-        StoredPiece(n_atoms, segment_content(seed, i, n_bits))
-        for i in range(1, params.n_nodes + 1)
+        StoredPiece(n_atoms, bits) for bits in database_content(seed, params.n_nodes, n_bits)
     ]
     return Database(params, params.n_nodes, cyclic_layout(pieces, params.replication))

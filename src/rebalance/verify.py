@@ -4,9 +4,10 @@ verify_cyclic_balanced checks shape: right nodes, equal per-node storage,
 every segment on exactly its run of consecutive nodes, replicas bit-identical.
 
 verify_preservation checks meaning: every target segment's payload equals the
-concatenation of the original atoms it is supposed to carry (recomputed from
-the content generator, never from engine bookkeeping), and the targets
-together cover every original atom exactly once.
+concatenation of the original atoms it is supposed to carry (taken from the
+content generator, never from engine bookkeeping: model.database_content
+holds the latest build's immutable ints and walks afresh for any other), and
+the targets together cover every original atom exactly once.
 
 Each check first tries a certificate that accepts a clean layout, where a
 segment's replicas are one shared piece, with C-level list compares per node
@@ -32,8 +33,9 @@ from .model import (
     Database,
     StoredPiece,
     SystemParams,
+    concat_bits,
     cyclic_refs,
-    segment_content,
+    database_content,
     slice_atoms,
     storage_set,
 )
@@ -167,13 +169,14 @@ def verify_preservation(
 ) -> VerificationReport:
     """Content check: every target holds exactly its original atoms, all atoms kept."""
     w = params.atom_bits
-    orig_bits = params.segment_atoms * w
+    # the latest build's own ints when final came from it, else one fresh walk
+    content = database_content(seed, params.n_nodes, params.segment_atoms * w)
     findings: list[Finding] = []
 
     coverage: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, params.n_nodes + 1)}
     for tgt in expected:
-        want = 0
-        offset = 0
+        cuts: list[int] = []
+        widths: list[int] = []
         reported = len(findings)
         for origin, start, stop in tgt.parts:
             if origin not in coverage or not 0 <= start <= stop <= params.segment_atoms:
@@ -181,24 +184,24 @@ def verify_preservation(
                 where = f"outside segments 1..{params.n_nodes} of {params.segment_atoms} atoms"
                 findings.append(("content", f"target segment {tgt.target} expects {part}, {where}"))
                 continue
-            part = slice_atoms(segment_content(seed, origin, orig_bits), start, stop, w)
-            # the first part is taken as it is, not copied by 0 | part
-            want = (want | (part << (offset * w))) if offset else part
-            offset += stop - start
+            cuts.append(slice_atoms(content[origin - 1], start, stop, w))
+            widths.append((stop - start) * w)
             coverage[origin].append((start, stop))
         if len(findings) > reported:  # a bad part: no payload to compare the replicas with
             continue
+        n_atoms = sum(widths) // w
+        want = concat_bits(cuts, widths)
         # each holder's piece, None where its node or the item is missing
         node_items = map(final.contents.get, tgt.holders, repeat({}))
         pieces = list(map(dict.get, node_items, repeat(tgt.target)))
-        if _content_certified(pieces, offset, want):
+        if _content_certified(pieces, n_atoms, want):
             continue
         for node, piece in zip(tgt.holders, pieces):
             if piece is None:
                 findings.append(
                     ("content", f"node {node} is missing target segment {tgt.target}")
                 )
-            elif piece.n_atoms != offset or piece.bits != want:
+            elif piece.n_atoms != n_atoms or piece.bits != want:
                 payload = f"node {node} target segment {tgt.target} payload"
                 findings.append(("content", f"{payload} does not match its source atoms"))
 

@@ -1,5 +1,6 @@
 """Core model: index arithmetic, content generator, database construction."""
 
+import hashlib
 import operator
 from dataclasses import replace
 
@@ -23,7 +24,8 @@ from rebalance import (
     storage_set,
     verify_removal,
 )
-from rebalance.model import cyclic_layout, cyclic_refs
+from rebalance import model as model_module
+from rebalance.model import concat_bits, cyclic_layout, cyclic_refs, database_content
 
 pair = st.integers(min_value=3, max_value=60).flatmap(
     lambda k: st.tuples(st.just(k), st.integers(min_value=1, max_value=k), st.integers(min_value=1, max_value=k))
@@ -171,15 +173,45 @@ def test_segment_content_matches_per_block_oracle():
         for index in (1, 2, 7, 392):
             for n_bits in sorted(sizes):
                 want = _segment_content_oracle(seed, index, n_bits)
-                assert segment_content.__wrapped__(seed, index, n_bits) == want, (
-                    seed, index, n_bits
-                )
+                assert segment_content(seed, index, n_bits) == want, (seed, index, n_bits)
     # the segment sizes of the benchmark's K=240 and K=300 cases
     for k in (240, 300):
         n_bits = 2 * (k * k - 1)
-        assert segment_content.__wrapped__(41, k - 1, n_bits) == _segment_content_oracle(
+        assert segment_content(41, k - 1, n_bits) == _segment_content_oracle(
             41, k - 1, n_bits
         ), n_bits
+
+
+def test_database_content_walk_matches_per_block_oracle():
+    # one counter walk gives every segment of a database the oracle's bits, at
+    # every database size the oracle test covers; the large seed's counters wrap
+    for seed in (0, 41, 2**63 - 1, -1):
+        for k in range(3, 31):
+            for t in range(1, 4):
+                n_bits = 2 * (k * k - 1) * t
+                content = database_content(seed, k, n_bits)
+                assert len(content) == k
+                for index, bits in enumerate(content, 1):
+                    assert bits == _segment_content_oracle(seed, index, n_bits), (seed, k, t, index)
+    # first, middle and last segment of the benchmark's K=240 and K=300 builds
+    for k in (240, 300):
+        n_bits = 2 * (k * k - 1)
+        content = database_content(41, k, n_bits)
+        for index in (1, k // 2, k):
+            assert content[index - 1] == _segment_content_oracle(41, index, n_bits), (k, index)
+
+
+def test_database_content_of_a_large_build_is_pinned():
+    # sha256 of the (300,150) seed-41 build's segments 1..300, each as LSB-first
+    # bytes; fixed when content generation became one walk per database, and
+    # equal to the per-segment generator's before it
+    params = default_params(300, 150)
+    db = build_cyclic_database(params, seed=41)
+    n_bytes = (params.segment_bits + 7) // 8
+    h = hashlib.sha256()
+    for i in range(1, 301):
+        h.update(db.stored(i, i).bits.to_bytes(n_bytes, "little"))
+    assert h.hexdigest() == "0b5a45061ffc8e86ac70656422f9b2eee86d76b5b375b5799fccc4058a915501"
 
 
 @settings(max_examples=200, deadline=None)
@@ -192,8 +224,8 @@ def test_segment_content_matches_per_block_oracle():
 def test_segment_content_truncates_to_a_prefix(seed, index, n, extra):
     # a shorter segment is the low bits of a longer one with the same seed and index
     m = n + extra
-    short = segment_content.__wrapped__(seed, index, n)
-    assert short == segment_content.__wrapped__(seed, index, m) & ((1 << n) - 1)
+    short = segment_content(seed, index, n)
+    assert short == segment_content(seed, index, m) & ((1 << n) - 1)
 
 
 def test_slice_atoms_matches_single_atom_oracle():
@@ -217,17 +249,38 @@ def test_slice_atoms_concat_roundtrip():
 @given(
     st.integers(min_value=0, max_value=40),
     st.integers(min_value=0, max_value=40),
-    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=1, max_value=64),
     st.integers(min_value=-80, max_value=80),
     st.data(),
 )
 def test_slice_atoms_matches_the_mask_formula(start, n_atoms, atom_bits, spare, data):
-    # payloads shorter than, as long as and longer than the slice's end, and negative ints
+    # payloads shorter than, as long as and longer than the slice's end, and
+    # negative ints; cuts up to 2,560 bits wide, of more widths than the mask memo holds
     top = max(0, (start + n_atoms) * atom_bits + spare)
     bits = data.draw(st.integers(min_value=-(2**top), max_value=2**top - 1))
     width = n_atoms * atom_bits
     want = (bits >> (start * atom_bits)) & ((1 << width) - 1)
     assert slice_atoms(bits, start, start + n_atoms, atom_bits) == want
+
+
+def test_slice_mask_memo_stays_bounded():
+    bits = segment_content(5, 1, 4000)
+    for width in range(1, 200):
+        assert slice_atoms(bits, 3, 3 + width, 7) == (bits >> 21) & ((1 << 7 * width) - 1)
+        assert len(model_module._MASKS) <= 32
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=2**200), st.integers(0, 200)), max_size=40))
+def test_concat_bits_matches_concatenating_one_part_at_a_time(parts):
+    # each part fits its width, as every caller's cuts do
+    parts = [(bits & ((1 << width) - 1), width) for bits, width in parts]
+    want = 0
+    offset = 0
+    for bits, width in parts:
+        want |= bits << offset
+        offset += width
+    assert concat_bits([b for b, _ in parts], [w for _, w in parts]) == want
 
 
 def test_a_whole_range_slice_is_the_payload_itself():
@@ -330,8 +383,13 @@ def test_content_cache_holds_only_the_latest_build():
     params = default_params(12, 5)
     first = build_cyclic_database(params, seed=1)
     run = rebalance_remove(first, 4)
-    build_cyclic_database(params, seed=2)
-    assert segment_content.cache_info().currsize <= params.n_nodes
+    second = build_cyclic_database(params, seed=2)
+    info = database_content.cache_info()
+    assert (info.maxsize, info.currsize) == (1, 1)
+    # the one cached content is the second build's own ints
+    held = database_content(2, params.n_nodes, params.segment_bits)
+    assert database_content.cache_info().hits == info.hits + 1
+    assert all(held[i - 1] is second.stored(i, i).bits for i in range(1, params.n_nodes + 1))
     # the first database's segments are gone from the cache and regenerate
     assert verify_removal(run, seed=1).ok
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from rebalance import model as model_module
 from rebalance import verify as verify_module
 from rebalance import (
     ParameterError,
@@ -32,6 +33,32 @@ def with_piece(db, node, index, piece):
     contents = {n: dict(items) for n, items in db.contents.items()}
     contents[node][index] = piece
     return replace(db, contents=contents)
+
+
+def test_verify_reads_the_builds_own_content(monkeypatch):
+    # every part the content check cuts is cut from an int the build stored:
+    # a clean verification regenerates no content
+    for k, r in ((12, 9), (40, 7)):
+        db = build_cyclic_database(default_params(k, r), seed=k)
+        own = {id(db.stored(i, i).bits) for i in range(1, k + 1)}
+        runs = ((rebalance_remove(db, 3), verify_removal), (rebalance_add(db), verify_addition))
+        sliced = []
+        real_slice = verify_module.slice_atoms
+
+        def recording_slice(bits, start, stop, atom_bits):
+            sliced.append(bits)
+            return real_slice(bits, start, stop, atom_bits)
+
+        def no_walk(*args):
+            raise AssertionError("content regenerated")
+
+        monkeypatch.setattr(verify_module, "slice_atoms", recording_slice)
+        monkeypatch.setattr(model_module, "_content_walk", no_walk)
+        for run, verify in runs:
+            sliced.clear()
+            assert verify(run, seed=k).ok
+            assert sliced and all(id(bits) in own for bits in sliced), (k, r)
+        monkeypatch.undo()
 
 
 def change_12_9(op):
