@@ -9,7 +9,6 @@ against closed-form loads in exact rational arithmetic.
 
 from .addition import (
     AdditionPlan,
-    AdditionRun,
     addition_expected_layout,
     rebalance_add,
 )
@@ -47,10 +46,9 @@ from .model import (
     slice_atoms,
     storage_set,
 )
-from .removal_merge import MergeRecipe, apply_merge, build_merge_recipes
+from .removal_merge import ChangeRun, MergeRecipe, apply_merge, build_merge_recipes
 from .removal_schemes import (
     SCHEME_CHOICES,
-    RemovalRun,
     deliver,
     rebalance_remove,
     run_scheme1,
@@ -64,16 +62,15 @@ from .verify import (
     flip_stored_bit,
     removal_expected_layout,
     reorder_replica_parts,
-    verify_addition,
+    verify_change,
     verify_cyclic_balanced,
     verify_preservation,
-    verify_removal,
 )
 
 __all__ = [
     "AdditionPlan",
-    "AdditionRun",
     "Broadcast",
+    "ChangeRun",
     "Claim1Report",
     "Database",
     "DecodeFailureError",
@@ -83,7 +80,6 @@ __all__ = [
     "ParameterError",
     "ProtocolViolationError",
     "RebalanceError",
-    "RemovalRun",
     "SCHEME_CHOICES",
     "SplitPlan",
     "StoredPiece",
@@ -124,9 +120,8 @@ __all__ = [
     "storage_set",
     "threshold",
     "uncoded_removal_load",
-    "verify_addition",
+    "verify_change",
     "verify_claim1",
     "verify_cyclic_balanced",
     "verify_preservation",
-    "verify_removal",
 ]

@@ -17,17 +17,20 @@ segment is assembled once from the broadcast trailers, and cyclic_layout
 places each of the K+1 pieces at all its r holders as one shared object.
 Any other input, such as a missing or damaged replica, is delivered and
 merged by the removal's walk (removal_merge.merge_by_walk) against the
-recipes of addition_expected_layout, under the removal's source rule: a
-holder takes each part from its own stored segment, else from the first
-broadcast that covers it and lists the holder. Only the walk raises
-MergeFailureError.
+plan's recipes, under the removal's source rule: a holder takes each part
+from its own stored segment, else from the first broadcast that covers it
+and lists the holder. Only the walk raises MergeFailureError.
+
+make_addition_plan builds the K+1 target recipes once, from the parameters
+alone. rebalance_add returns them as the recipes of its ChangeRun, the
+record a removal returns too, and verify.verify_change checks against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import analytics, removal_merge
+from . import removal_merge
 from .analytics import LoadReport
 from .bus import TransmissionLog, broadcast_uncoded
 from .errors import ParameterError
@@ -41,7 +44,7 @@ from .model import (
     cyclic_range,
     cyclic_refs,
 )
-from .removal_merge import MergeRecipe
+from .removal_merge import ChangeRun, MergeRecipe
 from .removal_schemes import deliver
 
 
@@ -53,6 +56,7 @@ class AdditionPlan:
     kept: tuple[SubsegmentLabel, ...]  # per segment: leading K/(K+1), stays replicated
     small: tuple[SubsegmentLabel, ...]  # per segment: trailing 1/(K+1), broadcast
     shipped: tuple[int, ...]  # segments whose kept part also goes to the new node
+    recipes: tuple[MergeRecipe, ...]  # targets 1..K+1 in node labels
 
 
 def make_addition_plan(params: SystemParams) -> AdditionPlan:
@@ -84,48 +88,33 @@ def make_addition_plan(params: SystemParams) -> AdditionPlan:
                 atom_stop=seg_atoms,
             )
         )
+    # the targets: segment i keeps its leading part on its new window, and the
+    # new segment K+1 concatenates the K trailers in segment order
+    recipes = [
+        MergeRecipe(i, tuple(sorted(cyclic_range(i, r, k + 1))), ((i, 0, kept_atoms),))
+        for i in range(1, k + 1)
+    ]
+    trailers = tuple([(i, kept_atoms, seg_atoms) for i in range(1, k + 1)])
+    recipes.append(MergeRecipe(k + 1, tuple(sorted(cyclic_range(k + 1, r, k + 1))), trailers))
     return AdditionPlan(
         params=params,
         kept=tuple(kept),
         small=tuple(small),
         shipped=tuple(range(k - r + 2, k + 1)),
+        recipes=tuple(recipes),
     )
 
 
 def addition_expected_layout(plan: AdditionPlan) -> tuple[MergeRecipe, ...]:
-    """An addition's targets, built from its parameters alone, never from engine state."""
-    params = plan.params
-    k, r = params.n_nodes, params.replication
-    kept_atoms = plan.kept[0].size_atoms
-    out = [
-        MergeRecipe(
-            target=i,
-            holders=tuple(sorted(cyclic_range(i, r, k + 1))),
-            parts=((i, 0, kept_atoms),),
-        )
-        for i in range(1, k + 1)
-    ]
-    out.append(
-        MergeRecipe(
-            target=k + 1,
-            holders=tuple(sorted(cyclic_range(k + 1, r, k + 1))),
-            parts=tuple([(i, kept_atoms, params.segment_atoms) for i in range(1, k + 1)]),
-        )
-    )
-    return tuple(out)
+    """An addition's targets, which make_addition_plan built from its parameters alone.
+
+    Kept so that callers can treat removal and addition alike; the benchmark
+    harness (benchmark/harness.py) calls it.
+    """
+    return plan.recipes
 
 
-@dataclass
-class AdditionRun:
-    """Everything produced by one addition run."""
-
-    final: Database
-    log: TransmissionLog
-    report: LoadReport
-    plan: AdditionPlan
-
-
-def rebalance_add(db: Database) -> AdditionRun:
+def rebalance_add(db: Database) -> ChangeRun:
     """Run the full addition pipeline and return the K+1 node database."""
     if db.generation != "original":
         raise ParameterError("addition runs on an original-layout database")
@@ -148,8 +137,7 @@ def rebalance_add(db: Database) -> AdditionRun:
         # holder labels are node labels; the new node stores nothing, so it
         # takes every part off the bus
         received = deliver(db, log, plan)
-        recipes = addition_expected_layout(plan)
-        final = removal_merge.merge_by_walk(db, list(range(k + 2)), recipes, received, True)
+        final = removal_merge.merge_by_walk(db, list(range(k + 2)), plan.recipes, received, True)
     else:
         # every holder of W_i holds a piece equal to node i's, which both
         # broadcasts of W_i were cut from: cut each kept part once, assemble the
@@ -163,5 +151,5 @@ def rebalance_add(db: Database) -> AdditionRun:
         pieces.append(StoredPiece(k * small_atoms, new_bits))
         final = Database(params, k + 1, cyclic_layout(pieces, r))
 
-    report = analytics.addition_report(params, log.load)
-    return AdditionRun(final=final, log=log, report=report, plan=plan)
+    report = LoadReport(params, "addition", log.load)
+    return ChangeRun(final=final, log=log, report=report, plan=plan, recipes=plan.recipes)

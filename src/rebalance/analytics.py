@@ -101,40 +101,31 @@ def addition_load(k: int, r: int) -> Fraction:
 
 @dataclass(frozen=True)
 class LoadReport:
-    """Measured vs. closed-form loads for one rebalancing run."""
+    """Measured load of one rebalancing run, with its closed forms derived on read."""
 
     params: SystemParams
     scheme: str  # "scheme1" | "scheme2" | "uncoded" | "addition"
     measured: Fraction
-    expected: Fraction  # closed form for the executed variant
-    lower_bound: Fraction
+
+    @property
+    def expected(self) -> Fraction:
+        """Closed form for the executed variant."""
+        k, r = self.params.n_nodes, self.params.replication
+        if self.scheme == "addition":
+            return addition_load(k, r)
+        return full_removal_load(k, r, self.scheme)
+
+    @property
+    def lower_bound(self) -> Fraction:
+        """Floor for any protocol of this change; an addition meets its own."""
+        k, r = self.params.n_nodes, self.params.replication
+        if self.scheme == "addition":
+            return addition_load(k, r)
+        return removal_lower_bound(k, r)
 
     @property
     def matches_formula(self) -> bool:
         return self.measured == self.expected
-
-
-def removal_report(params: SystemParams, scheme: str, measured: Fraction) -> LoadReport:
-    k, r = params.n_nodes, params.replication
-    return LoadReport(
-        params=params,
-        scheme=scheme,
-        measured=measured,
-        expected=full_removal_load(k, r, scheme),
-        lower_bound=removal_lower_bound(k, r),
-    )
-
-
-def addition_report(params: SystemParams, measured: Fraction) -> LoadReport:
-    k, r = params.n_nodes, params.replication
-    expected = addition_load(k, r)
-    return LoadReport(
-        params=params,
-        scheme="addition",
-        measured=measured,
-        expected=expected,
-        lower_bound=expected,
-    )
 
 
 @dataclass(frozen=True)

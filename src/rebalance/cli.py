@@ -19,12 +19,12 @@ from fractions import Fraction
 from typing import Iterator, TextIO
 
 from . import analytics
-from .addition import AdditionRun, addition_expected_layout, rebalance_add
+from .addition import rebalance_add
 from .errors import ParameterError, RebalanceError, UnsupportedConfigError
 from .model import build_cyclic_database, default_params
-from .removal_merge import MergeRecipe
-from .removal_schemes import SCHEME_CHOICES, RemovalRun, rebalance_remove
-from .verify import VerificationReport, verify_addition, verify_removal
+from .removal_merge import ChangeRun
+from .removal_schemes import SCHEME_CHOICES, rebalance_remove
+from .verify import VerificationReport, verify_change
 
 
 def _fmt(x: Fraction) -> str:
@@ -77,9 +77,10 @@ def _write_trace(f: TextIO, payload: dict) -> None:
 
 
 def _trace_common(
-    args: argparse.Namespace, run: RemovalRun | AdditionRun, verification: VerificationReport
+    args: argparse.Namespace, run: ChangeRun, verification: VerificationReport
 ) -> dict:
-    """Trace fields shared by removal and addition: parameters, load, traffic, verdict."""
+    """Trace fields shared by removal and addition: parameters, load, traffic,
+    targets, verdict."""
     rep = run.report
     broadcasts = []
     for b in run.log.broadcasts:
@@ -103,6 +104,10 @@ def _trace_common(
             "expected": [rep.expected.numerator, rep.expected.denominator],
         },
         "broadcasts": broadcasts,
+        "targets": [
+            {"index": t.target, "holders": list(t.holders), "parts": [list(p) for p in t.parts]}
+            for t in run.recipes
+        ],
         "verification": {
             "balanced": verification.is_balanced,
             "cyclic": verification.is_cyclic,
@@ -113,22 +118,11 @@ def _trace_common(
     }
 
 
-def _targets_json(targets: tuple[MergeRecipe, ...]) -> list[dict]:
-    return [
-        {
-            "index": tgt.target,
-            "holders": list(tgt.holders),
-            "parts": [list(p) for p in tgt.parts],
-        }
-        for tgt in targets
-    ]
-
-
 def _cmd_remove(args: argparse.Namespace) -> int:
     with _output(args.trace, "\n") as trace:
         db = build_cyclic_database(default_params(args.k, args.r, args.t_mult), args.seed)
         run = rebalance_remove(db, args.node, args.scheme)
-        verification = verify_removal(run, args.seed)
+        verification = verify_change(run, args.seed)
         rep = run.report
 
         print(f"removal: K={args.k} r={args.r} removed node {args.node} seed {args.seed}")
@@ -146,12 +140,7 @@ def _cmd_remove(args: argparse.Namespace) -> int:
 
         if trace is not None:
             payload = _trace_common(args, run, verification)
-            payload.update(
-                operation="removal",
-                removed_node=args.node,
-                scheme=rep.scheme,
-                targets=_targets_json(run.recipes),
-            )
+            payload.update(operation="removal", removed_node=args.node, scheme=rep.scheme)
             _write_trace(trace, payload)
 
         return 0 if verification.ok and rep.matches_formula else 1
@@ -161,7 +150,7 @@ def _cmd_add(args: argparse.Namespace) -> int:
     with _output(args.trace, "\n") as trace:
         db = build_cyclic_database(default_params(args.k, args.r, args.t_mult), args.seed)
         run = rebalance_add(db)
-        verification = verify_addition(run, args.seed)
+        verification = verify_change(run, args.seed)
         rep = run.report
 
         print(f"addition: K={args.k} r={args.r} new node {args.k + 1} seed {args.seed}")
@@ -172,11 +161,7 @@ def _cmd_add(args: argparse.Namespace) -> int:
 
         if trace is not None:
             payload = _trace_common(args, run, verification)
-            payload.update(
-                operation="addition",
-                added_node=args.k + 1,
-                targets=_targets_json(addition_expected_layout(run.plan)),
-            )
+            payload.update(operation="addition", added_node=args.k + 1)
             _write_trace(trace, payload)
 
         return 0 if verification.ok and rep.matches_formula else 1
@@ -224,7 +209,7 @@ def sweep_rows(
         params = default_params(k, r, t_mult)
         db = build_cyclic_database(params, seed)
         run = rebalance_remove(db, node, "auto")
-        verification = verify_removal(run, seed)
+        verification = verify_change(run, seed)
         rep = run.report
         ok = verification.ok and rep.matches_formula
         rows.append(

@@ -39,7 +39,10 @@ MergeFailureError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from .analytics import LoadReport
+from .bus import TransmissionLog
 from .errors import MergeFailureError
 from .model import (
     Database,
@@ -52,6 +55,9 @@ from .model import (
     slice_atoms,
 )
 from .removal_split import SplitPlan
+
+if TYPE_CHECKING:
+    from .addition import AdditionPlan
 
 # part of a target: (actual original segment, atom start, atom stop)
 AtomRange = tuple[int, int, int]
@@ -68,6 +74,19 @@ class MergeRecipe:
     target: int  # target segment index
     holders: tuple[int, ...]  # node labels of the target layout, sorted
     parts: tuple[AtomRange, ...]
+
+
+@dataclass
+class ChangeRun:
+    """Everything one membership change produces: the new database, the traffic,
+    the loads, the plan, and the targets (verify.verify_change checks final
+    against recipes alone)."""
+
+    final: Database
+    log: TransmissionLog
+    report: LoadReport
+    plan: SplitPlan | AdditionPlan
+    recipes: tuple[MergeRecipe, ...]
 
 
 def _part_from(label: SubsegmentLabel) -> AtomRange:

@@ -16,11 +16,13 @@ zero-filled slot of the nominal size, which keeps the cost at the closed form
 a real XOR and the scheme beats scheme 1.
 
 The uncoded baseline rebroadcasts each affected segment whole.
+
+rebalance_remove runs one removal end to end and returns a ChangeRun, the
+record an addition returns too: its recipes are the K-1 targets the merge
+built, and verify.verify_change checks the result against them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import analytics
 from .analytics import LoadReport
@@ -33,7 +35,7 @@ from .bus import (
 )
 from .errors import ParameterError
 from .model import Database, SubsegmentLabel, storage_set
-from .removal_merge import MergeRecipe, apply_merge, build_merge_recipes
+from .removal_merge import ChangeRun, apply_merge, build_merge_recipes
 from .removal_split import SplitPlan, make_split_plan
 
 SCHEME_CHOICES = ("auto", "scheme1", "scheme2", "uncoded")
@@ -149,18 +151,7 @@ def deliver(
     return received
 
 
-@dataclass
-class RemovalRun:
-    """Everything produced by one removal: final state, traffic, loads, protocol metadata."""
-
-    final: Database
-    log: TransmissionLog
-    report: LoadReport
-    plan: SplitPlan
-    recipes: tuple[MergeRecipe, ...]
-
-
-def rebalance_remove(db: Database, removed: int, scheme: str = "auto") -> RemovalRun:
+def rebalance_remove(db: Database, removed: int, scheme: str = "auto") -> ChangeRun:
     """Run the full removal pipeline: split, broadcast, decode, merge.
 
     scheme "auto" picks the cheaper coded variant.
@@ -184,5 +175,5 @@ def rebalance_remove(db: Database, removed: int, scheme: str = "auto") -> Remova
     received = deliver(db, log, plan)
     recipes = build_merge_recipes(params, plan)
     final = apply_merge(db, plan, recipes, received)
-    report = analytics.removal_report(params, scheme, log.load)
-    return RemovalRun(final=final, log=log, report=report, plan=plan, recipes=recipes)
+    report = LoadReport(params, scheme, log.load)
+    return ChangeRun(final=final, log=log, report=report, plan=plan, recipes=recipes)

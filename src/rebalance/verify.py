@@ -16,10 +16,10 @@ item; the walk alone produces findings, so their text and order never depend
 on the certificate.
 
 Findings name the offending node and segment, so a single suppressed
-broadcast or flipped bit is traceable. verify_removal and verify_addition run
-both checks against the layout a membership change must reach: K-1 or K+1
-nodes holding the same total storage. The fault hooks at the bottom produce
-tampered copies for exercising that.
+broadcast or flipped bit is traceable. verify_change runs both checks on
+either membership change, against the targets of its run record: as many
+nodes as targets, holding the same total storage. The fault hooks at the
+bottom produce tampered copies for exercising that.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ from .model import (
     slice_atoms,
     storage_set,
 )
-from .removal_merge import MergeRecipe
-from .removal_schemes import RemovalRun
-from .addition import AdditionRun, addition_expected_layout
+from .removal_merge import ChangeRun, MergeRecipe
 
 Finding = tuple[str, str]  # (category, message)
 
@@ -237,31 +235,24 @@ def _content_certified(pieces: list[StoredPiece | None], n_atoms: int, bits: int
     return same and first.n_atoms == n_atoms and first.bits == bits
 
 
-def _verify_change(
-    final: Database, n_nodes: int, expected: tuple[MergeRecipe, ...], seed: int
-) -> VerificationReport:
-    # the original params fix atom size and total storage; the shape to reach
-    # spreads that storage evenly over n_nodes
+def verify_change(run: ChangeRun, seed: int) -> VerificationReport:
+    """Shape and content check of a removal or an addition; seed is the one the
+    database was built with.
+
+    The targets are run.recipes and the node count to reach is their number,
+    never taken from engine state. run.final is the database under check; its
+    params, the original build's, fix atom size and total storage.
+    """
+    final, targets = run.final, run.recipes
+    if not targets:
+        raise ParameterError("a run with no targets has no layout to check")
     params = final.params
+    n_nodes = len(targets)
     shape = SystemParams(
         n_nodes, params.replication, params.segment_bits * params.n_nodes // n_nodes
     )
     return verify_cyclic_balanced(final, shape).merged(
-        verify_preservation(final, expected, params, seed)
-    )
-
-
-def verify_removal(run: RemovalRun, seed: int) -> VerificationReport:
-    """Shape and content check of a removal; seed is the one the database was built with."""
-    return _verify_change(
-        run.final, run.final.params.n_nodes - 1, run.recipes, seed
-    )
-
-
-def verify_addition(run: AdditionRun, seed: int) -> VerificationReport:
-    """Shape and content check of an addition; seed is the one the database was built with."""
-    return _verify_change(
-        run.final, run.final.params.n_nodes + 1, addition_expected_layout(run.plan), seed
+        verify_preservation(final, targets, params, seed)
     )
 
 

@@ -4,22 +4,28 @@ from dataclasses import replace
 
 import pytest
 
-from rebalance import apply_merge, deliver, drop_broadcast
+from rebalance import AdditionPlan, apply_merge, deliver, drop_broadcast, removal_merge
 
 
 @pytest.fixture
 def replay_without_broadcast():
-    """Replay a clean removal's delivery and merge with one broadcast dropped.
+    """Replay a clean change's delivery and merge with one broadcast dropped.
 
-    Returns a function (db, clean, index) -> RemovalRun that reuses the clean
+    Returns a function (db, clean, index) -> ChangeRun that reuses the clean
     run's plan and recipes and merges leniently, so every holder the missing
-    broadcast starved keeps a short replica for the verifier to flag.
+    broadcast starved keeps a short replica for the verifier to flag. A
+    removal merges by apply_merge; an addition by the walk, in node labels,
+    where the new node K+1 stores nothing.
     """
 
     def replay(db, clean, index):
         log = drop_broadcast(clean.log, index)
         received = deliver(db, log, clean.plan)
-        final = apply_merge(db, clean.plan, clean.recipes, received, strict=False)
+        if isinstance(clean.plan, AdditionPlan):
+            nodes = list(range(db.n_nodes + 2))
+            final = removal_merge.merge_by_walk(db, nodes, clean.recipes, received, False)
+        else:
+            final = apply_merge(db, clean.plan, clean.recipes, received, strict=False)
         return replace(clean, final=final, log=log)
 
     return replay

@@ -18,9 +18,8 @@ from rebalance import (
     full_removal_load,
     rebalance_add,
     rebalance_remove,
-    verify_addition,
+    verify_change,
     verify_claim1,
-    verify_removal,
 )
 from rebalance.cli import main
 
@@ -35,7 +34,7 @@ def test_c01_golden_removal_small(total_stored_atoms):
     params = default_params(6, 3)
     db = build_cyclic_database(params, seed=0)
     run = rebalance_remove(db, 6, "auto")
-    verification = verify_removal(run, 0)
+    verification = verify_change(run, 0)
     elapsed = time.perf_counter() - t0
 
     sizes = {
@@ -65,7 +64,7 @@ def test_c02_golden_removal_large_replication():
     params = default_params(8, 6)
     db = build_cyclic_database(params, seed=0)
     run = rebalance_remove(db, 8, "auto")
-    verification = verify_removal(run, 0)
+    verification = verify_change(run, 0)
     elapsed = time.perf_counter() - t0
 
     hu = params.half_unit_atoms
@@ -111,7 +110,7 @@ def removal_grid():
             for removed in range(1, k + 1):
                 for scheme in ("scheme1", "scheme2"):
                     run = rebalance_remove(db, removed, scheme)
-                    verification = verify_removal(run, 0)
+                    verification = verify_change(run, 0)
                     results.append(
                         (k, r, removed, scheme, run.report.measured, verification.ok)
                     )
@@ -207,7 +206,7 @@ def test_c07_addition_grid():
         for r in range(2, k):
             db = build_cyclic_database(default_params(k, r), seed=0)
             run = rebalance_add(db)
-            verification = verify_addition(run, 0)
+            verification = verify_change(run, 0)
             count += 1
             if not (
                 verification.ok
@@ -262,7 +261,7 @@ def test_c09_fault_injection(replay_without_broadcast):
     missed_drops = []
     n_broadcasts = len(clean.log.broadcasts)
     for i in range(n_broadcasts):
-        verification = verify_removal(replay_without_broadcast(db, clean, i), 0)
+        verification = verify_change(replay_without_broadcast(db, clean, i), 0)
         if verification.ok:
             missed_drops.append(i)
 
@@ -272,7 +271,7 @@ def test_c09_fault_injection(replay_without_broadcast):
         for index, piece in clean.final.contents[node].items():
             for bit in range(piece.n_atoms * params.atom_bits):
                 tampered = flip_stored_bit(clean.final, node, index, bit)
-                verification = verify_removal(replace(clean, final=tampered), 0)
+                verification = verify_change(replace(clean, final=tampered), 0)
                 localized = any(
                     f"node {node}" in msg and f"segment {index}" in msg
                     for _, msg in verification.findings

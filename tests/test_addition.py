@@ -14,6 +14,7 @@ from rebalance import (
     MergeFailureError,
     ParameterError,
     RebalanceError,
+    addition_expected_layout,
     addition_load,
     build_cyclic_database,
     cyclic_range,
@@ -21,7 +22,7 @@ from rebalance import (
     flip_stored_bit,
     rebalance_add,
     slice_atoms,
-    verify_addition,
+    verify_change,
 )
 from rebalance import addition as addition_module
 from rebalance import removal_merge
@@ -51,6 +52,9 @@ def test_golden_run_6_3():
     assert run.log.load == Fraction(18, 7) == addition_load(6, 3)
     assert run.report.matches_formula
     assert run.report.lower_bound == run.report.measured
+    # the targets are the plan's own, built once
+    assert run.recipes is run.plan.recipes is addition_expected_layout(run.plan)
+    assert [t.target for t in run.recipes] == list(range(1, 8))
 
     sizes = [(b.sender, b.kind, b.payload_atoms) for b in run.log.broadcasts]
     assert sizes == [(i, "uncoded", 10) for i in range(1, 7)] + [
@@ -152,7 +156,7 @@ def test_a_discarded_segment_is_sourced_off_the_bus(k, r):
         damaged = replace(db, contents={m: dict(items) for m, items in db.contents.items()})
         del damaged.contents[n][i]
         run = rebalance_add(damaged)
-        assert verify_addition(run, seed=k + r).ok, (k, r, n)
+        assert verify_change(run, seed=k + r).ok, (k, r, n)
         # the trailer in node n's new segment is the broadcast that lists node n;
         # the small parts go first, in segment order
         sent = run.log.broadcasts[i - 1]
@@ -188,7 +192,7 @@ def test_kept_replicas_share_one_int():
     node = 6
     bad = flip_stored_bit(final, node, 5, 0)
     assert final.stored(5, 5).bits is final.stored(node, 5).bits
-    rep = verify_addition(replace(run, final=bad), seed=6)
+    rep = verify_change(replace(run, final=bad), seed=6)
     assert rep.findings
     for _, msg in rep.findings:
         assert f"node {node}" in msg and "segment 5" in msg

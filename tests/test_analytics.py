@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rebalance import (
+    LoadReport,
     ParameterError,
     addition_load,
     choose_scheme,
+    default_params,
     full_removal_load,
     load_scheme1,
     load_scheme2,
@@ -18,6 +20,27 @@ from rebalance import (
     verify_claim1,
 )
 from rebalance.analytics import corner_overhead, removal_lower_bound
+
+def test_load_report_derives_its_closed_forms():
+    # every field but the measured load is derived: pin both properties against
+    # the closed forms written out here, not against the functions they call
+    for k in range(4, 13):
+        for r in range(2, k):
+            report = LoadReport(default_params(k, r), "addition", Fraction(0))
+            assert report.expected == report.lower_bound == Fraction(r * k, k + 1), (k, r)
+            if r < 3:
+                continue
+            corner = Fraction(k - r, k - 1)
+            closed = {
+                "scheme1": corner + Fraction(k * (r - 1) + -(-(r * r - 2 * r) // 2), 2 * (k - 1)),
+                "scheme2": corner + Fraction((k - r) * (2 * r - 1), k - 1),
+                "uncoded": Fraction(r),
+            }
+            for scheme, load in closed.items():
+                report = LoadReport(default_params(k, r), scheme, load)
+                assert report.expected == load and report.matches_formula, (k, r, scheme)
+                assert report.lower_bound == Fraction(r, r - 1), (k, r, scheme)
+
 
 kr_pairs = st.integers(4, 60).flatmap(
     lambda k: st.tuples(st.just(k), st.integers(3, k - 1))

@@ -22,7 +22,7 @@ from rebalance import (
     segment_content,
     slice_atoms,
     storage_set,
-    verify_removal,
+    verify_change,
 )
 from rebalance import model as model_module
 from rebalance.model import concat_bits, cyclic_layout, cyclic_refs, database_content
@@ -391,7 +391,7 @@ def test_content_cache_holds_only_the_latest_build():
     assert database_content.cache_info().hits == info.hits + 1
     assert all(held[i - 1] is second.stored(i, i).bits for i in range(1, params.n_nodes + 1))
     # the first database's segments are gone from the cache and regenerate
-    assert verify_removal(run, seed=1).ok
+    assert verify_change(run, seed=1).ok
 
 
 def test_build_rejects_invalid_params():

@@ -31,8 +31,8 @@ from rebalance import (
     run_uncoded_removal,
     slice_atoms,
     storage_set,
+    verify_change,
     verify_preservation,
-    verify_removal,
 )
 
 
@@ -237,11 +237,11 @@ def test_replicas_share_one_int_per_source_set():
     node = recipes[0].holders[1]
     bad = flip_stored_bit(final, node, target, 3)
     assert final.stored(recipes[0].holders[0], target).bits is final.stored(node, target).bits
-    rep = verify_removal(replace(run, final=bad), seed=2)
+    rep = verify_change(replace(run, final=bad), seed=2)
     assert rep.findings
     for _, msg in rep.findings:
         assert f"node {node}" in msg and f"segment {target}" in msg
-    assert verify_removal(replace(run, final=final), seed=2).ok
+    assert verify_change(replace(run, final=final), seed=2).ok
 
     # a holder's own damaged source is never shared with, or replaced by, another's
     lead = plan.to_actual(1)

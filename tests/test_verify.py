@@ -21,10 +21,9 @@ from rebalance import (
     rebalance_add,
     rebalance_remove,
     reorder_replica_parts,
-    verify_addition,
+    verify_change,
     verify_cyclic_balanced,
     verify_preservation,
-    verify_removal,
 )
 
 
@@ -41,7 +40,7 @@ def test_verify_reads_the_builds_own_content(monkeypatch):
     for k, r in ((12, 9), (40, 7)):
         db = build_cyclic_database(default_params(k, r), seed=k)
         own = {id(db.stored(i, i).bits) for i in range(1, k + 1)}
-        runs = ((rebalance_remove(db, 3), verify_removal), (rebalance_add(db), verify_addition))
+        runs = (rebalance_remove(db, 3), rebalance_add(db))
         sliced = []
         real_slice = verify_module.slice_atoms
 
@@ -54,9 +53,9 @@ def test_verify_reads_the_builds_own_content(monkeypatch):
 
         monkeypatch.setattr(verify_module, "slice_atoms", recording_slice)
         monkeypatch.setattr(model_module, "_content_walk", no_walk)
-        for run, verify in runs:
+        for run in runs:
             sliced.clear()
-            assert verify(run, seed=k).ok
+            assert verify_change(run, seed=k).ok
             assert sliced and all(id(bits) in own for bits in sliced), (k, r)
         monkeypatch.undo()
 
@@ -64,9 +63,7 @@ def test_verify_reads_the_builds_own_content(monkeypatch):
 def change_12_9(op):
     # (12,9) sits on the scheme-2 side of the threshold, where most replicas share ints
     db = build_cyclic_database(default_params(12, 9), seed=21)
-    if op == "remove":
-        return rebalance_remove(db, 5), verify_removal
-    return rebalance_add(db), verify_addition
+    return rebalance_remove(db, 5) if op == "remove" else rebalance_add(db)
 
 
 def shared_replica(final):
@@ -90,20 +87,20 @@ def removal_setup(seed=0):
 
 
 def test_clean_removal_verifies():
-    rep = verify_removal(removal_setup(), seed=0)
+    rep = verify_change(removal_setup(), seed=0)
     assert rep.ok and rep.is_balanced and rep.is_cyclic
     assert rep.replication_ok and rep.content_ok
 
 
 def test_clean_addition_verifies():
     db = build_cyclic_database(default_params(6, 3), seed=5)
-    assert verify_addition(rebalance_add(db), seed=5).ok
+    assert verify_change(rebalance_add(db), seed=5).ok
 
 
 def test_flipped_bit_is_localized():
     run = removal_setup(seed=9)
     bad = flip_stored_bit(run.final, node=3, segment_index=2, bit=17)
-    rep = verify_removal(replace(run, final=bad), seed=9)
+    rep = verify_change(replace(run, final=bad), seed=9)
     assert not rep.ok and not rep.content_ok
     assert rep.is_balanced and rep.is_cyclic and rep.replication_ok
     messages = [msg for _, msg in rep.findings]
@@ -114,11 +111,11 @@ def test_flipped_bit_is_localized():
 
 @pytest.mark.parametrize("op", ["remove", "add"])
 def test_a_flip_in_a_shared_int_is_found_at_that_holder_only(op):
-    run, verify = change_12_9(op)
+    run = change_12_9(op)
     # both checks have seen the shared int at an earlier holder by then
     index, node = shared_replica(run.final)
     bad = flip_stored_bit(run.final, node, index, 5)
-    rep = verify(replace(run, final=bad), 21)
+    rep = verify_change(replace(run, final=bad), 21)
     assert not rep.ok and not rep.content_ok
     assert rep.is_balanced and rep.is_cyclic and rep.replication_ok
     for _, msg in rep.findings:
@@ -128,13 +125,13 @@ def test_a_flip_in_a_shared_int_is_found_at_that_holder_only(op):
 
 @pytest.mark.parametrize("op", ["remove", "add"])
 def test_an_equal_but_distinct_int_verifies(op):
-    run, verify = change_12_9(op)
+    run = change_12_9(op)
     index, node = shared_replica(run.final)
     piece = run.final.stored(node, index)
     twin = (piece.bits ^ 1) ^ 1
     assert twin == piece.bits and twin is not piece.bits
     equal = with_piece(run.final, node, index, replace(piece, bits=twin))
-    assert verify(replace(run, final=equal), 21).ok
+    assert verify_change(replace(run, final=equal), 21).ok
 
 
 def test_equal_replica_ints_are_compared_once_and_a_flip_stays_at_its_node():
@@ -145,9 +142,9 @@ def test_equal_replica_ints_are_compared_once_and_a_flip_stays_at_its_node():
         piece = equal.stored(node, 2)
         equal = with_piece(equal, node, 2, replace(piece, bits=(piece.bits ^ 1) ^ 1))
     assert len({id(equal.stored(n, 2).bits) for n in (2, 3, 4)}) == 3
-    assert verify_removal(replace(run, final=equal), seed=0).ok
+    assert verify_change(replace(run, final=equal), seed=0).ok
     bad = flip_stored_bit(equal, 3, 2, 40)
-    rep = verify_removal(replace(run, final=bad), seed=0)
+    rep = verify_change(replace(run, final=bad), seed=0)
     assert rep.findings == (
         ("content", "segment 2 replicas differ between node 2 and node 3"),
         ("content", "node 3 target segment 2 payload does not match its source atoms"),
@@ -158,7 +155,7 @@ def test_a_segment_stored_outside_its_run_is_reported():
     run = removal_setup()
     # target 2 of the five survivors lives on nodes 2, 3, 4; node 5 gets a copy too
     bad = with_piece(run.final, 5, 2, run.final.stored(2, 2))
-    rep = verify_removal(replace(run, final=bad), seed=0)
+    rep = verify_change(replace(run, final=bad), seed=0)
     assert ("replication", "segment 2 stored on 4 nodes, expected 3") in rep.findings
     assert ("cyclicity", "segment 2 on nodes [2, 3, 4, 5], expected [2, 3, 4]") in rep.findings
     assert ("balance", "node 5 stores 336 bits, expected 252") in rep.findings
@@ -168,7 +165,7 @@ def test_a_segment_stored_outside_its_run_is_reported():
 def test_a_stray_item_is_reported():
     run = removal_setup()
     bad = with_piece(run.final, 1, "W~_1", run.final.stored(1, 1))
-    rep = verify_removal(replace(run, final=bad), seed=0)
+    rep = verify_change(replace(run, final=bad), seed=0)
     assert rep.findings == (("cyclicity", "node 1 stores stray item 'W~_1'"),)
 
 
@@ -178,8 +175,36 @@ def test_every_dropped_broadcast_is_detected(replay_without_broadcast):
     n_broadcasts = len(clean.log.broadcasts)
     assert n_broadcasts == 6
     for i in range(n_broadcasts):
-        rep = verify_removal(replay_without_broadcast(db, clean, i), seed=0)
+        rep = verify_change(replay_without_broadcast(db, clean, i), seed=0)
         assert not rep.ok, f"dropped broadcast {i} went unnoticed"
+
+
+def test_every_dropped_addition_broadcast_is_detected(replay_without_broadcast):
+    drops = 0
+    for k, r in [(3, 2), (6, 3), (9, 5), (12, 9), (12, 11)]:
+        db = build_cyclic_database(default_params(k, r), seed=k * r)
+        clean = rebalance_add(db)
+        for i, b in enumerate(clean.log.broadcasts):
+            # every broadcast lists the new node K+1; a trailer belongs to the
+            # new segment K+1, a shipped kept part to its own segment
+            (op,) = b.operands
+            segment = k + 1 if op.atom_start else op.base
+            rep = verify_change(replay_without_broadcast(db, clean, i), seed=k * r)
+            content = [msg for cat, msg in rep.findings if cat == "content"]
+            named = rf"\bnode {k + 1}\b.*\bsegment {segment}\b"
+            assert any(re.search(named, msg) for msg in content), (k, r, i, rep.findings)
+            drops += 1
+    assert drops == 67
+
+
+@pytest.mark.parametrize("op", ["remove", "add"])
+def test_the_input_database_in_place_of_the_result_fails(op):
+    db = build_cyclic_database(default_params(6, 3), seed=0)
+    run = rebalance_remove(db, 6) if op == "remove" else rebalance_add(db)
+    assert verify_change(run, seed=0).ok
+    # the node count comes from the recipes, so the K-node input is the wrong shape
+    rep = verify_change(replace(run, final=db), seed=0)
+    assert not rep.ok and not rep.is_cyclic
 
 
 # findings about a node's own stored segment: "node X segment ..." (shape)
@@ -204,7 +229,7 @@ def test_dropped_broadcast_is_localized_to_its_decoders(k, replay_without_broadc
                     canonical[n] for n in addressed if decode_at_node(db, n, b) is not None
                 }
                 run = replay_without_broadcast(db, clean, i)
-                rep = verify_removal(run, seed=k * r)
+                rep = verify_change(run, seed=k * r)
                 named = {
                     int(m.group(1))
                     for _, msg in rep.findings
@@ -225,7 +250,7 @@ def test_reordered_parts_are_detected():
     assert target.target == 4 and target.holders == (1, 4, 5)
     for node in target.holders:
         bad = reorder_replica_parts(bad, node=node, target=target)
-    rep = verify_removal(replace(run, final=bad), seed=4)
+    rep = verify_change(replace(run, final=bad), seed=4)
     assert not rep.ok
     # shape cannot see it, only the content check can
     assert rep.is_balanced and rep.is_cyclic and rep.replication_ok
@@ -265,6 +290,9 @@ def test_wrong_expected_shape_is_reported():
     off = SystemParams(6, 3, run.final.params.segment_bits * 6 // 5)
     rep = verify_cyclic_balanced(run.final, off)
     assert not rep.ok and not rep.is_cyclic
+    # the node count to reach is the number of targets: none is no layout
+    with pytest.raises(ParameterError, match="^a run with no targets has no layout to check$"):
+        verify_change(replace(run, recipes=()), seed=0)
 
 
 def test_a_wrong_segment_size_is_reported():
@@ -282,24 +310,24 @@ def test_a_wrong_segment_size_is_reported():
     assert len(rep.findings) == 5 * 4 and rep.is_cyclic and rep.replication_ok
 
 
-def by_walk(monkeypatch, check, *args):
-    """check(*args) with both certificates refusing, so only the walk decides."""
+def by_walk(monkeypatch, run, seed):
+    """verify_change(run, seed) with both certificates refusing, so only the walk decides."""
     with monkeypatch.context() as m:
         m.setattr(verify_module, "_shape_certified", lambda *a: False)
         m.setattr(verify_module, "_content_certified", lambda *a: False)
-        return check(*args)
+        return verify_change(run, seed)
 
 
 def clean_changes():
-    """(run, check, seed) for every removal schedule and addition with K <= 10."""
+    """(run, seed) for every removal schedule and addition with K <= 10."""
     for k in range(3, 11):
         for r in range(2, k):
             seed = 100 * k + r
             db = build_cyclic_database(default_params(k, r), seed=seed)
-            yield rebalance_add(db), verify_addition, seed
+            yield rebalance_add(db), seed
             if r >= 3:
                 for scheme in ("scheme1", "scheme2", "uncoded"):
-                    yield rebalance_remove(db, k // 2 + 1, scheme), verify_removal, seed
+                    yield rebalance_remove(db, k // 2 + 1, scheme), seed
 
 
 def test_clean_changes_are_certified_and_agree_with_the_walk(monkeypatch):
@@ -314,12 +342,12 @@ def test_clean_changes_are_certified_and_agree_with_the_walk(monkeypatch):
         raise AssertionError("the shape walk ran on a clean layout")
 
     n_runs = 0
-    for run, check, seed in clean_changes():
-        assert by_walk(monkeypatch, check, run, seed).ok
+    for run, seed in clean_changes():
+        assert by_walk(monkeypatch, run, seed).ok
         with monkeypatch.context() as m:
             m.setattr(verify_module, "_content_certified", record)
             m.setattr(verify_module, "_shape_walk", no_walk)
-            assert check(run, seed).ok
+            assert verify_change(run, seed).ok
         n_runs += 1
     assert n_runs == 36 + 3 * 28
     assert len(accepted) > n_runs and all(accepted)
@@ -360,16 +388,11 @@ def tampered_finals(final, targets):
 @pytest.mark.parametrize("k, r", [(6, 3), (12, 9)])
 def test_tampered_layouts_get_the_walks_findings(op, k, r, monkeypatch):
     db = build_cyclic_database(default_params(k, r), seed=21)
-    if op == "remove":
-        run, check = rebalance_remove(db, 5), verify_removal
-        targets = run.recipes
-    else:
-        run, check = rebalance_add(db), verify_addition
-        targets = addition_expected_layout(run.plan)
-    for name, final in tampered_finals(run.final, targets):
+    run = rebalance_remove(db, 5) if op == "remove" else rebalance_add(db)
+    for name, final in tampered_finals(run.final, run.recipes):
         bad = replace(run, final=final)
-        rep = check(bad, 21)
-        assert rep == by_walk(monkeypatch, check, bad, 21), name
+        rep = verify_change(bad, 21)
+        assert rep == by_walk(monkeypatch, bad, 21), name
         assert rep.ok == (name == "equal-but-distinct"), name
 
 
@@ -380,10 +403,10 @@ def test_dropped_broadcasts_get_the_walks_findings(replay_without_broadcast, mon
             clean = rebalance_remove(db, 2, scheme)
             for i, b in enumerate(clean.log.broadcasts):
                 run = replay_without_broadcast(db, clean, i)
-                rep = verify_removal(run, k * r)
+                rep = verify_change(run, k * r)
                 # a scheme-2 filler slot carries no operand: dropping it damages nothing
                 assert rep.ok == (not b.operands)
-                assert rep == by_walk(monkeypatch, verify_removal, run, k * r), (k, r, scheme, i)
+                assert rep == by_walk(monkeypatch, run, k * r), (k, r, scheme, i)
 
 
 def test_original_database_verifies_as_original_shape():
