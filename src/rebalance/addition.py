@@ -10,16 +10,14 @@ it, and nodes 1..r-1 each discard one kept part they no longer need.
 Total traffic is rK/(K+1) segments, which meets the lower bound exactly, so
 no coding is needed anywhere.
 
-The layout is certified once, then built per segment, not per replica. When
-cyclic_refs finds every old holder of W_i storing node i's piece (the piece
-both broadcasts of W_i were cut from), each kept part is cut once, the new
-segment is assembled once from the broadcast trailers, and cyclic_layout
-places each of the K+1 pieces at all its r holders as one shared object.
-Any other input, such as a missing or damaged replica, is delivered and
-merged by the removal's walk (removal_merge.merge_by_walk) against the
-plan's recipes, under the removal's source rule: a holder takes each part
-from its own stored segment, else from the first broadcast that covers it
-and lists the holder. Only the walk raises MergeFailureError.
+A clean input is built per segment, not per replica. When cyclic_refs finds
+no node deviating, every old holder of W_i stores a piece equal to node i's,
+which both broadcasts of W_i were cut from: each kept part is cut once, the
+new segment is assembled once from the broadcast trailers, and cyclic_layout
+places each of the K+1 pieces at all its r holders as one shared object. Any
+other input is delivered and merged by the removal's merge
+(removal_merge.merge) against the plan's recipes, under the same source
+rule, which runs holder by holder only where the damage reaches.
 
 make_addition_plan builds the K+1 target recipes once, from the parameters
 alone. rebalance_add returns them as the recipes of its ChangeRun, the
@@ -132,12 +130,12 @@ def rebalance_add(db: Database) -> ChangeRun:
     for i in plan.shipped:
         log.emit(broadcast_uncoded(db, i, plan.kept[i - 1]))
 
-    refs = cyclic_refs(db.contents, k, r)
-    if refs is None:
+    refs, deviating = cyclic_refs(db.contents, k, r)
+    if deviating:
         # holder labels are node labels; the new node stores nothing, so it
         # takes every part off the bus
         received = deliver(db, log, plan)
-        final = removal_merge.merge_by_walk(db, list(range(k + 2)), plan.recipes, received, True)
+        final = removal_merge.merge(db, list(range(k + 2)), plan.recipes, received, True)
     else:
         # every holder of W_i holds a piece equal to node i's, which both
         # broadcasts of W_i were cut from: cut each kept part once, assemble the

@@ -135,4 +135,6 @@ def decode_at_node(db: Database, receiver: int, b: Broadcast) -> tuple[Subsegmen
             )
         acc ^= slice_atoms(base.bits, op.atom_start, op.atom_stop, db.params.atom_bits)
     width = target.size_atoms * db.params.atom_bits
+    if acc is b.payload and acc >= 0 and acc.bit_length() <= width:
+        return target, acc  # nothing stripped: a payload that fits is the piece
     return target, acc & ((1 << width) - 1)

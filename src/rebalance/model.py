@@ -330,30 +330,40 @@ def cyclic_layout(pieces: list[StoredPiece], r: int) -> dict[int, dict[int, Stor
 
 def cyclic_refs(
     contents: dict[int, dict[int, StoredPiece]], n: int, r: int
-) -> list[StoredPiece] | None:
-    """Node i's piece of segment i for i = 1..n, when nodes 1..n each store exactly
-    their window of r of them (node m: segments m-r+1..m, cyclic); else None.
+) -> tuple[list[StoredPiece | None], set[int]]:
+    """(refs, deviating): the one certificate of the cyclic layout of n nodes.
+
+    refs[i-1] is node i's piece of segment i, the reference every other
+    holder of segment i is compared with, or None where node i lacks it.
+    deviating is the set of nodes that do not store exactly their window of r
+    refs (node m: segments m-r+1..m, cyclic), plus every node outside 1..n; a
+    missing ref puts every node of its window there. The layout is certified
+    when deviating is empty. Node i's own piece is the reference, so damage
+    to it lists the other r-1 holders of segment i, not node i.
 
     Replicas need only be equal, not shared. list == takes identity first, so
-    shared replicas cost no payload compare, and the missing-piece test is by
-    identity too: `None in refs` would call StoredPiece.__eq__ per piece.
+    shared replicas cost no payload compare.
     """
     segments = range(1, n + 1)
-    if not 1 <= r <= n or contents.keys() != set(segments):
-        return None
-    refs = [contents[i].get(i) for i in segments]
+    refs = [contents.get(i, _NOTHING).get(i) for i in segments]
+    deviating = contents.keys() - segments
+    if not 1 <= r <= n:
+        return refs, deviating.union(segments)
+    # by identity: `None in refs` would call StoredPiece.__eq__ per piece
     if any(map(is_, refs, repeat(None))):
-        return None
+        for i in segments:
+            if refs[i - 1] is None:
+                deviating.update(cyclic_range(i, r, n))
     # doubled[j] and indices[j] are segment j mod n + 1's piece and index, so
     # node m's window of segments m-r+1..m is the slice [m-r+n, m+n)
     doubled = refs + refs
     indices = [*segments, *segments]
     for m in segments:
-        items = contents[m]
+        items = contents.get(m, _NOTHING)
         lo, hi = m - r + n, m + n
         if len(items) != r or list(map(items.get, indices[lo:hi])) != doubled[lo:hi]:
-            return None
-    return refs
+            deviating.add(m)
+    return refs, deviating
 
 
 def build_cyclic_database(params: SystemParams, seed: int = 0) -> Database:

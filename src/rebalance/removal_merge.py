@@ -1,5 +1,5 @@
-"""Reassembly of target segments after a node removal; the merge walk both
-membership changes share.
+"""Reassembly of target segments after a node removal; the one merge both
+membership changes use.
 
 The K-1 survivors end up holding K-1 target segments of size K/(K-1) * T in
 cyclic layout. Targets 1..K-r keep a retained whole segment and append one
@@ -15,25 +15,18 @@ the first piece decoded off the bus, in first-decode order, that covers its
 atom range and lists the holder. A received whole segment is a slice source
 like any other piece.
 
-The layout is certified once, then merged per target, not per replica. When
-cyclic_refs finds every node storing its window of equal segments, each
-recipe part is cut once from the stored segment, and only the holders that do
-not store the part's origin are checked: each must be listed by the first
-covering decoded piece that names it, with a cut equal to the stored one.
-Then each target is assembled once and cyclic_layout places it at its r
-holders as one shared piece. Any other input goes through the walk: a
-damaged or missing replica, or a dropped broadcast or damaged payload that
-leaves some holder's part unsourced or cut differently.
-
-The walk (merge_by_walk) follows the source rule literally, holder by
-holder, in target and holder order, so a holder that no source lists fails,
-or leaves a short replica, at exactly that holder. Holders whose parts
-resolve to the same (source int, offset) per part take one replica, and
-equal replicas of a target are one piece, so a damaged own source shares
-only where its cut is unchanged. It merges an addition that does not certify
-too, against the addition's own recipes in node labels; the new node stores
-nothing and takes every part off the bus. Only the walk raises
-MergeFailureError.
+merge applies that rule to any input, damaged or not, per target where it
+can. cyclic_refs certifies the stored layout once and names the nodes that
+deviate from it. Each recipe part is cut once from its reference piece, each
+target is assembled once, and cyclic_layout places it at its r holders as
+one shared piece. The rule runs holder by holder only where damage reaches:
+at a deviating node, at a holder whose first covering decoded piece of a
+part it does not store is missing or cut unequal to the reference, and at
+every holder of a target whose reference is missing. Those holders run in
+target and holder order, so a holder that no source lists fails with
+MergeFailureError, or keeps a short replica, at exactly that holder, and a
+replica equal to another of its target is that one object. An addition is
+merged against its own recipes in node labels; its new node stores nothing.
 """
 
 from __future__ import annotations
@@ -145,64 +138,63 @@ def apply_merge(
 ) -> Database:
     """Assemble every target at every holder and return the survivor database.
 
-    recipes are build_merge_recipes' output: targets 1..K-1 in order, each
-    held by its cyclic window. received maps each decoded piece (origin, atom
-    start, atom stop, bits) to the actual nodes that decoded it, in
-    first-decode order, as deliver returns it. A certified layout whose
-    decoded cuts all equal the stored ones is merged per target
-    (_layout_by_target); any other input by the walk (merge_by_walk), which
-    gives the same result wherever both apply.
+    recipes are build_merge_recipes' output, in canonical survivor labels,
+    which plan maps to actual nodes; received is deliver's output. See merge.
+    """
+    actual = [0] + [plan.to_actual(c) for c in range(1, db.params.n_nodes)]
+    return merge(db, actual, recipes, received, strict)
+
+
+def merge(
+    db: Database,
+    actual: list[int],
+    recipes: tuple[MergeRecipe, ...],
+    received: dict[tuple[int, int, int, int], list[int]],
+    strict: bool,
+) -> Database:
+    """The database after a membership change, for any input (see the module
+    docstring).
+
+    recipes are targets 1..M in order, target t held by the r holders from t
+    (cyclic); actual[holder] is the node whose stored segments and decoded
+    pieces the holder uses, M = len(actual) - 1 (index 0 unused). received
+    maps each decoded piece (origin, atom start, atom stop, bits) to the
+    actual nodes that decoded it, in first-decode order, as deliver returns it.
 
     With strict=True a holder that cannot source a part raises
     MergeFailureError; with strict=False the part is skipped, leaving a short
     replica for the verifier to flag (used by fault injection).
     """
     params = db.params
-    k = params.n_nodes
-    refs = cyclic_refs(db.contents, k, params.replication)
-    if refs is not None:
-        contents = _layout_by_target(params, plan, recipes, _by_origin(received), refs)
-        if contents is not None:
-            return Database(params, k - 1, contents)
-    actual = [0] + [plan.to_actual(c) for c in range(1, k)]
-    return merge_by_walk(db, actual, recipes, received, strict)
-
-
-def _by_origin(
-    received: dict[tuple[int, int, int, int], list[int]],
-) -> dict[int, list[tuple[int, int, int, list[int]]]]:
+    n, r, w = params.n_nodes, params.replication, params.atom_bits
+    m = len(actual) - 1
+    refs, deviating = cyclic_refs(db.contents, n, r)
     # origin -> [(start, stop, bits, actual receivers)], in first-decode order
     decoded: dict[int, list[tuple[int, int, int, list[int]]]] = {}
     for (origin, start, stop, bits), receivers in received.items():
         decoded.setdefault(origin, []).append((start, stop, bits, receivers))
-    return decoded
-
-
-def _layout_by_target(
-    params: SystemParams,
-    plan: SplitPlan,
-    recipes: tuple[MergeRecipe, ...],
-    decoded: dict[int, list[tuple[int, int, int, list[int]]]],
-    refs: list[StoredPiece],
-) -> dict[int, dict[int, StoredPiece]] | None:
-    """The survivor contents, one assembly per target, when refs certify db and
-    every holder that does not store a part's origin takes, from the first
-    covering decoded piece that lists it, a cut equal to the stored one; else
-    None, and the walk decides."""
-    k, r, w = params.n_nodes, params.replication, params.atom_bits
-    if [recipe.target for recipe in recipes] != list(range(1, k)):
-        return None
-    # actual label -> canonical label, the removed node and its segment being k
-    canonical = {plan.to_actual(c): c for c in range(1, k + 1)}
-    pieces = []
+    # holder label by actual node, a window position; the removed node's is n
+    position = dict(zip(actual[1:], range(1, m + 1)))
+    damaged = {position[node] for node in deviating if node in position}
+    past = ((n + 1, m + 1),) if m > n else ()  # an addition's new node
+    pieces: list[StoredPiece | None] = []
+    walked: list[tuple[int, int, StoredPiece]] = []  # (holder, target, replica)
     for recipe in recipes:
-        held = _spans(recipe.target, r, k - 1)
+        target = recipe.target
+        held = _spans(target, r, m)
+        walk = {h for h in damaged if (h - target) % m < r} if damaged else set()
         cuts: list[int | None] = []
         for origin, start, stop in recipe.parts:
-            cut = slice_atoms(refs[origin - 1].bits, start, stop, w)
-            # the holders the walk sources off the bus: canonical segment s is
-            # stored on nodes s..s+r-1 (mod k), so the k-r nodes from s+r lack it
-            lacking = _spans((canonical[origin] + r - 1) % k + 1, k - r, k)
+            ref = refs[origin - 1]
+            if ref is None:
+                break
+            cut = slice_atoms(ref.bits, start, stop, w)
+            cuts.append(cut)
+            # the holders that take the part off the bus: segment p is stored
+            # at window positions p..p+r-1 (mod n), so the n-r from p+r lack
+            # it, and so does any holder past n, which stores nothing
+            p = position.get(origin, n)
+            lacking = _spans((p + r - 1) % n + 1, n - r, n) + past
             need = set()
             for lo, hi in held:
                 for a, b in lacking:
@@ -211,16 +203,29 @@ def _layout_by_target(
                 if not need:
                     break
                 if got_start <= start and stop <= got_stop:
-                    named = need.intersection(map(canonical.get, nodes))
+                    named = need.intersection(map(position.get, nodes))
                     if named:
                         if slice_atoms(bits, start - got_start, stop - got_start, w) != cut:
-                            return None
+                            walk |= named
                         need -= named
-            if need:
-                return None
-            cuts.append(cut)
-        pieces.append(_assemble(recipe.parts, cuts, w))
-    return cyclic_layout(pieces, r)
+            walk |= need
+        if len(cuts) == len(recipe.parts):
+            replica = _assemble(recipe.parts, cuts, w)
+        else:
+            # a missing reference: every holder takes the rule
+            replica = None
+            walk.update(recipe.holders)
+        pieces.append(replica)
+        if walk:
+            # a walked replica equal to the reference or an earlier one is that object
+            equal = {} if replica is None else {(replica.n_atoms, replica.bits): replica}
+            for holder in sorted(walk):  # the holders are the ascending window
+                built = _source_rule(db, actual[holder], recipe, decoded, strict)
+                walked.append((holder, target, equal.setdefault((built.n_atoms, built.bits), built)))
+    contents = cyclic_layout(pieces, r)
+    for holder, target, replica in walked:
+        contents[holder][target] = replica
+    return Database(params, m, contents)
 
 
 def _spans(start: int, count: int, modulus: int) -> tuple[tuple[int, int], ...]:
@@ -231,64 +236,37 @@ def _spans(start: int, count: int, modulus: int) -> tuple[tuple[int, int], ...]:
     return ((start, modulus + 1), (1, stop - modulus))
 
 
-def merge_by_walk(
+def _source_rule(
     db: Database,
-    actual: list[int],
-    recipes: tuple[MergeRecipe, ...],
-    received: dict[tuple[int, int, int, int], list[int]],
+    node: int,
+    recipe: MergeRecipe,
+    decoded: dict[int, list[tuple[int, int, int, list[int]]]],
     strict: bool,
-) -> Database:
-    """The database after a membership change, for any input, holder by holder;
-    the one source of MergeFailureError and of short replicas.
-
-    actual[holder] is the node whose stored data and decoded pieces a holder
-    uses (index 0 unused); the final database has len(actual) - 1 nodes.
-    received is deliver's output. A holder takes each part from its own stored
-    segment of the origin, else from the first decoded piece, in first-decode
-    order, that covers the part and lists the holder's node. Holders that
-    resolve every part to the same (source int, offset) share one replica, and
-    a replica equal to one built before for the same target is replaced by
-    that one.
-    """
+) -> StoredPiece:
+    """node's replica of recipe's target by the source rule: each part from the
+    node's own stored segment of the origin, else from the first decoded piece
+    that covers the part and lists the node. The one source of
+    MergeFailureError and of short replicas."""
     w = db.params.atom_bits
-    decoded = _by_origin(received)
-    contents: dict[int, dict[int, StoredPiece]] = {n: {} for n in range(1, len(actual))}
-    for recipe in recipes:
-        # (id(source int), offset) per part -> replica; the source ints live in
-        # db and received for the whole merge, so their ids are not reused
-        built: dict[tuple[tuple[int, int], ...], StoredPiece] = {}
-        equal: dict[tuple[int, int], StoredPiece] = {}  # (n_atoms, bits) -> replica
-        for holder in recipe.holders:
-            node = actual[holder]
-            stored = db.contents.get(node, {})
-            sources: list[tuple[int | None, int]] = []  # (source int, offset)
-            for origin, start, stop in recipe.parts:
-                own = stored.get(origin)
-                if own is not None:
-                    sources.append((own.bits, start))
-                    continue
-                for got_start, got_stop, bits, receivers in decoded.get(origin, ()):
-                    if got_start <= start and stop <= got_stop and node in receivers:
-                        sources.append((bits, start - got_start))
-                        break
-                else:
-                    if strict:
-                        raise MergeFailureError(
-                            f"node {node} cannot source atoms [{start}:{stop}] "
-                            f"of segment {origin} for target {recipe.target}"
-                        )
-                    sources.append((None, 0))
-            key = tuple([(id(bits), at) for bits, at in sources])
-            replica = built.get(key)
-            if replica is None:
-                cuts = [
-                    None if bits is None else slice_atoms(bits, at, at + stop - start, w)
-                    for (bits, at), (_, start, stop) in zip(sources, recipe.parts)
-                ]
-                replica = _assemble(recipe.parts, cuts, w)
-                replica = built[key] = equal.setdefault((replica.n_atoms, replica.bits), replica)
-            contents[holder][recipe.target] = replica
-    return Database(db.params, len(actual) - 1, contents)
+    stored = db.contents.get(node, {})
+    cuts: list[int | None] = []
+    for origin, start, stop in recipe.parts:
+        own = stored.get(origin)
+        if own is not None:
+            cuts.append(slice_atoms(own.bits, start, stop, w))
+            continue
+        for got_start, got_stop, bits, receivers in decoded.get(origin, ()):
+            if got_start <= start and stop <= got_stop and node in receivers:
+                cuts.append(slice_atoms(bits, start - got_start, stop - got_start, w))
+                break
+        else:
+            if strict:
+                raise MergeFailureError(
+                    f"node {node} cannot source atoms [{start}:{stop}] "
+                    f"of segment {origin} for target {recipe.target}"
+                )
+            cuts.append(None)
+    return _assemble(recipe.parts, cuts, w)
 
 
 def _assemble(

@@ -115,35 +115,42 @@ def deliver(
     Addressed nodes that want the same operand and store the same pieces for
     the other operands strip the same bits, so they form one group, and
     decode_at_node runs once at the group's lowest node (a missing base fails
-    there). Each distinct decoded piece (origin, atom start, atom stop, bits)
-    is one key, mapped to the nodes that decoded it, in first-decode order.
-    The key interns the bits, so receivers of equal pieces share one int.
+    there). A one-operand broadcast strips nothing, so its addressed nodes
+    are one group, found without a look at what they store. Each distinct
+    decoded piece (origin, atom start, atom stop, bits) is one key, mapped to
+    the nodes that decoded it, in first-decode order. The key interns the
+    bits, so receivers of equal pieces share one int.
 
     Both membership changes deliver their logs here: a removal's output feeds
-    apply_merge, and a damaged addition's feeds the walk directly
-    (removal_merge.merge_by_walk). plan, a removal's SplitPlan or an
-    addition's AdditionPlan, is unused; it stays only because the benchmark
-    harness (benchmark/harness.py) passes it, and goes with the next change
-    there.
+    apply_merge, and a damaged addition's feeds removal_merge.merge. plan, a
+    removal's SplitPlan or an addition's AdditionPlan, is unused; it stays
+    only because the benchmark harness (benchmark/harness.py) passes it, and
+    goes with the next change there.
     """
     received: dict[tuple[int, int, int, int], list[int]] = {}
     for b in log.broadcasts:
         ops = b.operands
-        # addressed node -> (index of its operand, bases of the others), or
-        # None when named in several operands
-        wants: dict[int, tuple[int, list[int]] | None] = {}
-        for i, op in enumerate(ops):
-            strip = (i, [other.base for other in ops if other is not op])
-            for node in op.superscript:
-                wants[node] = None if node in wants else strip
-        # (operand index, ids of the node's pieces of those bases) -> nodes, ascending
+        # (operand index, ids of the node's pieces of the others' bases) -> nodes,
+        # ascending, so the groups come in order of their lowest node
         groups: dict[tuple, list[int]] = {}
-        for node in sorted(wants):
-            strip = wants[node]
-            if strip is not None:
-                stored = db.contents.get(node, {})
-                key = (strip[0], *[id(stored.get(base)) for base in strip[1]])
-                groups.setdefault(key, []).append(node)
+        if len(ops) == 1:
+            # nothing to strip: the addressed nodes are one group
+            if ops[0].superscript:
+                groups[()] = sorted(ops[0].superscript)
+        else:
+            # addressed node -> (index of its operand, bases of the others), or
+            # None when named in several operands
+            wants: dict[int, tuple[int, list[int]] | None] = {}
+            for i, op in enumerate(ops):
+                strip = (i, [other.base for other in ops if other is not op])
+                for node in op.superscript:
+                    wants[node] = None if node in wants else strip
+            for node in sorted(wants):
+                strip = wants[node]
+                if strip is not None:
+                    stored = db.contents.get(node, {})
+                    key = (strip[0], *[id(stored.get(base)) for base in strip[1]])
+                    groups.setdefault(key, []).append(node)
         for nodes in groups.values():
             label, bits = decode_at_node(db, nodes[0], b)
             key = (label.base, label.atom_start, label.atom_stop, bits)

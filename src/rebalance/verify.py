@@ -83,11 +83,11 @@ def verify_cyclic_balanced(db: Database, expected: SystemParams) -> Verification
 
 
 def _shape_certified(db: Database, expected: SystemParams) -> bool:
-    """True when the layout is cyclic (cyclic_refs) and every segment has the
-    expected size: every walk check follows."""
-    refs = cyclic_refs(db.contents, expected.n_nodes, expected.replication)
+    """True when cyclic_refs certifies the layout (no node deviates, so no ref
+    is missing) and every segment has the expected size: every walk check follows."""
+    refs, deviating = cyclic_refs(db.contents, expected.n_nodes, expected.replication)
     w, seg_bits = db.params.atom_bits, expected.segment_bits
-    return refs is not None and all(ref.n_atoms * w == seg_bits for ref in refs)
+    return not deviating and all(ref.n_atoms * w == seg_bits for ref in refs)
 
 
 def _shape_walk(db: Database, expected: SystemParams) -> VerificationReport:

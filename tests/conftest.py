@@ -1,10 +1,12 @@
 """Shared fixtures for the test suite."""
 
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
-from rebalance import AdditionPlan, apply_merge, deliver, drop_broadcast, removal_merge
+from rebalance import AdditionPlan, addition, apply_merge, deliver, drop_broadcast, removal_merge
+from rebalance.model import cyclic_refs, slice_atoms
 
 
 @pytest.fixture
@@ -14,8 +16,8 @@ def replay_without_broadcast():
     Returns a function (db, clean, index) -> ChangeRun that reuses the clean
     run's plan and recipes and merges leniently, so every holder the missing
     broadcast starved keeps a short replica for the verifier to flag. A
-    removal merges by apply_merge; an addition by the walk, in node labels,
-    where the new node K+1 stores nothing.
+    removal merges by apply_merge; an addition by removal_merge.merge, in node
+    labels, where the new node K+1 stores nothing.
     """
 
     def replay(db, clean, index):
@@ -23,7 +25,7 @@ def replay_without_broadcast():
         received = deliver(db, log, clean.plan)
         if isinstance(clean.plan, AdditionPlan):
             nodes = list(range(db.n_nodes + 2))
-            final = removal_merge.merge_by_walk(db, nodes, clean.recipes, received, False)
+            final = removal_merge.merge(db, nodes, clean.recipes, received, False)
         else:
             final = apply_merge(db, clean.plan, clean.recipes, received, strict=False)
         return replace(clean, final=final, log=log)
@@ -39,3 +41,77 @@ def total_stored_atoms():
         return sum(p.n_atoms for items in db.contents.values() for p in items.values())
 
     return total
+
+
+@pytest.fixture
+def every_node_deviates(monkeypatch):
+    """A context manager under which the layout certificate lists every node as
+    deviating, the new node of an addition too, so both changes rebuild every
+    replica by the per-holder source rule: the all-walk merge."""
+
+    def all_deviate(contents, n, r):
+        refs, _ = cyclic_refs(contents, n, r)
+        return refs, {*contents, *range(1, n + 2)}
+
+    @contextmanager
+    def patched():
+        with monkeypatch.context() as m:
+            m.setattr(removal_merge, "cyclic_refs", all_deviate)
+            m.setattr(addition, "cyclic_refs", all_deviate)
+            yield
+
+    return patched
+
+
+@pytest.fixture
+def rule_calls(monkeypatch):
+    """The (target, node) of every replica the merge builds by the per-holder
+    source rule, in call order."""
+    calls = []
+    rule = removal_merge._source_rule
+
+    def counted(db, node, recipe, *args):
+        calls.append((recipe.target, node))
+        return rule(db, node, recipe, *args)
+
+    monkeypatch.setattr(removal_merge, "_source_rule", counted)
+    return calls
+
+
+@pytest.fixture(scope="session")
+def damage_reach():
+    """The (target, node) pairs, in target and holder order, whose replica a
+    merge must build by the source rule, from a plain per-holder reading of
+    the rule's exceptions: the holder's node deviates from the cyclic layout,
+    the target's reference piece is missing, or the holder lacks a part's
+    origin and its first covering decoded piece is missing or cuts unequal to
+    the reference."""
+
+    def reach(db, actual, recipes, received):
+        params = db.params
+        w = params.atom_bits
+        refs, deviating = cyclic_refs(db.contents, params.n_nodes, params.replication)
+        out = []
+        for recipe in recipes:
+            whole = any(refs[origin - 1] is None for origin, _, _ in recipe.parts)
+            for holder in recipe.holders:
+                node = actual[holder]
+                if whole or node in deviating or not all(
+                    _sourced_as_the_reference(db, node, part, refs, received, w)
+                    for part in recipe.parts
+                ):
+                    out.append((recipe.target, node))
+        return out
+
+    return reach
+
+
+def _sourced_as_the_reference(db, node, part, refs, received, w):
+    origin, start, stop = part
+    if origin in db.contents.get(node, {}):
+        return True
+    want = slice_atoms(refs[origin - 1].bits, start, stop, w)
+    for (got_origin, got_start, got_stop, bits), nodes in received.items():
+        if got_origin == origin and got_start <= start and stop <= got_stop and node in nodes:
+            return slice_atoms(bits, start - got_start, stop - got_start, w) == want
+    return False

@@ -24,7 +24,6 @@ from rebalance import (
     slice_atoms,
     verify_change,
 )
-from rebalance import addition as addition_module
 from rebalance import removal_merge
 from rebalance.addition import make_addition_plan
 
@@ -228,31 +227,39 @@ def damaged_inputs(db, rng):
     yield "deleted", deleted
 
 
-def test_certified_additions_equal_the_walk(monkeypatch):
+def test_certified_additions_equal_the_walk(
+    monkeypatch, every_node_deviates, rule_calls, damage_reach
+):
     rng = random.Random(12)
-    walked = []
-    merge_by_walk = removal_merge.merge_by_walk
+    merges = []
+    merge = removal_merge.merge
 
-    def counted_walk(*args):
-        walked.append(args[0])
-        return merge_by_walk(*args)
+    def recorded_merge(*args):
+        merges.append(args)
+        return merge(*args)
 
-    monkeypatch.setattr(removal_merge, "merge_by_walk", counted_walk)
+    monkeypatch.setattr(removal_merge, "merge", recorded_merge)
     kinds = set()
     for k in range(3, 13):
         for r in range(2, k):
             db = build_cyclic_database(default_params(k, r, t_mult=1 + k % 2), seed=k * r)
             for name, case in damaged_inputs(db, rng):
-                walked.clear()
+                merges.clear()
+                rule_calls.clear()
                 fast = addition_outcome(case)
-                # a clean build is certified and never walks; damage walks
+                # a clean build is certified and never merges; damage merges
                 # unless a broadcast's sender lacked its piece before the layout
                 if name == "clean" or fast[0] == "ProtocolViolationError":
-                    assert walked == [], (k, r, name)
+                    assert merges == [] and rule_calls == [], (k, r, name)
                 else:
-                    assert walked == [case], (k, r, name)
-                with monkeypatch.context() as m:
-                    m.setattr(addition_module, "cyclic_refs", lambda *a: None)
+                    assert [args[0] for args in merges] == [case], (k, r, name)
+                    # the source rule runs at exactly the holders the damage
+                    # reaches, up to the first that fails
+                    reach = damage_reach(*merges[0][:4])
+                    assert rule_calls and rule_calls == reach[: len(rule_calls)], (k, r, name)
+                    if fast[0] != "MergeFailureError":
+                        assert rule_calls == reach, (k, r, name)
+                with every_node_deviates():
                     assert addition_outcome(case) == fast, (k, r, name)
                 kinds.add(fast[0] if isinstance(fast[0], str) else name)
                 if not isinstance(fast[0], str):
@@ -268,18 +275,10 @@ def test_certified_additions_equal_the_walk(monkeypatch):
 ADD_40_30_SEED_7 = "b6127198c6d7169212f1fbd48780f1d0684d9ed158f4db15163939152f4514d2"
 
 
-def test_addition_stream_is_pinned_at_40_30(monkeypatch):
-    walks = []
-    merge_by_walk = removal_merge.merge_by_walk
-
-    def counted_walk(*args):
-        walks.append(args)
-        return merge_by_walk(*args)
-
-    # a clean addition of this size is built per segment, never by the walk
-    monkeypatch.setattr(removal_merge, "merge_by_walk", counted_walk)
+def test_addition_stream_is_pinned_at_40_30(rule_calls):
     run = rebalance_add(build_cyclic_database(default_params(40, 30), seed=7))
-    assert walks == []
+    # a clean addition of this size is built per segment, never holder by holder
+    assert rule_calls == []
     h = hashlib.sha256()
     for node, items in run.final.contents.items():
         for index, piece in items.items():

@@ -304,7 +304,8 @@ def test_cyclic_refs_certify_exactly_the_cyclic_layout():
     for k in range(3, 10):
         for r in range(2, k):
             db = build_cyclic_database(default_params(k, r), seed=k * r)
-            refs = cyclic_refs(db.contents, k, r)
+            refs, deviating = cyclic_refs(db.contents, k, r)
+            assert deviating == set()
             # node i's own piece objects, which cyclic_layout places back as built
             assert all(refs[i - 1] is db.contents[i][i] for i in range(1, k + 1))
             # segment i on nodes i..i+r-1, each node's segments in ascending order
@@ -320,22 +321,42 @@ def test_cyclic_refs_certify_exactly_the_cyclic_layout():
             # replicas need only be equal, not one object
             node = r % k + 1
             index = next(iter(db.contents[node]))
+            assert index != node
             piece = db.contents[node][index]
             copy = StoredPiece(piece.n_atoms, piece.bits)
-            assert cyclic_refs(tampered(db, node, index, copy).contents, k, r)
+            assert cyclic_refs(tampered(db, node, index, copy).contents, k, r) == (refs, set())
 
+            # each tampering: (contents, n, r, deviating nodes, segments whose ref is None);
+            # node i's piece is the reference, so damage to it lists the other holders
+            own = set(cyclic_range(node, r, k))
             outside = next(i for i in range(1, k + 1) if i not in db.contents[node])
-            for bad in (
-                {n: items for n, items in db.contents.items() if n != node},  # missing node
-                {**db.contents, k + 1: {}},  # extra node
-                tampered(db, node, index, None).contents,  # missing item
-                tampered(db, node, node, None).contents,  # missing own segment
-                tampered(db, node, outside, piece).contents,  # extra item
-                flip_stored_bit(db, node, index, 0).contents,  # flipped replica
-            ):
-                assert cyclic_refs(bad, k, r) is None, (k, r)
-            assert cyclic_refs(db.contents, k, r - 1) is None
-            assert cyclic_refs(db.contents, k + 1, r) is None
+            cases = {
+                "missing node": (
+                    {n: items for n, items in db.contents.items() if n != node}, k, r, own, {node}
+                ),
+                "extra node": ({**db.contents, k + 1: {}}, k, r, {k + 1}, set()),
+                "missing item": (tampered(db, node, index, None).contents, k, r, {node}, set()),
+                "missing own segment": (
+                    tampered(db, node, node, None).contents, k, r, own, {node}
+                ),
+                "extra item": (tampered(db, node, outside, piece).contents, k, r, {node}, set()),
+                "flipped replica": (
+                    flip_stored_bit(db, node, index, 0).contents, k, r, {node}, set()
+                ),
+                "flipped own segment": (
+                    flip_stored_bit(db, node, node, 0).contents, k, r, own - {node}, set()
+                ),
+                "r one too low": (db.contents, k, r - 1, set(range(1, k + 1)), set()),
+                "n one too high": (db.contents, k + 1, r, {*range(1, r), k + 1}, {k + 1}),
+            }
+            for name, (contents, n, rr, want, missing) in cases.items():
+                got_refs, got = cyclic_refs(contents, n, rr)
+                assert got == want, (k, r, name)
+                assert {i for i, ref in enumerate(got_refs, 1) if ref is None} == missing
+                assert len(got_refs) == n
+            # a stored ref is node i's piece, damaged or not
+            flipped = flip_stored_bit(db, node, node, 0).contents
+            assert cyclic_refs(flipped, k, r)[0][node - 1] is flipped[node][node]
 
 
 def tampered(db, node, index, piece):

@@ -23,9 +23,9 @@ from rebalance import (
     drop_broadcast,
     flip_stored_bit,
     make_split_plan,
+    rebalance_add,
     rebalance_remove,
     removal_expected_layout,
-    removal_merge,
     run_scheme1,
     run_scheme2,
     run_uncoded_removal,
@@ -422,15 +422,20 @@ def test_a_flipped_source_bit_shares_only_outside_the_cut_range():
 
 
 def shared_outcome(db, plan, recipes, received, strict):
-    """The error text, or every stored (node, target, n_atoms, bits) in node and
-    key order, each with the number of its piece object by first appearance,
-    so replicas that are one object carry one number."""
+    """The error text, or the node count and merged_stream, in which replicas
+    that are one object carry one number."""
     try:
         final = apply_merge(db, plan, recipes, received, strict=strict)
     except MergeFailureError as exc:
         return str(exc)
+    return final.n_nodes, merged_stream(final)
+
+
+def merged_stream(final):
+    """Every stored (node, target, n_atoms, bits) in node and key order, with the
+    number of its piece object by first appearance."""
     first = {}
-    return final.n_nodes, [
+    return [
         (node, t, p.n_atoms, p.bits, first.setdefault(id(p), len(first)))
         for node, items in final.contents.items()
         for t, p in items.items()
@@ -465,18 +470,9 @@ def merge_variants(db, plan, schedule, rng):
     yield "unshared", unshared, deliver(unshared, schedule(unshared, plan), plan)
 
 
-def test_certified_merges_equal_the_walk(monkeypatch):
+def test_certified_merges_equal_the_walk(every_node_deviates, rule_calls, damage_reach):
     rng = random.Random(13)
-    walked = []
-    merge_by_walk = removal_merge.merge_by_walk
-
-    def counted_walk(db, *args):
-        walked.append(db)
-        return merge_by_walk(db, *args)
-
-    monkeypatch.setattr(removal_merge, "merge_by_walk", counted_walk)
-    fast_kinds = set()
-    outcomes = errors = 0
+    outcomes = errors = partial = 0
     for k in range(4, 13):
         for r in range(3, k):
             params = default_params(k, r)
@@ -485,18 +481,25 @@ def test_certified_merges_equal_the_walk(monkeypatch):
                 for removed in (1, k):
                     plan = make_split_plan(params, removed)
                     recipes = build_merge_recipes(params, plan)
+                    actual = [0] + [plan.to_actual(c) for c in range(1, k)]
                     for kind, case, received in merge_variants(db, plan, schedule, rng):
+                        reach = damage_reach(case, actual, recipes, received)
+                        where = (k, r, name, removed, kind)
+                        if kind == "clean":
+                            assert reach == [], where
+                        partial += 0 < len(reach) < r * (k - 1)
                         for strict in (True, False):
-                            walked.clear()
+                            rule_calls.clear()
                             fast = shared_outcome(case, plan, recipes, received, strict)
-                            if kind == "clean":
-                                assert walked == [], (k, r, name, removed, strict)
-                            elif not walked:
-                                fast_kinds.add(kind)
-                            with monkeypatch.context() as m:
-                                m.setattr(removal_merge, "cyclic_refs", lambda *a: None)
+                            # the source rule runs at exactly the holders the
+                            # damage reaches, up to the first that fails
+                            if isinstance(fast, str):
+                                assert rule_calls and rule_calls == reach[: len(rule_calls)], where
+                            else:
+                                assert rule_calls == reach, where
+                            with every_node_deviates():
                                 walk = shared_outcome(case, plan, recipes, received, strict)
-                            assert fast == walk, (k, r, name, removed, kind, strict)
+                            assert fast == walk, (*where, strict)
                             outcomes += 1
                             errors += isinstance(fast, str)
                             if not isinstance(fast, str):
@@ -504,11 +507,59 @@ def test_certified_merges_equal_the_walk(monkeypatch):
                                 number = {}
                                 for _, t, n_atoms, bits, obj in fast[1]:
                                     assert number.setdefault((t, n_atoms, bits), obj) == obj
-    # equal replicas certify whether or not they are shared, and so does damage
-    # that no holder's cut reads (an empty broadcast dropped, a payload bit
-    # outside the ranges holders take); a flipped stored replica never does
-    assert fast_kinds == {"dropped", "payload bit", "unshared"}
-    assert outcomes > 6000 and errors > 0
+    assert outcomes > 6000 and errors > 0 and partial > 0
+
+
+@pytest.mark.parametrize("change", [*sorted(SCHEDULES), "addition"])
+def test_the_source_rule_runs_only_at_the_damaged_node(change, every_node_deviates, rule_calls):
+    params = default_params(40, 30)
+    db = build_cyclic_database(params, seed=11)
+    removed, w = 7, params.atom_bits
+    plan = make_split_plan(params, removed)
+    recipes = build_merge_recipes(params, plan)
+
+    def run(case):
+        # (merged database, log) of this change on case; rule_calls holds
+        # where the source rule ran
+        rule_calls.clear()
+        if change == "addition":
+            added = rebalance_add(case)
+            return added.final, added.log
+        log = SCHEDULES[change](case, plan)
+        return apply_merge(case, plan, recipes, deliver(case, log, plan)), log
+
+    clean, log = run(db)
+    assert rule_calls == []
+    # a survivor's replica of a segment whose reference is another node's,
+    # flipped at an atom that no broadcast the survivor sends carries
+    node = 20
+    index = next(i for i in db.contents[node] if i != node)
+    sent = {
+        atom
+        for b in log.broadcasts
+        if b.sender == node
+        for op in b.operands
+        if op.base == index
+        for atom in range(op.atom_start, op.atom_stop)
+    }
+    atom = next(a for a in range(params.segment_atoms) if a not in sent)
+    flipped = flip_stored_bit(db, node, index, atom * w)
+    damaged, _ = run(flipped)
+    if change == "addition":
+        holder = node
+    else:
+        holder = next(c for c in range(1, 40) if plan.to_actual(c) == node)
+    assert rule_calls == [(t, node) for t in damaged.contents[holder]]
+    with every_node_deviates():
+        walked, _ = run(flipped)
+    assert merged_stream(walked) == merged_stream(damaged)
+    assert len(rule_calls) == len(damaged.contents) * params.replication
+    if change != "addition":
+        # the removed node's replicas feed no holder: nothing is walked
+        other = next(i for i in db.contents[removed] if i != removed)
+        flipped_removed, _ = run(flip_stored_bit(db, removed, other, 0))
+        assert rule_calls == []
+        assert merged_stream(flipped_removed) == merged_stream(clean)
 
 
 # sha256 of a removal's merged (node, index, n_atoms, bits) stream at (40,30),
@@ -517,18 +568,10 @@ REMOVE_40_30_NODE_7_SEED_7 = "f7d1ff34f99ebb922cce6884aa1be01cf1198b9ab214903c7b
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEDULES))
-def test_removal_stream_is_pinned_at_40_30(scheme, monkeypatch):
-    walks = []
-    merge_by_walk = removal_merge.merge_by_walk
-
-    def counted_walk(*args):
-        walks.append(args)
-        return merge_by_walk(*args)
-
-    # a clean removal of this size is merged per target, never by the walk
-    monkeypatch.setattr(removal_merge, "merge_by_walk", counted_walk)
+def test_removal_stream_is_pinned_at_40_30(scheme, rule_calls):
     run = rebalance_remove(build_cyclic_database(default_params(40, 30), seed=7), 7, scheme)
-    assert walks == []
+    # a clean removal of this size is merged per target, never holder by holder
+    assert rule_calls == []
     h = hashlib.sha256()
     for node, items in run.final.contents.items():
         for index, piece in items.items():
