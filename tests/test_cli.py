@@ -315,11 +315,22 @@ PINNED_TRACES = [
         ["remove", "--k", "40", "--r", "30", "--node", "7", "--t-mult", "3"],
         "e738049f2518297872cf12bd5f6d832f153e16d66a236ed3b599b7eb3f89e19b",
     ),
+    (
+        ["remove", "--k", "12", "--r", "9", "--node", "5", "--scheme", "uncoded"],
+        "8728a11e96e383eb431ea8165a08535b66a2f588e7e5ac9c6b46ac750b42aa9f",
+    ),
+    (
+        # four of its ten class slots are zero filler
+        ["remove", "--k", "9", "--r", "4", "--node", "3", "--scheme", "scheme2"],
+        "b6f20e91e232d44e36f2519cdec82aa6f64939920229ed8b526b55b374b98d9d",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, digest", PINNED_TRACES, ids=["remove-6-3", "add-6-3-seed3", "remove-40-30"]
+    "argv, digest",
+    PINNED_TRACES,
+    ids=["remove-6-3", "add-6-3-seed3", "remove-40-30", "remove-12-9-uncoded", "remove-9-4-scheme2"],
 )
 def test_full_trace_bytes_are_pinned(argv, digest, tmp_path, capsys):
     trace = tmp_path / "t.json"
