@@ -24,7 +24,7 @@ from .analytics import (
     uncoded_removal_load,
     verify_claim1,
 )
-from .bus import Broadcast, TransmissionLog, broadcast_class, broadcast_uncoded, broadcast_xor, decode_at_node
+from .bus import Broadcast, TransmissionLog, decode_at_node
 from .errors import (
     DecodeFailureError,
     MergeFailureError,
@@ -91,9 +91,6 @@ __all__ = [
     "addition_expected_layout",
     "addition_load",
     "apply_merge",
-    "broadcast_class",
-    "broadcast_uncoded",
-    "broadcast_xor",
     "build_cyclic_database",
     "build_merge_recipes",
     "choose_scheme",

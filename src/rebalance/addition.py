@@ -19,9 +19,11 @@ other input is delivered and merged by the removal's merge
 (removal_merge.merge) against the plan's recipes, under the same source
 rule, which runs holder by holder only where the damage reaches.
 
-make_addition_plan builds the K+1 target recipes once, from the parameters
-alone. rebalance_add returns them as the recipes of its ChangeRun, the
-record a removal returns too, and verify.verify_change checks against them.
+make_addition_plan builds the schedule, one uncoded slot per trailer in
+segment order and then one per shipped kept part, and the K+1 target
+recipes once, from the parameters alone; bus.encode cuts the payloads.
+rebalance_add returns the recipes as those of its ChangeRun, the record a
+removal returns too, and verify.verify_change checks against them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 from . import removal_merge
 from .analytics import LoadReport
-from .bus import TransmissionLog, broadcast_uncoded
+from .bus import Slot, encode
 from .errors import ParameterError
 from .model import (
     Database,
@@ -48,12 +50,9 @@ from .removal_schemes import deliver
 
 @dataclass(frozen=True)
 class AdditionPlan:
-    """Cut points and movements for one node addition."""
+    """Who sends what in one node addition, and the targets it builds."""
 
-    params: SystemParams
-    kept: tuple[SubsegmentLabel, ...]  # per segment: leading K/(K+1), stays replicated
-    small: tuple[SubsegmentLabel, ...]  # per segment: trailing 1/(K+1), broadcast
-    shipped: tuple[int, ...]  # segments whose kept part also goes to the new node
+    slots: tuple[Slot, ...]  # the K trailers in segment order, then the shipped kept parts
     recipes: tuple[MergeRecipe, ...]  # targets 1..K+1 in node labels
 
 
@@ -62,30 +61,18 @@ def make_addition_plan(params: SystemParams) -> AdditionPlan:
     k, r = params.n_nodes, params.replication
     seg_atoms = params.segment_atoms
     kept_atoms = seg_atoms * k // (k + 1)
-    # superscripts are built once and shared: a shipped kept part goes to the new
-    # node, and a small part to the new node plus the old nodes that precede
-    # segment i, which are nodes 1..r-1 for every segment i >= r
-    to_new = (k + 1,)
+    small_atoms = seg_atoms - kept_atoms
+    # node i, segment i's first holder, sends its trailer to the new node plus the
+    # old nodes that precede segment i, which are nodes 1..r-1 for every i >= r
     wide = (*range(1, r), k + 1)
-    kept = []
-    small = []
+    slots = []
     for i in range(1, k + 1):
-        kept.append(
-            SubsegmentLabel(
-                base=i,
-                superscript=to_new if i >= k - r + 2 else (),
-                atom_start=0,
-                atom_stop=kept_atoms,
-            )
-        )
-        small.append(
-            SubsegmentLabel(
-                base=i,
-                superscript=wide if i >= r else (*range(1, i), k + 1),
-                atom_start=kept_atoms,
-                atom_stop=seg_atoms,
-            )
-        )
+        small = SubsegmentLabel(i, wide if i >= r else (*range(1, i), k + 1), kept_atoms, seg_atoms)
+        slots.append((i, "uncoded", (small,), small_atoms))
+    # segments K-r+2..K ship their kept part to the new node
+    to_new = (k + 1,)
+    for i in range(k - r + 2, k + 1):
+        slots.append((i, "uncoded", (SubsegmentLabel(i, to_new, 0, kept_atoms),), kept_atoms))
     # the targets: segment i keeps its leading part on its new window, and the
     # new segment K+1 concatenates the K trailers in segment order
     recipes = [
@@ -94,13 +81,7 @@ def make_addition_plan(params: SystemParams) -> AdditionPlan:
     ]
     trailers = tuple([(i, kept_atoms, seg_atoms) for i in range(1, k + 1)])
     recipes.append(MergeRecipe(k + 1, tuple(sorted(cyclic_range(k + 1, r, k + 1))), trailers))
-    return AdditionPlan(
-        params=params,
-        kept=tuple(kept),
-        small=tuple(small),
-        shipped=tuple(range(k - r + 2, k + 1)),
-        recipes=tuple(recipes),
-    )
+    return AdditionPlan(slots=tuple(slots), recipes=tuple(recipes))
 
 
 def addition_expected_layout(plan: AdditionPlan) -> tuple[MergeRecipe, ...]:
@@ -120,16 +101,7 @@ def rebalance_add(db: Database) -> ChangeRun:
     k, r = params.n_nodes, params.replication
     w = params.atom_bits
     plan = make_addition_plan(params)
-    log = TransmissionLog(params)
-
-    trailers = []
-    for i in range(1, k + 1):
-        b = broadcast_uncoded(db, i, plan.small[i - 1])
-        log.emit(b)
-        trailers.append(b.payload)
-    for i in plan.shipped:
-        log.emit(broadcast_uncoded(db, i, plan.kept[i - 1]))
-
+    log = encode(db, plan.slots)
     refs, deviating = cyclic_refs(db.contents, k, r)
     if deviating:
         # holder labels are node labels; the new node stores nothing, so it
@@ -140,11 +112,13 @@ def rebalance_add(db: Database) -> ChangeRun:
         # every holder of W_i holds a piece equal to node i's, which both
         # broadcasts of W_i were cut from: cut each kept part once, assemble the
         # new segment once from the broadcast trailers, share each piece
-        kept_atoms, small_atoms = plan.kept[0].size_atoms, plan.small[0].size_atoms
+        kept_atoms = plan.recipes[0].parts[0][2]
+        small_atoms = params.segment_atoms - kept_atoms
         # one mask for all K cuts: building it costs several times the & itself
         mask = (1 << kept_atoms * w) - 1
         pieces = [StoredPiece(kept_atoms, p.bits & mask) for p in refs]
-        # trailer i at the low end first
+        # trailer i, the payload of broadcast i, at the low end first
+        trailers = [b.payload for b in log.broadcasts[:k]]
         new_bits = concat_bits(trailers, [small_atoms * w] * k)
         pieces.append(StoredPiece(k * small_atoms, new_bits))
         final = Database(params, k + 1, cyclic_layout(pieces, r))

@@ -1,8 +1,13 @@
 """Shared broadcast bus.
 
 Every transmission is a broadcast heard by all nodes; cost is the payload
-size. Coded payloads are bitwise XORs of pieces aligned at bit 0 and zero
-padded at the tail to the largest operand (or to an explicit nominal size).
+size. A schedule is data: a list of slots, each naming its sender, kind
+("coded" or "uncoded"), operand pieces and payload size, built from a plan
+alone. encode is the one place payloads are made: it cuts each slot's
+operands from the sender's stored segments and XORs them, aligned at bit 0
+and zero padded at the tail to the slot's size, which its widest operand
+must fill; a slot with no operands is zero filler.
+
 A receiver named in exactly one operand's superscript strips the other
 operands, which it can rebuild from its own stored base segments, and keeps
 the remainder truncated to the target piece size.
@@ -10,6 +15,7 @@ the remainder truncated to the target piece size.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,9 +41,6 @@ class TransmissionLog:
     params: SystemParams
     broadcasts: list[Broadcast] = field(default_factory=list)
 
-    def emit(self, b: Broadcast) -> None:
-        self.broadcasts.append(b)
-
     @property
     def total_payload_atoms(self) -> int:
         return sum(b.payload_atoms for b in self.broadcasts)
@@ -48,67 +51,39 @@ class TransmissionLog:
         return Fraction(self.total_payload_atoms, self.params.segment_atoms)
 
 
-def piece_bits(db: Database, node: int, label: SubsegmentLabel) -> int:
-    """Extract a piece's payload from the node's stored copy of the base segment."""
-    base = db.stored(node, label.base)
-    if base is None:
-        raise ProtocolViolationError(
-            f"node {node} does not hold segment {label.base} "
-            f"needed for {label.describe()}"
-        )
-    return slice_atoms(base.bits, label.atom_start, label.atom_stop, db.params.atom_bits)
+# one scheduled transmission: (sender, kind, operands, payload atoms)
+Slot = tuple[int, str, tuple[SubsegmentLabel, ...], int]
 
 
-def broadcast_uncoded(db: Database, sender: int, label: SubsegmentLabel) -> Broadcast:
-    """Transmit one piece in the clear at its own size."""
-    return Broadcast(
-        sender=sender,
-        kind="uncoded",
-        operands=(label,),
-        payload_atoms=label.size_atoms,
-        payload=piece_bits(db, sender, label),
-    )
+def encode(db: Database, slots: Iterable[Slot]) -> TransmissionLog:
+    """Cut every slot's operands from its sender's stored segments and XOR them.
 
-
-def broadcast_xor(db: Database, sender: int, labels: tuple[SubsegmentLabel, ...]) -> Broadcast:
-    """XOR two or more pieces, padded to the largest, and transmit once."""
-    if len(labels) < 2:
-        raise ProtocolViolationError("coded broadcast needs at least two operands")
-    return _coded(db, sender, labels, max(lab.size_atoms for lab in labels))
-
-
-def broadcast_class(
-    db: Database,
-    sender: int,
-    labels: tuple[SubsegmentLabel, ...],
-    nominal_atoms: int,
-) -> Broadcast:
-    """Transmit one fixed-size class slot: an XOR, a single padded piece, or zero filler.
-
-    The load accounting charges nominal_atoms regardless of how many operands
-    the slot carries, which is what keeps per-class costs uniform. When the
-    slot is non-empty the largest operand always has exactly the nominal size.
+    The widest operand must fill the slot; shorter ones are zero padded at the
+    tail, and a slot with no operands is zero filler charged at its size. The
+    first operand's cut is the payload as it is, so a whole segment sent in the
+    clear is the stored int itself.
     """
-    if labels:
-        widest = max(lab.size_atoms for lab in labels)
-        if widest != nominal_atoms:
-            raise ProtocolViolationError(
-                f"class slot of {nominal_atoms} atoms but widest operand is {widest}"
-            )
-    return _coded(db, sender, labels, nominal_atoms)
-
-
-def _coded(db, sender, labels, payload_atoms):
-    payload = 0
-    for lab in labels:
-        payload ^= piece_bits(db, sender, lab)
-    return Broadcast(
-        sender=sender,
-        kind="coded",
-        operands=tuple(labels),
-        payload_atoms=payload_atoms,
-        payload=payload,
-    )
+    w = db.params.atom_bits
+    log = TransmissionLog(db.params)
+    for sender, kind, operands, atoms in slots:
+        payload = 0
+        if operands:
+            widest = max([op.size_atoms for op in operands])
+            if widest != atoms:
+                raise ProtocolViolationError(
+                    f"slot of {atoms} atoms but widest operand is {widest}"
+                )
+        for j, op in enumerate(operands):
+            base = db.stored(sender, op.base)
+            if base is None:
+                raise ProtocolViolationError(
+                    f"node {sender} does not hold segment {op.base} "
+                    f"needed for {op.describe()}"
+                )
+            cut = slice_atoms(base.bits, op.atom_start, op.atom_stop, w)
+            payload = payload ^ cut if j else cut
+        log.broadcasts.append(Broadcast(sender, kind, operands, atoms, payload))
+    return log
 
 
 def decode_at_node(db: Database, receiver: int, b: Broadcast) -> tuple[SubsegmentLabel, int] | None:

@@ -2,7 +2,9 @@
 
 Both coded variants first split the r affected segments (see removal_split),
 then move every piece with XOR broadcasts plus two small uncoded corner
-batches, and finally merge (see removal_merge).
+batches, and finally merge (see removal_merge). removal_slots gives each
+schedule as data, slots built from the split plan alone with no database;
+bus.encode cuts their payloads.
 
 Scheme 1 chains adjacent pieces: r-1 coded broadcasts, each XORing the two
 pieces of one regrown target, the opening piece of one affected segment and
@@ -26,13 +28,7 @@ from __future__ import annotations
 
 from . import analytics
 from .analytics import LoadReport
-from .bus import (
-    TransmissionLog,
-    broadcast_class,
-    broadcast_uncoded,
-    broadcast_xor,
-    decode_at_node,
-)
+from .bus import Slot, TransmissionLog, decode_at_node, encode
 from .errors import ParameterError
 from .model import Database, SubsegmentLabel, storage_set
 from .removal_merge import ChangeRun, apply_merge, build_merge_recipes
@@ -41,70 +37,62 @@ from .removal_split import SplitPlan, make_split_plan
 SCHEME_CHOICES = ("auto", "scheme1", "scheme2", "uncoded")
 
 
-def _corner_batches(db: Database, plan: SplitPlan, log: TransmissionLog) -> None:
-    # node 1 clears the high corner's small pieces, node K-1 the low corner's
+def removal_slots(plan: SplitPlan, scheme: str) -> list[Slot]:
+    """One removal's schedule under scheme1, scheme2 or uncoded, from the plan alone."""
+    params = plan.params
+    k, r = params.n_nodes, params.replication
     node1 = plan.to_actual(1)
-    node_last = plan.to_actual(plan.params.n_nodes - 1)
-    for label in plan.high_corner.broadcast_batch():
-        log.emit(broadcast_uncoded(db, node1, label))
-    for label in plan.low_corner.broadcast_batch():
-        log.emit(broadcast_uncoded(db, node_last, label))
+    node_last = plan.to_actual(k - 1)
+    slots = []
+    if scheme == "uncoded":
+        # the lowest-labeled surviving holder rebroadcasts each segment whole
+        survivors = set(range(1, k + 1)) - {plan.removed}
+        for canonical in range(k - r + 1, k + 1):
+            actual = plan.to_actual(canonical)
+            holders = storage_set(actual, k, r)
+            needing = tuple(sorted(survivors - holders))
+            label = SubsegmentLabel(actual, needing, 0, params.segment_atoms)
+            slots.append((min(holders - {plan.removed}), "uncoded", (label,), params.segment_atoms))
+        return slots
+    if scheme == "scheme1":
+        # broadcast s carries target s: the opening piece of s, the closing one of s+1;
+        # node K-1 sends the lowest target's last
+        for s in [*range(k - r + 2, k), k - r + 1]:
+            ops = (plan.opening(s), plan.closing(s + 1))
+            sender = node_last if s == k - r + 1 else node1
+            slots.append((sender, "coded", ops, max(ops[0].size_atoms, ops[1].size_atoms)))
+    elif scheme == "scheme2":
+        gap = k - r
+        for i in range(1, gap + 1):
+            nominal = (k + r - 2 * i) * params.half_unit_atoms
+            steps = (r - 1 - i) // gap  # below 0 means the class carries no pieces
+            # segment indices K-r apart: walking down from K, and up from K-r+1
+            ops_high = tuple([plan.closing(k + 1 - i - j * gap) for j in range(steps + 1)])
+            ops_low = tuple([plan.opening(k - r + i + j * gap) for j in range(steps + 1)])
+            slots.append((node1, "coded", ops_high, nominal))
+            slots.append((node_last, "coded", ops_low, nominal))
+    else:
+        raise ParameterError(f"unknown scheme {scheme!r}")
+    # corner batches: node 1 clears the high corner's small pieces, node K-1 the low corner's
+    for sender, corner in ((node1, plan.high_corner), (node_last, plan.low_corner)):
+        for lab in corner.broadcast_batch():
+            slots.append((sender, "uncoded", (lab,), lab.size_atoms))
+    return slots
 
 
 def run_scheme1(db: Database, plan: SplitPlan) -> TransmissionLog:
     """Adjacent-pair XOR schedule: r-1 coded broadcasts plus corner batches."""
-    k, r = plan.params.n_nodes, plan.params.replication
-    log = TransmissionLog(plan.params)
-    node1 = plan.to_actual(1)
-    node_last = plan.to_actual(k - 1)
-    # broadcast s carries target s: the opening piece of s, the closing one of s+1
-    for s in range(k - r + 2, k):
-        log.emit(broadcast_xor(db, node1, (plan.opening(s), plan.closing(s + 1))))
-    low = k - r + 1
-    log.emit(broadcast_xor(db, node_last, (plan.opening(low), plan.closing(low + 1))))
-    _corner_batches(db, plan, log)
-    return log
+    return encode(db, removal_slots(plan, "scheme1"))
 
 
 def run_scheme2(db: Database, plan: SplitPlan) -> TransmissionLog:
     """Strided-class XOR schedule: 2(K-r) fixed-size slots plus corner batches."""
-    k, r = plan.params.n_nodes, plan.params.replication
-    gap = k - r
-    hu = plan.params.half_unit_atoms
-    log = TransmissionLog(plan.params)
-    node1 = plan.to_actual(1)
-    node_last = plan.to_actual(k - 1)
-    for i in range(1, gap + 1):
-        nominal = (k + r - 2 * i) * hu
-        steps = (r - 1 - i) // gap  # below 0 means the class carries no pieces
-        # segment indices K-r apart: walking down from K, and up from K-r+1
-        ops_high = tuple([plan.closing(k + 1 - i - j * gap) for j in range(steps + 1)])
-        ops_low = tuple([plan.opening(k - r + i + j * gap) for j in range(steps + 1)])
-        log.emit(broadcast_class(db, node1, ops_high, nominal))
-        log.emit(broadcast_class(db, node_last, ops_low, nominal))
-    _corner_batches(db, plan, log)
-    return log
+    return encode(db, removal_slots(plan, "scheme2"))
 
 
 def run_uncoded_removal(db: Database, plan: SplitPlan) -> TransmissionLog:
     """Baseline: the lowest-labeled surviving holder rebroadcasts each segment whole."""
-    params = plan.params
-    k, r = params.n_nodes, params.replication
-    log = TransmissionLog(params)
-    survivors = set(range(1, k + 1)) - {plan.removed}
-    for canonical in range(k - r + 1, k + 1):
-        actual = plan.to_actual(canonical)
-        holders = storage_set(actual, k, r) - {plan.removed}
-        sender = min(holders)
-        needing = sorted(survivors - storage_set(actual, k, r))
-        label = SubsegmentLabel(
-            base=actual,
-            superscript=tuple(needing),
-            atom_start=0,
-            atom_stop=params.segment_atoms,
-        )
-        log.emit(broadcast_uncoded(db, sender, label))
-    return log
+    return encode(db, removal_slots(plan, "uncoded"))
 
 
 def deliver(
@@ -171,14 +159,7 @@ def rebalance_remove(db: Database, removed: int, scheme: str = "auto") -> Change
     plan = make_split_plan(params, removed)
     if scheme == "auto":
         scheme = analytics.choose_scheme(params.n_nodes, params.replication)
-
-    if scheme == "scheme1":
-        log = run_scheme1(db, plan)
-    elif scheme == "scheme2":
-        log = run_scheme2(db, plan)
-    else:
-        log = run_uncoded_removal(db, plan)
-
+    log = encode(db, removal_slots(plan, scheme))
     received = deliver(db, log, plan)
     recipes = build_merge_recipes(params, plan)
     final = apply_merge(db, plan, recipes, received)

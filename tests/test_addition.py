@@ -30,10 +30,14 @@ from rebalance.addition import make_addition_plan
 
 def test_golden_plan_6_3():
     plan = make_addition_plan(default_params(6, 3))
-    assert [(p.atom_start, p.atom_stop) for p in plan.kept] == [(0, 60)] * 6
-    assert [p.superscript for p in plan.kept] == [(), (), (), (), (7,), (7,)]
-    assert [(p.atom_start, p.atom_stop) for p in plan.small] == [(60, 70)] * 6
-    assert [p.superscript for p in plan.small] == [
+    assert all(kind == "uncoded" and len(ops) == 1 for _, kind, ops, _ in plan.slots)
+    trailers, shipped = plan.slots[:6], plan.slots[6:]
+    # node i sends segment i's trailer
+    assert [(sender, ops[0].base) for sender, _, ops, _ in trailers] == [(i, i) for i in range(1, 7)]
+    assert [(ops[0].atom_start, ops[0].atom_stop, atoms) for _, _, ops, atoms in trailers] == [
+        (60, 70, 10)
+    ] * 6
+    assert [ops[0].superscript for _, _, ops, _ in trailers] == [
         (7,),
         (1, 7),
         (1, 2, 7),
@@ -41,7 +45,14 @@ def test_golden_plan_6_3():
         (1, 2, 7),
         (1, 2, 7),
     ]
-    assert plan.shipped == (5, 6)
+    # segments 5 and 6 ship their kept part to the new node; the rest ship nothing
+    assert [(sender, ops[0].base) for sender, _, ops, _ in shipped] == [(5, 5), (6, 6)]
+    assert [(ops[0].atom_start, ops[0].atom_stop, atoms) for _, _, ops, atoms in shipped] == [
+        (0, 60, 60)
+    ] * 2
+    assert [ops[0].superscript for _, _, ops, _ in shipped] == [(7,), (7,)]
+    # every segment keeps its leading 60 atoms
+    assert [t.parts for t in plan.recipes[:6]] == [((i, 0, 60),) for i in range(1, 7)]
 
 
 def test_golden_run_6_3():
@@ -159,9 +170,9 @@ def test_a_discarded_segment_is_sourced_off_the_bus(k, r):
         # the trailer in node n's new segment is the broadcast that lists node n;
         # the small parts go first, in segment order
         sent = run.log.broadcasts[i - 1]
-        assert sent.operands == (run.plan.small[i - 1],)
+        assert sent.operands == run.plan.slots[i - 1][2]
         assert n in sent.operands[0].superscript
-        small_atoms = run.plan.small[0].size_atoms
+        small_atoms = run.plan.slots[0][3]
         new = run.final.stored(n, k + 1)
         assert slice_atoms(new.bits, (i - 1) * small_atoms, i * small_atoms, w) == sent.payload
         assert new is run.final.stored(k + 1, k + 1)

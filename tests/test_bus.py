@@ -6,9 +6,6 @@ from hypothesis import given, settings, strategies as st
 from rebalance import (
     DecodeFailureError,
     ProtocolViolationError,
-    broadcast_class,
-    broadcast_uncoded,
-    broadcast_xor,
     build_cyclic_database,
     decode_at_node,
     default_params,
@@ -17,6 +14,7 @@ from rebalance import (
     segment_content,
     slice_atoms,
 )
+from rebalance.bus import encode
 
 
 @pytest.fixture(scope="module")
@@ -27,10 +25,15 @@ def setup_6_3():
     return params, db, plan
 
 
+def send(db, sender, kind, operands, payload_atoms):
+    # encode one slot and return its broadcast
+    return encode(db, [(sender, kind, operands, payload_atoms)]).broadcasts[0]
+
+
 def test_uncoded_broadcast_carries_exact_slice(setup_6_3):
     params, db, plan = setup_6_3
     piece = plan.high_corner.tiny  # W_6 atoms [49:56]
-    b = broadcast_uncoded(db, 1, piece)
+    b = send(db, 1, "uncoded", (piece,), 7)
     assert b.kind == "uncoded"
     assert b.payload_atoms == 7
     want = slice_atoms(segment_content(0, 6, 70), 49, 56, 1)
@@ -50,14 +53,14 @@ def test_uncoded_broadcast_requires_possession(setup_6_3):
         ProtocolViolationError,
         match=r"^node 3 does not hold segment 6 needed for W_6\^\{3,4\}\[49:56\]$",
     ):
-        broadcast_uncoded(db, 3, plan.high_corner.tiny)
+        send(db, 3, "uncoded", (plan.high_corner.tiny,), 7)
 
 
 def test_xor_pads_to_largest_operand(setup_6_3):
     params, db, plan = setup_6_3
     first = plan.middles[0][0]  # W_5 atoms [0:35]
     big = plan.high_corner.big  # W_6 atoms [0:49]
-    b = broadcast_xor(db, 1, (first, big))
+    b = send(db, 1, "coded", (first, big), 49)
     assert b.kind == "coded"
     assert b.payload_atoms == 49
     w5 = slice_atoms(segment_content(0, 5, 70), 0, 35, 1)
@@ -65,29 +68,24 @@ def test_xor_pads_to_largest_operand(setup_6_3):
     assert b.payload == w5 ^ w6  # short operand zero-padded at the tail
 
 
-def test_xor_needs_two_operands(setup_6_3):
-    params, db, plan = setup_6_3
-    with pytest.raises(ProtocolViolationError):
-        broadcast_xor(db, 1, (plan.high_corner.big,))
-
-
 def test_class_slot_accepts_empty_single_and_many(setup_6_3):
     params, db, plan = setup_6_3
-    filler = broadcast_class(db, 1, (), nominal_atoms=21)
+    filler = send(db, 1, "coded", (), 21)
     assert filler.payload == 0 and filler.payload_atoms == 21 and filler.kind == "coded"
 
-    single = broadcast_class(db, 1, (plan.high_corner.big,), nominal_atoms=49)
+    single = send(db, 1, "coded", (plan.high_corner.big,), 49)
     assert single.payload == slice_atoms(segment_content(0, 6, 70), 0, 49, 1)
 
-    with pytest.raises(ProtocolViolationError):
-        broadcast_class(db, 1, (plan.high_corner.big,), nominal_atoms=56)
+    # the widest operand must fill the slot
+    with pytest.raises(ProtocolViolationError, match=r"^slot of 56 atoms but widest operand is 49$"):
+        send(db, 1, "coded", (plan.high_corner.big,), 56)
 
 
 def test_decode_recovers_addressed_operand(setup_6_3):
     params, db, plan = setup_6_3
     first = plan.middles[0][0]  # W_5^{2}
     big = plan.high_corner.big  # W_6^{5}
-    b = broadcast_xor(db, 1, (first, big))
+    b = send(db, 1, "coded", (first, big), 49)
     # node 2 holds W_6, strips it, keeps W_5's leading half
     label, bits = decode_at_node(db, 2, b)
     assert label == first
@@ -104,7 +102,7 @@ def test_decode_fails_without_sibling_base(setup_6_3):
     params, db, plan = setup_6_3
     first = plan.middles[0][0]
     big = plan.high_corner.big
-    b = broadcast_xor(db, 1, (first, big))
+    b = send(db, 1, "coded", (first, big), 49)
     # strip W_5 from node 2's storage so it cannot cancel the sibling
     crippled = build_cyclic_database(params, seed=0)
     crippled.contents = {n: dict(items) for n, items in crippled.contents.items()}

@@ -15,6 +15,7 @@ from rebalance import (
     default_params,
     deliver,
     flip_stored_bit,
+    full_removal_load,
     load_scheme1,
     load_scheme2,
     make_split_plan,
@@ -26,6 +27,7 @@ from rebalance import (
 )
 from rebalance import removal_schemes
 from rebalance.analytics import corner_overhead
+from rebalance.removal_schemes import removal_slots
 
 SCHEDULES = {"scheme1": run_scheme1, "scheme2": run_scheme2, "uncoded": run_uncoded_removal}
 
@@ -149,6 +151,45 @@ def test_every_broadcast_sender_holds_its_operands():
                 for b in log.broadcasts:
                     for op in b.operands:
                         assert db.stored(b.sender, op.base) is not None
+
+
+def test_removal_slots_rejects_an_unknown_scheme():
+    # "auto" is resolved before a schedule is built; it is no schedule itself
+    with pytest.raises(ParameterError, match="^unknown scheme 'auto'$"):
+        removal_slots(make_split_plan(default_params(6, 3), 6), "auto")
+
+
+def test_schedules_pass_the_payload_free_audit():
+    # the schedules alone, no database built: node K//2+1 leaves every (K, r)
+    for k in range(4, 41):
+        removed = k // 2 + 1
+        for r in range(3, k):
+            params = default_params(k, r)
+            plan = make_split_plan(params, removed)
+
+            def holds(node, segment):
+                return (node - segment) % k < r
+
+            for scheme in ("scheme1", "scheme2", "uncoded"):
+                slots = removal_slots(plan, scheme)
+                where = (k, r, scheme)
+                load = full_removal_load(k, r, scheme)
+                assert sum(atoms for *_, atoms in slots) == load * params.segment_atoms, where
+                for sender, kind, ops, atoms in slots:
+                    if ops:
+                        assert max(op.size_atoms for op in ops) == atoms, where
+                    if scheme == "scheme1" and kind == "coded":
+                        assert len(ops) == 2, where
+                    assert sender != removed, where
+                    assert all(holds(sender, op.base) for op in ops), where
+                    for op in ops:
+                        for node in op.superscript:
+                            # node strips every other operand and keeps its own
+                            named = [o for o in ops if node in o.superscript]
+                            assert named == [op], (where, node)
+                            assert node != removed and not holds(node, op.base), (where, node)
+                            others = [o for o in ops if o is not op]
+                            assert all(holds(node, o.base) for o in others), (where, node)
 
 
 def decodes_node_by_node(db, log):
