@@ -33,7 +33,9 @@ def test_golden_plan_6_3():
     assert all(kind == "uncoded" and len(ops) == 1 for _, kind, ops, _ in plan.slots)
     trailers, shipped = plan.slots[:6], plan.slots[6:]
     # node i sends segment i's trailer
-    assert [(sender, ops[0].base) for sender, _, ops, _ in trailers] == [(i, i) for i in range(1, 7)]
+    assert [(sender, ops[0].base) for sender, _, ops, _ in trailers] == [
+        (i, i) for i in range(1, 7)
+    ]
     assert [(ops[0].atom_start, ops[0].atom_stop, atoms) for _, _, ops, atoms in trailers] == [
         (60, 70, 10)
     ] * 6

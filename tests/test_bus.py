@@ -77,7 +77,9 @@ def test_class_slot_accepts_empty_single_and_many(setup_6_3):
     assert single.payload == slice_atoms(segment_content(0, 6, 70), 0, 49, 1)
 
     # the widest operand must fill the slot
-    with pytest.raises(ProtocolViolationError, match=r"^slot of 56 atoms but widest operand is 49$"):
+    with pytest.raises(
+        ProtocolViolationError, match=r"^slot of 56 atoms but widest operand is 49$"
+    ):
         send(db, 1, "coded", (plan.high_corner.big,), 56)
 
 

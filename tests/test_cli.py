@@ -330,7 +330,13 @@ PINNED_TRACES = [
 @pytest.mark.parametrize(
     "argv, digest",
     PINNED_TRACES,
-    ids=["remove-6-3", "add-6-3-seed3", "remove-40-30", "remove-12-9-uncoded", "remove-9-4-scheme2"],
+    ids=[
+        "remove-6-3",
+        "add-6-3-seed3",
+        "remove-40-30",
+        "remove-12-9-uncoded",
+        "remove-9-4-scheme2",
+    ],
 )
 def test_full_trace_bytes_are_pinned(argv, digest, tmp_path, capsys):
     trace = tmp_path / "t.json"
