@@ -12,9 +12,11 @@ no coding is needed anywhere.
 
 A clean input is built per segment, not per replica. When cyclic_refs finds
 no node deviating, every old holder of W_i stores a piece equal to node i's,
-which both broadcasts of W_i were cut from: each kept part is cut once, the
-new segment is assembled once from the broadcast trailers, and cyclic_layout
-places each of the K+1 pieces at all its r holders as one shared object. Any
+which both broadcasts of W_i were cut from: each kept part is cut once (the
+shipped ones of segments K-r+2..K are their broadcast payloads, not a second
+cut), the new segment is assembled once from the broadcast trailers, and
+cyclic_layout places each of the K+1 pieces at all its r holders as one
+shared object. Any
 other input is delivered and merged by the removal's merge
 (removal_merge.merge) against the plan's recipes, under the same source
 rule, which runs holder by holder only where the damage reaches.
@@ -41,8 +43,8 @@ from .model import (
     SystemParams,
     concat_bits,
     cyclic_layout,
-    cyclic_range,
     cyclic_refs,
+    sorted_cyclic_range,
 )
 from .removal_merge import ChangeRun, MergeRecipe
 from .removal_schemes import deliver
@@ -76,11 +78,11 @@ def make_addition_plan(params: SystemParams) -> AdditionPlan:
     # the targets: segment i keeps its leading part on its new window, and the
     # new segment K+1 concatenates the K trailers in segment order
     recipes = [
-        MergeRecipe(i, tuple(sorted(cyclic_range(i, r, k + 1))), ((i, 0, kept_atoms),))
+        MergeRecipe(i, sorted_cyclic_range(i, r, k + 1), ((i, 0, kept_atoms),))
         for i in range(1, k + 1)
     ]
     trailers = tuple([(i, kept_atoms, seg_atoms) for i in range(1, k + 1)])
-    recipes.append(MergeRecipe(k + 1, tuple(sorted(cyclic_range(k + 1, r, k + 1))), trailers))
+    recipes.append(MergeRecipe(k + 1, sorted_cyclic_range(k + 1, r, k + 1), trailers))
     return AdditionPlan(slots=tuple(slots), recipes=tuple(recipes))
 
 
@@ -114,9 +116,13 @@ def rebalance_add(db: Database) -> ChangeRun:
         # new segment once from the broadcast trailers, share each piece
         kept_atoms = plan.recipes[0].parts[0][2]
         small_atoms = params.segment_atoms - kept_atoms
-        # one mask for all K cuts: building it costs several times the & itself
+        # one mask for the K-r+1 cuts: building it costs several times the & itself
         mask = (1 << kept_atoms * w) - 1
-        pieces = [StoredPiece(kept_atoms, p.bits & mask) for p in refs]
+        kept = [p.bits & mask for p in refs[: k - r + 1]]
+        # segments K-r+2..K ship their kept part, which encode cut from the same
+        # reference pieces: the payloads are those parts, stored as they are
+        kept += [b.payload for b in log.broadcasts[k:]]
+        pieces = [StoredPiece(kept_atoms, bits) for bits in kept]
         # trailer i, the payload of broadcast i, at the low end first
         trailers = [b.payload for b in log.broadcasts[:k]]
         new_bits = concat_bits(trailers, [small_atoms * w] * k)

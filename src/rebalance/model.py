@@ -22,6 +22,7 @@ Concatenation "A | B" therefore places A at the low end.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
@@ -104,6 +105,25 @@ def cyclic_range(start: int, count: int, modulus: int) -> tuple[int, ...]:
     if stop <= modulus + 1:
         return tuple(range(start, stop))
     return tuple(range(start, modulus + 1)) + tuple(range(1, stop - modulus))
+
+
+def cyclic_spans(start: int, count: int, modulus: int) -> tuple[tuple[int, int], ...]:
+    """cyclic_range(start, count, modulus) as at most two half-open ranges of
+    labels, the one from start first; unchecked, for hot loops."""
+    stop = start + count
+    if stop <= modulus + 1:
+        return ((start, stop),)
+    return ((start, modulus + 1), (1, stop - modulus))
+
+
+def sorted_cyclic_range(start: int, count: int, modulus: int) -> tuple[int, ...]:
+    """The labels of cyclic_range(start, count, modulus) in ascending order,
+    built from its spans without a sort."""
+    spans = cyclic_spans(start, count, modulus)
+    if len(spans) == 1:
+        return tuple(range(start, start + count))
+    (lo, hi), (wrap_lo, wrap_hi) = spans
+    return tuple(range(wrap_lo, wrap_hi)) + tuple(range(lo, hi))
 
 
 def storage_set(index: int, n_nodes: int, replication: int) -> frozenset[int]:
@@ -313,18 +333,37 @@ _NOTHING: dict[int, StoredPiece] = {}
 
 def cyclic_layout(pieces: list[StoredPiece], r: int) -> dict[int, dict[int, StoredPiece]]:
     """Contents of n = len(pieces) nodes holding segment i's piece pieces[i-1] on
-    nodes i..i+r-1 (cyclic): node m stores segments m-r+1..m, in ascending index
-    order, each one the same piece object at all its holders."""
+    nodes i..i+r-1 (cyclic), 1 <= r <= n: node m stores segments m-r+1..m, in
+    ascending index order, each one the same piece object at all its holders.
+
+    The windows are built by C-level dict copies, not by one insert per (node,
+    segment). Node m > r's window is node m-1's copy less segment m-r plus
+    segment m. A node m <= r joins a head, segments 1..m, grown by one segment
+    per node, with a tail, segments n-r+m+1..n, shrunk by one. A copy keeps
+    its source's hash table; once the table's spare slots are used up, the next
+    insert grows it to three times its entries. A window whose table outgrew
+    that of a dict built one insert at a time is rebuilt that way, so no node
+    holds more than a per-window dict(zip(...)) would.
+    """
     n = len(pieces)
-    indices = list(range(1, n + 1))
+    if not 1 <= r <= n:
+        raise ParameterError(f"replication {r} outside [1, {n}]")
+    fresh = sys.getsizeof(dict(zip(range(r), pieces)))
+    head: dict[int, StoredPiece] = {}
+    tail = dict(zip(range(n - r + 1, n + 1), pieces[n - r :]))
     contents: dict[int, dict[int, StoredPiece]] = {}
-    for m in indices:
-        lo = m - r
-        if lo >= 0:
-            contents[m] = dict(zip(indices[lo:m], pieces[lo:m]))
+    for m in range(1, n + 1):
+        if m <= r:
+            head[m] = pieces[m - 1]
+            del tail[n - r + m]
+            node = head | tail
         else:
-            # the window wraps: segments 1..m, then the last r-m
-            contents[m] = dict(zip(indices[:m] + indices[lo:], pieces[:m] + pieces[lo:]))
+            node = node.copy()
+            del node[m - r]
+            node[m] = pieces[m - 1]
+        if sys.getsizeof(node) > fresh:
+            node = dict(node.items())
+        contents[m] = node
     return contents
 
 
@@ -341,8 +380,12 @@ def cyclic_refs(
     when deviating is empty. Node i's own piece is the reference, so damage
     to it lists the other r-1 holders of segment i, not node i.
 
-    Replicas need only be equal, not shared. list == takes identity first, so
-    shared replicas cost no payload compare.
+    Replicas need only be equal, not shared. Each node's keys and values are
+    first compared, as two lists, with its window in ascending order, the
+    order cyclic_layout stores; list == takes identity first, so shared
+    replicas cost no payload compare. That compare only accepts: a node that
+    fails it, say one holding its window in another order, is looked up key by
+    key, and that lookup alone decides whether it deviates.
     """
     segments = range(1, n + 1)
     refs = [contents.get(i, _NOTHING).get(i) for i in segments]
@@ -354,14 +397,19 @@ def cyclic_refs(
         for i in segments:
             if refs[i - 1] is None:
                 deviating.update(cyclic_range(i, r, n))
-    # doubled[j] and indices[j] are segment j mod n + 1's piece and index, so
-    # node m's window of segments m-r+1..m is the slice [m-r+n, m+n)
-    doubled = refs + refs
-    indices = [*segments, *segments]
+    indices = list(segments)
     for m in segments:
         items = contents.get(m, _NOTHING)
-        lo, hi = m - r + n, m + n
-        if len(items) != r or list(map(items.get, indices[lo:hi])) != doubled[lo:hi]:
+        # node m's window in ascending order: segments m-r+1..m, or when it
+        # wraps, 1..m and then the last r-m
+        lo = m - r
+        if lo >= 0:
+            keys, window = indices[lo:m], refs[lo:m]
+        else:
+            keys, window = indices[:m] + indices[lo:], refs[:m] + refs[lo:]
+        if list(items) == keys and list(items.values()) == window:
+            continue
+        if len(items) != r or list(map(items.get, keys)) != window:
             deviating.add(m)
     return refs, deviating
 

@@ -43,9 +43,10 @@ from .model import (
     SubsegmentLabel,
     SystemParams,
     cyclic_layout,
-    cyclic_range,
     cyclic_refs,
+    cyclic_spans,
     slice_atoms,
+    sorted_cyclic_range,
 )
 from .removal_split import SplitPlan
 
@@ -105,7 +106,7 @@ def build_merge_recipes(params: SystemParams, plan: SplitPlan) -> tuple[MergeRec
         recipes.append(
             MergeRecipe(
                 target=target,
-                holders=tuple(sorted(cyclic_range(target, r, k - 1))),
+                holders=sorted_cyclic_range(target, r, k - 1),
                 parts=tuple(parts),
             )
         )
@@ -181,7 +182,7 @@ def merge(
     walked: list[tuple[int, int, StoredPiece]] = []  # (holder, target, replica)
     for recipe in recipes:
         target = recipe.target
-        held = _spans(target, r, m)
+        held = cyclic_spans(target, r, m)
         walk = {h for h in damaged if (h - target) % m < r} if damaged else set()
         cuts: list[int | None] = []
         for origin, start, stop in recipe.parts:
@@ -194,7 +195,7 @@ def merge(
             # at window positions p..p+r-1 (mod n), so the n-r from p+r lack
             # it, and so does any holder past n, which stores nothing
             p = position.get(origin, n)
-            lacking = _spans((p + r - 1) % n + 1, n - r, n) + past
+            lacking = cyclic_spans((p + r - 1) % n + 1, n - r, n) + past
             need = set()
             for lo, hi in held:
                 for a, b in lacking:
@@ -226,14 +227,6 @@ def merge(
     for holder, target, replica in walked:
         contents[holder][target] = replica
     return Database(params, m, contents)
-
-
-def _spans(start: int, count: int, modulus: int) -> tuple[tuple[int, int], ...]:
-    # cyclic_range(start, count, modulus) as at most two half-open ranges
-    stop = start + count
-    if stop <= modulus + 1:
-        return ((start, stop),)
-    return ((start, modulus + 1), (1, stop - modulus))
 
 
 def _source_rule(

@@ -10,10 +10,15 @@ holds the latest build's immutable ints and walks afresh for any other), and
 the targets together cover every original atom exactly once.
 
 Each check first tries a certificate that accepts a clean layout, where a
-segment's replicas are one shared piece, with C-level list compares per node
-(shape) or target (content). Only if it fails does the walk run, item by
-item; the walk alone produces findings, so their text and order never depend
-on the certificate.
+segment's replicas are one shared piece, with C-level list compares. Both
+start from model.cyclic_refs, which verify_change computes once for the
+two. With no node deviating, the shape check needs only the references'
+sizes, and the content check compares one piece per target, the reference,
+when the target's holders are its window by this module's own range
+arithmetic (never the code that built the recipes). Any other target has its
+holders' pieces fetched and compared as a list. Only if a certificate fails
+does the walk run, item by item; the walk alone produces findings, so their
+text and order never depend on the certificate.
 
 Findings name the offending node and segment, so a single suppressed
 broadcast or flipped bit is traceable. verify_change runs both checks on
@@ -75,17 +80,28 @@ class VerificationReport:
         return VerificationReport(self.findings + other.findings)
 
 
+# cyclic_refs' (refs, deviating) for the node count and replication under check
+Certificate = tuple[list[StoredPiece | None], set[int]]
+
+
 def verify_cyclic_balanced(db: Database, expected: SystemParams) -> VerificationReport:
     """Shape check against an expected (node count, replication, segment bits)."""
-    if _shape_certified(db, expected):
+    certificate = cyclic_refs(db.contents, expected.n_nodes, expected.replication)
+    return _check_shape(db, expected, certificate)
+
+
+def _check_shape(
+    db: Database, expected: SystemParams, certificate: Certificate
+) -> VerificationReport:
+    if _shape_certified(db, expected, certificate):
         return VerificationReport(())
     return _shape_walk(db, expected)
 
 
-def _shape_certified(db: Database, expected: SystemParams) -> bool:
-    """True when cyclic_refs certifies the layout (no node deviates, so no ref
-    is missing) and every segment has the expected size: every walk check follows."""
-    refs, deviating = cyclic_refs(db.contents, expected.n_nodes, expected.replication)
+def _shape_certified(db: Database, expected: SystemParams, certificate: Certificate) -> bool:
+    """True when the certificate has no node deviating (so no ref is missing)
+    and every segment has the expected size: every walk check follows."""
+    refs, deviating = certificate
     w, seg_bits = db.params.atom_bits, expected.segment_bits
     return not deviating and all(ref.n_atoms * w == seg_bits for ref in refs)
 
@@ -166,7 +182,21 @@ def verify_preservation(
     seed: int,
 ) -> VerificationReport:
     """Content check: every target holds exactly its original atoms, all atoms kept."""
-    w = params.atom_bits
+    certificate = cyclic_refs(final.contents, len(expected), params.replication)
+    return _check_content(final, expected, params, seed, certificate)
+
+
+def _check_content(
+    final: Database,
+    expected: tuple[MergeRecipe, ...],
+    params: SystemParams,
+    seed: int,
+    certificate: Certificate,
+) -> VerificationReport:
+    """verify_preservation, given cyclic_refs(final.contents, len(expected),
+    params.replication)."""
+    refs, deviating = certificate
+    n, r, w = len(expected), params.replication, params.atom_bits
     # the latest build's own ints when final came from it, else one fresh walk
     content = database_content(seed, params.n_nodes, params.segment_atoms * w)
     findings: list[Finding] = []
@@ -189,6 +219,13 @@ def verify_preservation(
             continue
         n_atoms = sum(widths) // w
         want = concat_bits(cuts, widths)
+        # a certified layout stores a piece equal to refs[t-1] at every node of
+        # segment t's window, so when those nodes are the holders, that one
+        # piece stands for them all
+        t = tgt.target
+        if not deviating and 1 <= t <= n and tgt.holders == _window(t, r, n):
+            if _content_certified([refs[t - 1]], n_atoms, want):
+                continue
         # each holder's piece, None where its node or the item is missing
         node_items = map(final.contents.get, tgt.holders, repeat({}))
         pieces = list(map(dict.get, node_items, repeat(tgt.target)))
@@ -227,6 +264,15 @@ def verify_preservation(
     return VerificationReport(tuple(findings))
 
 
+def _window(index: int, r: int, n: int) -> tuple[int, ...]:
+    """Nodes index..index+r-1 wrapped into 1..n, in ascending order: where a
+    cyclic layout of n nodes stores segment index."""
+    wrapped = index + r - 1 - n  # labels past n, which wrap to 1..wrapped
+    if wrapped <= 0:
+        return tuple(range(index, index + r))
+    return tuple(range(1, wrapped + 1)) + tuple(range(index, n + 1))
+
+
 def _content_certified(pieces: list[StoredPiece | None], n_atoms: int, bits: int) -> bool:
     """True when every piece equals the first, which has the expected size and
     payload; count takes identity first, so shared pieces cost no compare."""
@@ -251,8 +297,10 @@ def verify_change(run: ChangeRun, seed: int) -> VerificationReport:
     shape = SystemParams(
         n_nodes, params.replication, params.segment_bits * params.n_nodes // n_nodes
     )
-    return verify_cyclic_balanced(final, shape).merged(
-        verify_preservation(final, targets, params, seed)
+    # both checks certify the same layout: n_nodes nodes at the build's replication
+    certificate = cyclic_refs(final.contents, n_nodes, params.replication)
+    return _check_shape(final, shape, certificate).merged(
+        _check_content(final, targets, params, seed, certificate)
     )
 
 

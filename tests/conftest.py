@@ -5,7 +5,15 @@ from dataclasses import replace
 
 import pytest
 
-from rebalance import AdditionPlan, addition, apply_merge, deliver, drop_broadcast, removal_merge
+from rebalance import (
+    AdditionPlan,
+    addition,
+    apply_merge,
+    deliver,
+    drop_broadcast,
+    removal_merge,
+    verify,
+)
 from rebalance.model import cyclic_refs, slice_atoms
 
 
@@ -47,7 +55,8 @@ def total_stored_atoms():
 def every_node_deviates(monkeypatch):
     """A context manager under which the layout certificate lists every node as
     deviating, the new node of an addition too, so both changes rebuild every
-    replica by the per-holder source rule: the all-walk merge."""
+    replica by the per-holder source rule, the all-walk merge, and the verifier
+    fetches every holder's piece and walks the shape item by item."""
 
     def all_deviate(contents, n, r):
         refs, _ = cyclic_refs(contents, n, r)
@@ -58,6 +67,7 @@ def every_node_deviates(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(removal_merge, "cyclic_refs", all_deviate)
             m.setattr(addition, "cyclic_refs", all_deviate)
+            m.setattr(verify, "cyclic_refs", all_deviate)
             yield
 
     return patched

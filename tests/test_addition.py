@@ -199,6 +199,11 @@ def test_kept_replicas_share_one_int():
         else:
             # local and broadcast trailers agree, so the new segment is built once
             assert all(bits is replicas[0] for bits in replicas)
+    # segments K-r+2..K keep the very int their shipped slot carried
+    shipped = run.log.broadcasts[12:]
+    assert [b.operands[0].base for b in shipped] == [10, 11, 12]
+    for b in shipped:
+        assert final.stored(b.operands[0].base, b.operands[0].base).bits is b.payload
 
     # a flipped bit in a shared replica damages only the node it was flipped at
     node = 6

@@ -2,6 +2,7 @@
 
 import hashlib
 import operator
+import sys
 from dataclasses import replace
 
 import pytest
@@ -357,6 +358,104 @@ def test_cyclic_refs_certify_exactly_the_cyclic_layout():
             # a stored ref is node i's piece, damaged or not
             flipped = flip_stored_bit(db, node, node, 0).contents
             assert cyclic_refs(flipped, k, r)[0][node - 1] is flipped[node][node]
+
+
+def layout_oracle(pieces, r):
+    """The cyclic layout one window at a time: node m's segments m-r+1..m (cyclic)
+    sorted, each inserted in turn into a fresh dict."""
+    n = len(pieces)
+    out = {}
+    for m in range(1, n + 1):
+        window = sorted((m - j - 1) % n + 1 for j in range(r))
+        out[m] = dict(zip(window, [pieces[i - 1] for i in window]))
+    return out
+
+
+def assert_layout_is_the_oracle(pieces, r):
+    got, want = cyclic_layout(pieces, r), layout_oracle(pieces, r)
+    assert list(got) == list(want)
+    for m, items in got.items():
+        assert list(items) == list(want[m]), (len(pieces), r, m)
+        assert all(map(operator.is_, items.values(), want[m].values())), (len(pieces), r, m)
+        # a copied window may not keep a hash table larger than a fresh dict's
+        assert sys.getsizeof(items) <= sys.getsizeof(want[m]), (len(pieces), r, m)
+
+
+def test_cyclic_layout_matches_a_per_window_oracle():
+    for n in range(1, 41):
+        for r in range(1, n + 1):
+            assert_layout_is_the_oracle([StoredPiece(1, i) for i in range(n)], r)
+    for r in (0, 4):
+        with pytest.raises(ParameterError, match=rf"^replication {r} outside \[1, 3\]$"):
+            cyclic_layout([StoredPiece(1, i) for i in range(3)], r)
+
+
+@pytest.mark.parametrize("n, r", [(240, 30), (240, 200), (300, 150)])
+def test_large_cyclic_layouts_hold_no_larger_tables_than_the_oracle(n, r):
+    assert_layout_is_the_oracle([StoredPiece(1, i) for i in range(n)], r)
+
+
+def refs_by_lookup(contents, n, r):
+    """cyclic_refs written out key by key: node i's piece of segment i, and the
+    nodes that are outside 1..n, do not hold exactly their window's keys, hold
+    a piece unequal to a ref, or hold a segment whose ref is missing."""
+    refs = [contents.get(i, {}).get(i) for i in range(1, n + 1)]
+    deviating = {m for m in contents if m not in range(1, n + 1)}
+    for m in range(1, n + 1):
+        items = contents.get(m, {})
+        window = {(m - j - 1) % n + 1 for j in range(r)}
+        if set(items) != window:
+            deviating.add(m)
+        elif any(refs[i - 1] is None or items[i] != refs[i - 1] for i in window):
+            deviating.add(m)
+    for i in range(1, n + 1):
+        if refs[i - 1] is None:
+            deviating |= {(i + j - 1) % n + 1 for j in range(r)}
+    return refs, deviating
+
+
+TAMPERINGS = ("reorder", "drop", "extra", "rename", "swap", "equal copy", "extra node")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_cyclic_refs_equal_a_lookup_only_reference(data):
+    n = data.draw(st.integers(min_value=1, max_value=12), label="n")
+    r = data.draw(st.integers(min_value=1, max_value=n), label="r")
+    pieces = [StoredPiece(2, i) for i in range(n)]
+    contents = {m: dict(items) for m, items in cyclic_layout(pieces, r).items()}
+    kinds = data.draw(st.lists(st.sampled_from(TAMPERINGS), max_size=3), label="tamperings")
+    for kind in kinds:
+        node = data.draw(st.sampled_from(sorted(contents)), label="node")
+        items = contents[node]
+        keys = list(items)
+        if kind == "reorder":
+            order = data.draw(st.permutations(keys), label="order")
+            contents[node] = {i: items[i] for i in order}
+        elif kind == "extra node":
+            contents[data.draw(st.sampled_from([0, n + 1, n + 2]))] = dict(items)
+        elif not keys:
+            continue
+        elif kind == "drop":
+            del items[data.draw(st.sampled_from(keys))]
+        elif kind == "extra":
+            index = data.draw(st.integers(min_value=0, max_value=n + 1))
+            items[index] = data.draw(st.sampled_from(pieces))
+        elif kind == "rename":
+            old = data.draw(st.sampled_from(keys))
+            new = data.draw(st.integers(min_value=0, max_value=n + 1))
+            items[new] = items.pop(old)
+        elif kind == "swap":
+            a, b = data.draw(st.sampled_from(keys)), data.draw(st.sampled_from(keys))
+            items[a], items[b] = items[b], items[a]
+        else:  # an equal copy, not the same object: replicas need only be equal
+            index = data.draw(st.sampled_from(keys))
+            items[index] = StoredPiece(items[index].n_atoms, items[index].bits)
+    got_refs, got = cyclic_refs(contents, n, r)
+    want_refs, want = refs_by_lookup(contents, n, r)
+    assert all(map(operator.is_, got_refs, want_refs)) and got == want
+    if set(kinds) <= {"reorder", "equal copy"}:
+        assert got == set()
 
 
 def tampered(db, node, index, piece):

@@ -25,6 +25,7 @@ from rebalance import (
     verify_cyclic_balanced,
     verify_preservation,
 )
+from rebalance.model import cyclic_refs
 
 
 def with_piece(db, node, index, piece):
@@ -295,6 +296,23 @@ def test_wrong_expected_shape_is_reported():
         verify_change(replace(run, recipes=()), seed=0)
 
 
+@pytest.mark.parametrize("op", ["remove", "add"])
+def test_holders_off_the_window_are_fetched_on_a_certified_layout(op):
+    # the layout is clean, so the certificate holds; a target whose expected
+    # holders are not its window is still checked holder by holder
+    run = change_12_9(op)
+    target = run.recipes[0]  # target 1, on nodes 1..9 of either result
+    assert target.holders == tuple(range(1, 10))
+    moved = replace(target, holders=(*target.holders[:-1], 10))
+    shuffled = replace(target, holders=target.holders[::-1])
+    for holders, findings in (
+        (moved, (("content", "node 10 is missing target segment 1"),)),
+        (shuffled, ()),
+    ):
+        rep = verify_change(replace(run, recipes=(holders, *run.recipes[1:])), 21)
+        assert rep.findings == findings
+
+
 def test_a_wrong_segment_size_is_reported():
     run = removal_setup()
     # five nodes and r=3 as a removal from K=6 leaves, one bit too many per segment
@@ -407,6 +425,37 @@ def test_dropped_broadcasts_get_the_walks_findings(replay_without_broadcast, mon
                 # a scheme-2 filler slot carries no operand: dropping it damages nothing
                 assert rep.ok == (not b.operands)
                 assert rep == by_walk(monkeypatch, run, k * r), (k, r, scheme, i)
+
+
+@pytest.mark.parametrize("op", ["remove", "add"])
+def test_the_fault_cases_get_the_same_reports_without_the_certificate(
+    op, replay_without_broadcast, every_node_deviates
+):
+    # C9's faults at (6,3), seed 0, for either change: every dropped broadcast,
+    # every single-bit flip and every reordered replica; with every node made
+    # to deviate the verifier fetches every holder's piece and walks the shape
+    db = build_cyclic_database(default_params(6, 3), seed=0)
+    clean = rebalance_remove(db, 6) if op == "remove" else rebalance_add(db)
+    runs = [replay_without_broadcast(db, clean, i) for i in range(len(clean.log.broadcasts))]
+    for node, items in clean.final.contents.items():
+        for index, piece in items.items():
+            for bit in range(piece.n_atoms * db.params.atom_bits):
+                runs.append(replace(clean, final=flip_stored_bit(clean.final, node, index, bit)))
+    for target in clean.recipes:
+        if len(target.parts) >= 2:
+            for node in target.holders:
+                runs.append(replace(clean, final=reorder_replica_parts(clean.final, node, target)))
+    reports = [verify_change(run, 0) for run in runs]
+    with every_node_deviates():
+        assert verify_module.cyclic_refs(clean.final.contents, len(clean.recipes), 3)[1]
+        assert [verify_change(run, 0) for run in runs] == reports
+    assert len(runs) == (6 + 1260 + 15 if op == "remove" else 8 + 1260 + 3)
+    assert not any(rep.ok for rep in reports[len(clean.log.broadcasts):])
+    # two dropped addition trailers starve every holder of a target alike: the
+    # layout is certified, and its reference piece fails the content compare
+    n = len(clean.recipes)
+    certified = [i for i, run in enumerate(runs) if not cyclic_refs(run.final.contents, n, 3)[1]]
+    assert certified == ([] if op == "remove" else [2, 3])
 
 
 def test_original_database_verifies_as_original_shape():
