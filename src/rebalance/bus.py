@@ -98,18 +98,21 @@ def decode_at_node(db: Database, receiver: int, b: Broadcast) -> tuple[Subsegmen
     if len(mine) != 1:
         return None
     target = mine[0]
-    acc = b.payload
+    w, size = db.params.atom_bits, target.size_atoms
+    # every term is cut to the piece first, so the remainder is the piece: it
+    # needs no mask, and holds no digits of a wider payload, which CPython
+    # would keep allocated after they cancel; a payload that fits is not copied
+    acc = slice_atoms(b.payload, 0, size, w)
+    stored = db.contents.get(receiver, {})
     for op in b.operands:
         if op is target:
             continue
-        base = db.stored(receiver, op.base)
+        base = stored.get(op.base)
         if base is None:
             raise DecodeFailureError(
                 f"node {receiver} cannot rebuild {op.describe()} "
                 f"to decode {target.describe()}"
             )
-        acc ^= slice_atoms(base.bits, op.atom_start, op.atom_stop, db.params.atom_bits)
-    width = target.size_atoms * db.params.atom_bits
-    if acc is b.payload and acc >= 0 and acc.bit_length() <= width:
-        return target, acc  # nothing stripped: a payload that fits is the piece
-    return target, acc & ((1 << width) - 1)
+        start = op.atom_start
+        acc ^= slice_atoms(base.bits, start, min(op.atom_stop, start + size), w)
+    return target, acc

@@ -27,6 +27,15 @@ target and holder order, so a holder that no source lists fails with
 MergeFailureError, or keeps a short replica, at exactly that holder, and a
 replica equal to another of its target is that one object. An addition is
 merged against its own recipes in node labels; its new node stores nothing.
+
+Each decoded piece is compared once with the reference's cut of its own
+range, and a part of that same range takes an equal piece as its cut. Where
+every decoded piece of an origin agrees, whichever covering piece a holder
+takes first is the reference's cut, so each part of that origin needs only a
+coverage check: the holders that lack the origin, from span arithmetic on
+the two cyclic windows done once per origin, less the receivers of each
+covering piece. An origin with an unequal piece is checked part by part,
+each holder against its first covering piece.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from .model import (
     SubsegmentLabel,
     SystemParams,
     cyclic_layout,
+    cyclic_range,
     cyclic_refs,
     cyclic_spans,
     slice_atoms,
@@ -142,7 +152,8 @@ def apply_merge(
     recipes are build_merge_recipes' output, in canonical survivor labels,
     which plan maps to actual nodes; received is deliver's output. See merge.
     """
-    actual = [0] + [plan.to_actual(c) for c in range(1, db.params.n_nodes)]
+    n = db.params.n_nodes
+    actual = [0, *cyclic_range(plan.to_actual(1), n - 1, n)]
     return merge(db, actual, recipes, received, strict)
 
 
@@ -170,51 +181,86 @@ def merge(
     n, r, w = params.n_nodes, params.replication, params.atom_bits
     m = len(actual) - 1
     refs, deviating = cyclic_refs(db.contents, n, r)
-    # origin -> [(start, stop, bits, actual receivers)], in first-decode order
-    decoded: dict[int, list[tuple[int, int, int, list[int]]]] = {}
-    for (origin, start, stop, bits), receivers in received.items():
-        decoded.setdefault(origin, []).append((start, stop, bits, receivers))
     # holder label by actual node, a window position; the removed node's is n
     position = dict(zip(actual[1:], range(1, m + 1)))
+    # origin -> [(start, stop, bits, actual receivers)], in first-decode order
+    decoded: dict[int, list[tuple[int, int, int, list[int]]]] = {}
+    # each decoded piece is compared once with the reference's cut of its
+    # range: an equal piece is that cut, for a part of the same range to take,
+    # and an unequal one marks its origin
+    equal_cuts: dict[AtomRange, int] = {}
+    unequal = set()
+    for (origin, start, stop, bits), receivers in received.items():
+        decoded.setdefault(origin, []).append((start, stop, bits, receivers))
+        ref = refs[origin - 1] if 0 < origin <= n else None
+        if ref is not None and bits == slice_atoms(ref.bits, start, stop, w):
+            equal_cuts[origin, start, stop] = bits
+        else:
+            unequal.add(origin)
     damaged = {position[node] for node in deviating if node in position}
     past = ((n + 1, m + 1),) if m > n else ()  # an addition's new node
+    # by origin, the holders that take it off the bus: segment p is stored at
+    # window positions p..p+r-1 (mod n), so the n-r from p+r lack it, and so
+    # does any holder past n, which stores nothing
+    lacking = [()] + [
+        cyclic_spans((position.get(origin, n) + r - 1) % n + 1, n - r, n) + past
+        for origin in range(1, n + 1)
+    ]
     pieces: list[StoredPiece | None] = []
     walked: list[tuple[int, int, StoredPiece]] = []  # (holder, target, replica)
     for recipe in recipes:
         target = recipe.target
         held = cyclic_spans(target, r, m)
         walk = {h for h in damaged if (h - target) % m < r} if damaged else set()
-        cuts: list[int | None] = []
+        replica = None
+        bits = offset = 0
         for origin, start, stop in recipe.parts:
             ref = refs[origin - 1]
             if ref is None:
                 break
-            cut = slice_atoms(ref.bits, start, stop, w)
-            cuts.append(cut)
-            # the holders that take the part off the bus: segment p is stored
-            # at window positions p..p+r-1 (mod n), so the n-r from p+r lack
-            # it, and so does any holder past n, which stores nothing
-            p = position.get(origin, n)
-            lacking = cyclic_spans((p + r - 1) % n + 1, n - r, n) + past
-            need = set()
+            cut = equal_cuts.get((origin, start, stop))
+            if cut is None:
+                cut = slice_atoms(ref.bits, start, stop, w)
+            # assembled as _assemble does, without a list of the cuts
+            bits = (bits | (cut << (offset * w))) if offset else cut
+            offset += stop - start
+            need = None
             for lo, hi in held:
-                for a, b in lacking:
-                    need.update(range(max(lo, a), min(hi, b)))
-            for got_start, got_stop, bits, nodes in decoded.get(origin, ()):
-                if not need:
-                    break
-                if got_start <= start and stop <= got_stop:
-                    named = need.intersection(map(position.get, nodes))
-                    if named:
-                        if slice_atoms(bits, start - got_start, stop - got_start, w) != cut:
-                            walk |= named
-                        need -= named
+                for a, b in lacking[origin]:
+                    if a < lo:
+                        a = lo
+                    if b > hi:
+                        b = hi
+                    if a < b:
+                        if need is None:
+                            need = set(range(a, b))
+                        else:
+                            need.update(range(a, b))
+            if need is None:
+                continue
+            got = decoded.get(origin, ())
+            if origin not in unequal:
+                # any covering piece is the reference's cut: only coverage counts
+                for got_start, got_stop, _, nodes in got:
+                    if got_start <= start and stop <= got_stop:
+                        need.difference_update(map(position.get, nodes))
+                        if not need:
+                            break
+            else:
+                for got_start, got_stop, got_bits, nodes in got:
+                    if not need:
+                        break
+                    if got_start <= start and stop <= got_stop:
+                        named = need.intersection(map(position.get, nodes))
+                        if named:
+                            if slice_atoms(got_bits, start - got_start, stop - got_start, w) != cut:
+                                walk |= named
+                            need -= named
             walk |= need
-        if len(cuts) == len(recipe.parts):
-            replica = _assemble(recipe.parts, cuts, w)
-        else:
+        else:  # every part had its reference
+            replica = StoredPiece(offset, bits)
+        if replica is None:
             # a missing reference: every holder takes the rule
-            replica = None
             walk.update(recipe.holders)
         pieces.append(replica)
         if walk:

@@ -30,7 +30,7 @@ from . import analytics
 from .analytics import LoadReport
 from .bus import Slot, TransmissionLog, decode_at_node, encode
 from .errors import ParameterError
-from .model import Database, SubsegmentLabel, storage_set
+from .model import Database, SubsegmentLabel, slice_atoms, storage_set
 from .removal_merge import ChangeRun, apply_merge, build_merge_recipes
 from .removal_split import SplitPlan, make_split_plan
 
@@ -98,16 +98,19 @@ def run_uncoded_removal(db: Database, plan: SplitPlan) -> TransmissionLog:
 def deliver(
     db: Database, log: TransmissionLog, plan: object
 ) -> dict[tuple[int, int, int, int], list[int]]:
-    """Decode every broadcast once per receiver group; map each piece to its receivers.
+    """Decode every broadcast of several operands once per receiver group; map
+    each piece to its receivers.
 
     Addressed nodes that want the same operand and store the same pieces for
     the other operands strip the same bits, so they form one group, and
     decode_at_node runs once at the group's lowest node (a missing base fails
-    there). A one-operand broadcast strips nothing, so its addressed nodes
-    are one group, found without a look at what they store. Each distinct
-    decoded piece (origin, atom start, atom stop, bits) is one key, mapped to
-    the nodes that decoded it, in first-decode order. The key interns the
-    bits, so receivers of equal pieces share one int.
+    there). A one-operand broadcast strips nothing: its payload, cut to the
+    piece's atoms as decode_at_node would cut it, is the piece (a payload
+    that fits is that very int), and it goes to every addressed node with no
+    decode and no look at what they store. Each distinct decoded piece
+    (origin, atom start, atom stop, bits) is one key, mapped to the nodes
+    that decoded it, in first-decode order. The key interns the bits, so
+    receivers of equal pieces share one int.
 
     Both membership changes deliver their logs here: a removal's output feeds
     apply_merge, and a damaged addition's feeds removal_merge.merge. plan, a
@@ -115,30 +118,34 @@ def deliver(
     only because the benchmark harness (benchmark/harness.py) passes it, and
     goes with the next change there.
     """
+    w = db.params.atom_bits
     received: dict[tuple[int, int, int, int], list[int]] = {}
     for b in log.broadcasts:
         ops = b.operands
+        if len(ops) == 1:
+            # nothing to strip: the payload, cut to the piece, is the piece
+            op = ops[0]
+            if op.superscript:
+                bits = slice_atoms(b.payload, 0, op.size_atoms, w)
+                key = (op.base, op.atom_start, op.atom_stop, bits)
+                received.setdefault(key, []).extend(sorted(op.superscript))
+            continue
         # (operand index, ids of the node's pieces of the others' bases) -> nodes,
         # ascending, so the groups come in order of their lowest node
         groups: dict[tuple, list[int]] = {}
-        if len(ops) == 1:
-            # nothing to strip: the addressed nodes are one group
-            if ops[0].superscript:
-                groups[()] = sorted(ops[0].superscript)
-        else:
-            # addressed node -> (index of its operand, bases of the others), or
-            # None when named in several operands
-            wants: dict[int, tuple[int, list[int]] | None] = {}
-            for i, op in enumerate(ops):
-                strip = (i, [other.base for other in ops if other is not op])
-                for node in op.superscript:
-                    wants[node] = None if node in wants else strip
-            for node in sorted(wants):
-                strip = wants[node]
-                if strip is not None:
-                    stored = db.contents.get(node, {})
-                    key = (strip[0], *[id(stored.get(base)) for base in strip[1]])
-                    groups.setdefault(key, []).append(node)
+        # addressed node -> (index of its operand, bases of the others), or
+        # None when named in several operands
+        wants: dict[int, tuple[int, list[int]] | None] = {}
+        for i, op in enumerate(ops):
+            strip = (i, [other.base for other in ops if other is not op])
+            for node in op.superscript:
+                wants[node] = None if node in wants else strip
+        for node in sorted(wants):
+            strip = wants[node]
+            if strip is not None:
+                stored = db.contents.get(node, {})
+                key = (strip[0], *[id(stored.get(base)) for base in strip[1]])
+                groups.setdefault(key, []).append(node)
         for nodes in groups.values():
             label, bits = decode_at_node(db, nodes[0], b)
             key = (label.base, label.atom_start, label.atom_stop, bits)

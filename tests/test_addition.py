@@ -26,6 +26,7 @@ from rebalance import (
 )
 from rebalance import removal_merge
 from rebalance.addition import make_addition_plan
+from rebalance.model import cyclic_refs
 
 
 def test_golden_plan_6_3():
@@ -213,6 +214,22 @@ def test_kept_replicas_share_one_int():
     assert rep.findings
     for _, msg in rep.findings:
         assert f"node {node}" in msg and "segment 5" in msg
+
+
+def test_a_damaged_addition_keeps_shipped_parts_as_their_payloads():
+    # the merge takes a decoded piece equal to the reference's cut as that
+    # cut, so, as on clean input, segments K-r+2..K keep the shipped ints
+    params = default_params(12, 4)
+    db = build_cyclic_database(params, seed=6)
+    bad = flip_stored_bit(db, 3, 2, 0)
+    # node 3 deviates, so the addition is delivered and merged
+    assert cyclic_refs(bad.contents, 12, 4)[1] == {3}
+    run = rebalance_add(bad)
+    shipped = run.log.broadcasts[12:]
+    assert [b.operands[0].base for b in shipped] == [10, 11, 12]
+    for b in shipped:
+        base = b.operands[0].base
+        assert all(run.final.stored(n, base).bits is b.payload for n in cyclic_range(base, 4, 13))
 
 
 def addition_outcome(db):

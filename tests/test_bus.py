@@ -1,5 +1,7 @@
 """Bus semantics: payload construction, padding, decoding, error paths."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,6 +100,28 @@ def test_decode_recovers_addressed_operand(setup_6_3):
     assert bits == slice_atoms(segment_content(0, 6, 70), 0, 49, 1)
     # node 3 is not addressed at all
     assert decode_at_node(db, 3, b) is None
+
+
+@settings(derandomize=True, max_examples=60)
+@given(st.one_of(
+    st.sampled_from([0, 1, 2**35 - 1, 2**35, 2**49 - 1, 2**49, -1, -(2**49)]),
+    st.integers(min_value=-(2**120), max_value=2**120),
+))
+def test_decode_keeps_the_remainder_cut_to_the_piece(setup_6_3, payload):
+    params, db, plan = setup_6_3
+    first = plan.middles[0][0]  # W_5^{2}[0:35]
+    big = plan.high_corner.big  # W_6^{5}[0:49]
+    w5 = slice_atoms(segment_content(0, 5, 70), 0, 35, 1)
+    w6 = slice_atoms(segment_content(0, 6, 70), 0, 49, 1)
+    coded = replace(send(db, 1, "coded", (first, big), 49), payload=payload)
+    # the remainder after stripping, masked to the piece whether it fits or not
+    assert decode_at_node(db, 2, coded) == (first, (payload ^ w6) & (2**35 - 1))
+    assert decode_at_node(db, 5, coded) == (big, (payload ^ w5) & (2**49 - 1))
+    single = replace(send(db, 1, "uncoded", (big,), 49), payload=payload)
+    label, bits = decode_at_node(db, 5, single)
+    assert (label, bits) == (big, payload & (2**49 - 1))
+    # a one-operand payload that fits is the piece, the same int
+    assert (bits is payload) == (0 <= payload < 2**49)
 
 
 def test_decode_fails_without_sibling_base(setup_6_3):

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from rebalance import (
     verify_change,
     verify_preservation,
 )
+from rebalance.model import cyclic_refs
 
 
 def recipe_map(params, removed):
@@ -508,6 +510,77 @@ def test_certified_merges_equal_the_walk(every_node_deviates, rule_calls, damage
                                 for _, t, n_atoms, bits, obj in fast[1]:
                                     assert number.setdefault((t, n_atoms, bits), obj) == obj
     assert outcomes > 6000 and errors > 0 and partial > 0
+
+
+def disagreeing_variants(db, plan, schedule, rng):
+    """(kind, database, received) in which some decoded piece is not the
+    reference's cut of its range: a sibling bit flipped in one receiver's
+    stored segment, the reference where the receiver holds it, under each
+    coded broadcast; one payload bit flipped, within every operand, in a copy
+    of each broadcast of the log; and that flip with the next broadcast
+    dropped, which starves some holder."""
+    w = db.params.atom_bits
+    log = schedule(db, plan)
+    for b in log.broadcasts:
+        if len(b.operands) < 2 or not b.operands[1].superscript:
+            continue
+        sibling = b.operands[1]
+        receivers = b.operands[0].superscript
+        node = sibling.base if sibling.base in receivers else rng.choice(receivers)
+        flipped = flip_stored_bit(db, node, sibling.base, sibling.atom_start * w)
+        yield "stored sibling", flipped, deliver(flipped, log, plan)
+    for i, b in enumerate(log.broadcasts):
+        if not b.operands:
+            continue
+        bit = rng.randrange(min(op.size_atoms for op in b.operands) * w)
+        broadcasts = list(log.broadcasts)
+        broadcasts[i] = replace(b, payload=b.payload ^ (1 << bit))
+        mutated = replace(log, broadcasts=broadcasts)
+        yield "payload bit", db, deliver(db, mutated, plan)
+        if i + 1 < len(broadcasts):
+            yield "payload bit, dropped", db, deliver(db, drop_broadcast(mutated, i + 1), plan)
+
+
+def test_a_disagreeing_piece_merges_as_the_walk(every_node_deviates, rule_calls, damage_reach):
+    # the merge takes an origin whose decoded pieces all equal the reference
+    # on coverage alone; one unequal piece must send it back to the walk
+    rng = random.Random(23)
+    seen = Counter()
+    for k in range(4, 13):
+        for r in range(3, k):
+            params = default_params(k, r)
+            db = build_cyclic_database(params, seed=k + r)
+            w = params.atom_bits
+            for name, schedule in SCHEDULES.items():
+                removed = rng.randint(1, k)
+                plan = make_split_plan(params, removed)
+                recipes = build_merge_recipes(params, plan)
+                actual = [0] + [plan.to_actual(c) for c in range(1, k)]
+                for kind, case, received in disagreeing_variants(db, plan, schedule, rng):
+                    where = (k, r, name, removed, kind)
+                    refs, deviating = cyclic_refs(case.contents, k, r)
+                    assert any(
+                        bits != slice_atoms(refs[origin - 1].bits, start, stop, w)
+                        for origin, start, stop, bits in received
+                    ), where
+                    reach = damage_reach(case, actual, recipes, received)
+                    # holders walked for an unequal piece alone, not for their own storage
+                    seen[kind, "beyond"] += any(node not in deviating for _, node in reach)
+                    for strict in (True, False):
+                        rule_calls.clear()
+                        fast = shared_outcome(case, plan, recipes, received, strict)
+                        if isinstance(fast, str):
+                            assert rule_calls and rule_calls == reach[: len(rule_calls)], where
+                            seen[kind, "error"] += 1
+                        else:
+                            assert rule_calls == reach, where
+                        with every_node_deviates():
+                            walk = shared_outcome(case, plan, recipes, received, strict)
+                        assert fast == walk, (*where, strict)
+                        seen[kind] += 1
+    assert seen["stored sibling"] > 500 and seen["payload bit"] > 2000, seen
+    assert all(seen[kind, "beyond"] for kind in ("stored sibling", "payload bit")), seen
+    assert seen["payload bit, dropped", "error"] > 0, seen
 
 
 @pytest.mark.parametrize("change", [*sorted(SCHEDULES), "addition"])

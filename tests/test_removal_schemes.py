@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from rebalance import (
+    Broadcast,
     Database,
     DecodeFailureError,
     ParameterError,
+    TransmissionLog,
     build_cyclic_database,
     choose_scheme,
     decode_at_node,
@@ -205,10 +207,13 @@ def decodes_node_by_node(db, log):
 
 
 def receiver_groups(db, log):
-    """Per broadcast, the nodes named in one operand, grouped by that operand and
-    the stored bits they strip for the others; the number of groups in the log."""
+    """Per broadcast of several operands, the nodes named in one operand, grouped
+    by that operand and the stored bits they strip for the others; the number of
+    groups in the log. A one-operand broadcast strips nothing and is not decoded."""
     count = 0
     for b in log.broadcasts:
+        if len(b.operands) < 2:
+            continue
         groups = set()
         for node in {n for op in b.operands for n in op.superscript}:
             mine = [i for i, op in enumerate(b.operands) if node in op.superscript]
@@ -258,10 +263,29 @@ def test_deliver_decodes_once_per_receiver_group(k, monkeypatch):
                 for node in {n for _, n, _ in want}:
                     mine = [piece for piece, nodes in received.items() if node in nodes]
                     assert mine == [got for _, n, got in want if n == node], (k, r, name, node)
+                # a one-operand slot's piece is its payload int itself
+                for b in log.broadcasts:
+                    if len(b.operands) == 1 and b.operands[0].superscript:
+                        op = b.operands[0]
+                        piece = (op.base, op.atom_start, op.atom_stop, b.payload)
+                        assert next(key for key in received if key == piece)[3] is b.payload
                 keys.append(set(received))
             # the damaged sibling changes what its receiver decodes
             flips += len(keys) == 2 and keys[0] != keys[1]
     assert flips > 0
+    # a hand-made one-operand payload wider than its operand, or negative, is
+    # cut to the same key bits as decode_at_node cuts it to
+    params = default_params(k, 3)
+    db = build_cyclic_database(params, seed=k)
+    op = make_split_plan(params, removed=k).high_corner.big
+    width = op.size_atoms * params.atom_bits
+    for payload in (1 << width | 5, (1 << (2 * width)) - 1, -1, -(1 << width) - 3, 6):
+        b = Broadcast(op.superscript[0], "uncoded", (op,), op.size_atoms, payload)
+        received = deliver(db, TransmissionLog(params, [b]), None)
+        label, bits = real(db, op.superscript[0], b)
+        assert bits == payload & ((1 << width) - 1)
+        key = (label.base, label.atom_start, label.atom_stop, bits)
+        assert received == {key: sorted(op.superscript)}, payload
 
 
 def test_decode_failure_names_the_lowest_receiver_lacking_a_base():
