@@ -19,7 +19,8 @@ cyclic_layout places each of the K+1 pieces at all its r holders as one
 shared object. Any
 other input is delivered and merged by the removal's merge
 (removal_merge.merge) against the plan's recipes, under the same source
-rule, which runs holder by holder only where the damage reaches.
+rule, which runs holder by holder only where the damage reaches; the merge
+takes the certificate rebalance_add computed, not a second one.
 
 make_addition_plan builds the schedule, one uncoded slot per trailer in
 segment order and then one per shipped kept part, and the K+1 target
@@ -104,12 +105,14 @@ def rebalance_add(db: Database) -> ChangeRun:
     w = params.atom_bits
     plan = make_addition_plan(params)
     log = encode(db, plan.slots)
-    refs, deviating = cyclic_refs(db.contents, k, r)
+    certificate = cyclic_refs(db.contents, k, r)
+    refs, deviating = certificate
     if deviating:
         # holder labels are node labels; the new node stores nothing, so it
         # takes every part off the bus
         received = deliver(db, log, plan)
-        final = removal_merge.merge(db, list(range(k + 2)), plan.recipes, received, True)
+        nodes = list(range(k + 2))
+        final = removal_merge.merge(db, nodes, plan.recipes, received, True, certificate)
     else:
         # every holder of W_i holds a piece equal to node i's, which both
         # broadcasts of W_i were cut from: cut each kept part once, assemble the

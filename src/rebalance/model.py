@@ -118,12 +118,11 @@ def cyclic_spans(start: int, count: int, modulus: int) -> tuple[tuple[int, int],
 
 def sorted_cyclic_range(start: int, count: int, modulus: int) -> tuple[int, ...]:
     """The labels of cyclic_range(start, count, modulus) in ascending order,
-    built from its spans without a sort."""
-    spans = cyclic_spans(start, count, modulus)
-    if len(spans) == 1:
-        return tuple(range(start, start + count))
-    (lo, hi), (wrap_lo, wrap_hi) = spans
-    return tuple(range(wrap_lo, wrap_hi)) + tuple(range(lo, hi))
+    built from its spans without a sort; unchecked, for hot loops."""
+    stop = start + count
+    if stop <= modulus + 1:
+        return tuple(range(start, stop))
+    return tuple(range(1, stop - modulus)) + tuple(range(start, modulus + 1))
 
 
 def storage_set(index: int, n_nodes: int, replication: int) -> frozenset[int]:

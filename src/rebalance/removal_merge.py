@@ -49,7 +49,6 @@ from .errors import MergeFailureError
 from .model import (
     Database,
     StoredPiece,
-    SubsegmentLabel,
     SystemParams,
     cyclic_layout,
     cyclic_range,
@@ -93,50 +92,38 @@ class ChangeRun:
     recipes: tuple[MergeRecipe, ...]
 
 
-def _part_from(label: SubsegmentLabel) -> AtomRange:
-    return (label.base, label.atom_start, label.atom_stop)
-
-
 def build_merge_recipes(params: SystemParams, plan: SplitPlan) -> tuple[MergeRecipe, ...]:
     """Target composition for every survivor segment, canonical order 1..K-1."""
     k, r = params.n_nodes, params.replication
     gap = k - r
-    p = plan.pair_count
-    odd = plan.low_corner.tiny is not None
     seg_atoms = params.segment_atoms
-    recipes: list[MergeRecipe] = []
-
-    def add(target: int, parts: list[AtomRange]) -> None:
-        total = sum(stop - start for _, start, stop in parts)
-        if total != seg_atoms * k // (k - 1):
+    target_atoms = seg_atoms * k // (k - 1)
+    low, high = plan.low_corner, plan.high_corner
+    # targets 1..K-r keep their whole segment and append corner pieces:
+    # high-corner pair t for t <= p, both tiny pieces at the middle target
+    # when K-r is odd, and low-corner pair K-r-t+1 above
+    tails = [(q,) for q in high.pairs]
+    if low.tiny is not None:
+        tails.append((high.tiny, low.tiny))
+    tails += [(q,) for q in reversed(low.pairs)]
+    bases = cyclic_range(plan.removed % k + 1, gap, k)
+    targets = [
+        ((base, 0, seg_atoms), *[(q.base, q.atom_start, q.atom_stop) for q in tail])
+        for base, tail in zip(bases, tails)
+    ]
+    # targets K-r+1..K-1 join an opening piece and a closing one
+    targets += [
+        ((a.base, a.atom_start, a.atom_stop), (b.base, b.atom_start, b.atom_stop))
+        for a, b in zip(plan.openings, plan.closings)
+    ]
+    recipes = []
+    for target, parts in enumerate(targets, 1):
+        total = sum([stop - start for _, start, stop in parts])
+        if total != target_atoms:
             raise MergeFailureError(
-                f"target {target} recipe covers {total} atoms, "
-                f"expected {seg_atoms * k // (k - 1)}"
+                f"target {target} recipe covers {total} atoms, expected {target_atoms}"
             )
-        recipes.append(
-            MergeRecipe(
-                target=target,
-                holders=sorted_cyclic_range(target, r, k - 1),
-                parts=tuple(parts),
-            )
-        )
-
-    mid = (gap + 1) // 2 if odd else 0
-    for t in range(1, gap + 1):
-        whole = (plan.to_actual(t), 0, seg_atoms)
-        if odd and t == mid:
-            add(t, [whole, _part_from(plan.high_corner.tiny), _part_from(plan.low_corner.tiny)])
-        elif t <= p:
-            # low extended targets take high-corner pair j = t
-            add(t, [whole, _part_from(plan.high_corner.pairs[t - 1])])
-        else:
-            # high extended targets take low-corner pair j = gap - t + 1
-            add(t, [whole, _part_from(plan.low_corner.pairs[gap - t])])
-
-    for s in range(gap + 1, k):
-        add(s, [_part_from(plan.opening(s)), _part_from(plan.closing(s + 1))])
-
-    recipes.sort(key=lambda rec: rec.target)
+        recipes.append(MergeRecipe(target, sorted_cyclic_range(target, r, k - 1), parts))
     return tuple(recipes)
 
 
@@ -152,9 +139,9 @@ def apply_merge(
     recipes are build_merge_recipes' output, in canonical survivor labels,
     which plan maps to actual nodes; received is deliver's output. See merge.
     """
-    n = db.params.n_nodes
+    n, r = db.params.n_nodes, db.params.replication
     actual = [0, *cyclic_range(plan.to_actual(1), n - 1, n)]
-    return merge(db, actual, recipes, received, strict)
+    return merge(db, actual, recipes, received, strict, cyclic_refs(db.contents, n, r))
 
 
 def merge(
@@ -163,6 +150,7 @@ def merge(
     recipes: tuple[MergeRecipe, ...],
     received: dict[tuple[int, int, int, int], list[int]],
     strict: bool,
+    certificate: tuple[list[StoredPiece | None], set[int]],
 ) -> Database:
     """The database after a membership change, for any input (see the module
     docstring).
@@ -176,11 +164,14 @@ def merge(
     With strict=True a holder that cannot source a part raises
     MergeFailureError; with strict=False the part is skipped, leaving a short
     replica for the verifier to flag (used by fault injection).
+
+    certificate is cyclic_refs(db.contents, n, r), which the caller computes
+    once: apply_merge for a removal, rebalance_add for an addition.
     """
     params = db.params
     n, r, w = params.n_nodes, params.replication, params.atom_bits
     m = len(actual) - 1
-    refs, deviating = cyclic_refs(db.contents, n, r)
+    refs, deviating = certificate
     # holder label by actual node, a window position; the removed node's is n
     position = dict(zip(actual[1:], range(1, m + 1)))
     # origin -> [(start, stop, bits, actual receivers)], in first-decode order

@@ -10,12 +10,18 @@ Scheme 1 chains adjacent pieces: r-1 coded broadcasts, each XORing the two
 pieces of one regrown target, the opening piece of one affected segment and
 the closing piece of the next. Cheap when replication is small.
 
-Scheme 2 groups pieces into K-r classes of uniform nominal size; the two
-sender nodes each transmit one slot per class, XORing the pieces whose
-segment indices are K-r apart. Classes with no pieces still transmit a
-zero-filled slot of the nominal size, which keeps the cost at the closed form
-(K-r)(2r-1)/(K-1) for every replication; with large replication every slot is
-a real XOR and the scheme beats scheme 1.
+Scheme 2 groups pieces into K-r classes; class i has the nominal size
+(K+r-2i) half units, and the two sender nodes each transmit one slot per
+class, XORing the pieces whose segment indices are K-r apart. A class with
+no pieces (i >= r) still transmits a zero-filled slot of its nominal size,
+and the 2(K-r) slots sum to the closed form (K-r)(2r-1)/(K-1). With large
+replication every slot is a real XOR and the scheme beats scheme 1. The
+nominal size is negative for i > (K+r)/2, which happens whenever r < K/3:
+such a filler slot is logged with a negative atom count, and the measured
+load equals the closed form there only because those negative sizes are
+summed in (at (12,3) classes 8 and 9 each send two fillers, of -13 and -39
+atoms). What scheme 2 should send there is an open question; auto picks
+scheme 2 at no such (K, r).
 
 The uncoded baseline rebroadcasts each affected segment whole.
 
@@ -30,9 +36,9 @@ from . import analytics
 from .analytics import LoadReport
 from .bus import Slot, TransmissionLog, decode_at_node, encode
 from .errors import ParameterError
-from .model import Database, SubsegmentLabel, slice_atoms, storage_set
+from .model import Database, SubsegmentLabel, slice_atoms
 from .removal_merge import ChangeRun, apply_merge, build_merge_recipes
-from .removal_split import SplitPlan, make_split_plan
+from .removal_split import SplitPlan, actual_survivors, make_split_plan
 
 SCHEME_CHOICES = ("auto", "scheme1", "scheme2", "uncoded")
 
@@ -45,32 +51,33 @@ def removal_slots(plan: SplitPlan, scheme: str) -> list[Slot]:
     node_last = plan.to_actual(k - 1)
     slots = []
     if scheme == "uncoded":
-        # the lowest-labeled surviving holder rebroadcasts each segment whole
-        survivors = set(range(1, k + 1)) - {plan.removed}
-        for canonical in range(k - r + 1, k + 1):
-            actual = plan.to_actual(canonical)
-            holders = storage_set(actual, k, r)
-            needing = tuple(sorted(survivors - holders))
-            label = SubsegmentLabel(actual, needing, 0, params.segment_atoms)
-            slots.append((min(holders - {plan.removed}), "uncoded", (label,), params.segment_atoms))
+        # canonical segment c is held by canonical c..K and 1..c+r-1-K, so the
+        # survivors c+r-K..c-1 need it; the lowest-labeled surviving holder
+        # rebroadcasts it whole
+        removed, atoms = plan.removed, params.segment_atoms
+        for c in range(k - r + 1, k + 1):
+            needing = actual_survivors(c + r - k, c, removed, k)
+            held = actual_survivors(c, k, removed, k) + actual_survivors(1, c + r - k, removed, k)
+            label = SubsegmentLabel(plan.to_actual(c), needing, 0, atoms)
+            slots.append((min(held), "uncoded", (label,), atoms))
         return slots
+    openings, closings = plan.openings, plan.closings
     if scheme == "scheme1":
-        # broadcast s carries target s: the opening piece of s, the closing one of s+1;
-        # node K-1 sends the lowest target's last
-        for s in [*range(k - r + 2, k), k - r + 1]:
-            ops = (plan.opening(s), plan.closing(s + 1))
-            sender = node_last if s == k - r + 1 else node1
-            slots.append((sender, "coded", ops, max(ops[0].size_atoms, ops[1].size_atoms)))
+        # broadcast i carries target K-r+1+i: its opening piece and its closing
+        # one; node K-1 sends the lowest target's last
+        for i in [*range(1, r - 1), 0]:
+            ops = (openings[i], closings[i])
+            slots.append((node1 if i else node_last, "coded", ops,
+                          max(ops[0].size_atoms, ops[1].size_atoms)))
     elif scheme == "scheme2":
         gap = k - r
         for i in range(1, gap + 1):
             nominal = (k + r - 2 * i) * params.half_unit_atoms
-            steps = (r - 1 - i) // gap  # below 0 means the class carries no pieces
-            # segment indices K-r apart: walking down from K, and up from K-r+1
-            ops_high = tuple([plan.closing(k + 1 - i - j * gap) for j in range(steps + 1)])
-            ops_low = tuple([plan.opening(k - r + i + j * gap) for j in range(steps + 1)])
+            # segment indices K-r apart: closings walking down from K, openings
+            # up from K-r+1; a class with i >= r carries no pieces
+            ops_high = closings[r - 1 - i::-gap] if i < r else ()
             slots.append((node1, "coded", ops_high, nominal))
-            slots.append((node_last, "coded", ops_low, nominal))
+            slots.append((node_last, "coded", openings[i - 1::gap], nominal))
     else:
         raise ParameterError(f"unknown scheme {scheme!r}")
     # corner batches: node 1 clears the high corner's small pieces, node K-1 the low corner's

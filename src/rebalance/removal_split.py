@@ -9,19 +9,21 @@ unit T / (2*(K-1)), which is K+1 atoms.
 The cutting rules are written for the canonical case "last node removed".
 Removing node m instead relabels every node and segment index by the cyclic
 shift that maps m onto the last position. make_split_plan computes that map
-once, and each piece is built straight in actual labels through it.
+once, and each piece is built straight in actual labels through it: a
+superscript is a run of canonical survivors that never wraps, so its sorted
+actual labels are at most two ranges (actual_survivors).
 
 Piece identity is physical: (base segment, atom range). At replication K-1
 the two pieces of a corner segment can carry the same superscript, so nothing
 may address pieces by superscript alone; consumers pick pieces by role:
-SplitPlan.opening and SplitPlan.closing name the two pieces that make up
+SplitPlan.openings and SplitPlan.closings list the two pieces that make up
 each regrown target, and the corners' broadcast batches hold the rest.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParameterError
 from .model import (
@@ -46,15 +48,11 @@ class CornerSplit:
     pairs: tuple[SubsegmentLabel, ...]
 
     def listed(self) -> tuple[SubsegmentLabel, ...]:
-        out = [self.big]
-        if self.tiny is not None:
-            out.append(self.tiny)
-        out.extend(self.pairs)
-        return tuple(out)
+        return (self.big, *self.broadcast_batch())
 
     def broadcast_batch(self) -> tuple[SubsegmentLabel, ...]:
         # everything except big is transmitted uncoded by the corner's sender
-        return self.listed()[1:]
+        return self.pairs if self.tiny is None else (self.tiny, *self.pairs)
 
 
 @dataclass(frozen=True)
@@ -72,138 +70,116 @@ class SplitPlan:
     low_corner: CornerSplit
     high_corner: CornerSplit
 
-    @property
-    def pair_count(self) -> int:
-        return len(self.low_corner.pairs)
-
     def to_actual(self, canonical: int) -> int:
         """Map a canonical node or segment label to the actual frame."""
         return relabel_for_removed_node(canonical, self.removed, self.params.n_nodes)
 
-    def opening(self, s: int) -> SubsegmentLabel:
-        """Piece of canonical segment s that opens target s, for s in [K-r+1, K-1].
+    @cached_property
+    def openings(self) -> tuple[SubsegmentLabel, ...]:
+        """The pieces of canonical segments K-r+1..K-1 that open targets K-r+1..K-1:
+        the low corner's big piece, then each middle's first piece."""
+        return (self.low_corner.big, *[first for first, _ in self.middles])
 
-        The low corner's big piece for s = K-r+1, else middle s's first piece.
-        """
+    @cached_property
+    def closings(self) -> tuple[SubsegmentLabel, ...]:
+        """The pieces of canonical segments K-r+2..K that close targets K-r+1..K-1:
+        each middle's second piece, then the high corner's big piece (physically
+        the leading atoms of W_K)."""
+        return (*[second for _, second in self.middles], self.high_corner.big)
+
+    def opening(self, s: int) -> SubsegmentLabel:
+        """Piece of canonical segment s that opens target s, for s in [K-r+1, K-1]."""
         k, r = self.params.n_nodes, self.params.replication
         if not k - r + 1 <= s <= k - 1:
             raise ParameterError(f"opening segment {s} outside [{k - r + 1}, {k - 1}]")
-        return self.low_corner.big if s == k - r + 1 else self.middles[s - (k - r + 2)][0]
+        return self.openings[s - (k - r + 1)]
 
     def closing(self, s: int) -> SubsegmentLabel:
-        """Piece of canonical segment s that closes target s-1, for s in [K-r+2, K].
-
-        The high corner's big piece for s = K (physically the leading atoms of
-        W_K), else middle s's second piece.
-        """
+        """Piece of canonical segment s that closes target s-1, for s in [K-r+2, K]."""
         k, r = self.params.n_nodes, self.params.replication
         if not k - r + 2 <= s <= k:
             raise ParameterError(f"closing segment {s} outside [{k - r + 2}, {k}]")
-        return self.high_corner.big if s == k else self.middles[s - (k - r + 2)][1]
+        return self.closings[s - (k - r + 2)]
 
     def all_pieces(self) -> tuple[SubsegmentLabel, ...]:
-        out = list(self.low_corner.listed())
-        for first, second in self.middles:
-            out.extend((first, second))
-        out.extend(self.high_corner.listed())
-        return tuple(out)
+        middles = [piece for pair in self.middles for piece in pair]
+        return (*self.low_corner.listed(), *middles, *self.high_corner.listed())
 
 
-def _desc_cyclic_range(start: int, count: int, modulus: int) -> tuple[int, ...]:
-    # count consecutive labels walking downward from start, wrapping in [1..modulus]
-    return tuple([(start - 1 - o) % modulus + 1 for o in range(count)])
+def actual_survivors(lo: int, hi: int, removed: int, n: int) -> tuple[int, ...]:
+    """Sorted actual labels of canonical survivors lo..hi-1, for
+    1 <= lo <= hi <= n; unchecked, for the planner's loops.
 
-
-def _piece(
-    actual: Sequence[int],
-    base: int,
-    superscript: tuple[int, ...],
-    start_hu: int,
-    size_hu: int,
-    hu: int,
-) -> SubsegmentLabel:
-    # base and superscript are canonical labels; actual[c] is c's actual label
-    return SubsegmentLabel(
-        base=actual[base],
-        superscript=tuple(sorted([actual[s] for s in superscript])),
-        atom_start=start_hu * hu,
-        atom_stop=(start_hu + size_hu) * hu,
-    )
-
-
-def split_middle(
-    i: int, params: SystemParams, actual: Sequence[int]
-) -> tuple[SubsegmentLabel, SubsegmentLabel]:
-    """Two pieces of canonical middle segment K-r+1+i, for i in [1..r-2],
-    labelled through actual (actual[c] is canonical label c's actual label).
-
-    The piece listed first, addressed to survivor i+1, takes the leading
-    K+r-2i-2 half units; the piece for survivor i+K-r takes the trailing
-    K-r+2i half units.
+    Canonical c maps to c + removed for c <= n - removed and to
+    c - (n - removed) above, so the run splits into at most two ranges.
     """
-    k, r = params.n_nodes, params.replication
-    if not 1 <= i <= r - 2:
-        raise ParameterError(f"middle index {i} outside [1, {r - 2}]")
-    hu = params.half_unit_atoms
-    base = k - r + 1 + i
-    first_hu = k + r - 2 * i - 2
-    first = _piece(actual, base, (i + 1,), 0, first_hu, hu)
-    second = _piece(actual, base, (i + k - r,), first_hu, k - r + 2 * i, hu)
-    return first, second
-
-
-def split_corners(params: SystemParams, actual: Sequence[int]) -> tuple[CornerSplit, CornerSplit]:
-    """Splits of canonical segments K-r+1 (low) and K (high), labelled
-    through actual as in split_middle.
-
-    Listing order fixes the atom layout: big first, then tiny when K-r is
-    odd, then pairs j = 1..p with p = floor((K-r)/2). The two corners mirror
-    each other: the low corner walks superscripts upward from the survivors
-    just after the gap, the high corner walks downward from those before it.
-    """
-    k, r = params.n_nodes, params.replication
-    hu = params.half_unit_atoms
-    gap = k - r
-    p = gap // 2
-    odd = gap % 2 == 1
-
-    def build(base: int, big_sup: tuple[int, ...], tiny_sup: tuple[int, ...] | None,
-              pair_sup: list[tuple[int, ...]]) -> CornerSplit:
-        cursor = 0
-        big = _piece(actual, base, big_sup, cursor, k + r - 2, hu)
-        cursor += k + r - 2
-        tiny = None
-        if tiny_sup is not None:
-            tiny = _piece(actual, base, tiny_sup, cursor, 1, hu)
-            cursor += 1
-        pairs = []
-        for sup in pair_sup:
-            pairs.append(_piece(actual, base, sup, cursor, 2, hu))
-            cursor += 2
-        return CornerSplit(big, tiny, tuple(pairs))
-
-    low_tiny = cyclic_range(gap - p, min(r, p + 1), k - 1) if odd else None
-    low_pairs = [cyclic_range(gap + 1 - j, min(r, j), k - 1) for j in range(1, p + 1)]
-    low = build(k - r + 1, (1,), low_tiny, low_pairs)
-
-    high_tiny = _desc_cyclic_range(r + p, min(r, p + 1), k - 1) if odd else None
-    high_pairs = [_desc_cyclic_range(r - 1 + j, min(r, j), k - 1) for j in range(1, p + 1)]
-    high = build(k, (k - 1,), high_tiny, high_pairs)
-    return low, high
+    d = n - removed
+    if hi <= d + 1:
+        return tuple(range(lo + removed, hi + removed))
+    if lo > d:
+        return tuple(range(lo - d, hi - d))
+    return tuple(range(1, hi - d)) + tuple(range(lo + removed, n + 1))
 
 
 def make_split_plan(params: SystemParams, removed: int) -> SplitPlan:
-    """Full piece layout for removing node `removed`, in actual labels."""
+    """Full piece layout for removing node `removed`, in actual labels.
+
+    Piece sizes are in half units (hu atoms). Middle K-r+1+i gives its leading
+    K+r-2i-2 half units to survivor i+1 and its trailing K-r+2i to survivor
+    i+K-r. Each corner lists big (K+r-2 half units, to survivor 1 for the low
+    corner and K-1 for the high one), then tiny when K-r is odd, then pairs
+    j = 1..p with p = floor((K-r)/2). The corners mirror each other: the low
+    corner's superscripts run upward from the survivors just after the gap,
+    the high corner's downward from those before it. No superscript wraps.
+    """
     params.validate()
     params.require_removal_support()
     k, r = params.n_nodes, params.replication
     if not 1 <= removed <= k:
         raise ParameterError(f"removed node {removed} outside [1, {k}]")
 
+    hu = params.half_unit_atoms
+    gap = k - r
+    p = gap // 2
     # canonical label c -> actual label, for c in 1..k; index 0 is unused
-    actual = [0] + [relabel_for_removed_node(c, removed, k) for c in range(1, k + 1)]
-    middles = tuple([split_middle(i, params, actual) for i in range(1, r - 1)])
-    low, high = split_corners(params, actual)
+    actual = (0, *cyclic_range(removed % k + 1, k, k))
+    middles = []
+    for i in range(1, r - 1):
+        base = actual[gap + 1 + i]
+        cut = (k + r - 2 * i - 2) * hu
+        middles.append((
+            SubsegmentLabel(base, (actual[i + 1],), 0, cut),
+            SubsegmentLabel(base, (actual[i + gap],), cut, params.segment_atoms),
+        ))
+    low, high = actual[gap + 1], actual[k]
+    start = (k + r - 2) * hu
+    low_big = SubsegmentLabel(low, (actual[1],), 0, start)
+    high_big = SubsegmentLabel(high, (actual[k - 1],), 0, start)
+    low_tiny = high_tiny = None
+    if gap % 2:
+        # survivors gap-p.. upward and r+p.. downward, min(r, p+1) of each
+        count = min(r, p + 1)
+        stop = start + hu
+        low_sup = actual_survivors(gap - p, gap - p + count, removed, k)
+        low_tiny = SubsegmentLabel(low, low_sup, start, stop)
+        high_sup = actual_survivors(r + p + 1 - count, r + p + 1, removed, k)
+        high_tiny = SubsegmentLabel(high, high_sup, start, stop)
+        start = stop
+    low_pairs = []
+    high_pairs = []
+    for j in range(1, p + 1):
+        # survivors gap+1-j.. upward and r-1+j.. downward, min(r, j) of each
+        count = min(r, j)
+        stop = start + 2 * hu
+        low_sup = actual_survivors(gap + 1 - j, gap + 1 - j + count, removed, k)
+        low_pairs.append(SubsegmentLabel(low, low_sup, start, stop))
+        high_sup = actual_survivors(r + j - count, r + j, removed, k)
+        high_pairs.append(SubsegmentLabel(high, high_sup, start, stop))
+        start = stop
     return SplitPlan(
-        params=params, removed=removed, middles=middles, low_corner=low, high_corner=high
+        params,
+        removed,
+        tuple(middles),
+        CornerSplit(low_big, low_tiny, tuple(low_pairs)),
+        CornerSplit(high_big, high_tiny, tuple(high_pairs)),
     )

@@ -33,7 +33,8 @@ def replay_without_broadcast():
         received = deliver(db, log, clean.plan)
         if isinstance(clean.plan, AdditionPlan):
             nodes = list(range(db.n_nodes + 2))
-            final = removal_merge.merge(db, nodes, clean.recipes, received, False)
+            certificate = cyclic_refs(db.contents, db.n_nodes, db.params.replication)
+            final = removal_merge.merge(db, nodes, clean.recipes, received, False, certificate)
         else:
             final = apply_merge(db, clean.plan, clean.recipes, received, strict=False)
         return replace(clean, final=final, log=log)

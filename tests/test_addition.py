@@ -24,7 +24,7 @@ from rebalance import (
     slice_atoms,
     verify_change,
 )
-from rebalance import removal_merge
+from rebalance import addition, removal_merge
 from rebalance.addition import make_addition_plan
 from rebalance.model import cyclic_refs
 
@@ -230,6 +230,31 @@ def test_a_damaged_addition_keeps_shipped_parts_as_their_payloads():
     for b in shipped:
         base = b.operands[0].base
         assert all(run.final.stored(n, base).bits is b.payload for n in cyclic_range(base, 4, 13))
+
+
+def test_a_damaged_addition_certifies_its_input_once(monkeypatch):
+    # rebalance_add hands its certificate to the merge, which computes none
+    params = default_params(12, 4)
+    bad = flip_stored_bit(build_cyclic_database(params, seed=6), 3, 2, 0)
+    expected = addition_outcome(bad)
+    calls = []
+
+    def counted(contents, n, r):
+        calls.append((n, r))
+        return cyclic_refs(contents, n, r)
+
+    merges = []
+    merge = removal_merge.merge
+
+    def recorded_merge(*args):
+        merges.append(args)
+        return merge(*args)
+
+    monkeypatch.setattr(addition, "cyclic_refs", counted)
+    monkeypatch.setattr(removal_merge, "cyclic_refs", counted)
+    monkeypatch.setattr(removal_merge, "merge", recorded_merge)
+    assert addition_outcome(bad) == expected
+    assert len(merges) == 1 and calls == [(12, 4)]
 
 
 def addition_outcome(db):

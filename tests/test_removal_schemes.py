@@ -25,6 +25,7 @@ from rebalance import (
     run_scheme1,
     run_scheme2,
     run_uncoded_removal,
+    storage_set,
     threshold,
 )
 from rebalance import removal_schemes
@@ -301,3 +302,24 @@ def test_decode_failure_names_the_lowest_receiver_lacking_a_base():
     want = "node 3 cannot rebuild W_8^{7}[0:108] to decode W_4^{3}[90:126]"
     with pytest.raises(DecodeFailureError, match=f"^{re.escape(want)}$"):
         deliver(Database(params, 8, contents), log, plan)
+
+
+def test_uncoded_slots_come_from_the_lowest_surviving_holder():
+    # each removed-node segment, whole, from min(holders - {removed}) to every
+    # survivor that does not hold it, for every (K, r, node) with K <= 30
+    for k in range(4, 31):
+        for r in range(3, k):
+            params = default_params(k, r)
+            for removed in range(1, k + 1):
+                slots = removal_slots(make_split_plan(params, removed), "uncoded")
+                bases = [(removed - r + j) % k + 1 for j in range(r)]
+                assert [ops[0].base for _, _, ops, _ in slots] == bases
+                for sender, kind, (label,), atoms in slots:
+                    holders = storage_set(label.base, k, r)
+                    where = (k, r, removed, label.base)
+                    assert sender == min(holders - {removed}), where
+                    needing = set(range(1, k + 1)) - holders - {removed}
+                    assert label.superscript == tuple(sorted(needing)), where
+                    assert (kind, label.atom_start, label.atom_stop, atoms) == (
+                        "uncoded", 0, params.segment_atoms, params.segment_atoms
+                    ), where

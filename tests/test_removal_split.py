@@ -1,5 +1,7 @@
 """Split plans: golden layouts, partition invariants, relabeling."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,7 @@ from rebalance import (
     make_split_plan,
     storage_set,
 )
-from rebalance.removal_split import split_corners, split_middle
+from rebalance.removal_schemes import removal_slots
 
 kr = st.integers(min_value=4, max_value=30).flatmap(
     lambda k: st.tuples(st.just(k), st.integers(min_value=3, max_value=k - 1))
@@ -96,15 +98,6 @@ def test_role_accessors_cover_the_plan():
                     plan.closing(s)
 
 
-def test_split_middle_validates_index():
-    params = default_params(6, 3)
-    canonical = range(7)  # node 6 removed: every label maps to itself
-    with pytest.raises(ParameterError):
-        split_middle(0, params, canonical)
-    with pytest.raises(ParameterError):
-        split_middle(2, params, canonical)  # only r-2 = 1 middle exists
-
-
 def test_make_split_plan_rejects_bad_input():
     with pytest.raises(UnsupportedConfigError):
         make_split_plan(default_params(6, 2), removed=6)
@@ -117,7 +110,8 @@ def test_make_split_plan_rejects_bad_input():
 def test_corner_label_collision_at_max_replication():
     # K-r = 1: big and tiny of each corner carry the same superscript and are
     # distinguished only by their atom ranges
-    low, high = split_corners(default_params(6, 5), range(7))  # node 6 removed
+    plan = make_split_plan(default_params(6, 5), removed=6)
+    low, high = plan.low_corner, plan.high_corner
     assert low.big.superscript == low.tiny.superscript == (1,)
     assert low.big.size_atoms != low.tiny.size_atoms
     assert high.big.superscript == high.tiny.superscript == (5,)
@@ -177,3 +171,32 @@ def test_split_relabeling_preserves_shape(t):
     # no piece is addressed to the removed node
     for piece in shifted.all_pieces():
         assert removed not in piece.superscript
+
+
+# sha256 of every plan's pieces, schedules and recipes reprs, per (K, r, node)
+# in ascending order; the same loop over every node for all K <= 30 reads
+# 6e237219c8de00ab6b823ba592516b3d26ba982b791a47ba1ebe517ed61dbbf9
+PLAN_DIGEST = "f5db6d4681b3db3e6e81f55cf36975e328dbcd28eeafe54be8a3f267668009b5"
+
+
+def plan_digest(kmax, every_node_up_to):
+    h = hashlib.sha256()
+    for k in range(4, kmax + 1):
+        if k <= every_node_up_to:
+            nodes = range(1, k + 1)
+        else:
+            nodes = sorted({1, 2, (k + 1) // 2, k})
+        for r in range(3, k):
+            params = default_params(k, r)
+            for node in nodes:
+                plan = make_split_plan(params, node)
+                h.update(repr(plan.all_pieces()).encode())
+                for scheme in ("scheme1", "scheme2", "uncoded"):
+                    h.update(repr(removal_slots(plan, scheme)).encode())
+                h.update(repr(build_merge_recipes(params, plan)).encode())
+    return h.hexdigest()
+
+
+def test_plans_slots_and_recipes_are_pinned():
+    # every node for K <= 16, four nodes per (K, r) up to K = 30
+    assert plan_digest(30, 16) == PLAN_DIGEST
