@@ -379,12 +379,11 @@ def cyclic_refs(
     when deviating is empty. Node i's own piece is the reference, so damage
     to it lists the other r-1 holders of segment i, not node i.
 
-    Replicas need only be equal, not shared. Each node's keys and values are
-    first compared, as two lists, with its window in ascending order, the
-    order cyclic_layout stores; list == takes identity first, so shared
-    replicas cost no payload compare. That compare only accepts: a node that
-    fails it, say one holding its window in another order, is looked up key by
-    key, and that lookup alone decides whether it deviates.
+    Replicas need only be equal, not shared. One window dict, slid one
+    segment per node, is compared with each node's contents by one dict ==,
+    which checks the length and then each key's value, identity first, so
+    shared replicas cost no payload compare and the order a node stores its
+    window in does not matter.
     """
     segments = range(1, n + 1)
     refs = [contents.get(i, _NOTHING).get(i) for i in segments]
@@ -396,19 +395,13 @@ def cyclic_refs(
         for i in segments:
             if refs[i - 1] is None:
                 deviating.update(cyclic_range(i, r, n))
-    indices = list(segments)
+    # node 0's window, segments n-r+1..n; node m's drops segment m-r (cyclic)
+    # and adds segment m
+    window = dict(zip(range(n - r + 1, n + 1), refs[n - r :]))
     for m in segments:
-        items = contents.get(m, _NOTHING)
-        # node m's window in ascending order: segments m-r+1..m, or when it
-        # wraps, 1..m and then the last r-m
-        lo = m - r
-        if lo >= 0:
-            keys, window = indices[lo:m], refs[lo:m]
-        else:
-            keys, window = indices[:m] + indices[lo:], refs[:m] + refs[lo:]
-        if list(items) == keys and list(items.values()) == window:
-            continue
-        if len(items) != r or list(map(items.get, keys)) != window:
+        del window[m - r if m > r else n - r + m]
+        window[m] = refs[m - 1]
+        if contents.get(m) != window:
             deviating.add(m)
     return refs, deviating
 

@@ -28,14 +28,15 @@ MergeFailureError, or keeps a short replica, at exactly that holder, and a
 replica equal to another of its target is that one object. An addition is
 merged against its own recipes in node labels; its new node stores nothing.
 
-Each decoded piece is compared once with the reference's cut of its own
-range, and a part of that same range takes an equal piece as its cut. Where
-every decoded piece of an origin agrees, whichever covering piece a holder
-takes first is the reference's cut, so each part of that origin needs only a
-coverage check: the holders that lack the origin, from span arithmetic on
-the two cyclic windows done once per origin, less the receivers of each
-covering piece. An origin with an unequal piece is checked part by part,
-each holder against its first covering piece.
+deliver keys the decoded pieces by atom range. The reference is cut once
+per range and compared once with each distinct int of it, and a part of that
+same range takes an equal piece as its cut. Where every decoded piece of an
+origin agrees, whichever covering piece a holder takes first is the
+reference's cut, so each part of that origin needs only a coverage check:
+the holders that lack the origin, from span arithmetic on the two cyclic
+windows done once per origin, less the receivers of the part's own range,
+then of other covering ranges while any remain. An origin with an unequal
+piece is checked part by part, each holder against its first covering piece.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def apply_merge(
     db: Database,
     plan: SplitPlan,
     recipes: tuple[MergeRecipe, ...],
-    received: dict[tuple[int, int, int, int], list[int]],
+    received: dict[AtomRange, dict[int, int]],
     strict: bool = True,
 ) -> Database:
     """Assemble every target at every holder and return the survivor database.
@@ -148,7 +149,7 @@ def merge(
     db: Database,
     actual: list[int],
     recipes: tuple[MergeRecipe, ...],
-    received: dict[tuple[int, int, int, int], list[int]],
+    received: dict[AtomRange, dict[int, int]],
     strict: bool,
     certificate: tuple[list[StoredPiece | None], set[int]],
 ) -> Database:
@@ -158,8 +159,9 @@ def merge(
     recipes are targets 1..M in order, target t held by the r holders from t
     (cyclic); actual[holder] is the node whose stored segments and decoded
     pieces the holder uses, M = len(actual) - 1 (index 0 unused). received
-    maps each decoded piece (origin, atom start, atom stop, bits) to the
-    actual nodes that decoded it, in first-decode order, as deliver returns it.
+    maps each decoded range (origin, atom start, atom stop), in first-decode
+    order, to {actual node: bits} in first-decode order, as deliver returns
+    it.
 
     With strict=True a holder that cannot source a part raises
     MergeFailureError; with strict=False the part is skipped, leaving a short
@@ -174,20 +176,26 @@ def merge(
     refs, deviating = certificate
     # holder label by actual node, a window position; the removed node's is n
     position = dict(zip(actual[1:], range(1, m + 1)))
-    # origin -> [(start, stop, bits, actual receivers)], in first-decode order
-    decoded: dict[int, list[tuple[int, int, int, list[int]]]] = {}
-    # each decoded piece is compared once with the reference's cut of its
-    # range: an equal piece is that cut, for a part of the same range to take,
-    # and an unequal one marks its origin
+    # origin -> [(start, stop, {actual node: bits})], in first-decode order
+    decoded: dict[int, list[tuple[int, int, dict[int, int]]]] = {}
+    # the reference is cut once per range, and each run of one int object
+    # among its receivers is compared with it once: an equal piece is that
+    # cut, for a part of the same range to take, and an unequal one marks its
+    # origin
     equal_cuts: dict[AtomRange, int] = {}
     unequal = set()
-    for (origin, start, stop, bits), receivers in received.items():
-        decoded.setdefault(origin, []).append((start, stop, bits, receivers))
+    for (origin, start, stop), got in received.items():
+        decoded.setdefault(origin, []).append((start, stop, got))
         ref = refs[origin - 1] if 0 < origin <= n else None
-        if ref is not None and bits == slice_atoms(ref.bits, start, stop, w):
-            equal_cuts[origin, start, stop] = bits
-        else:
-            unequal.add(origin)
+        cut = None if ref is None else slice_atoms(ref.bits, start, stop, w)
+        last = None
+        for bits in got.values():
+            if bits is not last:
+                last = bits
+                if bits == cut:
+                    equal_cuts[origin, start, stop] = bits
+                else:
+                    unequal.add(origin)
     damaged = {position[node] for node in deviating if node in position}
     past = ((n + 1, m + 1),) if m > n else ()  # an addition's new node
     # by origin, the holders that take it off the bus: segment p is stored at
@@ -229,24 +237,30 @@ def merge(
                             need.update(range(a, b))
             if need is None:
                 continue
-            got = decoded.get(origin, ())
             if origin not in unequal:
-                # any covering piece is the reference's cut: only coverage counts
-                for got_start, got_stop, _, nodes in got:
-                    if got_start <= start and stop <= got_stop:
-                        need.difference_update(map(position.get, nodes))
-                        if not need:
-                            break
+                # any covering piece is the reference's cut: only coverage
+                # counts, by the part's own range and then, while holders
+                # remain, by the other covering ranges
+                exact = received.get((origin, start, stop))
+                if exact is not None:
+                    need.difference_update(map(position.get, exact))
+                if need:
+                    for got_start, got_stop, nodes in decoded.get(origin, ()):
+                        if got_start <= start and stop <= got_stop:
+                            need.difference_update(map(position.get, nodes))
+                            if not need:
+                                break
             else:
-                for got_start, got_stop, got_bits, nodes in got:
+                for got_start, got_stop, nodes in decoded.get(origin, ()):
                     if not need:
                         break
                     if got_start <= start and stop <= got_stop:
                         named = need.intersection(map(position.get, nodes))
-                        if named:
+                        for holder in named:
+                            got_bits = nodes[actual[holder]]
                             if slice_atoms(got_bits, start - got_start, stop - got_start, w) != cut:
-                                walk |= named
-                            need -= named
+                                walk.add(holder)
+                        need -= named
             walk |= need
         else:  # every part had its reference
             replica = StoredPiece(offset, bits)
@@ -270,7 +284,7 @@ def _source_rule(
     db: Database,
     node: int,
     recipe: MergeRecipe,
-    decoded: dict[int, list[tuple[int, int, int, list[int]]]],
+    decoded: dict[int, list[tuple[int, int, dict[int, int]]]],
     strict: bool,
 ) -> StoredPiece:
     """node's replica of recipe's target by the source rule: each part from the
@@ -285,9 +299,9 @@ def _source_rule(
         if own is not None:
             cuts.append(slice_atoms(own.bits, start, stop, w))
             continue
-        for got_start, got_stop, bits, receivers in decoded.get(origin, ()):
+        for got_start, got_stop, receivers in decoded.get(origin, ()):
             if got_start <= start and stop <= got_stop and node in receivers:
-                cuts.append(slice_atoms(bits, start - got_start, stop - got_start, w))
+                cuts.append(slice_atoms(receivers[node], start - got_start, stop - got_start, w))
                 break
         else:
             if strict:

@@ -37,7 +37,7 @@ from .analytics import LoadReport
 from .bus import Slot, TransmissionLog, decode_at_node, encode
 from .errors import ParameterError
 from .model import Database, SubsegmentLabel, slice_atoms
-from .removal_merge import ChangeRun, apply_merge, build_merge_recipes
+from .removal_merge import AtomRange, ChangeRun, apply_merge, build_merge_recipes
 from .removal_split import SplitPlan, actual_survivors, make_split_plan
 
 SCHEME_CHOICES = ("auto", "scheme1", "scheme2", "uncoded")
@@ -104,9 +104,9 @@ def run_uncoded_removal(db: Database, plan: SplitPlan) -> TransmissionLog:
 
 def deliver(
     db: Database, log: TransmissionLog, plan: object
-) -> dict[tuple[int, int, int, int], list[int]]:
+) -> dict[AtomRange, dict[int, int]]:
     """Decode every broadcast of several operands once per receiver group; map
-    each piece to its receivers.
+    each decoded atom range to its receivers and their pieces.
 
     Addressed nodes that want the same operand and store the same pieces for
     the other operands strip the same bits, so they form one group, and
@@ -114,10 +114,12 @@ def deliver(
     there). A one-operand broadcast strips nothing: its payload, cut to the
     piece's atoms as decode_at_node would cut it, is the piece (a payload
     that fits is that very int), and it goes to every addressed node with no
-    decode and no look at what they store. Each distinct decoded piece
-    (origin, atom start, atom stop, bits) is one key, mapped to the nodes
-    that decoded it, in first-decode order. The key interns the bits, so
-    receivers of equal pieces share one int.
+    decode and no look at what they store. Each decoded range (origin, atom
+    start, atom stop) is one key, in first-decode order, mapped to {node:
+    bits} in first-decode order; a node keeps the first piece it decodes of a
+    range. Receivers of equal pieces of one range share one int, found by
+    identity and then ==, never by hash: CPython hashes a big int in time
+    linear in its size.
 
     Both membership changes deliver their logs here: a removal's output feeds
     apply_merge, and a damaged addition's feeds removal_merge.merge. plan, a
@@ -126,37 +128,45 @@ def deliver(
     goes with the next change there.
     """
     w = db.params.atom_bits
-    received: dict[tuple[int, int, int, int], list[int]] = {}
+    received: dict[AtomRange, dict[int, int]] = {}
     for b in log.broadcasts:
         ops = b.operands
         if len(ops) == 1:
             # nothing to strip: the payload, cut to the piece, is the piece
             op = ops[0]
-            if op.superscript:
-                bits = slice_atoms(b.payload, 0, op.size_atoms, w)
-                key = (op.base, op.atom_start, op.atom_stop, bits)
-                received.setdefault(key, []).extend(sorted(op.superscript))
-            continue
-        # (operand index, ids of the node's pieces of the others' bases) -> nodes,
-        # ascending, so the groups come in order of their lowest node
-        groups: dict[tuple, list[int]] = {}
-        # addressed node -> (index of its operand, bases of the others), or
-        # None when named in several operands
-        wants: dict[int, tuple[int, list[int]] | None] = {}
-        for i, op in enumerate(ops):
-            strip = (i, [other.base for other in ops if other is not op])
-            for node in op.superscript:
-                wants[node] = None if node in wants else strip
-        for node in sorted(wants):
-            strip = wants[node]
-            if strip is not None:
-                stored = db.contents.get(node, {})
-                key = (strip[0], *[id(stored.get(base)) for base in strip[1]])
-                groups.setdefault(key, []).append(node)
-        for nodes in groups.values():
-            label, bits = decode_at_node(db, nodes[0], b)
-            key = (label.base, label.atom_start, label.atom_stop, bits)
-            received.setdefault(key, []).extend(nodes)
+            if not op.superscript:
+                continue
+            pieces = [(op, slice_atoms(b.payload, 0, op.size_atoms, w), sorted(op.superscript))]
+        else:
+            # (operand index, ids of the node's pieces of the others' bases) ->
+            # nodes, ascending, so the groups come in order of their lowest node
+            groups: dict[tuple, list[int]] = {}
+            # addressed node -> (index of its operand, bases of the others), or
+            # None when named in several operands
+            wants: dict[int, tuple[int, list[int]] | None] = {}
+            for i, op in enumerate(ops):
+                strip = (i, [other.base for other in ops if other is not op])
+                for node in op.superscript:
+                    wants[node] = None if node in wants else strip
+            for node in sorted(wants):
+                strip = wants[node]
+                if strip is not None:
+                    stored = db.contents.get(node, {})
+                    key = (strip[0], *[id(stored.get(base)) for base in strip[1]])
+                    groups.setdefault(key, []).append(node)
+            pieces = [(*decode_at_node(db, nodes[0], b), nodes) for nodes in groups.values()]
+        for label, bits, nodes in pieces:
+            key = (label.base, label.atom_start, label.atom_stop)
+            got = received.get(key)
+            if got is None:
+                received[key] = dict.fromkeys(nodes, bits)
+                continue
+            for prior in got.values():
+                if prior is bits or prior == bits:
+                    bits = prior
+                    break
+            for node in nodes:
+                got.setdefault(node, bits)
     return received
 
 

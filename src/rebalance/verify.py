@@ -10,12 +10,13 @@ holds the latest build's immutable ints and walks afresh for any other), and
 the targets together cover every original atom exactly once.
 
 Each check first tries a certificate that accepts a clean layout, where a
-segment's replicas are one shared piece, with C-level list compares. Both
-start from model.cyclic_refs, which verify_change computes once for the
-two. With no node deviating, the shape check needs only the references'
-sizes, and the content check compares one piece per target, the reference,
-when the target's holders are its window by this module's own range
-arithmetic (never the code that built the recipes). Any other target has its
+segment's replicas are one shared piece, with C-level dict and list
+compares that take identity first. Both start from model.cyclic_refs, which
+verify_change computes once for the two. With no node deviating, the shape
+check needs only the references' sizes, and the content check compares one
+piece per target, the reference, when the target's holders are its window
+by this module's own range arithmetic (never the code that built the
+recipes). Any other target has its
 holders' pieces fetched and compared as a list. Only if a certificate fails
 does the walk run, item by item; the walk alone produces findings, so their
 text and order never depend on the certificate.
@@ -197,19 +198,21 @@ def _check_content(
     params.replication)."""
     refs, deviating = certificate
     n, r, w = len(expected), params.replication, params.atom_bits
+    # read once: both are properties, and the loops below ask per part
+    n_origins, seg_atoms = params.n_nodes, params.segment_atoms
     # the latest build's own ints when final came from it, else one fresh walk
-    content = database_content(seed, params.n_nodes, params.segment_atoms * w)
+    content = database_content(seed, n_origins, seg_atoms * w)
     findings: list[Finding] = []
 
-    coverage: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, params.n_nodes + 1)}
+    coverage: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, n_origins + 1)}
     for tgt in expected:
         cuts: list[int] = []
         widths: list[int] = []
         reported = len(findings)
         for origin, start, stop in tgt.parts:
-            if origin not in coverage or not 0 <= start <= stop <= params.segment_atoms:
+            if origin not in coverage or not 0 <= start <= stop <= seg_atoms:
                 part = f"atoms [{start}:{stop}] of segment {origin}"
-                where = f"outside segments 1..{params.n_nodes} of {params.segment_atoms} atoms"
+                where = f"outside segments 1..{n_origins} of {seg_atoms} atoms"
                 findings.append(("content", f"target segment {tgt.target} expects {part}, {where}"))
                 continue
             cuts.append(slice_atoms(content[origin - 1], start, stop, w))
@@ -253,11 +256,11 @@ def _check_content(
                     )
                 )
             cursor = max(cursor, stop)
-        if cursor != params.segment_atoms:
+        if cursor != seg_atoms:
             findings.append(
                 (
                     "content",
-                    f"origin segment {origin} atoms [{cursor}:{params.segment_atoms}] "
+                    f"origin segment {origin} atoms [{cursor}:{seg_atoms}] "
                     f"lost across targets",
                 )
             )

@@ -122,7 +122,7 @@ def _sourced_as_the_reference(db, node, part, refs, received, w):
     if origin in db.contents.get(node, {}):
         return True
     want = slice_atoms(refs[origin - 1].bits, start, stop, w)
-    for (got_origin, got_start, got_stop, bits), nodes in received.items():
-        if got_origin == origin and got_start <= start and stop <= got_stop and node in nodes:
-            return slice_atoms(bits, start - got_start, stop - got_start, w) == want
+    for (got_origin, got_start, got_stop), got in received.items():
+        if got_origin == origin and got_start <= start and stop <= got_stop and node in got:
+            return slice_atoms(got[node], start - got_start, stop - got_start, w) == want
     return False

@@ -197,11 +197,9 @@ def test_replicas_share_one_int_per_source_set():
     final = apply_merge(db, plan, recipes, received)
 
     # receivers that decode the same operand hold one interned int
-    by_range = {}
-    for (origin, start, stop, bits), nodes in received.items():
-        by_range.setdefault((origin, start, stop), []).extend(bits for _ in nodes)
-    assert any(len(copies) > 1 for copies in by_range.values())
-    for copies in by_range.values():
+    by_range = [list(got.values()) for got in received.values()]
+    assert any(len(copies) > 1 for copies in by_range)
+    for copies in by_range:
         assert all(c is copies[0] for c in copies)
 
     def sources(holder, recipe):
@@ -214,9 +212,9 @@ def test_replicas_share_one_int_per_source_set():
                 key.append((id(base.bits), start))
             else:
                 key.append(next(
-                    (id(bits), start - got_start)
-                    for (got_origin, got_start, got_stop, bits), nodes in received.items()
-                    if node in nodes
+                    (id(got[node]), start - got_start)
+                    for (got_origin, got_start, got_stop), got in received.items()
+                    if node in got
                     and got_origin == origin and got_start <= start and stop <= got_stop
                 ))
         return tuple(key)
@@ -271,14 +269,14 @@ def oracle_merge(db, plan, recipes, received, strict=True):
                 if own is not None:
                     src = (own.bits, start)
                 else:
-                    for (got_origin, got_start, got_stop, got), nodes in received.items():
+                    for (got_origin, got_start, got_stop), got in received.items():
                         if (
-                            node in nodes
+                            node in got
                             and got_origin == origin
                             and got_start <= start
                             and stop <= got_stop
                         ):
-                            src = (got, start - got_start)
+                            src = (got[node], start - got_start)
                             break
                 if src is None:
                     if strict:
@@ -365,22 +363,54 @@ def test_overlapping_received_pieces_are_taken_in_arrival_order(arrival):
         if db.stored(plan.to_actual(h), part[0]) is None
     )
     node = plan.to_actual(holder)
-    assert (origin, start) in {key[:2] for key, nodes in clean.items() if node in nodes}
+    assert (origin, start) in {key[:2] for key, got in clean.items() if node in got}
     assert stop - start > 1
     # other content: a whole segment that covers the part, or a one-atom piece
-    # at the part's start that does not
-    whole = (origin, 0, params.segment_atoms, (1 << params.segment_bits) - 1)
-    short = (origin, start, start + 1, (1 << params.atom_bits) - 1)
+    # at the part's start that does not; neither range is delivered already
+    whole = (origin, 0, params.segment_atoms)
+    short = (origin, start, start + 1)
+    assert whole not in clean and short not in clean
     received = {
-        "whole-first": {whole: [node], **clean},
-        "whole-last": {**clean, whole: [node]},
-        "short-first": {short: [node], **clean},
+        "whole-first": {whole: {node: (1 << params.segment_bits) - 1}, **clean},
+        "whole-last": {**clean, whole: {node: (1 << params.segment_bits) - 1}},
+        "short-first": {short: {node: (1 << params.atom_bits) - 1}, **clean},
     }[arrival]
     want = merge_outcome(oracle_merge, db, plan, recipes, received, True)
     assert merge_outcome(apply_merge, db, plan, recipes, received, True) == want
     final = apply_merge(db, plan, recipes, received)
     changed = final.stored(holder, recipe.target).bits != run.final.stored(holder, recipe.target).bits
     assert changed == (arrival == "whole-first")
+
+
+def test_a_holder_missing_from_its_parts_range_is_covered_by_a_wider_piece(rule_calls):
+    # the coverage check of an agreeing origin takes the part's own range
+    # first; a holder that range does not list must still count as covered by
+    # another piece that covers the part and lists it, with no walk
+    params = default_params(12, 9)
+    db = build_cyclic_database(params, seed=6)
+    run = rebalance_remove(db, 5, "scheme2")
+    plan, recipes = run.plan, run.recipes
+    clean = deliver(db, run.log, plan)
+    holder, (origin, start, stop) = next(
+        (h, part)
+        for rec in recipes
+        for h in rec.holders
+        for part in rec.parts
+        if part in clean and plan.to_actual(h) in clean[part]
+    )
+    node = plan.to_actual(holder)
+    received = dict(clean)
+    own = clean[origin, start, stop]
+    received[origin, start, stop] = {n: bits for n, bits in own.items() if n != node}
+    # the whole segment, equal to the reference, for that node alone
+    received[origin, 0, params.segment_atoms] = {node: db.stored(origin, origin).bits}
+    rule_calls.clear()
+    final = apply_merge(db, plan, recipes, received)
+    assert rule_calls == []
+    assert merge_outcome(apply_merge, db, plan, recipes, received, True) == merge_outcome(
+        oracle_merge, db, plan, recipes, received, True
+    )
+    assert final.contents == run.final.contents
 
 
 @pytest.mark.parametrize("k, r", [(12, 9), (25, 20)])
@@ -561,7 +591,8 @@ def test_a_disagreeing_piece_merges_as_the_walk(every_node_deviates, rule_calls,
                     refs, deviating = cyclic_refs(case.contents, k, r)
                     assert any(
                         bits != slice_atoms(refs[origin - 1].bits, start, stop, w)
-                        for origin, start, stop, bits in received
+                        for (origin, start, stop), got in received.items()
+                        for bits in got.values()
                     ), where
                     reach = damage_reach(case, actual, recipes, received)
                     # holders walked for an unequal piece alone, not for their own storage

@@ -1,6 +1,7 @@
 """Broadcast schedules: golden transmissions, loads, scheme selection."""
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from rebalance import (
     DecodeFailureError,
     ParameterError,
     TransmissionLog,
+    apply_merge,
     build_cyclic_database,
+    build_merge_recipes,
     choose_scheme,
     decode_at_node,
     default_params,
@@ -29,6 +32,7 @@ from rebalance import (
     threshold,
 )
 from rebalance import removal_schemes
+from rebalance.addition import make_addition_plan
 from rebalance.analytics import corner_overhead
 from rebalance.removal_schemes import removal_slots
 
@@ -255,22 +259,23 @@ def test_deliver_decodes_once_per_receiver_group(k, monkeypatch):
                 calls.clear()
                 received = deliver(db, log, plan)
                 assert len(calls) == receiver_groups(db, log), (k, r, name)
-                # each decode once, under the key holding its bits, and no other entries
-                assert list(received) == list(dict.fromkeys(piece for _, _, piece in want))
-                for piece, nodes in received.items():
-                    assert nodes == [n for _, n, got in want if got == piece]
-                    assert len(set(nodes)) == len(nodes)
+                # each decode once, under the key of its range, at its node with
+                # its bits, and no other entries
+                assert list(received) == list(dict.fromkeys(piece[:3] for _, _, piece in want))
+                for key, got in received.items():
+                    mine = [(n, piece[3]) for _, n, piece in want if piece[:3] == key]
+                    assert got == dict(mine) and len(got) == len(mine)
                 # first-decode order is each node's own arrival order
                 for node in {n for _, n, _ in want}:
-                    mine = [piece for piece, nodes in received.items() if node in nodes]
+                    mine = [(*key, got[node]) for key, got in received.items() if node in got]
                     assert mine == [got for _, n, got in want if n == node], (k, r, name, node)
                 # a one-operand slot's piece is its payload int itself
                 for b in log.broadcasts:
                     if len(b.operands) == 1 and b.operands[0].superscript:
                         op = b.operands[0]
-                        piece = (op.base, op.atom_start, op.atom_stop, b.payload)
-                        assert next(key for key in received if key == piece)[3] is b.payload
-                keys.append(set(received))
+                        got = received[op.base, op.atom_start, op.atom_stop]
+                        assert all(got[n] is b.payload for n in op.superscript)
+                keys.append({(*k, bits) for k, got in received.items() for bits in got.values()})
             # the damaged sibling changes what its receiver decodes
             flips += len(keys) == 2 and keys[0] != keys[1]
     assert flips > 0
@@ -285,8 +290,88 @@ def test_deliver_decodes_once_per_receiver_group(k, monkeypatch):
         received = deliver(db, TransmissionLog(params, [b]), None)
         label, bits = real(db, op.superscript[0], b)
         assert bits == payload & ((1 << width) - 1)
-        key = (label.base, label.atom_start, label.atom_stop, bits)
-        assert received == {key: sorted(op.superscript)}, payload
+        key = (label.base, label.atom_start, label.atom_stop)
+        assert received == {key: dict.fromkeys(sorted(op.superscript), bits)}, payload
+
+
+class UnhashableInt(int):
+    """A payload that no dict or set may take as a key."""
+
+    __hash__ = None
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEDULES))
+def test_deliver_keys_ranges_and_never_hashes_payloads(scheme):
+    params = default_params(12, 9)
+    clean = build_cyclic_database(params, seed=4)
+    plan = make_split_plan(params, removed=5)
+    recipes = build_merge_recipes(params, plan)
+    log = SCHEDULES[scheme](clean, plan)
+    received = deliver(clean, log, plan)
+    want = decodes_node_by_node(clean, log)
+    # keys are (origin, start, stop) int triples, in first-decode order
+    assert all(len(key) == 3 and all(type(x) is int for x in key) for key in received)
+    assert list(received) == list(dict.fromkeys(piece[:3] for _, _, piece in want))
+    # each maps its receivers to their ints, in first-decode order
+    for key, got in received.items():
+        assert list(got.items()) == [(n, piece[3]) for _, n, piece in want if piece[:3] == key]
+        assert all(type(bits) is int for bits in got.values())
+
+    # receivers of equal ints of one range hold one object, and a node keeps
+    # the first piece of a range it gets: the range sent again, as an equal
+    # int that is another object, to a node that has it and a new one, and as
+    # an unequal int to a node that has it and another new one
+    b = next(
+        b for b in log.broadcasts if len(b.operands) == 1 and len(b.operands[0].superscript) > 1
+    )
+    op = b.operands[0]
+    first, last = op.superscript[0], op.superscript[-1]
+    others = [n for n in range(1, 13) if n not in op.superscript]
+    copy, flipped = b.payload ^ 1 ^ 1, b.payload ^ 1
+    assert copy == b.payload and copy is not b.payload
+    again = [
+        replace(b, operands=(replace(op, superscript=(last, others[0])),), payload=copy),
+        replace(b, operands=(replace(op, superscript=(first, others[1])),), payload=flipped),
+    ]
+    received = deliver(clean, replace(log, broadcasts=[b, *again]), plan)
+    got = received[op.base, op.atom_start, op.atom_stop]
+    assert list(got) == [*op.superscript, *others[:2]]
+    assert [bits is b.payload for bits in got.values()] == [True] * (len(got) - 1) + [False]
+    assert got[others[1]] is flipped
+
+    # a clean removal delivers and merges payloads that cannot be hashed
+    hashless = [replace(b, payload=UnhashableInt(b.payload)) for b in log.broadcasts]
+    received = deliver(clean, replace(log, broadcasts=hashless), plan)
+    assert any(type(bits) is UnhashableInt for got in received.values() for bits in got.values())
+    final = apply_merge(clean, plan, recipes, received)
+    assert final.contents == rebalance_remove(clean, 5, scheme).final.contents
+
+
+def test_no_atom_range_is_carried_by_two_slots():
+    # deliver keeps a node's first piece of a range, and the merge reads the
+    # ranges of an origin in first-decode order; both are the order a node
+    # decodes its pieces in because no schedule carries one range twice. Every
+    # node for K <= 16 and four per (K, r) up to K = 30, as the plan digest
+    # covers them, under all three schemes; and every addition
+    def distinct(slots):
+        ranges = [(op.base, op.atom_start, op.atom_stop) for _, _, ops, _ in slots for op in ops]
+        return len(set(ranges)) == len(ranges)
+
+    schedules = 0
+    for k in range(4, 31):
+        nodes = range(1, k + 1) if k <= 16 else sorted({1, 2, (k + 1) // 2, k})
+        for r in range(3, k):
+            params = default_params(k, r)
+            for node in nodes:
+                plan = make_split_plan(params, node)
+                for scheme in SCHEDULES:
+                    assert distinct(removal_slots(plan, scheme)), (k, r, node, scheme)
+                    schedules += 1
+    for k in range(3, 31):
+        for r in range(2, k):
+            assert distinct(make_addition_plan(default_params(k, r)).slots), (k, r)
+            schedules += 1
+    assert schedules == 6720 + 406
 
 
 def test_decode_failure_names_the_lowest_receiver_lacking_a_base():
