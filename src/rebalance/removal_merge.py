@@ -34,9 +34,10 @@ same range takes an equal piece as its cut. Where every decoded piece of an
 origin agrees, whichever covering piece a holder takes first is the
 reference's cut, so each part of that origin needs only a coverage check:
 the holders that lack the origin, from span arithmetic on the two cyclic
-windows done once per origin, less the receivers of the part's own range,
-then of other covering ranges while any remain. An origin with an unequal
-piece is checked part by part, each holder against its first covering piece.
+windows done once per origin, less the receivers of each covering range
+while any remain. An origin with an unequal piece is checked part by part,
+each holder against its first covering piece, with one cut and compare per
+run of one int object among a range's receivers.
 """
 
 from __future__ import annotations
@@ -238,29 +239,29 @@ def merge(
             if need is None:
                 continue
             if origin not in unequal:
-                # any covering piece is the reference's cut: only coverage
-                # counts, by the part's own range and then, while holders
-                # remain, by the other covering ranges
-                exact = received.get((origin, start, stop))
-                if exact is not None:
-                    need.difference_update(map(position.get, exact))
-                if need:
-                    for got_start, got_stop, nodes in decoded.get(origin, ()):
-                        if got_start <= start and stop <= got_stop:
-                            need.difference_update(map(position.get, nodes))
-                            if not need:
-                                break
+                # any covering piece is the reference's cut: only coverage counts
+                for got_start, got_stop, nodes in decoded.get(origin, ()):
+                    if got_start <= start and stop <= got_stop:
+                        need.difference_update(map(position.get, nodes))
+                        if not need:
+                            break
             else:
                 for got_start, got_stop, nodes in decoded.get(origin, ()):
                     if not need:
                         break
                     if got_start <= start and stop <= got_stop:
-                        named = need.intersection(map(position.get, nodes))
-                        for holder in named:
-                            got_bits = nodes[actual[holder]]
-                            if slice_atoms(got_bits, start - got_start, stop - got_start, w) != cut:
-                                walk.add(holder)
-                        need -= named
+                        # a holder still in need takes this piece first; each
+                        # run of one int object is cut and compared once
+                        skip, end, last = start - got_start, stop - got_start, None
+                        for node, got_bits in nodes.items():
+                            holder = position.get(node)
+                            if holder in need:
+                                if got_bits is not last:
+                                    last = got_bits
+                                    differs = slice_atoms(got_bits, skip, end, w) != cut
+                                if differs:
+                                    walk.add(holder)
+                        need.difference_update(map(position.get, nodes))
             walk |= need
         else:  # every part had its reference
             replica = StoredPiece(offset, bits)

@@ -383,9 +383,9 @@ def test_overlapping_received_pieces_are_taken_in_arrival_order(arrival):
 
 
 def test_a_holder_missing_from_its_parts_range_is_covered_by_a_wider_piece(rule_calls):
-    # the coverage check of an agreeing origin takes the part's own range
-    # first; a holder that range does not list must still count as covered by
-    # another piece that covers the part and lists it, with no walk
+    # in the coverage check of an agreeing origin, a holder that the part's own
+    # range does not list must still count as covered by another piece that
+    # covers the part and lists it, with no walk
     params = default_params(12, 9)
     db = build_cyclic_database(params, seed=6)
     run = rebalance_remove(db, 5, "scheme2")
@@ -548,9 +548,16 @@ def disagreeing_variants(db, plan, schedule, rng):
     stored segment, the reference where the receiver holds it, under each
     coded broadcast; one payload bit flipped, within every operand, in a copy
     of each broadcast of the log; and that flip with the next broadcast
-    dropped, which starves some holder."""
+    dropped, which starves some holder; and, in each range of several
+    receivers, a new int object per receiver, the second one unequal."""
     w = db.params.atom_bits
     log = schedule(db, plan)
+    clean = deliver(db, log, plan)
+    for (origin, start, stop), got in clean.items():
+        if len(got) > 1:
+            bit = rng.randrange((stop - start) * w)
+            copies = {n: bits ^ (i == 1) << bit for i, (n, bits) in enumerate(got.items())}
+            yield "one receiver's copy", db, {**clean, (origin, start, stop): copies}
     for b in log.broadcasts:
         if len(b.operands) < 2 or not b.operands[1].superscript:
             continue
@@ -610,7 +617,9 @@ def test_a_disagreeing_piece_merges_as_the_walk(every_node_deviates, rule_calls,
                         assert fast == walk, (*where, strict)
                         seen[kind] += 1
     assert seen["stored sibling"] > 500 and seen["payload bit"] > 2000, seen
-    assert all(seen[kind, "beyond"] for kind in ("stored sibling", "payload bit")), seen
+    assert seen["one receiver's copy"] > 500, seen
+    kinds = ("stored sibling", "payload bit", "one receiver's copy")
+    assert all(seen[kind, "beyond"] for kind in kinds), seen
     assert seen["payload bit, dropped", "error"] > 0, seen
 
 

@@ -264,7 +264,7 @@ def test_deliver_decodes_once_per_receiver_group(k, monkeypatch):
                 assert list(received) == list(dict.fromkeys(piece[:3] for _, _, piece in want))
                 for key, got in received.items():
                     mine = [(n, piece[3]) for _, n, piece in want if piece[:3] == key]
-                    assert got == dict(mine) and len(got) == len(mine)
+                    assert list(got.items()) == mine
                 # first-decode order is each node's own arrival order
                 for node in {n for _, n, _ in want}:
                     mine = [(*key, got[node]) for key, got in received.items() if node in got]
@@ -291,7 +291,8 @@ def test_deliver_decodes_once_per_receiver_group(k, monkeypatch):
         label, bits = real(db, op.superscript[0], b)
         assert bits == payload & ((1 << width) - 1)
         key = (label.base, label.atom_start, label.atom_stop)
-        assert received == {key: dict.fromkeys(sorted(op.superscript), bits)}, payload
+        assert list(received) == [key], payload
+        assert list(received[key].items()) == [(n, bits) for n in sorted(op.superscript)], payload
 
 
 class UnhashableInt(int):
