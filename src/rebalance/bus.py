@@ -18,13 +18,13 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DecodeFailureError, ProtocolViolationError
 from .model import Database, SubsegmentLabel, SystemParams, slice_atoms
 
 
-@dataclass(frozen=True)
-class Broadcast:
+class Broadcast(NamedTuple):
     """One bus transmission: who sent it, what it encodes, and the raw payload."""
 
     sender: int

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from operator import is_
+from typing import NamedTuple
 
 from .errors import ParameterError, UnsupportedConfigError
 
@@ -144,8 +145,7 @@ def relabel_for_removed_node(label: int, removed: int, n_nodes: int) -> int:
     return (label + removed - 1) % n_nodes + 1
 
 
-@dataclass(frozen=True)
-class SubsegmentLabel:
+class SubsegmentLabel(NamedTuple):
     """A contiguous piece of an original segment.
 
     superscript is the sorted set of nodes the piece is addressed to (the
@@ -290,9 +290,9 @@ def concat_bits(parts: list[int], widths: list[int]) -> int:
     return bits
 
 
-@dataclass(frozen=True)
-class StoredPiece:
-    """One stored segment at a node: its size and payload."""
+class StoredPiece(NamedTuple):
+    """One stored segment at a node: its size and payload. A named tuple, so it
+    equals and hashes as (n_atoms, bits); the fault hooks tamper by _replace."""
 
     n_atoms: int
     bits: int
@@ -390,7 +390,7 @@ def cyclic_refs(
     deviating = contents.keys() - segments
     if not 1 <= r <= n:
         return refs, deviating.union(segments)
-    # by identity: `None in refs` would call StoredPiece.__eq__ per piece
+    # by identity: `None in refs` would compare each piece with None
     if any(map(is_, refs, repeat(None))):
         for i in segments:
             if refs[i - 1] is None:

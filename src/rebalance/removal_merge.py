@@ -43,7 +43,7 @@ run of one int object among a range's receivers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .analytics import LoadReport
 from .bus import TransmissionLog
@@ -68,8 +68,7 @@ if TYPE_CHECKING:
 AtomRange = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class MergeRecipe:
+class MergeRecipe(NamedTuple):
     """One target segment: its atom ranges in concatenation order, and its holders.
 
     The merge assembles the targets of either change from these, and the
@@ -271,10 +270,10 @@ def merge(
         pieces.append(replica)
         if walk:
             # a walked replica equal to the reference or an earlier one is that object
-            equal = {} if replica is None else {(replica.n_atoms, replica.bits): replica}
+            equal = {} if replica is None else {replica: replica}
             for holder in sorted(walk):  # the holders are the ascending window
                 built = _source_rule(db, actual[holder], recipe, decoded, strict)
-                walked.append((holder, target, equal.setdefault((built.n_atoms, built.bits), built)))
+                walked.append((holder, target, equal.setdefault(built, built)))
     contents = cyclic_layout(pieces, r)
     for holder, target, replica in walked:
         contents[holder][target] = replica

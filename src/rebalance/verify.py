@@ -25,7 +25,8 @@ Findings name the offending node and segment, so a single suppressed
 broadcast or flipped bit is traceable. verify_change runs both checks on
 either membership change, against the targets of its run record: as many
 nodes as targets, holding the same total storage. The fault hooks at the
-bottom produce tampered copies for exercising that.
+bottom produce tampered copies for exercising that; a tampered piece is a
+StoredPiece._replace copy at one node, so the other holders keep theirs.
 """
 
 from __future__ import annotations
@@ -316,7 +317,7 @@ def drop_broadcast(log: TransmissionLog, index: int) -> TransmissionLog:
 
 
 def flip_stored_bit(db: Database, node: int, segment_index: int, bit: int) -> Database:
-    """Tampered copy of a database with one stored bit inverted."""
+    """Tampered copy of a database with one stored bit inverted at one node."""
     piece = db.stored(node, segment_index)
     if piece is None:
         raise ParameterError(f"node {node} does not store segment {segment_index}")
@@ -324,12 +325,12 @@ def flip_stored_bit(db: Database, node: int, segment_index: int, bit: int) -> Da
     if not 0 <= bit < width:
         raise ParameterError(f"bit {bit} outside [0, {width})")
     contents = {n: dict(items) for n, items in db.contents.items()}
-    contents[node][segment_index] = replace(piece, bits=piece.bits ^ (1 << bit))
+    contents[node][segment_index] = piece._replace(bits=piece.bits ^ (1 << bit))
     return replace(db, contents=contents)
 
 
 def reorder_replica_parts(db: Database, node: int, target: MergeRecipe) -> Database:
-    """Tampered copy with the first two parts of one replica of a target swapped."""
+    """Tampered copy with the first two parts of one node's replica of a target swapped."""
     piece = db.stored(node, target.target)
     if piece is None:
         raise ParameterError(f"node {node} does not store segment {target.target}")
@@ -342,5 +343,5 @@ def reorder_replica_parts(db: Database, node: int, target: MergeRecipe) -> Datab
     rest = piece.bits >> ((a + b) * w)
     swapped = second | (first << (b * w)) | (rest << ((a + b) * w))
     contents = {n: dict(items) for n, items in db.contents.items()}
-    contents[node][target.target] = replace(piece, bits=swapped)
+    contents[node][target.target] = piece._replace(bits=swapped)
     return replace(db, contents=contents)

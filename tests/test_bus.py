@@ -1,7 +1,5 @@
 """Bus semantics: payload construction, padding, decoding, error paths."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -113,11 +111,11 @@ def test_decode_keeps_the_remainder_cut_to_the_piece(setup_6_3, payload):
     big = plan.high_corner.big  # W_6^{5}[0:49]
     w5 = slice_atoms(segment_content(0, 5, 70), 0, 35, 1)
     w6 = slice_atoms(segment_content(0, 6, 70), 0, 49, 1)
-    coded = replace(send(db, 1, "coded", (first, big), 49), payload=payload)
+    coded = send(db, 1, "coded", (first, big), 49)._replace(payload=payload)
     # the remainder after stripping, masked to the piece whether it fits or not
     assert decode_at_node(db, 2, coded) == (first, (payload ^ w6) & (2**35 - 1))
     assert decode_at_node(db, 5, coded) == (big, (payload ^ w5) & (2**49 - 1))
-    single = replace(send(db, 1, "uncoded", (big,), 49), payload=payload)
+    single = send(db, 1, "uncoded", (big,), 49)._replace(payload=payload)
     label, bits = decode_at_node(db, 5, single)
     assert (label, bits) == (big, payload & (2**49 - 1))
     # a one-operand payload that fits is the piece, the same int

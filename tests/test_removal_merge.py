@@ -490,7 +490,7 @@ def merge_variants(db, plan, schedule, rng):
     broadcasts = list(log.broadcasts)
     i = rng.choice([i for i, b in enumerate(broadcasts) if b.payload_atoms])
     bit = rng.randrange(broadcasts[i].payload_atoms * params.atom_bits)
-    broadcasts[i] = replace(broadcasts[i], payload=broadcasts[i].payload ^ (1 << bit))
+    broadcasts[i] = broadcasts[i]._replace(payload=broadcasts[i].payload ^ (1 << bit))
     yield "payload bit", db, deliver(db, replace(log, broadcasts=broadcasts), plan)
     node = rng.randint(1, params.n_nodes)
     index = rng.choice(sorted(db.contents[node]))
@@ -571,7 +571,7 @@ def disagreeing_variants(db, plan, schedule, rng):
             continue
         bit = rng.randrange(min(op.size_atoms for op in b.operands) * w)
         broadcasts = list(log.broadcasts)
-        broadcasts[i] = replace(b, payload=b.payload ^ (1 << bit))
+        broadcasts[i] = b._replace(payload=b.payload ^ (1 << bit))
         mutated = replace(log, broadcasts=broadcasts)
         yield "payload bit", db, deliver(db, mutated, plan)
         if i + 1 < len(broadcasts):

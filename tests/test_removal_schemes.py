@@ -331,8 +331,8 @@ def test_deliver_keys_ranges_and_never_hashes_payloads(scheme):
     copy, flipped = b.payload ^ 1 ^ 1, b.payload ^ 1
     assert copy == b.payload and copy is not b.payload
     again = [
-        replace(b, operands=(replace(op, superscript=(last, others[0])),), payload=copy),
-        replace(b, operands=(replace(op, superscript=(first, others[1])),), payload=flipped),
+        b._replace(operands=(op._replace(superscript=(last, others[0])),), payload=copy),
+        b._replace(operands=(op._replace(superscript=(first, others[1])),), payload=flipped),
     ]
     received = deliver(clean, replace(log, broadcasts=[b, *again]), plan)
     got = received[op.base, op.atom_start, op.atom_stop]
@@ -341,7 +341,7 @@ def test_deliver_keys_ranges_and_never_hashes_payloads(scheme):
     assert got[others[1]] is flipped
 
     # a clean removal delivers and merges payloads that cannot be hashed
-    hashless = [replace(b, payload=UnhashableInt(b.payload)) for b in log.broadcasts]
+    hashless = [b._replace(payload=UnhashableInt(b.payload)) for b in log.broadcasts]
     received = deliver(clean, replace(log, broadcasts=hashless), plan)
     assert any(type(bits) is UnhashableInt for got in received.values() for bits in got.values())
     final = apply_merge(clean, plan, recipes, received)

@@ -131,7 +131,7 @@ def test_an_equal_but_distinct_int_verifies(op):
     piece = run.final.stored(node, index)
     twin = (piece.bits ^ 1) ^ 1
     assert twin == piece.bits and twin is not piece.bits
-    equal = with_piece(run.final, node, index, replace(piece, bits=twin))
+    equal = with_piece(run.final, node, index, piece._replace(bits=twin))
     assert verify_change(replace(run, final=equal), 21).ok
 
 
@@ -141,7 +141,7 @@ def test_equal_replica_ints_are_compared_once_and_a_flip_stays_at_its_node():
     equal = run.final
     for node in (2, 3, 4):
         piece = equal.stored(node, 2)
-        equal = with_piece(equal, node, 2, replace(piece, bits=(piece.bits ^ 1) ^ 1))
+        equal = with_piece(equal, node, 2, piece._replace(bits=(piece.bits ^ 1) ^ 1))
     assert len({id(equal.stored(n, 2).bits) for n in (2, 3, 4)}) == 3
     assert verify_change(replace(run, final=equal), seed=0).ok
     bad = flip_stored_bit(equal, 3, 2, 40)
@@ -270,7 +270,7 @@ def test_a_bad_expected_part_is_a_finding(part):
     # place of its last one; its holders are not blamed, the atoms it no longer
     # expects are lost, and a flipped bit at target 2 is still found
     *kept, (lost, lost_start, lost_stop) = run.recipes[0].parts
-    expected = (replace(run.recipes[0], parts=(*kept, part)), *run.recipes[1:])
+    expected = (run.recipes[0]._replace(parts=(*kept, part)), *run.recipes[1:])
     bad = flip_stored_bit(run.final, 3, 2, 40)
     rep = verify_preservation(bad, expected, run.final.params, seed=0)
     origin, start, stop = part
@@ -303,8 +303,8 @@ def test_holders_off_the_window_are_fetched_on_a_certified_layout(op):
     run = change_12_9(op)
     target = run.recipes[0]  # target 1, on nodes 1..9 of either result
     assert target.holders == tuple(range(1, 10))
-    moved = replace(target, holders=(*target.holders[:-1], 10))
-    shuffled = replace(target, holders=target.holders[::-1])
+    moved = target._replace(holders=(*target.holders[:-1], 10))
+    shuffled = target._replace(holders=target.holders[::-1])
     for holders, findings in (
         (moved, (("content", "node 10 is missing target segment 1"),)),
         (shuffled, ()),
@@ -376,7 +376,7 @@ def tampered_finals(final, targets):
     equal-but-distinct replica, which it must accept."""
     index, node = shared_replica(final)
     piece = final.stored(node, index)
-    twin = replace(piece, bits=(piece.bits ^ 1) ^ 1)
+    twin = piece._replace(bits=(piece.bits ^ 1) ^ 1)
     yield "equal-but-distinct", with_piece(final, node, index, twin)
     for node, items in final.contents.items():
         for index, piece in items.items():
