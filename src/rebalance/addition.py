@@ -16,11 +16,14 @@ which both broadcasts of W_i were cut from: each kept part is cut once (the
 shipped ones of segments K-r+2..K are their broadcast payloads, not a second
 cut), the new segment is assembled once from the broadcast trailers, and
 cyclic_layout places each of the K+1 pieces at all its r holders as one
-shared object. Any
-other input is delivered and merged by the removal's merge
+shared object; no piece is decoded, as every broadcast is a payload the
+new node stores. Any other input is merged by the removal's merge
 (removal_merge.merge) against the plan's recipes, under the same source
 rule, which runs holder by holder only where the damage reaches; the merge
-takes the certificate rebalance_add computed, not a second one.
+takes the certificate rebalance_add computed, not a second one. Its
+decoded pieces stream in from removal_schemes.decode_groups, no dict of
+them is built, and the merge keeps only the ints that differ from the
+reference and those a recipe part of the same range has yet to take.
 
 make_addition_plan builds the schedule, one uncoded slot per trailer in
 segment order and then one per shipped kept part, and the K+1 target
@@ -48,7 +51,7 @@ from .model import (
     sorted_cyclic_range,
 )
 from .removal_merge import ChangeRun, MergeRecipe
-from .removal_schemes import deliver
+from .removal_schemes import decode_groups
 
 
 @dataclass(frozen=True)
@@ -109,10 +112,10 @@ def rebalance_add(db: Database) -> ChangeRun:
     refs, deviating = certificate
     if deviating:
         # holder labels are node labels; the new node stores nothing, so it
-        # takes every part off the bus
-        received = deliver(db, log, plan)
+        # takes every part off the bus, streamed into the merge
         nodes = list(range(k + 2))
-        final = removal_merge.merge(db, nodes, plan.recipes, received, True, certificate)
+        groups = decode_groups(db, log)
+        final = removal_merge.merge(db, nodes, plan.recipes, groups, True, certificate)
     else:
         # every holder of W_i holds a piece equal to node i's, which both
         # broadcasts of W_i were cut from: cut each kept part once, assemble the

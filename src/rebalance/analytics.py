@@ -31,18 +31,21 @@ def _check_removal_pair(k: int, r: int) -> None:
 def load_scheme1(k: int, r: int) -> Fraction:
     """Coded traffic of the pairwise-XOR removal scheme, in segments."""
     _check_removal_pair(k, r)
-    val = Fraction(k * (r - 1) + (r * r - 2 * r + 1) // 2, 2 * (k - 1))
-    # the single closed form must agree with the two parity derivations
+    num, den = k * (r - 1) + (r * r - 2 * r + 1) // 2, 2 * (k - 1)
+    # the single closed form must agree with the two parity derivations,
+    # compared by integer cross-multiplication: Fraction arithmetic would cost
+    # several times the rest of the call
     if r % 2 == 1:
-        alt = Fraction(r - 1, 2 * (k - 1)) * (k + Fraction(r - 1, 2))
+        # (r-1)/(2(K-1)) * (K + (r-1)/2)
+        alt_num, alt_den = (r - 1) * (2 * k + r - 1), 4 * (k - 1)
     else:
-        alt = Fraction((r - 2) * k + (r - 2) * r // 2 + k, 2 * (k - 1))
-    if val != alt:
+        alt_num, alt_den = (r - 2) * k + (r - 2) * r // 2 + k, den
+    if num * alt_den != alt_num * den:
         raise RebalanceError(
-            f"scheme 1 closed form {val} disagrees with its parity derivation {alt} "
-            f"at K={k}, r={r}"
+            f"scheme 1 closed form {Fraction(num, den)} disagrees with its parity "
+            f"derivation {Fraction(alt_num, alt_den)} at K={k}, r={r}"
         )
-    return val
+    return Fraction(num, den)
 
 
 def load_scheme2(k: int, r: int) -> Fraction:

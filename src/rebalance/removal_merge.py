@@ -28,9 +28,17 @@ MergeFailureError, or keeps a short replica, at exactly that holder, and a
 replica equal to another of its target is that one object. An addition is
 merged against its own recipes in node labels; its new node stores nothing.
 
-deliver keys the decoded pieces by atom range. The reference is cut once
-per range and compared once with each distinct int of it, and a part of that
-same range takes an equal piece as its cut. Where every decoded piece of an
+The merge consumes delivery as a stream of decode groups, (range, nodes,
+bits) in decode order (removal_schemes.decode_groups), and folds it by atom
+range as it comes: a node keeps the first piece of a range it decodes. Each
+group's int is compared with the reference cut of its range on arrival, so
+the decoded ints live only as long as the merge needs them. An agreeing
+piece keeps only its receivers; its int waits in a table of equal cuts until
+the recipe part of that same range takes it as its cut, and dies when its
+target is assembled, before the layout. An unequal piece is kept at its
+receivers for the holder walk until the merge returns; a walked holder's
+agreeing range is cut from the reference over the same atoms, which the
+compare has shown to be the same bits. Where every decoded piece of an
 origin agrees, whichever covering piece a holder takes first is the
 reference's cut, so each part of that origin needs only a coverage check:
 the holders that lack the origin, from span arithmetic on the two cyclic
@@ -42,7 +50,10 @@ run of one int object among a range's receivers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .analytics import LoadReport
@@ -66,6 +77,8 @@ if TYPE_CHECKING:
 
 # part of a target: (actual original segment, atom start, atom stop)
 AtomRange = tuple[int, int, int]
+# one decode: (decoded range, the receiving actual nodes, ascending, the piece)
+DecodeGroup = tuple[AtomRange, list[int], int]
 
 
 class MergeRecipe(NamedTuple):
@@ -132,24 +145,26 @@ def apply_merge(
     db: Database,
     plan: SplitPlan,
     recipes: tuple[MergeRecipe, ...],
-    received: dict[AtomRange, dict[int, int]],
+    delivered: dict[AtomRange, dict[int, int]] | Iterable[DecodeGroup],
     strict: bool = True,
 ) -> Database:
     """Assemble every target at every holder and return the survivor database.
 
     recipes are build_merge_recipes' output, in canonical survivor labels,
-    which plan maps to actual nodes; received is deliver's output. See merge.
+    which plan maps to actual nodes; delivered is deliver's output or the
+    stream of decode groups it folds (removal_schemes.decode_groups). See
+    merge.
     """
     n, r = db.params.n_nodes, db.params.replication
     actual = [0, *cyclic_range(plan.to_actual(1), n - 1, n)]
-    return merge(db, actual, recipes, received, strict, cyclic_refs(db.contents, n, r))
+    return merge(db, actual, recipes, delivered, strict, cyclic_refs(db.contents, n, r))
 
 
 def merge(
     db: Database,
     actual: list[int],
     recipes: tuple[MergeRecipe, ...],
-    received: dict[AtomRange, dict[int, int]],
+    delivered: dict[AtomRange, dict[int, int]] | Iterable[DecodeGroup],
     strict: bool,
     certificate: tuple[list[StoredPiece | None], set[int]],
 ) -> Database:
@@ -158,10 +173,17 @@ def merge(
 
     recipes are targets 1..M in order, target t held by the r holders from t
     (cyclic); actual[holder] is the node whose stored segments and decoded
-    pieces the holder uses, M = len(actual) - 1 (index 0 unused). received
-    maps each decoded range (origin, atom start, atom stop), in first-decode
-    order, to {actual node: bits} in first-decode order, as deliver returns
-    it.
+    pieces the holder uses, M = len(actual) - 1 (index 0 unused). delivered
+    is the stream of decode groups (range, nodes, bits) in decode order, as
+    removal_schemes.decode_groups yields them, or deliver's dict of them
+    folded, which is read back as one group per run of one int among a
+    range's receivers. Either way a node keeps the first piece of a range it
+    decodes, and the result is the same.
+
+    An agreeing piece's int lives until the recipe part of its range takes
+    it, an unequal one until the merge returns (see the module docstring).
+    A caller that passes deliver's dict keeps every decoded int alive
+    instead; rebalance_remove and a damaged rebalance_add pass the stream.
 
     With strict=True a holder that cannot source a part raises
     MergeFailureError; with strict=False the part is skipped, leaving a short
@@ -176,26 +198,40 @@ def merge(
     refs, deviating = certificate
     # holder label by actual node, a window position; the removed node's is n
     position = dict(zip(actual[1:], range(1, m + 1)))
-    # origin -> [(start, stop, {actual node: bits})], in first-decode order
-    decoded: dict[int, list[tuple[int, int, dict[int, int]]]] = {}
-    # the reference is cut once per range, and each run of one int object
-    # among its receivers is compared with it once: an equal piece is that
-    # cut, for a part of the same range to take, and an unequal one marks its
-    # origin
+    if isinstance(delivered, dict):
+        delivered = _unfold(delivered)
+    # each group's int is compared with the reference cut of its range as it
+    # arrives. An agreeing piece keeps only its receivers, marked None, and
+    # its int waits in equal_cuts for the part of the same range to take it;
+    # an unequal one is kept at its receivers and marks its origin.
+    # origin -> [(start, stop, {actual node: bits or None})], in first-decode order
+    decoded: dict[int, list[tuple[int, int, dict[int, int | None]]]] = {}
+    ranges: dict[AtomRange, dict[int, int | None]] = {}  # the same dicts by range
     equal_cuts: dict[AtomRange, int] = {}
     unequal = set()
-    for (origin, start, stop), got in received.items():
-        decoded.setdefault(origin, []).append((start, stop, got))
-        ref = refs[origin - 1] if 0 < origin <= n else None
-        cut = None if ref is None else slice_atoms(ref.bits, start, stop, w)
-        last = None
-        for bits in got.values():
-            if bits is not last:
-                last = bits
-                if bits == cut:
-                    equal_cuts[origin, start, stop] = bits
-                else:
-                    unequal.add(origin)
+    for key, nodes, bits in delivered:
+        got = ranges.get(key)
+        if got is not None:
+            # a node keeps the first piece of a range it decodes
+            nodes = [node for node in nodes if node not in got]
+            if not nodes:
+                continue
+        origin, start, stop = key
+        cut = equal_cuts.get(key)
+        if cut is None:
+            ref = refs[origin - 1] if 0 < origin <= n else None
+            if ref is not None:
+                cut = slice_atoms(ref.bits, start, stop, w)
+        if bits is cut or bits == cut:
+            equal_cuts.setdefault(key, bits)
+            bits = None
+        else:
+            unequal.add(origin)
+        if got is None:
+            ranges[key] = got = dict.fromkeys(nodes, bits)
+            decoded.setdefault(origin, []).append((start, stop, got))
+        else:
+            got.update(dict.fromkeys(nodes, bits))
     damaged = {position[node] for node in deviating if node in position}
     past = ((n + 1, m + 1),) if m > n else ()  # an addition's new node
     # by origin, the holders that take it off the bus: segment p is stored at
@@ -217,7 +253,8 @@ def merge(
             ref = refs[origin - 1]
             if ref is None:
                 break
-            cut = equal_cuts.get((origin, start, stop))
+            # an agreeing piece of this very range is its cut, handed over once
+            cut = equal_cuts.pop((origin, start, stop), None)
             if cut is None:
                 cut = slice_atoms(ref.bits, start, stop, w)
             # assembled as _assemble does, without a list of the cuts
@@ -250,14 +287,19 @@ def merge(
                         break
                     if got_start <= start and stop <= got_stop:
                         # a holder still in need takes this piece first; each
-                        # run of one int object is cut and compared once
-                        skip, end, last = start - got_start, stop - got_start, None
+                        # run of one int object is cut and compared once; an
+                        # agreeing piece (None) is the reference's cut
+                        skip, end = start - got_start, stop - got_start
+                        last, differs = None, False
                         for node, got_bits in nodes.items():
                             holder = position.get(node)
                             if holder in need:
                                 if got_bits is not last:
                                     last = got_bits
-                                    differs = slice_atoms(got_bits, skip, end, w) != cut
+                                    differs = (
+                                        got_bits is not None
+                                        and slice_atoms(got_bits, skip, end, w) != cut
+                                    )
                                 if differs:
                                     walk.add(holder)
                         need.difference_update(map(position.get, nodes))
@@ -272,7 +314,7 @@ def merge(
             # a walked replica equal to the reference or an earlier one is that object
             equal = {} if replica is None else {replica: replica}
             for holder in sorted(walk):  # the holders are the ascending window
-                built = _source_rule(db, actual[holder], recipe, decoded, strict)
+                built = _source_rule(db, actual[holder], recipe, decoded, refs, strict)
                 walked.append((holder, target, equal.setdefault(built, built)))
     contents = cyclic_layout(pieces, r)
     for holder, target, replica in walked:
@@ -280,11 +322,19 @@ def merge(
     return Database(params, m, contents)
 
 
+def _unfold(received: dict[AtomRange, dict[int, int]]) -> Iterator[DecodeGroup]:
+    # deliver's dict as decode groups: one per run of one int among a range's receivers
+    for key, got in received.items():
+        for bits, run in groupby(got.items(), itemgetter(1)):
+            yield key, [node for node, _ in run], bits
+
+
 def _source_rule(
     db: Database,
     node: int,
     recipe: MergeRecipe,
-    decoded: dict[int, list[tuple[int, int, dict[int, int]]]],
+    decoded: dict[int, list[tuple[int, int, dict[int, int | None]]]],
+    refs: list[StoredPiece | None],
     strict: bool,
 ) -> StoredPiece:
     """node's replica of recipe's target by the source rule: each part from the
@@ -301,7 +351,12 @@ def _source_rule(
             continue
         for got_start, got_stop, receivers in decoded.get(origin, ()):
             if got_start <= start and stop <= got_stop and node in receivers:
-                cuts.append(slice_atoms(receivers[node], start - got_start, stop - got_start, w))
+                got = receivers[node]
+                if got is None:
+                    # an agreeing piece: the reference over the same atoms
+                    cuts.append(slice_atoms(refs[origin - 1].bits, start, stop, w))
+                else:
+                    cuts.append(slice_atoms(got, start - got_start, stop - got_start, w))
                 break
         else:
             if strict:

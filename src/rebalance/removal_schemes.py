@@ -32,12 +32,14 @@ built, and verify.verify_change checks the result against them.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from . import analytics
 from .analytics import LoadReport
 from .bus import Slot, TransmissionLog, decode_at_node, encode
 from .errors import ParameterError
 from .model import Database, SubsegmentLabel, slice_atoms
-from .removal_merge import AtomRange, ChangeRun, apply_merge, build_merge_recipes
+from .removal_merge import AtomRange, ChangeRun, DecodeGroup, apply_merge, build_merge_recipes
 from .removal_split import SplitPlan, actual_survivors, make_split_plan
 
 SCHEME_CHOICES = ("auto", "scheme1", "scheme2", "uncoded")
@@ -102,11 +104,9 @@ def run_uncoded_removal(db: Database, plan: SplitPlan) -> TransmissionLog:
     return encode(db, removal_slots(plan, "uncoded"))
 
 
-def deliver(
-    db: Database, log: TransmissionLog, plan: object
-) -> dict[AtomRange, dict[int, int]]:
-    """Decode every broadcast of several operands once per receiver group; map
-    each decoded atom range to its receivers and their pieces.
+def decode_groups(db: Database, log: TransmissionLog) -> Iterator[DecodeGroup]:
+    """Decode every broadcast of several operands once per receiver group, and
+    yield each decode as (range, nodes, bits) in decode order.
 
     Addressed nodes that want the same operand and store the same pieces for
     the other operands strip the same bits, so they form one group, and
@@ -114,59 +114,74 @@ def deliver(
     there). A one-operand broadcast strips nothing: its payload, cut to the
     piece's atoms as decode_at_node would cut it, is the piece (a payload
     that fits is that very int), and it goes to every addressed node with no
-    decode and no look at what they store. Each decoded range (origin, atom
-    start, atom stop) is one key, in first-decode order, mapped to {node:
-    bits} in first-decode order; a node keeps the first piece it decodes of a
-    range. Receivers of equal pieces of one range share one int, found by
-    identity and then ==, never by hash: CPython hashes a big int in time
-    linear in its size.
+    decode and no look at what they store. range is the decoded piece's
+    (origin, atom start, atom stop) and nodes its receivers, ascending.
 
-    Both membership changes deliver their logs here: a removal's output feeds
-    apply_merge, and a damaged addition's feeds removal_merge.merge. plan, a
-    removal's SplitPlan or an addition's AdditionPlan, is unused; it stays
-    only because the benchmark harness (benchmark/harness.py) passes it, and
-    goes with the next change there.
+    A generator: a decoded int is made when its group is asked for, and what
+    the consumer does not keep dies with its group. removal_merge.merge
+    consumes the stream as it comes for both membership changes; deliver
+    folds it into a dict.
     """
     w = db.params.atom_bits
-    received: dict[AtomRange, dict[int, int]] = {}
     for b in log.broadcasts:
         ops = b.operands
         if len(ops) == 1:
             # nothing to strip: the payload, cut to the piece, is the piece
             op = ops[0]
-            if not op.superscript:
-                continue
-            pieces = [(op, slice_atoms(b.payload, 0, op.size_atoms, w), sorted(op.superscript))]
-        else:
-            # (operand index, ids of the node's pieces of the others' bases) ->
-            # nodes, ascending, so the groups come in order of their lowest node
-            groups: dict[tuple, list[int]] = {}
-            # addressed node -> (index of its operand, bases of the others), or
-            # None when named in several operands
-            wants: dict[int, tuple[int, list[int]] | None] = {}
-            for i, op in enumerate(ops):
-                strip = (i, [other.base for other in ops if other is not op])
-                for node in op.superscript:
-                    wants[node] = None if node in wants else strip
-            for node in sorted(wants):
-                strip = wants[node]
-                if strip is not None:
-                    stored = db.contents.get(node, {})
-                    key = (strip[0], *[id(stored.get(base)) for base in strip[1]])
-                    groups.setdefault(key, []).append(node)
-            pieces = [(*decode_at_node(db, nodes[0], b), nodes) for nodes in groups.values()]
-        for label, bits, nodes in pieces:
-            key = (label.base, label.atom_start, label.atom_stop)
-            got = received.get(key)
-            if got is None:
-                received[key] = dict.fromkeys(nodes, bits)
-                continue
-            for prior in got.values():
-                if prior is bits or prior == bits:
-                    bits = prior
-                    break
-            for node in nodes:
-                got.setdefault(node, bits)
+            if op.superscript:
+                bits = slice_atoms(b.payload, 0, op.size_atoms, w)
+                yield (op.base, op.atom_start, op.atom_stop), sorted(op.superscript), bits
+            continue
+        # (operand index, ids of the node's pieces of the others' bases) ->
+        # nodes, ascending, so the groups come in order of their lowest node
+        groups: dict[tuple, list[int]] = {}
+        # addressed node -> (index of its operand, bases of the others), or
+        # None when named in several operands
+        wants: dict[int, tuple[int, list[int]] | None] = {}
+        for i, op in enumerate(ops):
+            strip = (i, [other.base for other in ops if other is not op])
+            for node in op.superscript:
+                wants[node] = None if node in wants else strip
+        for node in sorted(wants):
+            strip = wants[node]
+            if strip is not None:
+                stored = db.contents.get(node, {})
+                key = (strip[0], *[id(stored.get(base)) for base in strip[1]])
+                groups.setdefault(key, []).append(node)
+        for nodes in groups.values():
+            label, bits = decode_at_node(db, nodes[0], b)
+            yield (label.base, label.atom_start, label.atom_stop), nodes, bits
+
+
+def deliver(
+    db: Database, log: TransmissionLog, plan: object
+) -> dict[AtomRange, dict[int, int]]:
+    """Every decode of log folded by atom range: each decoded range (origin,
+    atom start, atom stop) is one key, in first-decode order, mapped to
+    {node: bits} in first-decode order, from decode_groups.
+
+    A node keeps the first piece it decodes of a range. Receivers of equal
+    pieces of one range share one int, found by identity and then ==, never
+    by hash: CPython hashes a big int in time linear in its size. The dict
+    holds every decoded int until its caller drops it, so the pipelines
+    stream decode_groups into the merge instead; apply_merge and
+    removal_merge.merge accept the dict too. plan, a removal's SplitPlan or
+    an addition's AdditionPlan, is unused; it stays only because the
+    benchmark harness (benchmark/harness.py) passes it, and goes with the
+    next change there.
+    """
+    received: dict[AtomRange, dict[int, int]] = {}
+    for key, nodes, bits in decode_groups(db, log):
+        got = received.get(key)
+        if got is None:
+            received[key] = dict.fromkeys(nodes, bits)
+            continue
+        for prior in got.values():
+            if prior is bits or prior == bits:
+                bits = prior
+                break
+        for node in nodes:
+            got.setdefault(node, bits)
     return received
 
 
@@ -184,8 +199,8 @@ def rebalance_remove(db: Database, removed: int, scheme: str = "auto") -> Change
     if scheme == "auto":
         scheme = analytics.choose_scheme(params.n_nodes, params.replication)
     log = encode(db, removal_slots(plan, scheme))
-    received = deliver(db, log, plan)
     recipes = build_merge_recipes(params, plan)
-    final = apply_merge(db, plan, recipes, received)
+    # decoded pieces stream into the merge: no dict of them all is built
+    final = apply_merge(db, plan, recipes, decode_groups(db, log))
     report = LoadReport(params, scheme, log.load)
     return ChangeRun(final=final, log=log, report=report, plan=plan, recipes=recipes)

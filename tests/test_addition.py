@@ -19,6 +19,7 @@ from rebalance import (
     build_cyclic_database,
     cyclic_range,
     default_params,
+    deliver,
     flip_stored_bit,
     rebalance_add,
     slice_atoms,
@@ -26,6 +27,7 @@ from rebalance import (
 )
 from rebalance import addition, removal_merge
 from rebalance.addition import make_addition_plan
+from rebalance.bus import encode
 from rebalance.model import cyclic_refs
 
 
@@ -314,8 +316,11 @@ def test_certified_additions_equal_the_walk(
                 else:
                     assert [args[0] for args in merges] == [case], (k, r, name)
                     # the source rule runs at exactly the holders the damage
-                    # reaches, up to the first that fails
-                    reach = damage_reach(*merges[0][:4])
+                    # reaches, up to the first that fails; the merge took the
+                    # decode stream, which deliver folds for the reading
+                    db, actual, recipes = merges[0][:3]
+                    plan = make_addition_plan(db.params)
+                    reach = damage_reach(db, actual, recipes, deliver(db, encode(db, plan.slots), plan))
                     assert rule_calls and rule_calls == reach[: len(rule_calls)], (k, r, name)
                     if fast[0] != "MergeFailureError":
                         assert rule_calls == reach, (k, r, name)

@@ -1,0 +1,235 @@
+"""Delivery streams into the merge.
+
+rebalance_remove and a damaged rebalance_add feed decode_groups straight into
+removal_merge.merge, which keeps an agreeing piece's receivers but not its
+int. These tests pin that the stream gives what the merge gives fed deliver's
+dict, on clean and damaged input, and that a removal's memory peak stays
+within a small slack of what it returns.
+"""
+
+import random
+import sys
+import tracemalloc
+from dataclasses import replace
+
+import pytest
+
+from rebalance import (
+    DecodeFailureError,
+    MergeFailureError,
+    addition,
+    apply_merge,
+    build_cyclic_database,
+    build_merge_recipes,
+    choose_scheme,
+    default_params,
+    deliver,
+    drop_broadcast,
+    flip_stored_bit,
+    make_split_plan,
+    model,
+    rebalance_add,
+    rebalance_remove,
+    removal_merge,
+    removal_schemes,
+)
+from rebalance.addition import make_addition_plan
+from rebalance.bus import encode
+from rebalance.model import cyclic_refs
+from rebalance.removal_schemes import decode_groups, removal_slots
+
+
+def outcome(run_merge):
+    """Every (node, index, n_atoms, bits) of the merged database in node and
+    key order, and which replicas are one object (numbered by first
+    appearance); or the error's type and text, which names the node."""
+    try:
+        final = run_merge()
+    except (MergeFailureError, DecodeFailureError) as exc:
+        return type(exc).__name__, str(exc)
+    stream, sharing, first = [], [], {}
+    for node, items in final.contents.items():
+        for index, piece in items.items():
+            stream.append((node, index, piece.n_atoms, piece.bits))
+            sharing.append(first.setdefault(id(piece), len(first)))
+    return final.n_nodes, stream, sharing
+
+
+def damaged(db, log, rng):
+    """(name, database, log): the clean input, one flipped stored bit (the log
+    encoded from the flipped store), one dropped broadcast, one flipped
+    payload bit, that flipped broadcast sent again after the clean one (its
+    receivers keep the first piece), and one deleted stored segment under the
+    clean log."""
+    w = db.params.atom_bits
+    yield "clean", db, log
+    node = rng.choice(list(db.contents))
+    index = rng.choice(list(db.contents[node]))
+    flipped = flip_stored_bit(db, node, index, rng.randrange(db.segment_atoms * w))
+    yield "stored bit", flipped, None
+    yield "dropped", db, drop_broadcast(log, rng.randrange(len(log.broadcasts)))
+    sized = [i for i, b in enumerate(log.broadcasts) if b.operands and b.payload_atoms > 0]
+    i = rng.choice(sized)
+    b = log.broadcasts[i]
+    broadcasts = list(log.broadcasts)
+    broadcasts[i] = b._replace(payload=b.payload ^ (1 << rng.randrange(b.payload_atoms * w)))
+    yield "payload bit", db, replace(log, broadcasts=broadcasts)
+    yield "sent again", db, replace(log, broadcasts=[*log.broadcasts, broadcasts[i]])
+    deleted = replace(db, contents={n: dict(items) for n, items in db.contents.items()})
+    del deleted.contents[node][index]
+    yield "deleted", deleted, log
+
+
+@pytest.mark.parametrize("k", range(4, 11))
+def test_streamed_removals_equal_the_merge_of_delivers_dict(k):
+    rng = random.Random(k)
+    kinds = set()
+    for r in range(3, k):
+        params = default_params(k, r)
+        db = build_cyclic_database(params, seed=k * r)
+        for removed in rng.sample(range(1, k + 1), 2):
+            plan = make_split_plan(params, removed)
+            recipes = build_merge_recipes(params, plan)
+            for scheme in ("scheme1", "scheme2", "uncoded"):
+                slots = removal_slots(plan, scheme)
+                for name, case, log in damaged(db, encode(db, slots), rng):
+                    if log is None:
+                        log = encode(case, slots)
+                        # the whole pipeline streams its own log
+                        assert outcome(lambda: rebalance_remove(case, removed, scheme).final) == (
+                            outcome(lambda: apply_merge(case, plan, recipes, deliver(case, log, plan)))
+                        ), (k, r, removed, scheme, name)
+                    for strict in (True, False):
+                        streamed = outcome(
+                            lambda: apply_merge(case, plan, recipes, decode_groups(case, log), strict)
+                        )
+                        folded = outcome(
+                            lambda: apply_merge(case, plan, recipes, deliver(case, log, plan), strict)
+                        )
+                        assert streamed == folded, (k, r, removed, scheme, name, strict)
+                        kinds.add(streamed[0] if isinstance(streamed[0], str) else "merged")
+    if k >= 6:
+        assert kinds == {"merged", "MergeFailureError", "DecodeFailureError"}, kinds
+
+
+@pytest.mark.parametrize("k", range(4, 11))
+def test_streamed_additions_equal_the_merge_of_delivers_dict(k):
+    rng = random.Random(100 + k)
+    nodes = list(range(k + 2))
+    kinds = set()
+    for r in range(2, k):
+        params = default_params(k, r)
+        db = build_cyclic_database(params, seed=k * r)
+        plan = make_addition_plan(params)
+        for name, case, log in damaged(db, encode(db, plan.slots), rng):
+            if log is None:
+                log = encode(case, plan.slots)
+                # rebalance_add merges a damaged input from the stream of its own log
+                certificate = cyclic_refs(case.contents, k, r)
+                assert outcome(lambda: rebalance_add(case).final) == outcome(
+                    lambda: removal_merge.merge(
+                        case, nodes, plan.recipes, deliver(case, log, plan), True, certificate
+                    )
+                ), (k, r, name)
+            for strict in (True, False):
+                certificate = cyclic_refs(case.contents, k, r)
+                streamed = outcome(
+                    lambda: removal_merge.merge(
+                        case, nodes, plan.recipes, decode_groups(case, log), strict, certificate
+                    )
+                )
+                folded = outcome(
+                    lambda: removal_merge.merge(
+                        case, nodes, plan.recipes, deliver(case, log, plan), strict, certificate
+                    )
+                )
+                assert streamed == folded, (k, r, name, strict)
+                kinds.add(streamed[0] if isinstance(streamed[0], str) else "merged")
+    assert "merged" in kinds and "MergeFailureError" in kinds, kinds
+
+
+def test_deliver_folds_the_stream():
+    # deliver's dict is decode_groups folded: ranges in first-decode order, a
+    # node keeping the first piece of a range it decodes
+    for k, r, scheme in ((9, 5, "scheme1"), (9, 5, "scheme2"), (9, 5, "uncoded")):
+        params = default_params(k, r)
+        db = flip_stored_bit(build_cyclic_database(params, seed=3), 4, 3, 5)
+        plan = make_split_plan(params, 2)
+        log = encode(db, removal_slots(plan, scheme))
+        folded = {}
+        for key, nodes, bits in decode_groups(db, log):
+            assert list(nodes) == sorted(nodes)
+            got = folded.setdefault(key, {})
+            for node in nodes:
+                got.setdefault(node, bits)
+        received = deliver(db, log, plan)
+        assert list(received) == list(folded)
+        assert {key: list(got.items()) for key, got in received.items()} == {
+            key: list(got.items()) for key, got in folded.items()
+        }
+
+
+def test_the_pipelines_build_no_dict_of_decoded_pieces(monkeypatch):
+    def no_dict(*args):
+        raise AssertionError("deliver called")
+
+    monkeypatch.setattr(removal_schemes, "deliver", no_dict)
+    monkeypatch.setattr(addition, "deliver", no_dict, raising=False)
+    params = default_params(12, 6)
+    db = build_cyclic_database(params, seed=4)
+    for scheme in ("scheme1", "scheme2", "uncoded"):
+        rebalance_remove(db, 5, scheme)
+    # a damaged addition merges through the stream too
+    rebalance_add(flip_stored_bit(db, 3, 2, 0))
+
+
+def decoded_bytes(db, plan, log):
+    """Bytes of the distinct decoded ints that are not broadcast payloads (a
+    one-operand broadcast's piece that fits is its payload, which the log keeps)."""
+    payloads = {id(b.payload) for b in log.broadcasts}
+    ints = {
+        id(bits): bits
+        for got in deliver(db, log, plan).values()
+        for bits in got.values()
+        if id(bits) not in payloads
+    }
+    return sum(map(sys.getsizeof, ints.values()))
+
+
+def returned_bytes(run):
+    """Bytes of what a removal returns: the log payloads, the distinct target
+    ints and the layout dicts."""
+    ints = {id(b.payload): b.payload for b in run.log.broadcasts}
+    contents = run.final.contents
+    ints.update({id(p.bits): p.bits for items in contents.values() for p in items.values()})
+    return (
+        sum(map(sys.getsizeof, ints.values()))
+        + sys.getsizeof(contents)
+        + sum(map(sys.getsizeof, contents.values()))
+    )
+
+
+def test_a_removal_never_holds_every_decoded_payload():
+    # tracemalloc counts the bytes Python allocates, so the figures are the
+    # same on every run, unlike the process RSS
+    k, r, node = 80, 50, 7
+    params = default_params(k, r, t_mult=8)
+    db = build_cyclic_database(params, seed=5)
+    plan = make_split_plan(params, node)
+    decoded = decoded_bytes(db, plan, encode(db, removal_slots(plan, choose_scheme(k, r))))
+    # the mask memo keeps what the run builds, so start it empty
+    model._MASKS.clear()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run = rebalance_remove(db, node)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    retained = after - before
+    assert retained >= returned_bytes(run)
+    # the peak may pass the result by the merge's tables and a few pieces in
+    # flight, not by the decoded payloads, which a merge of deliver's whole
+    # dict would hold
+    assert peak - before <= retained + decoded // 4, (peak - before, retained, decoded)
