@@ -7,11 +7,7 @@ layout with every original atom preserved, and cross-checks measured traffic
 against closed-form loads in exact rational arithmetic.
 """
 
-from .addition import (
-    AdditionPlan,
-    addition_expected_layout,
-    rebalance_add,
-)
+from .addition import addition_expected_layout, rebalance_add
 from .analytics import (
     Claim1Report,
     LoadReport,
@@ -41,12 +37,11 @@ from .model import (
     build_cyclic_database,
     cyclic_range,
     default_params,
-    relabel_for_removed_node,
     segment_content,
     slice_atoms,
     storage_set,
 )
-from .removal_merge import ChangeRun, MergeRecipe, apply_merge, build_merge_recipes
+from .removal_merge import ChangePlan, ChangeRun, MergeRecipe, apply_merge, build_merge_recipes
 from .removal_schemes import (
     SCHEME_CHOICES,
     deliver,
@@ -55,7 +50,7 @@ from .removal_schemes import (
     run_scheme2,
     run_uncoded_removal,
 )
-from .removal_split import SplitPlan, make_split_plan
+from .removal_split import make_split_plan
 from .verify import (
     VerificationReport,
     drop_broadcast,
@@ -68,8 +63,8 @@ from .verify import (
 )
 
 __all__ = [
-    "AdditionPlan",
     "Broadcast",
+    "ChangePlan",
     "ChangeRun",
     "Claim1Report",
     "Database",
@@ -81,7 +76,6 @@ __all__ = [
     "ProtocolViolationError",
     "RebalanceError",
     "SCHEME_CHOICES",
-    "SplitPlan",
     "StoredPiece",
     "SubsegmentLabel",
     "SystemParams",
@@ -106,7 +100,6 @@ __all__ = [
     "make_split_plan",
     "rebalance_add",
     "rebalance_remove",
-    "relabel_for_removed_node",
     "removal_expected_layout",
     "reorder_replica_parts",
     "run_scheme1",

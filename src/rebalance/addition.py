@@ -25,20 +25,19 @@ decoded pieces stream in from removal_schemes.decode_groups, no dict of
 them is built, and the merge keeps only the ints that differ from the
 reference and those a recipe part of the same range has yet to take.
 
-make_addition_plan builds the schedule, one uncoded slot per trailer in
-segment order and then one per shipped kept part, and the K+1 target
-recipes once, from the parameters alone; bus.encode cuts the payloads.
-rebalance_add returns the recipes as those of its ChangeRun, the record a
-removal returns too, and verify.verify_change checks against them.
+make_addition_plan builds the ChangePlan, the plan record a removal uses
+too, from the parameters alone: the schedule, one uncoded slot per trailer
+in segment order and then one per shipped kept part, and the K+1 target
+recipes, in node labels, so its holder labels are the nodes themselves.
+bus.encode cuts the payloads. rebalance_add returns it in its ChangeRun, and
+verify.verify_change checks against its recipes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import removal_merge
 from .analytics import LoadReport
-from .bus import Slot, encode
+from .bus import encode
 from .errors import ParameterError
 from .model import (
     Database,
@@ -50,19 +49,11 @@ from .model import (
     cyclic_refs,
     sorted_cyclic_range,
 )
-from .removal_merge import ChangeRun, MergeRecipe
+from .removal_merge import ChangePlan, ChangeRun, MergeRecipe
 from .removal_schemes import decode_groups
 
 
-@dataclass(frozen=True)
-class AdditionPlan:
-    """Who sends what in one node addition, and the targets it builds."""
-
-    slots: tuple[Slot, ...]  # the K trailers in segment order, then the shipped kept parts
-    recipes: tuple[MergeRecipe, ...]  # targets 1..K+1 in node labels
-
-
-def make_addition_plan(params: SystemParams) -> AdditionPlan:
+def make_addition_plan(params: SystemParams) -> ChangePlan:
     params.validate()
     k, r = params.n_nodes, params.replication
     seg_atoms = params.segment_atoms
@@ -87,10 +78,10 @@ def make_addition_plan(params: SystemParams) -> AdditionPlan:
     ]
     trailers = tuple([(i, kept_atoms, seg_atoms) for i in range(1, k + 1)])
     recipes.append(MergeRecipe(k + 1, sorted_cyclic_range(k + 1, r, k + 1), trailers))
-    return AdditionPlan(slots=tuple(slots), recipes=tuple(recipes))
+    return ChangePlan("addition", tuple(slots), tuple(recipes), tuple(range(k + 2)))
 
 
-def addition_expected_layout(plan: AdditionPlan) -> tuple[MergeRecipe, ...]:
+def addition_expected_layout(plan: ChangePlan) -> tuple[MergeRecipe, ...]:
     """An addition's targets, which make_addition_plan built from its parameters alone.
 
     Kept so that callers can treat removal and addition alike; the benchmark
@@ -111,11 +102,10 @@ def rebalance_add(db: Database) -> ChangeRun:
     certificate = cyclic_refs(db.contents, k, r)
     refs, deviating = certificate
     if deviating:
-        # holder labels are node labels; the new node stores nothing, so it
-        # takes every part off the bus, streamed into the merge
-        nodes = list(range(k + 2))
+        # the new node stores nothing, so it takes every part off the bus,
+        # streamed into the merge
         groups = decode_groups(db, log)
-        final = removal_merge.merge(db, nodes, plan.recipes, groups, True, certificate)
+        final = removal_merge.merge(db, plan.actual, plan.recipes, groups, True, certificate)
     else:
         # every holder of W_i holds a piece equal to node i's, which both
         # broadcasts of W_i were cut from: cut each kept part once, assemble the
@@ -135,5 +125,4 @@ def rebalance_add(db: Database) -> ChangeRun:
         pieces.append(StoredPiece(k * small_atoms, new_bits))
         final = Database(params, k + 1, cyclic_layout(pieces, r))
 
-    report = LoadReport(params, "addition", log.load)
-    return ChangeRun(final=final, log=log, report=report, plan=plan, recipes=plan.recipes)
+    return ChangeRun(final, log, LoadReport(params, plan.scheme, log.load), plan)

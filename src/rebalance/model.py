@@ -131,20 +131,6 @@ def storage_set(index: int, n_nodes: int, replication: int) -> frozenset[int]:
     return frozenset(cyclic_range(index, replication, n_nodes))
 
 
-def relabel_for_removed_node(label: int, removed: int, n_nodes: int) -> int:
-    """Map a label from the canonical remove-the-last-node frame to the actual frame.
-
-    The protocol is specified for removing node n_nodes; removing node
-    `removed` instead shifts every label cyclically by `removed` so the removed
-    node plays the last node's role. Identity when removed == n_nodes.
-    """
-    if not 1 <= label <= n_nodes:
-        raise ParameterError(f"label {label} outside [1, {n_nodes}]")
-    if not 1 <= removed <= n_nodes:
-        raise ParameterError(f"removed node {removed} outside [1, {n_nodes}]")
-    return (label + removed - 1) % n_nodes + 1
-
-
 class SubsegmentLabel(NamedTuple):
     """A contiguous piece of an original segment.
 

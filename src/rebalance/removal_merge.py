@@ -54,26 +54,22 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .analytics import LoadReport
-from .bus import TransmissionLog
+from .bus import Slot, TransmissionLog
 from .errors import MergeFailureError
 from .model import (
     Database,
     StoredPiece,
     SystemParams,
     cyclic_layout,
-    cyclic_range,
     cyclic_refs,
     cyclic_spans,
     slice_atoms,
     sorted_cyclic_range,
 )
 from .removal_split import SplitPlan
-
-if TYPE_CHECKING:
-    from .addition import AdditionPlan
 
 # part of a target: (actual original segment, atom start, atom stop)
 AtomRange = tuple[int, int, int]
@@ -93,17 +89,36 @@ class MergeRecipe(NamedTuple):
     parts: tuple[AtomRange, ...]
 
 
+@dataclass(frozen=True)
+class ChangePlan:
+    """One membership change as data, from the parameters alone: the
+    schedule, the targets, and the node each target holder uses.
+
+    A removal's targets are in canonical survivor labels 1..K-1 and
+    actual[holder] is the surviving node that plays holder; an addition's are
+    in node labels 1..K+1, so actual is the identity. Index 0 is unused.
+    """
+
+    scheme: str  # "scheme1", "scheme2", "uncoded" or "addition"
+    slots: tuple[Slot, ...]
+    recipes: tuple[MergeRecipe, ...]
+    actual: tuple[int, ...]
+
+
 @dataclass
 class ChangeRun:
     """Everything one membership change produces: the new database, the traffic,
-    the loads, the plan, and the targets (verify.verify_change checks final
-    against recipes alone)."""
+    the loads, and the plan (verify.verify_change checks final against the
+    plan's recipes alone)."""
 
     final: Database
     log: TransmissionLog
     report: LoadReport
-    plan: SplitPlan | AdditionPlan
-    recipes: tuple[MergeRecipe, ...]
+    plan: ChangePlan
+
+    @property
+    def recipes(self) -> tuple[MergeRecipe, ...]:
+        return self.plan.recipes
 
 
 def build_merge_recipes(params: SystemParams, plan: SplitPlan) -> tuple[MergeRecipe, ...]:
@@ -120,10 +135,9 @@ def build_merge_recipes(params: SystemParams, plan: SplitPlan) -> tuple[MergeRec
     if low.tiny is not None:
         tails.append((high.tiny, low.tiny))
     tails += [(q,) for q in reversed(low.pairs)]
-    bases = cyclic_range(plan.removed % k + 1, gap, k)
     targets = [
         ((base, 0, seg_atoms), *[(q.base, q.atom_start, q.atom_stop) for q in tail])
-        for base, tail in zip(bases, tails)
+        for base, tail in zip(plan.actual[1 : gap + 1], tails)
     ]
     # targets K-r+1..K-1 join an opening piece and a closing one
     targets += [
@@ -143,7 +157,7 @@ def build_merge_recipes(params: SystemParams, plan: SplitPlan) -> tuple[MergeRec
 
 def apply_merge(
     db: Database,
-    plan: SplitPlan,
+    plan: SplitPlan | ChangePlan,
     recipes: tuple[MergeRecipe, ...],
     delivered: dict[AtomRange, dict[int, int]] | Iterable[DecodeGroup],
     strict: bool = True,
@@ -151,18 +165,19 @@ def apply_merge(
     """Assemble every target at every holder and return the survivor database.
 
     recipes are build_merge_recipes' output, in canonical survivor labels,
-    which plan maps to actual nodes; delivered is deliver's output or the
-    stream of decode groups it folds (removal_schemes.decode_groups). See
-    merge.
+    which plan.actual maps to actual nodes (a removal's split or its
+    ChangePlan: only the labels of survivors 1..K-1 are read); delivered is
+    deliver's output or the stream of decode groups it folds
+    (removal_schemes.decode_groups). This is merge with the certificate
+    computed here.
     """
     n, r = db.params.n_nodes, db.params.replication
-    actual = [0, *cyclic_range(plan.to_actual(1), n - 1, n)]
-    return merge(db, actual, recipes, delivered, strict, cyclic_refs(db.contents, n, r))
+    return merge(db, plan.actual[:n], recipes, delivered, strict, cyclic_refs(db.contents, n, r))
 
 
 def merge(
     db: Database,
-    actual: list[int],
+    actual: tuple[int, ...],
     recipes: tuple[MergeRecipe, ...],
     delivered: dict[AtomRange, dict[int, int]] | Iterable[DecodeGroup],
     strict: bool,
@@ -173,11 +188,11 @@ def merge(
 
     recipes are targets 1..M in order, target t held by the r holders from t
     (cyclic); actual[holder] is the node whose stored segments and decoded
-    pieces the holder uses, M = len(actual) - 1 (index 0 unused). delivered
-    is the stream of decode groups (range, nodes, bits) in decode order, as
-    removal_schemes.decode_groups yields them, or deliver's dict of them
-    folded, which is read back as one group per run of one int among a
-    range's receivers. Either way a node keeps the first piece of a range it
+    pieces the holder uses, M = len(actual) - 1 (index 0 unused), as in
+    ChangePlan. delivered is the stream of decode groups (range, nodes,
+    bits) in decode order, as removal_schemes.decode_groups yields them, or
+    deliver's dict of them folded, which is read back as one group per run
+    of one int among a range's receivers. Either way a node keeps the first piece of a range it
     decodes, and the result is the same.
 
     An agreeing piece's int lives until the recipe part of its range takes
@@ -190,7 +205,8 @@ def merge(
     replica for the verifier to flag (used by fault injection).
 
     certificate is cyclic_refs(db.contents, n, r), which the caller computes
-    once: apply_merge for a removal, rebalance_add for an addition.
+    once: rebalance_remove, rebalance_add for a damaged input, or
+    apply_merge.
     """
     params = db.params
     n, r, w = params.n_nodes, params.replication, params.atom_bits

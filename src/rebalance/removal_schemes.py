@@ -25,9 +25,11 @@ scheme 2 at no such (K, r).
 
 The uncoded baseline rebroadcasts each affected segment whole.
 
-rebalance_remove runs one removal end to end and returns a ChangeRun, the
-record an addition returns too: its recipes are the K-1 targets the merge
-built, and verify.verify_change checks the result against them.
+make_removal_plan turns one split into a ChangePlan, the plan record an
+addition uses too: the schedule, the K-1 targets in canonical survivor
+labels, and the survivor each label stands for. rebalance_remove runs it end
+to end and returns a ChangeRun; verify.verify_change checks the result
+against the plan's recipes.
 """
 
 from __future__ import annotations
@@ -38,29 +40,36 @@ from . import analytics
 from .analytics import LoadReport
 from .bus import Slot, TransmissionLog, decode_at_node, encode
 from .errors import ParameterError
-from .model import Database, SubsegmentLabel, slice_atoms
-from .removal_merge import AtomRange, ChangeRun, DecodeGroup, apply_merge, build_merge_recipes
+from .model import Database, SubsegmentLabel, SystemParams, cyclic_refs, slice_atoms
+from .removal_merge import (
+    AtomRange,
+    ChangePlan,
+    ChangeRun,
+    DecodeGroup,
+    build_merge_recipes,
+    merge,
+)
 from .removal_split import SplitPlan, actual_survivors, make_split_plan
 
+# the CLI's --scheme choices; removal_slots rejects any other scheme
 SCHEME_CHOICES = ("auto", "scheme1", "scheme2", "uncoded")
 
 
 def removal_slots(plan: SplitPlan, scheme: str) -> list[Slot]:
     """One removal's schedule under scheme1, scheme2 or uncoded, from the plan alone."""
-    params = plan.params
+    params, actual = plan.params, plan.actual
     k, r = params.n_nodes, params.replication
-    node1 = plan.to_actual(1)
-    node_last = plan.to_actual(k - 1)
+    node1, node_last = actual[1], actual[k - 1]
     slots = []
     if scheme == "uncoded":
         # canonical segment c is held by canonical c..K and 1..c+r-1-K, so the
         # survivors c+r-K..c-1 need it; the lowest-labeled surviving holder
         # rebroadcasts it whole
-        removed, atoms = plan.removed, params.segment_atoms
+        removed, atoms = actual[k], params.segment_atoms
         for c in range(k - r + 1, k + 1):
             needing = actual_survivors(c + r - k, c, removed, k)
             held = actual_survivors(c, k, removed, k) + actual_survivors(1, c + r - k, removed, k)
-            label = SubsegmentLabel(plan.to_actual(c), needing, 0, atoms)
+            label = SubsegmentLabel(actual[c], needing, 0, atoms)
             slots.append((min(held), "uncoded", (label,), atoms))
         return slots
     openings, closings = plan.openings, plan.closings
@@ -166,9 +175,8 @@ def deliver(
     holds every decoded int until its caller drops it, so the pipelines
     stream decode_groups into the merge instead; apply_merge and
     removal_merge.merge accept the dict too. plan, a removal's SplitPlan or
-    an addition's AdditionPlan, is unused; it stays only because the
-    benchmark harness (benchmark/harness.py) passes it, and goes with the
-    next change there.
+    a ChangePlan, is unused; it stays only because the benchmark harness
+    (benchmark/harness.py) passes it, and goes with the next change there.
     """
     received: dict[AtomRange, dict[int, int]] = {}
     for key, nodes, bits in decode_groups(db, log):
@@ -185,6 +193,18 @@ def deliver(
     return received
 
 
+def make_removal_plan(params: SystemParams, removed: int, scheme: str) -> ChangePlan:
+    """One removal as a ChangePlan: the schedule of scheme, the merge recipes
+    and the survivor labels, all from one split. scheme "auto" picks the
+    cheaper coded variant, once the split has accepted the parameters."""
+    split = make_split_plan(params, removed)
+    if scheme == "auto":
+        scheme = analytics.choose_scheme(params.n_nodes, params.replication)
+    slots = tuple(removal_slots(split, scheme))
+    recipes = build_merge_recipes(params, split)
+    return ChangePlan(scheme, slots, recipes, split.actual[: params.n_nodes])
+
+
 def rebalance_remove(db: Database, removed: int, scheme: str = "auto") -> ChangeRun:
     """Run the full removal pipeline: split, broadcast, decode, merge.
 
@@ -192,15 +212,10 @@ def rebalance_remove(db: Database, removed: int, scheme: str = "auto") -> Change
     """
     if db.generation != "original":
         raise ParameterError("removal runs on an original-layout database")
-    if scheme not in SCHEME_CHOICES:
-        raise ParameterError(f"unknown scheme {scheme!r}")
     params = db.params
-    plan = make_split_plan(params, removed)
-    if scheme == "auto":
-        scheme = analytics.choose_scheme(params.n_nodes, params.replication)
-    log = encode(db, removal_slots(plan, scheme))
-    recipes = build_merge_recipes(params, plan)
+    plan = make_removal_plan(params, removed, scheme)
+    log = encode(db, plan.slots)
+    certificate = cyclic_refs(db.contents, params.n_nodes, params.replication)
     # decoded pieces stream into the merge: no dict of them all is built
-    final = apply_merge(db, plan, recipes, decode_groups(db, log))
-    report = LoadReport(params, scheme, log.load)
-    return ChangeRun(final=final, log=log, report=report, plan=plan, recipes=recipes)
+    final = merge(db, plan.actual, plan.recipes, decode_groups(db, log), True, certificate)
+    return ChangeRun(final, log, LoadReport(params, plan.scheme, log.load), plan)

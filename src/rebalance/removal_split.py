@@ -9,9 +9,9 @@ unit T / (2*(K-1)), which is K+1 atoms.
 The cutting rules are written for the canonical case "last node removed".
 Removing node m instead relabels every node and segment index by the cyclic
 shift that maps m onto the last position. make_split_plan computes that map
-once, and each piece is built straight in actual labels through it: a
-superscript is a run of canonical survivors that never wraps, so its sorted
-actual labels are at most two ranges (actual_survivors).
+once, keeps it as SplitPlan.actual, and builds each piece straight in actual
+labels through it: a superscript is a run of canonical survivors that never
+wraps, so its sorted actual labels are at most two ranges (actual_survivors).
 
 Piece identity is physical: (base segment, atom range). At replication K-1
 the two pieces of a corner segment can carry the same superscript, so nothing
@@ -23,15 +23,9 @@ each regrown target, and the corners' broadcast batches hold the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ParameterError
-from .model import (
-    SubsegmentLabel,
-    SystemParams,
-    cyclic_range,
-    relabel_for_removed_node,
-)
+from .model import SubsegmentLabel, SystemParams, cyclic_range
 
 
 @dataclass(frozen=True)
@@ -47,9 +41,6 @@ class CornerSplit:
     tiny: SubsegmentLabel | None
     pairs: tuple[SubsegmentLabel, ...]
 
-    def listed(self) -> tuple[SubsegmentLabel, ...]:
-        return (self.big, *self.broadcast_batch())
-
     def broadcast_batch(self) -> tuple[SubsegmentLabel, ...]:
         # everything except big is transmitted uncoded by the corner's sender
         return self.pairs if self.tiny is None else (self.tiny, *self.pairs)
@@ -59,51 +50,29 @@ class CornerSplit:
 class SplitPlan:
     """All pieces for one removal, labeled in the actual (unshifted) frame.
 
-    middles[i-1] holds the two pieces of canonical segment K-r+1+i for
-    i in [1..r-2], order (first, second) = (leading atoms, trailing atoms).
-    low_corner splits canonical segment K-r+1, high_corner canonical K.
+    actual[c] is the actual label of canonical node or segment c, for c in
+    1..K, with actual[K] the removed node (index 0 unused). openings are the
+    pieces of canonical segments K-r+1..K-1 that open targets K-r+1..K-1: the
+    low corner's big piece, then each middle segment's leading piece.
+    closings are the pieces of canonical segments K-r+2..K that close them:
+    each middle segment's trailing piece, then the high corner's big piece
+    (physically the leading atoms of W_K). low_corner splits canonical
+    segment K-r+1, high_corner canonical K.
     """
 
     params: SystemParams
-    removed: int
-    middles: tuple[tuple[SubsegmentLabel, SubsegmentLabel], ...]
+    actual: tuple[int, ...]
+    openings: tuple[SubsegmentLabel, ...]
+    closings: tuple[SubsegmentLabel, ...]
     low_corner: CornerSplit
     high_corner: CornerSplit
 
-    def to_actual(self, canonical: int) -> int:
-        """Map a canonical node or segment label to the actual frame."""
-        return relabel_for_removed_node(canonical, self.removed, self.params.n_nodes)
-
-    @cached_property
-    def openings(self) -> tuple[SubsegmentLabel, ...]:
-        """The pieces of canonical segments K-r+1..K-1 that open targets K-r+1..K-1:
-        the low corner's big piece, then each middle's first piece."""
-        return (self.low_corner.big, *[first for first, _ in self.middles])
-
-    @cached_property
-    def closings(self) -> tuple[SubsegmentLabel, ...]:
-        """The pieces of canonical segments K-r+2..K that close targets K-r+1..K-1:
-        each middle's second piece, then the high corner's big piece (physically
-        the leading atoms of W_K)."""
-        return (*[second for _, second in self.middles], self.high_corner.big)
-
-    def opening(self, s: int) -> SubsegmentLabel:
-        """Piece of canonical segment s that opens target s, for s in [K-r+1, K-1]."""
-        k, r = self.params.n_nodes, self.params.replication
-        if not k - r + 1 <= s <= k - 1:
-            raise ParameterError(f"opening segment {s} outside [{k - r + 1}, {k - 1}]")
-        return self.openings[s - (k - r + 1)]
-
-    def closing(self, s: int) -> SubsegmentLabel:
-        """Piece of canonical segment s that closes target s-1, for s in [K-r+2, K]."""
-        k, r = self.params.n_nodes, self.params.replication
-        if not k - r + 2 <= s <= k:
-            raise ParameterError(f"closing segment {s} outside [{k - r + 2}, {k}]")
-        return self.closings[s - (k - r + 2)]
-
     def all_pieces(self) -> tuple[SubsegmentLabel, ...]:
-        middles = [piece for pair in self.middles for piece in pair]
-        return (*self.low_corner.listed(), *middles, *self.high_corner.listed())
+        """Every piece: each corner's big piece and batch around the middle
+        segments' (leading, trailing) pairs, in canonical segment order."""
+        low, high = self.low_corner, self.high_corner
+        middles = [piece for pair in zip(self.openings[1:], self.closings) for piece in pair]
+        return (low.big, *low.broadcast_batch(), *middles, high.big, *high.broadcast_batch())
 
 
 def actual_survivors(lo: int, hi: int, removed: int, n: int) -> tuple[int, ...]:
@@ -143,18 +112,16 @@ def make_split_plan(params: SystemParams, removed: int) -> SplitPlan:
     p = gap // 2
     # canonical label c -> actual label, for c in 1..k; index 0 is unused
     actual = (0, *cyclic_range(removed % k + 1, k, k))
-    middles = []
+    low, high = actual[gap + 1], actual[k]
+    start = (k + r - 2) * hu
+    openings = [SubsegmentLabel(low, (actual[1],), 0, start)]
+    closings = []
     for i in range(1, r - 1):
         base = actual[gap + 1 + i]
         cut = (k + r - 2 * i - 2) * hu
-        middles.append((
-            SubsegmentLabel(base, (actual[i + 1],), 0, cut),
-            SubsegmentLabel(base, (actual[i + gap],), cut, params.segment_atoms),
-        ))
-    low, high = actual[gap + 1], actual[k]
-    start = (k + r - 2) * hu
-    low_big = SubsegmentLabel(low, (actual[1],), 0, start)
-    high_big = SubsegmentLabel(high, (actual[k - 1],), 0, start)
+        openings.append(SubsegmentLabel(base, (actual[i + 1],), 0, cut))
+        closings.append(SubsegmentLabel(base, (actual[i + gap],), cut, params.segment_atoms))
+    closings.append(SubsegmentLabel(high, (actual[k - 1],), 0, start))
     low_tiny = high_tiny = None
     if gap % 2:
         # survivors gap-p.. upward and r+p.. downward, min(r, p+1) of each
@@ -178,8 +145,9 @@ def make_split_plan(params: SystemParams, removed: int) -> SplitPlan:
         start = stop
     return SplitPlan(
         params,
-        removed,
-        tuple(middles),
-        CornerSplit(low_big, low_tiny, tuple(low_pairs)),
-        CornerSplit(high_big, high_tiny, tuple(high_pairs)),
+        actual,
+        tuple(openings),
+        tuple(closings),
+        CornerSplit(openings[0], low_tiny, tuple(low_pairs)),
+        CornerSplit(closings[-1], high_tiny, tuple(high_pairs)),
     )

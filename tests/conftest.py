@@ -6,12 +6,11 @@ from dataclasses import replace
 import pytest
 
 from rebalance import (
-    AdditionPlan,
     addition,
-    apply_merge,
     deliver,
     drop_broadcast,
     removal_merge,
+    removal_schemes,
     verify,
 )
 from rebalance.model import cyclic_refs, slice_atoms
@@ -22,21 +21,18 @@ def replay_without_broadcast():
     """Replay a clean change's delivery and merge with one broadcast dropped.
 
     Returns a function (db, clean, index) -> ChangeRun that reuses the clean
-    run's plan and recipes and merges leniently, so every holder the missing
-    broadcast starved keeps a short replica for the verifier to flag. A
-    removal merges by apply_merge; an addition by removal_merge.merge, in node
-    labels, where the new node K+1 stores nothing.
+    run's plan and merges leniently, so every holder the missing broadcast
+    starved keeps a short replica for the verifier to flag. Both changes
+    merge through their plan's holder labels; an addition's new node K+1
+    stores nothing.
     """
 
     def replay(db, clean, index):
         log = drop_broadcast(clean.log, index)
         received = deliver(db, log, clean.plan)
-        if isinstance(clean.plan, AdditionPlan):
-            nodes = list(range(db.n_nodes + 2))
-            certificate = cyclic_refs(db.contents, db.n_nodes, db.params.replication)
-            final = removal_merge.merge(db, nodes, clean.recipes, received, False, certificate)
-        else:
-            final = apply_merge(db, clean.plan, clean.recipes, received, strict=False)
+        certificate = cyclic_refs(db.contents, db.n_nodes, db.params.replication)
+        plan = clean.plan
+        final = removal_merge.merge(db, plan.actual, plan.recipes, received, False, certificate)
         return replace(clean, final=final, log=log)
 
     return replay
@@ -67,6 +63,7 @@ def every_node_deviates(monkeypatch):
     def patched():
         with monkeypatch.context() as m:
             m.setattr(removal_merge, "cyclic_refs", all_deviate)
+            m.setattr(removal_schemes, "cyclic_refs", all_deviate)
             m.setattr(addition, "cyclic_refs", all_deviate)
             m.setattr(verify, "cyclic_refs", all_deviate)
             yield

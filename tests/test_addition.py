@@ -58,6 +58,9 @@ def test_golden_plan_6_3():
     assert [ops[0].superscript for _, _, ops, _ in shipped] == [(7,), (7,)]
     # every segment keeps its leading 60 atoms
     assert [t.parts for t in plan.recipes[:6]] == [((i, 0, 60),) for i in range(1, 7)]
+    # holder labels are node labels, the new node 7 among them
+    assert plan.scheme == "addition"
+    assert plan.actual == tuple(range(6 + 2))
 
 
 def test_golden_run_6_3():

@@ -43,7 +43,7 @@ def test_uncoded_broadcast_carries_exact_slice(setup_6_3):
 def test_label_text_names_base_superscript_and_atom_range(setup_6_3):
     params, db, plan = setup_6_3
     assert plan.high_corner.tiny.describe() == "W_6^{3,4}[49:56]"
-    assert plan.middles[0][0].describe() == "W_5^{2}[0:35]"
+    assert plan.openings[1].describe() == "W_5^{2}[0:35]"
 
 
 def test_uncoded_broadcast_requires_possession(setup_6_3):
@@ -58,7 +58,7 @@ def test_uncoded_broadcast_requires_possession(setup_6_3):
 
 def test_xor_pads_to_largest_operand(setup_6_3):
     params, db, plan = setup_6_3
-    first = plan.middles[0][0]  # W_5 atoms [0:35]
+    first = plan.openings[1]  # W_5 atoms [0:35]
     big = plan.high_corner.big  # W_6 atoms [0:49]
     b = send(db, 1, "coded", (first, big), 49)
     assert b.kind == "coded"
@@ -85,7 +85,7 @@ def test_class_slot_accepts_empty_single_and_many(setup_6_3):
 
 def test_decode_recovers_addressed_operand(setup_6_3):
     params, db, plan = setup_6_3
-    first = plan.middles[0][0]  # W_5^{2}
+    first = plan.openings[1]  # W_5^{2}
     big = plan.high_corner.big  # W_6^{5}
     b = send(db, 1, "coded", (first, big), 49)
     # node 2 holds W_6, strips it, keeps W_5's leading half
@@ -107,7 +107,7 @@ def test_decode_recovers_addressed_operand(setup_6_3):
 ))
 def test_decode_keeps_the_remainder_cut_to_the_piece(setup_6_3, payload):
     params, db, plan = setup_6_3
-    first = plan.middles[0][0]  # W_5^{2}[0:35]
+    first = plan.openings[1]  # W_5^{2}[0:35]
     big = plan.high_corner.big  # W_6^{5}[0:49]
     w5 = slice_atoms(segment_content(0, 5, 70), 0, 35, 1)
     w6 = slice_atoms(segment_content(0, 6, 70), 0, 49, 1)
@@ -124,7 +124,7 @@ def test_decode_keeps_the_remainder_cut_to_the_piece(setup_6_3, payload):
 
 def test_decode_fails_without_sibling_base(setup_6_3):
     params, db, plan = setup_6_3
-    first = plan.middles[0][0]
+    first = plan.openings[1]
     big = plan.high_corner.big
     b = send(db, 1, "coded", (first, big), 49)
     # strip W_5 from node 2's storage so it cannot cancel the sibling

@@ -17,9 +17,9 @@ from rebalance import (
     cyclic_range,
     default_params,
     flip_stored_bit,
+    make_split_plan,
     rebalance_add,
     rebalance_remove,
-    relabel_for_removed_node,
     segment_content,
     slice_atoms,
     storage_set,
@@ -28,35 +28,28 @@ from rebalance import (
 from rebalance import model as model_module
 from rebalance.model import concat_bits, cyclic_layout, cyclic_refs, database_content
 
-pair = st.integers(min_value=3, max_value=60).flatmap(
+pair = st.integers(min_value=4, max_value=60).flatmap(
     lambda k: st.tuples(st.just(k), st.integers(min_value=1, max_value=k), st.integers(min_value=1, max_value=k))
 )
 
 
-# The paper's wrapping label arithmetic is relabel_for_removed_node:
-# i box-plus j is relabel(i, j, K), and i box-minus j is relabel(i, K - j, K)
-# for j < K, relabel(i, K, K) for j = K.
+# The paper's wrapping label arithmetic is the removal plan's label map:
+# i box-plus j is make_split_plan(params, j).actual[i] over K nodes, and
+# i box-minus j is i box-plus (K - j) for j < K, i box-plus K for j = K.
+def box_plus(i, j, k):
+    return make_split_plan(default_params(k, 3), j).actual[i]
+
+
 def minus_shift(j, modulus):
     return modulus - j if j < modulus else modulus
 
 
 def test_box_ops_known_values():
-    assert relabel_for_removed_node(5, 3, 6) == 2
-    assert relabel_for_removed_node(2, 3, 6) == 5
-    assert relabel_for_removed_node(1, minus_shift(3, 6), 6) == 4
-    assert relabel_for_removed_node(6, minus_shift(3, 6), 6) == 3
-    assert relabel_for_removed_node(4, minus_shift(4, 6), 6) == 6
-
-
-def test_box_ops_range_validation():
-    # the label-range cases: 0 - 1 and 7 - 1 on [1..6]
-    with pytest.raises(ParameterError, match=r"^label 0 outside \[1, 6\]$"):
-        relabel_for_removed_node(0, minus_shift(1, 6), 6)
-    with pytest.raises(ParameterError, match=r"^label 7 outside \[1, 6\]$"):
-        relabel_for_removed_node(7, minus_shift(1, 6), 6)
-    # 1 - 7: a shift of 6 - 7 = -1 names no node
-    with pytest.raises(ParameterError, match=r"^removed node -1 outside \[1, 6\]$"):
-        relabel_for_removed_node(1, 6 - 7, 6)
+    assert box_plus(5, 3, 6) == 2
+    assert box_plus(2, 3, 6) == 5
+    assert box_plus(1, minus_shift(3, 6), 6) == 4
+    assert box_plus(6, minus_shift(3, 6), 6) == 3
+    assert box_plus(4, minus_shift(4, 6), 6) == 6
 
 
 @settings(derandomize=True)
@@ -64,9 +57,9 @@ def test_box_ops_range_validation():
 def test_box_ops_inverse(t):
     k, i, j = t
     back = minus_shift(j, k)
-    assert relabel_for_removed_node(relabel_for_removed_node(i, j, k), back, k) == i
-    assert relabel_for_removed_node(relabel_for_removed_node(i, back, k), j, k) == i
-    assert 1 <= relabel_for_removed_node(i, j, k) <= k
+    assert box_plus(box_plus(i, j, k), back, k) == i
+    assert box_plus(box_plus(i, back, k), j, k) == i
+    assert 1 <= box_plus(i, j, k) <= k
 
 
 def test_cyclic_range_wraps():
@@ -83,32 +76,26 @@ def test_storage_set_matches_layout():
 
 
 def test_relabel_for_removed_node():
-    assert relabel_for_removed_node(6, 3, 6) == 3
-    assert relabel_for_removed_node(1, 3, 6) == 4
-    assert relabel_for_removed_node(4, 6, 6) == 4  # identity when the last node leaves
+    assert box_plus(6, 3, 6) == 3
+    assert box_plus(1, 3, 6) == 4
+    assert box_plus(4, 6, 6) == 4  # identity when the last node leaves
 
 
-@pytest.mark.parametrize("removed", [0, 7])
+@pytest.mark.parametrize("removed", [0, 7, -1])
 def test_relabel_rejects_a_removed_node_outside_the_cluster(removed):
+    # -1 is the shift of 1 box-minus 7, which names no node
     with pytest.raises(ParameterError, match=rf"^removed node {removed} outside \[1, 6\]$"):
-        relabel_for_removed_node(3, removed, 6)
+        make_split_plan(default_params(6, 3), removed)
 
 
-@pytest.mark.parametrize("label", [0, 7])
-def test_relabel_rejects_a_label_outside_the_cluster(label):
-    for removed in (3, 6):
-        with pytest.raises(ParameterError, match=rf"^label {label} outside \[1, 6\]$"):
-            relabel_for_removed_node(label, removed, 6)
-
-
-@settings(derandomize=True)
-@given(st.integers(min_value=3, max_value=40).flatmap(
-    lambda k: st.tuples(st.just(k), st.integers(min_value=1, max_value=k))))
-def test_relabel_is_bijection(t):
-    k, removed = t
-    image = {relabel_for_removed_node(j, removed, k) for j in range(1, k + 1)}
-    assert image == set(range(1, k + 1))
-    assert relabel_for_removed_node(k, removed, k) == removed
+def test_relabel_is_bijection():
+    # canonical c -> actual, the shift that puts the removed node last
+    for k in range(4, 41):
+        for removed in range(1, k + 1):
+            actual = make_split_plan(default_params(k, 3), removed).actual
+            assert sorted(actual[1:]) == list(range(1, k + 1)), (k, removed)
+            assert actual[k] == removed
+            assert actual == (0, *[(c + removed - 1) % k + 1 for c in range(1, k + 1)])
 
 
 def test_params_validation():

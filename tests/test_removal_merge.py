@@ -171,10 +171,10 @@ def test_holders_follow_relabeling():
         copies = {final.stored(c, recipe.target).bits for c in recipe.holders}
         assert len(copies) == 1
     # content is sourced from the shifted originals: target 1 starts with the
-    # actual segment stored at plan.to_actual(1)
+    # actual segment stored at plan.actual[1]
     lead = final.stored(1, 1).bits
     lead &= (1 << (70 * params.atom_bits)) - 1
-    assert lead == db.stored(plan.to_actual(1), plan.to_actual(1)).bits
+    assert lead == db.stored(plan.actual[1], plan.actual[1]).bits
 
 
 def test_merge_total_load_identity(total_stored_atoms):
@@ -204,7 +204,7 @@ def test_replicas_share_one_int_per_source_set():
 
     def sources(holder, recipe):
         # the (source int, offset) each part resolves to at this holder
-        node = plan.to_actual(holder)
+        node = plan.actual[holder]
         key = []
         for origin, start, stop in recipe.parts:
             base = db.stored(node, origin)
@@ -244,7 +244,7 @@ def test_replicas_share_one_int_per_source_set():
     assert verify_change(replace(run, final=final), seed=2).ok
 
     # a holder's own damaged source is never shared with, or replaced by, another's
-    lead = plan.to_actual(1)
+    lead = plan.actual[1]
     tampered = apply_merge(flip_stored_bit(db, lead, lead, 0), plan, recipes, received)
     rep = verify_preservation(tampered, removal_expected_layout(recipes), params, seed=2)
     assert [msg.split(" payload")[0] for _, msg in rep.findings] == ["node 1 target segment 1"]
@@ -261,7 +261,7 @@ def oracle_merge(db, plan, recipes, received, strict=True):
     contents = {n: {} for n in range(1, k)}
     for recipe in recipes:
         for holder in recipe.holders:
-            node = plan.to_actual(holder)
+            node = plan.actual[holder]
             bits, offset = 0, 0
             for origin, start, stop in recipe.parts:
                 src = None
@@ -360,9 +360,9 @@ def test_overlapping_received_pieces_are_taken_in_arrival_order(arrival):
         for rec in recipes
         for h in rec.holders
         for part in rec.parts
-        if db.stored(plan.to_actual(h), part[0]) is None
+        if db.stored(plan.actual[h], part[0]) is None
     )
-    node = plan.to_actual(holder)
+    node = plan.actual[holder]
     assert (origin, start) in {key[:2] for key, got in clean.items() if node in got}
     assert stop - start > 1
     # other content: a whole segment that covers the part, or a one-atom piece
@@ -396,9 +396,9 @@ def test_a_holder_missing_from_its_parts_range_is_covered_by_a_wider_piece(rule_
         for rec in recipes
         for h in rec.holders
         for part in rec.parts
-        if part in clean and plan.to_actual(h) in clean[part]
+        if part in clean and plan.actual[h] in clean[part]
     )
-    node = plan.to_actual(holder)
+    node = plan.actual[holder]
     received = dict(clean)
     own = clean[origin, start, stop]
     received[origin, start, stop] = {n: bits for n, bits in own.items() if n != node}
@@ -435,8 +435,8 @@ def test_a_flipped_source_bit_shares_only_outside_the_cut_range():
     recipe = recipes[-1]
     origin, start, stop = recipe.parts[0]
     assert start == 0 and stop < params.segment_atoms
-    holder = next(h for h in recipe.holders if db.stored(plan.to_actual(h), origin))
-    node = plan.to_actual(holder)
+    holder = next(h for h in recipe.holders if db.stored(plan.actual[h], origin))
+    node = plan.actual[holder]
     w = params.atom_bits
 
     def replicas(bit):
@@ -513,7 +513,7 @@ def test_certified_merges_equal_the_walk(every_node_deviates, rule_calls, damage
                 for removed in (1, k):
                     plan = make_split_plan(params, removed)
                     recipes = build_merge_recipes(params, plan)
-                    actual = [0] + [plan.to_actual(c) for c in range(1, k)]
+                    actual = plan.actual[:k]
                     for kind, case, received in merge_variants(db, plan, schedule, rng):
                         reach = damage_reach(case, actual, recipes, received)
                         where = (k, r, name, removed, kind)
@@ -592,7 +592,7 @@ def test_a_disagreeing_piece_merges_as_the_walk(every_node_deviates, rule_calls,
                 removed = rng.randint(1, k)
                 plan = make_split_plan(params, removed)
                 recipes = build_merge_recipes(params, plan)
-                actual = [0] + [plan.to_actual(c) for c in range(1, k)]
+                actual = plan.actual[:k]
                 for kind, case, received in disagreeing_variants(db, plan, schedule, rng):
                     where = (k, r, name, removed, kind)
                     refs, deviating = cyclic_refs(case.contents, k, r)
@@ -629,17 +629,16 @@ def test_the_source_rule_runs_only_at_the_damaged_node(change, every_node_deviat
     db = build_cyclic_database(params, seed=11)
     removed, w = 7, params.atom_bits
     plan = make_split_plan(params, removed)
-    recipes = build_merge_recipes(params, plan)
 
     def run(case):
-        # (merged database, log) of this change on case; rule_calls holds
-        # where the source rule ran
+        # (merged database, log) of this change's pipeline on case;
+        # rule_calls holds where the source rule ran
         rule_calls.clear()
         if change == "addition":
-            added = rebalance_add(case)
-            return added.final, added.log
-        log = SCHEDULES[change](case, plan)
-        return apply_merge(case, plan, recipes, deliver(case, log, plan)), log
+            done = rebalance_add(case)
+        else:
+            done = rebalance_remove(case, removed, change)
+        return done.final, done.log
 
     clean, log = run(db)
     assert rule_calls == []
@@ -661,7 +660,7 @@ def test_the_source_rule_runs_only_at_the_damaged_node(change, every_node_deviat
     if change == "addition":
         holder = node
     else:
-        holder = next(c for c in range(1, 40) if plan.to_actual(c) == node)
+        holder = next(c for c in range(1, 40) if plan.actual[c] == node)
     assert rule_calls == [(t, node) for t in damaged.contents[holder]]
     with every_node_deviates():
         walked, _ = run(flipped)

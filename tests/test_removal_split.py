@@ -9,11 +9,12 @@ from rebalance import (
     ParameterError,
     UnsupportedConfigError,
     build_merge_recipes,
+    cyclic_range,
     default_params,
     make_split_plan,
     storage_set,
 )
-from rebalance.removal_schemes import removal_slots
+from rebalance.removal_schemes import make_removal_plan, removal_slots
 
 kr = st.integers(min_value=4, max_value=30).flatmap(
     lambda k: st.tuples(st.just(k), st.integers(min_value=3, max_value=k - 1))
@@ -24,6 +25,11 @@ def as_tuple(piece):
     return (piece.base, piece.superscript, piece.atom_start, piece.atom_stop)
 
 
+def middles(plan):
+    # (leading, trailing) piece of each middle segment, in segment order
+    return list(zip(plan.openings[1:], plan.closings[:-1], strict=True))
+
+
 def test_golden_split_6_3():
     plan = make_split_plan(default_params(6, 3), removed=6)
     # low corner W_4: big to node 1, tiny to {2,3}, one pair to {3}
@@ -31,7 +37,7 @@ def test_golden_split_6_3():
     assert as_tuple(plan.low_corner.tiny) == (4, (2, 3), 49, 56)
     assert [as_tuple(p) for p in plan.low_corner.pairs] == [(4, (3,), 56, 70)]
     # middle W_5 splits into equal halves
-    assert [as_tuple(p) for p in plan.middles[0]] == [(5, (2,), 0, 35), (5, (4,), 35, 70)]
+    assert [as_tuple(p) for p in middles(plan)[0]] == [(5, (2,), 0, 35), (5, (4,), 35, 70)]
     # high corner W_6 mirrors the low one
     assert as_tuple(plan.high_corner.big) == (6, (5,), 0, 49)
     assert as_tuple(plan.high_corner.tiny) == (6, (3, 4), 49, 56)
@@ -52,7 +58,7 @@ def test_golden_split_8_6():
         [(6, (4,), 0, 54), (6, (5,), 54, 126)],
         [(7, (5,), 0, 36), (7, (6,), 36, 126)],
     ]
-    assert [[as_tuple(a), as_tuple(b)] for a, b in plan.middles] == expected_middles
+    assert [[as_tuple(a), as_tuple(b)] for a, b in middles(plan)] == expected_middles
     assert len(plan.all_pieces()) == 12
 
 
@@ -61,10 +67,11 @@ def test_split_plan_relabels_for_other_removed_node():
     # canonical W_4..W_6 become actual W_1..W_3; canonical survivor s maps to s-3 mod 6
     assert as_tuple(plan.low_corner.big) == (1, (4,), 0, 49)
     assert as_tuple(plan.low_corner.tiny) == (1, (5, 6), 49, 56)
-    assert [as_tuple(p) for p in plan.middles[0]] == [(2, (5,), 0, 35), (2, (1,), 35, 70)]
+    assert [as_tuple(p) for p in middles(plan)[0]] == [(2, (5,), 0, 35), (2, (1,), 35, 70)]
     assert as_tuple(plan.high_corner.big) == (3, (2,), 0, 49)
     assert as_tuple(plan.high_corner.tiny) == (3, (1, 6), 49, 56)
-    assert plan.to_actual(6) == 3
+    assert plan.actual[6] == 3
+    assert plan.actual == (0, 4, 5, 6, 1, 2, 3)
 
 
 def test_role_accessors_cover_the_plan():
@@ -72,30 +79,26 @@ def test_role_accessors_cover_the_plan():
         for r in range(3, k):
             params = default_params(k, r)
             plan = make_split_plan(params, removed=r)  # one node per pair, never K
-            opening = [plan.opening(s) for s in range(k - r + 1, k)]
-            closing = [plan.closing(s) for s in range(k - r + 2, k + 1)]
+            # the openings of canonical segments K-r+1..K-1 and the closings
+            # of K-r+2..K: r-1 of each, the corners' big pieces at the ends
+            assert len(plan.openings) == len(plan.closings) == r - 1
+            assert plan.openings[0] == plan.low_corner.big
+            assert plan.closings[-1] == plan.high_corner.big
             # opening and closing pieces plus both corners' uncoded batches
             # are every piece of the plan, each exactly once
             by_role = (
-                opening + closing
-                + list(plan.low_corner.broadcast_batch())
-                + list(plan.high_corner.broadcast_batch())
+                plan.openings + plan.closings
+                + plan.low_corner.broadcast_batch()
+                + plan.high_corner.broadcast_batch()
             )
             assert sorted(map(as_tuple, by_role)) == sorted(map(as_tuple, plan.all_pieces()))
             assert len(set(map(as_tuple, by_role))) == len(by_role)
             # regrown target s is the opening piece of s, then the closing piece of s+1
             recipes = {rec.target: rec for rec in build_merge_recipes(params, plan)}
-            for s in range(k - r + 1, k):
+            for s, opening, closing in zip(range(k - r + 1, k), plan.openings, plan.closings):
                 assert list(recipes[s].parts) == [
-                    (q.base, q.atom_start, q.atom_stop)
-                    for q in (plan.opening(s), plan.closing(s + 1))
+                    (q.base, q.atom_start, q.atom_stop) for q in (opening, closing)
                 ], (k, r, s)
-            for s in (k - r, k):
-                with pytest.raises(ParameterError):
-                    plan.opening(s)
-            for s in (k - r + 1, k + 1):
-                with pytest.raises(ParameterError):
-                    plan.closing(s)
 
 
 def test_make_split_plan_rejects_bad_input():
@@ -174,7 +177,8 @@ def test_split_relabeling_preserves_shape(t):
 
 
 # sha256 of every plan's pieces, schedules and recipes reprs, per (K, r, node)
-# in ascending order; the same loop over every node for all K <= 30 reads
+# in ascending order; make_removal_plan must give the same schedules, recipes
+# and survivor labels. The same loop over every node for all K <= 30 reads
 # 6e237219c8de00ab6b823ba592516b3d26ba982b791a47ba1ebe517ed61dbbf9
 PLAN_DIGEST = "f5db6d4681b3db3e6e81f55cf36975e328dbcd28eeafe54be8a3f267668009b5"
 
@@ -191,9 +195,16 @@ def plan_digest(kmax, every_node_up_to):
             for node in nodes:
                 plan = make_split_plan(params, node)
                 h.update(repr(plan.all_pieces()).encode())
+                recipes = build_merge_recipes(params, plan)
+                actual = (0, *cyclic_range(node % k + 1, k - 1, k))
                 for scheme in ("scheme1", "scheme2", "uncoded"):
-                    h.update(repr(removal_slots(plan, scheme)).encode())
-                h.update(repr(build_merge_recipes(params, plan)).encode())
+                    slots = removal_slots(plan, scheme)
+                    h.update(repr(slots).encode())
+                    change = make_removal_plan(params, node, scheme)
+                    assert change.slots == tuple(slots), (k, r, node, scheme)
+                    assert change.recipes == recipes, (k, r, node, scheme)
+                    assert change.actual == actual, (k, r, node, scheme)
+                h.update(repr(recipes).encode())
     return h.hexdigest()
 
 

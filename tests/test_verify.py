@@ -223,7 +223,7 @@ def test_dropped_broadcast_is_localized_to_its_decoders(k, replay_without_broadc
         removed = k // 2 + 1
         for scheme in ("scheme1", "scheme2", "uncoded"):
             clean = rebalance_remove(db, removed, scheme=scheme)
-            canonical = {clean.plan.to_actual(c): c for c in range(1, k)}
+            canonical = {clean.plan.actual[c]: c for c in range(1, k)}
             for i, b in enumerate(clean.log.broadcasts):
                 addressed = {n for op in b.operands for n in op.superscript}
                 decoders = {
@@ -293,7 +293,7 @@ def test_wrong_expected_shape_is_reported():
     assert not rep.ok and not rep.is_cyclic
     # the node count to reach is the number of targets: none is no layout
     with pytest.raises(ParameterError, match="^a run with no targets has no layout to check$"):
-        verify_change(replace(run, recipes=()), seed=0)
+        verify_change(replace(run, plan=replace(run.plan, recipes=())), seed=0)
 
 
 @pytest.mark.parametrize("op", ["remove", "add"])
@@ -309,7 +309,8 @@ def test_holders_off_the_window_are_fetched_on_a_certified_layout(op):
         (moved, (("content", "node 10 is missing target segment 1"),)),
         (shuffled, ()),
     ):
-        rep = verify_change(replace(run, recipes=(holders, *run.recipes[1:])), 21)
+        recipes = (holders, *run.recipes[1:])
+        rep = verify_change(replace(run, plan=replace(run.plan, recipes=recipes)), 21)
         assert rep.findings == findings
 
 
