@@ -34,21 +34,26 @@ class Broadcast(NamedTuple):
     payload: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransmissionLog:
-    """Ordered record of everything that went over the bus during one run."""
+    """Ordered record of everything that went over the bus during one run.
+
+    The broadcasts are stored as a tuple, whatever sequence is passed, and the
+    totals are computed once here, so no total can go stale.
+    """
 
     params: SystemParams
-    broadcasts: list[Broadcast] = field(default_factory=list)
+    broadcasts: tuple[Broadcast, ...] = ()
+    total_payload_atoms: int = field(init=False, repr=False, compare=False)
+    # communication load in units of one segment
+    load: Fraction = field(init=False, repr=False, compare=False)
 
-    @property
-    def total_payload_atoms(self) -> int:
-        return sum(b.payload_atoms for b in self.broadcasts)
-
-    @property
-    def load(self) -> Fraction:
-        # communication load in units of one segment
-        return Fraction(self.total_payload_atoms, self.params.segment_atoms)
+    def __post_init__(self) -> None:
+        broadcasts = tuple(self.broadcasts)
+        total = sum([b.payload_atoms for b in broadcasts])
+        object.__setattr__(self, "broadcasts", broadcasts)
+        object.__setattr__(self, "total_payload_atoms", total)
+        object.__setattr__(self, "load", Fraction(total, self.params.segment_atoms))
 
 
 # one scheduled transmission: (sender, kind, operands, payload atoms)
@@ -64,7 +69,7 @@ def encode(db: Database, slots: Iterable[Slot]) -> TransmissionLog:
     clear is the stored int itself.
     """
     w = db.params.atom_bits
-    log = TransmissionLog(db.params)
+    broadcasts = []
     for sender, kind, operands, atoms in slots:
         payload = 0
         if operands:
@@ -82,8 +87,8 @@ def encode(db: Database, slots: Iterable[Slot]) -> TransmissionLog:
                 )
             cut = slice_atoms(base.bits, op.atom_start, op.atom_stop, w)
             payload = payload ^ cut if j else cut
-        log.broadcasts.append(Broadcast(sender, kind, operands, atoms, payload))
-    return log
+        broadcasts.append(Broadcast(sender, kind, operands, atoms, payload))
+    return TransmissionLog(db.params, broadcasts)
 
 
 def decode_at_node(db: Database, receiver: int, b: Broadcast) -> tuple[SubsegmentLabel, int] | None:

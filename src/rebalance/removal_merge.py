@@ -29,13 +29,16 @@ replica equal to another of its target is that one object. An addition is
 merged against its own recipes in node labels; its new node stores nothing.
 
 The merge consumes delivery as a stream of decode groups, (range, nodes,
-bits) in decode order (removal_schemes.decode_groups), and folds it by atom
-range as it comes: a node keeps the first piece of a range it decodes. Each
-group's int is compared with the reference cut of its range on arrival, so
-the decoded ints live only as long as the merge needs them. An agreeing
-piece keeps only its receivers; its int waits in a table of equal cuts until
-the recipe part of that same range takes it as its cut, and dies when its
-target is assembled, before the layout. An unequal piece is kept at its
+bits, agrees) in decode order (removal_schemes.decode_groups), and folds it
+by atom range as it comes: a node keeps the first piece of a range it
+decodes. A group that arrives with agrees set is already known to be the
+reference cut of its range: decode_groups checked its broadcast against the
+references of a certified input and carries the cut that check made. Every
+other group's int is compared with the reference cut on arrival, so the
+decoded ints live only as long as the merge needs them. An agreeing piece
+keeps only its receivers; its int waits in a table of equal cuts until the
+recipe part of that same range takes it as its cut, with no second cut, and
+dies when its target is assembled, before the layout. An unequal piece is kept at its
 receivers for the holder walk until the merge returns; a walked holder's
 agreeing range is cut from the reference over the same atoms, which the
 compare has shown to be the same bits. Where every decoded piece of an
@@ -73,8 +76,9 @@ from .removal_split import SplitPlan
 
 # part of a target: (actual original segment, atom start, atom stop)
 AtomRange = tuple[int, int, int]
-# one decode: (decoded range, the receiving actual nodes, ascending, the piece)
-DecodeGroup = tuple[AtomRange, list[int], int]
+# one decode: (decoded range, the receiving actual nodes, ascending, the piece,
+# whether the piece is already known to equal the reference's cut of its range)
+DecodeGroup = tuple[AtomRange, list[int], int, bool]
 
 
 class MergeRecipe(NamedTuple):
@@ -190,10 +194,12 @@ def merge(
     (cyclic); actual[holder] is the node whose stored segments and decoded
     pieces the holder uses, M = len(actual) - 1 (index 0 unused), as in
     ChangePlan. delivered is the stream of decode groups (range, nodes,
-    bits) in decode order, as removal_schemes.decode_groups yields them, or
-    deliver's dict of them folded, which is read back as one group per run
-    of one int among a range's receivers. Either way a node keeps the first piece of a range it
-    decodes, and the result is the same.
+    bits, agrees) in decode order, as removal_schemes.decode_groups yields
+    them, or deliver's dict of them folded, which is read back as one group
+    per run of one int among a range's receivers, none of them agreeing yet.
+    Either way a node keeps the first piece of a range it decodes, and the
+    result is the same. A group that agrees is taken as the reference cut
+    with no compare; any other is compared on arrival.
 
     An agreeing piece's int lives until the recipe part of its range takes
     it, an unequal one until the merge returns (see the module docstring).
@@ -225,7 +231,7 @@ def merge(
     ranges: dict[AtomRange, dict[int, int | None]] = {}  # the same dicts by range
     equal_cuts: dict[AtomRange, int] = {}
     unequal = set()
-    for key, nodes, bits in delivered:
+    for key, nodes, bits, agrees in delivered:
         got = ranges.get(key)
         if got is not None:
             # a node keeps the first piece of a range it decodes
@@ -233,12 +239,14 @@ def merge(
             if not nodes:
                 continue
         origin, start, stop = key
-        cut = equal_cuts.get(key)
-        if cut is None:
-            ref = refs[origin - 1] if 0 < origin <= n else None
-            if ref is not None:
-                cut = slice_atoms(ref.bits, start, stop, w)
-        if bits is cut or bits == cut:
+        if not agrees:
+            cut = equal_cuts.get(key)
+            if cut is None:
+                ref = refs[origin - 1] if 0 < origin <= n else None
+                if ref is not None:
+                    cut = slice_atoms(ref.bits, start, stop, w)
+            agrees = bits is cut or bits == cut
+        if agrees:
             equal_cuts.setdefault(key, bits)
             bits = None
         else:
@@ -342,7 +350,7 @@ def _unfold(received: dict[AtomRange, dict[int, int]]) -> Iterator[DecodeGroup]:
     # deliver's dict as decode groups: one per run of one int among a range's receivers
     for key, got in received.items():
         for bits, run in groupby(got.items(), itemgetter(1)):
-            yield key, [node for node, _ in run], bits
+            yield key, [node for node, _ in run], bits, False
 
 
 def _source_rule(

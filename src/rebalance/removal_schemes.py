@@ -30,6 +30,10 @@ addition uses too: the schedule, the K-1 targets in canonical survivor
 labels, and the survivor each label stands for. rebalance_remove runs it end
 to end and returns a ChangeRun; verify.verify_change checks the result
 against the plan's recipes.
+
+decode_groups delivers a log as a stream of receiver groups; on a certified
+input it checks each broadcast once against the references instead of
+decoding it per group.
 """
 
 from __future__ import annotations
@@ -40,7 +44,14 @@ from . import analytics
 from .analytics import LoadReport
 from .bus import Slot, TransmissionLog, decode_at_node, encode
 from .errors import ParameterError
-from .model import Database, SubsegmentLabel, SystemParams, cyclic_refs, slice_atoms
+from .model import (
+    Database,
+    StoredPiece,
+    SubsegmentLabel,
+    SystemParams,
+    cyclic_refs,
+    slice_atoms,
+)
 from .removal_merge import (
     AtomRange,
     ChangePlan,
@@ -50,6 +61,9 @@ from .removal_merge import (
     merge,
 )
 from .removal_split import SplitPlan, actual_survivors, make_split_plan
+
+# the id a group key holds for a base its node does not store
+_NO_PIECE = id(None)
 
 # the CLI's --scheme choices; removal_slots rejects any other scheme
 SCHEME_CHOICES = ("auto", "scheme1", "scheme2", "uncoded")
@@ -113,9 +127,13 @@ def run_uncoded_removal(db: Database, plan: SplitPlan) -> TransmissionLog:
     return encode(db, removal_slots(plan, "uncoded"))
 
 
-def decode_groups(db: Database, log: TransmissionLog) -> Iterator[DecodeGroup]:
+def decode_groups(
+    db: Database,
+    log: TransmissionLog,
+    certificate: tuple[list[StoredPiece | None], set[int]] | None = None,
+) -> Iterator[DecodeGroup]:
     """Decode every broadcast of several operands once per receiver group, and
-    yield each decode as (range, nodes, bits) in decode order.
+    yield each decode as (range, nodes, bits, agrees) in decode order.
 
     Addressed nodes that want the same operand and store the same pieces for
     the other operands strip the same bits, so they form one group, and
@@ -126,12 +144,26 @@ def decode_groups(db: Database, log: TransmissionLog) -> Iterator[DecodeGroup]:
     decode and no look at what they store. range is the decoded piece's
     (origin, atom start, atom stop) and nodes its receivers, ascending.
 
+    certificate is cyclic_refs(db.contents, n, r) when the caller has it.
+    When it names no deviating node, every node stores its window of the
+    references, so each broadcast is checked once: its operands are cut from
+    the references and XORed as bus.encode does, and the result compared with
+    the payload (a one-operand payload with its reference cut). If they are
+    equal, XOR linearity and decode_at_node's truncation to the piece make
+    every receiver group's decode that operand's reference cut: the group is
+    yielded with that cut and agrees True, and nothing is decoded. A
+    broadcast that fails the check, a group whose node lacks a base (so
+    DecodeFailureError names it), and every group without a certified
+    certificate take the per-group decode, with agrees False; merge then
+    compares them with the references itself.
+
     A generator: a decoded int is made when its group is asked for, and what
     the consumer does not keep dies with its group. removal_merge.merge
     consumes the stream as it comes for both membership changes; deliver
     folds it into a dict.
     """
     w = db.params.atom_bits
+    refs = certificate[0] if certificate is not None and not certificate[1] else None
     for b in log.broadcasts:
         ops = b.operands
         if len(ops) == 1:
@@ -139,8 +171,20 @@ def decode_groups(db: Database, log: TransmissionLog) -> Iterator[DecodeGroup]:
             op = ops[0]
             if op.superscript:
                 bits = slice_atoms(b.payload, 0, op.size_atoms, w)
-                yield (op.base, op.atom_start, op.atom_stop), sorted(op.superscript), bits
+                agrees = refs is not None and bits == slice_atoms(
+                    refs[op.base - 1].bits, op.atom_start, op.atom_stop, w
+                )
+                yield (op.base, op.atom_start, op.atom_stop), sorted(op.superscript), bits, agrees
             continue
+        cuts = None
+        if refs is not None and ops:
+            # the payload again, from the references
+            cuts = [slice_atoms(refs[op.base - 1].bits, op.atom_start, op.atom_stop, w) for op in ops]
+            payload = cuts[0]
+            for cut in cuts[1:]:
+                payload ^= cut
+            if payload != b.payload:
+                cuts = None
         # (operand index, ids of the node's pieces of the others' bases) ->
         # nodes, ascending, so the groups come in order of their lowest node
         groups: dict[tuple, list[int]] = {}
@@ -157,9 +201,16 @@ def decode_groups(db: Database, log: TransmissionLog) -> Iterator[DecodeGroup]:
                 stored = db.contents.get(node, {})
                 key = (strip[0], *[id(stored.get(base)) for base in strip[1]])
                 groups.setdefault(key, []).append(node)
-        for nodes in groups.values():
+        for key, nodes in groups.items():
+            # a checked broadcast's group decodes to its operand's reference
+            # cut, unless the group lacks a base: an operand index is never
+            # the id of None
+            if cuts is not None and _NO_PIECE not in key:
+                op = ops[key[0]]
+                yield (op.base, op.atom_start, op.atom_stop), nodes, cuts[key[0]], True
+                continue
             label, bits = decode_at_node(db, nodes[0], b)
-            yield (label.base, label.atom_start, label.atom_stop), nodes, bits
+            yield (label.base, label.atom_start, label.atom_stop), nodes, bits, False
 
 
 def deliver(
@@ -179,7 +230,7 @@ def deliver(
     (benchmark/harness.py) passes it, and goes with the next change there.
     """
     received: dict[AtomRange, dict[int, int]] = {}
-    for key, nodes, bits in decode_groups(db, log):
+    for key, nodes, bits, _ in decode_groups(db, log):
         got = received.get(key)
         if got is None:
             received[key] = dict.fromkeys(nodes, bits)
@@ -208,7 +259,8 @@ def make_removal_plan(params: SystemParams, removed: int, scheme: str) -> Change
 def rebalance_remove(db: Database, removed: int, scheme: str = "auto") -> ChangeRun:
     """Run the full removal pipeline: split, broadcast, decode, merge.
 
-    scheme "auto" picks the cheaper coded variant.
+    scheme "auto" picks the cheaper coded variant. One layout certificate
+    serves delivery and the merge, so a clean removal decodes nothing.
     """
     if db.generation != "original":
         raise ParameterError("removal runs on an original-layout database")
@@ -217,5 +269,6 @@ def rebalance_remove(db: Database, removed: int, scheme: str = "auto") -> Change
     log = encode(db, plan.slots)
     certificate = cyclic_refs(db.contents, params.n_nodes, params.replication)
     # decoded pieces stream into the merge: no dict of them all is built
-    final = merge(db, plan.actual, plan.recipes, decode_groups(db, log), True, certificate)
+    groups = decode_groups(db, log, certificate)
+    final = merge(db, plan.actual, plan.recipes, groups, True, certificate)
     return ChangeRun(final, log, LoadReport(params, plan.scheme, log.load), plan)

@@ -312,8 +312,7 @@ def drop_broadcast(log: TransmissionLog, index: int) -> TransmissionLog:
     """Tampered copy of a log with one broadcast suppressed."""
     if not 0 <= index < len(log.broadcasts):
         raise ParameterError(f"broadcast index {index} outside the log")
-    kept = [b for i, b in enumerate(log.broadcasts) if i != index]
-    return TransmissionLog(params=log.params, broadcasts=kept)
+    return TransmissionLog(log.params, log.broadcasts[:index] + log.broadcasts[index + 1 :])
 
 
 def flip_stored_bit(db: Database, node: int, segment_index: int, bit: int) -> Database:

@@ -1,5 +1,8 @@
 """Bus semantics: payload construction, padding, decoding, error paths."""
 
+from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +12,7 @@ from rebalance import (
     build_cyclic_database,
     decode_at_node,
     default_params,
+    drop_broadcast,
     make_split_plan,
     run_scheme1,
     segment_content,
@@ -147,6 +151,25 @@ def test_log_counts_payload_atoms(setup_6_3):
     assert [b.payload_atoms for b in log.broadcasts] == [49, 49, 7, 14, 7, 14]
     assert log.total_payload_atoms == 140
     assert log.load == 2
+
+
+def test_log_totals_are_fixed_with_its_broadcasts(setup_6_3):
+    # the totals are computed once, from broadcasts stored as a tuple that no
+    # caller can change under them; replace and drop_broadcast make new logs
+    params, db, plan = setup_6_3
+    log = run_scheme1(db, plan)
+    assert isinstance(log.broadcasts, tuple)
+    assert log.load is log.load
+    with pytest.raises(FrozenInstanceError):
+        log.broadcasts = ()
+    shorter = replace(log, broadcasts=list(log.broadcasts[2:]))
+    assert isinstance(shorter.broadcasts, tuple)
+    assert (shorter.total_payload_atoms, shorter.load) == (42, Fraction(3, 5))
+    dropped = drop_broadcast(log, 0)
+    assert dropped.broadcasts == log.broadcasts[1:]
+    assert (dropped.total_payload_atoms, dropped.load) == (91, Fraction(13, 10))
+    # the derived totals take no part in equality: a log equals its own copy
+    assert replace(log) == log
 
 
 @settings(derandomize=True, max_examples=40)

@@ -8,11 +8,16 @@ one flipped stored bit in its result, which must be found by a finding that
 names the node and segment, and separately one dropped broadcast, replayed
 as the replay_without_broadcast fixture does. A drop that carries an operand
 must be found; a scheme-2 filler carries none, so its drop must leave the
-merged contents exactly as the clean run's.
+merged contents exactly as the clean run's. Last, one payload bit of a
+broadcast with operands is flipped, and the log is merged through the stream
+that checks each broadcast against the certified references: the result must
+be the plain per-group stream's, a finding when some receiver takes the bit
+into a replica, and the clean run's contents when none does.
 """
 
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 
 from rebalance import (
@@ -24,8 +29,11 @@ from rebalance import (
     full_removal_load,
     rebalance_add,
     rebalance_remove,
+    removal_merge,
     verify_change,
 )
+from rebalance.model import cyclic_refs
+from rebalance.removal_schemes import decode_groups
 
 KINDS = ("scheme1", "scheme2", "uncoded", "auto", "addition")
 
@@ -50,8 +58,35 @@ def names(findings, node, segment):
     return any(node_re.search(msg) and segment_re.search(msg) for _, msg in findings)
 
 
+def taken(db, plan, b, bit):
+    """True when some receiver takes the payload bit into a replica, by a plain
+    reading of the protocol: the bit lies inside the cut of an operand that
+    names the receiver alone among the operands, and the receiver holds a
+    target with a part of that operand's segment covering the bit's atom,
+    which it does not store itself."""
+    atom = bit // db.params.atom_bits
+    named = Counter(node for op in b.operands for node in op.superscript)
+    for op in b.operands:
+        if atom >= op.size_atoms:
+            continue
+        at = op.atom_start + atom
+        for recipe in plan.recipes:
+            for origin, start, stop in recipe.parts:
+                if origin != op.base or not start <= at < stop:
+                    continue
+                for holder in recipe.holders:
+                    node = plan.actual[holder]
+                    if (
+                        node in op.superscript
+                        and named[node] == 1
+                        and op.base not in db.contents.get(node, {})
+                    ):
+                        return True
+    return False
+
+
 def test_sampled_runs_verify_and_every_sampled_fault_is_found(replay_without_broadcast):
-    fillers = found = 0
+    fillers = found = flips = 0
     for k, r, t_mult, node, seed, kind, rng in sample_cases(110, seed=2027):
         case = (k, r, t_mult, node, seed, kind)
         db = build_cyclic_database(default_params(k, r, t_mult), seed=seed)
@@ -81,4 +116,24 @@ def test_sampled_runs_verify_and_every_sampled_fault_is_found(replay_without_bro
             # an operand-less scheme-2 filler: nothing was lost with it
             assert replayed.final.contents == run.final.contents, (case, index)
             fillers += 1
-    assert (found, fillers) == (108, 2)
+
+        coded = [i for i, b in enumerate(run.log.broadcasts) if b.operands]
+        index = rng.choice(coded)
+        b = run.log.broadcasts[index]
+        bit = rng.randrange(b.payload_atoms * db.params.atom_bits)
+        broadcasts = list(run.log.broadcasts)
+        broadcasts[index] = b._replace(payload=b.payload ^ (1 << bit))
+        log = replace(run.log, broadcasts=broadcasts)
+        plan, certificate = run.plan, cyclic_refs(db.contents, k, r)
+        checked, plain = (
+            removal_merge.merge(db, plan.actual, plan.recipes, groups, False, certificate)
+            for groups in (decode_groups(db, log, certificate), decode_groups(db, log))
+        )
+        assert checked.contents == plain.contents, (case, index, bit)
+        if taken(db, plan, b, bit):
+            assert not verify_change(replace(run, final=checked, log=log), seed).ok, case
+            flips += 1
+        else:
+            assert checked.contents == run.final.contents, (case, index, bit)
+    # every sampled flip lands where some receiver takes it
+    assert (found, fillers, flips) == (108, 2, 110)

@@ -35,7 +35,7 @@ from rebalance import (
 )
 from rebalance.addition import make_addition_plan
 from rebalance.bus import encode
-from rebalance.model import cyclic_refs
+from rebalance.model import SubsegmentLabel, cyclic_refs, slice_atoms
 from rebalance.removal_schemes import decode_groups, removal_slots
 
 
@@ -80,10 +80,11 @@ def damaged(db, log, rng):
     yield "deleted", deleted, log
 
 
-@pytest.mark.parametrize("k", range(4, 11))
-def test_streamed_removals_equal_the_merge_of_delivers_dict(k):
+def removal_inputs(k):
+    """(case label, plan, recipes, slots, database, log) for every damaged()
+    input of two removed nodes per r in 3..k-1 under each schedule; log is
+    None where the stored bit is flipped, to be encoded from that store."""
     rng = random.Random(k)
-    kinds = set()
     for r in range(3, k):
         params = default_params(k, r)
         db = build_cyclic_database(params, seed=k * r)
@@ -93,23 +94,133 @@ def test_streamed_removals_equal_the_merge_of_delivers_dict(k):
             for scheme in ("scheme1", "scheme2", "uncoded"):
                 slots = removal_slots(plan, scheme)
                 for name, case, log in damaged(db, encode(db, slots), rng):
-                    if log is None:
-                        log = encode(case, slots)
-                        # the whole pipeline streams its own log
-                        assert outcome(lambda: rebalance_remove(case, removed, scheme).final) == (
-                            outcome(lambda: apply_merge(case, plan, recipes, deliver(case, log, plan)))
-                        ), (k, r, removed, scheme, name)
-                    for strict in (True, False):
-                        streamed = outcome(
-                            lambda: apply_merge(case, plan, recipes, decode_groups(case, log), strict)
-                        )
-                        folded = outcome(
-                            lambda: apply_merge(case, plan, recipes, deliver(case, log, plan), strict)
-                        )
-                        assert streamed == folded, (k, r, removed, scheme, name, strict)
-                        kinds.add(streamed[0] if isinstance(streamed[0], str) else "merged")
+                    yield (k, r, removed, scheme, name), plan, recipes, slots, case, log
+
+
+@pytest.mark.parametrize("k", range(4, 11))
+def test_streamed_removals_equal_the_merge_of_delivers_dict(k):
+    kinds = set()
+    for where, plan, recipes, slots, case, log in removal_inputs(k):
+        removed, scheme = where[2], where[3]
+        if log is None:
+            log = encode(case, slots)
+            # the whole pipeline streams its own log
+            assert outcome(lambda: rebalance_remove(case, removed, scheme).final) == (
+                outcome(lambda: apply_merge(case, plan, recipes, deliver(case, log, plan)))
+            ), where
+        for strict in (True, False):
+            streamed = outcome(
+                lambda: apply_merge(case, plan, recipes, decode_groups(case, log), strict)
+            )
+            folded = outcome(
+                lambda: apply_merge(case, plan, recipes, deliver(case, log, plan), strict)
+            )
+            assert streamed == folded, (where, strict)
+            kinds.add(streamed[0] if isinstance(streamed[0], str) else "merged")
     if k >= 6:
         assert kinds == {"merged", "MergeFailureError", "DecodeFailureError"}, kinds
+
+
+@pytest.mark.parametrize("k", range(4, 11))
+def test_checked_removals_equal_the_per_group_stream(k):
+    # the stream that checks each broadcast against a certified input's
+    # references merges as the plain per-group stream does, on every input:
+    # a damaged one names deviating nodes, so its stream decodes every group
+    for where, plan, recipes, slots, case, log in removal_inputs(k):
+        if log is None:
+            log = encode(case, slots)
+        certificate = cyclic_refs(case.contents, k, case.params.replication)
+        actual = plan.actual[:k]
+        for strict in (True, False):
+            checked = outcome(
+                lambda: removal_merge.merge(
+                    case, actual, recipes, decode_groups(case, log, certificate), strict, certificate
+                )
+            )
+            plain = outcome(
+                lambda: removal_merge.merge(
+                    case, actual, recipes, decode_groups(case, log), strict, certificate
+                )
+            )
+            assert checked == plain, (where, strict)
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """The (node, broadcast) of every decode_at_node call delivery makes."""
+    calls = []
+    real = removal_schemes.decode_at_node
+
+    def counted(db, node, b):
+        calls.append((node, b))
+        return real(db, node, b)
+
+    monkeypatch.setattr(removal_schemes, "decode_at_node", counted)
+    return calls
+
+
+def test_a_clean_certified_removal_decodes_nothing(decode_calls):
+    # every removal_grid case: the checked stream decodes no piece, and a
+    # flipped payload bit in a broadcast of several operands sends that
+    # broadcast's receiver groups back to the per-group decode
+    rng = random.Random(41)
+    cases = flipped = 0
+    for k in range(4, 26):
+        for r in range(3, k):
+            params = default_params(k, r)
+            db = build_cyclic_database(params, seed=k * r)
+            certificate = cyclic_refs(db.contents, k, r)
+            node = rng.randint(1, k)
+            for scheme in ("scheme1", "scheme2", "uncoded"):
+                run = rebalance_remove(db, node, scheme)
+                assert not decode_calls, (k, r, scheme, decode_calls[:1])
+                cases += 1
+                coded = [
+                    i for i, b in enumerate(run.log.broadcasts)
+                    if len(b.operands) > 1 and any(op.superscript for op in b.operands)
+                ]
+                if not coded:
+                    continue
+                i = rng.choice(coded)
+                b = run.log.broadcasts[i]
+                broadcasts = list(run.log.broadcasts)
+                bit = rng.randrange(b.payload_atoms * params.atom_bits)
+                broadcasts[i] = b._replace(payload=b.payload ^ (1 << bit))
+                log = replace(run.log, broadcasts=broadcasts)
+                plan = run.plan
+                removal_merge.merge(
+                    db, plan.actual, plan.recipes, decode_groups(db, log, certificate), True,
+                    certificate,
+                )
+                assert decode_calls and {b for _, b in decode_calls} == {broadcasts[i]}, (k, r)
+                decode_calls.clear()
+                flipped += 1
+    assert cases == 759 and flipped > 0, (cases, flipped)
+
+
+def test_a_checked_receiver_without_a_base_fails_at_that_node(decode_calls):
+    # a hand-built log on a certified layout: node 4 (segments 2..4) wants
+    # W_1 but stores no W_5 to strip, while node 2 (segments 6, 1, 2) can
+    # strip W_1 to take W_5. The payload passes the check, so node 2's group
+    # is the reference cut with no decode, and node 4's group takes the
+    # per-group decode, which fails there as the plain stream does
+    params = default_params(6, 3)
+    db = build_cyclic_database(params, seed=1)
+    certificate = cyclic_refs(db.contents, 6, 3)
+    assert not certificate[1]
+    ops = (SubsegmentLabel(1, (4,), 0, 20), SubsegmentLabel(5, (2,), 10, 30))
+    log = encode(db, [(1, "coded", ops, 20)])
+    checked = decode_groups(db, log, certificate)
+    first = next(checked)
+    cut = slice_atoms(certificate[0][5 - 1].bits, 10, 30, params.atom_bits)
+    assert first == ((5, 10, 30), [2], cut, True)
+    assert not decode_calls
+    message = r"^node 4 cannot rebuild W_5\^\{2\}\[10:30\] to decode W_1\^\{4\}\[0:20\]$"
+    with pytest.raises(DecodeFailureError, match=message):
+        next(checked)
+    with pytest.raises(DecodeFailureError, match=message):
+        list(decode_groups(db, log))
+    assert [node for node, _ in decode_calls] == [4, 2, 4]
 
 
 @pytest.mark.parametrize("k", range(4, 11))
@@ -157,7 +268,7 @@ def test_deliver_folds_the_stream():
         plan = make_split_plan(params, 2)
         log = encode(db, removal_slots(plan, scheme))
         folded = {}
-        for key, nodes, bits in decode_groups(db, log):
+        for key, nodes, bits, agrees in decode_groups(db, log):
             assert list(nodes) == sorted(nodes)
             got = folded.setdefault(key, {})
             for node in nodes:
