@@ -3,10 +3,11 @@
 Every transmission is a broadcast heard by all nodes; cost is the payload
 size. A schedule is data: a list of slots, each naming its sender, kind
 ("coded" or "uncoded"), operand pieces and payload size, built from a plan
-alone. encode is the one place payloads are made: it cuts each slot's
+alone. encoded is the one place operands are cut: it cuts each slot's
 operands from the sender's stored segments and XORs them, aligned at bit 0
 and zero padded at the tail to the slot's size, which its widest operand
-must fill; a slot with no operands is zero filler.
+must fill; a slot with no operands is zero filler. encode collects the
+broadcasts into a log.
 
 A receiver named in exactly one operand's superscript strips the other
 operands, which it can rebuild from its own stored base segments, and keeps
@@ -15,7 +16,7 @@ the remainder truncated to the target piece size.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -60,35 +61,42 @@ class TransmissionLog:
 Slot = tuple[int, str, tuple[SubsegmentLabel, ...], int]
 
 
-def encode(db: Database, slots: Iterable[Slot]) -> TransmissionLog:
-    """Cut every slot's operands from its sender's stored segments and XOR them.
-
-    The widest operand must fill the slot; shorter ones are zero padded at the
-    tail, and a slot with no operands is zero filler charged at its size. The
-    first operand's cut is the payload as it is, so a whole segment sent in the
-    clear is the stored int itself.
-    """
+def encoded(db: Database, slots: Iterable[Slot]) -> Iterator[tuple[Broadcast, list[int]]]:
+    """Each slot as (broadcast, operand cuts), in slot order: the operands cut
+    from the sender's stored segments and the payload their XOR, the first
+    cut as it is (a whole segment sent in the clear is the stored int).
+    Every slot is checked before the first is cut, so a plan that fails
+    raises before anything is yielded."""
     w = db.params.atom_bits
-    broadcasts = []
-    for sender, kind, operands, atoms in slots:
-        payload = 0
-        if operands:
-            widest = max([op.size_atoms for op in operands])
-            if widest != atoms:
-                raise ProtocolViolationError(
-                    f"slot of {atoms} atoms but widest operand is {widest}"
-                )
-        for j, op in enumerate(operands):
-            base = db.stored(sender, op.base)
+    slots = tuple(slots)
+    checked = []
+    for sender, _, operands, atoms in slots:
+        widest = max([op.size_atoms for op in operands], default=atoms)
+        if widest != atoms:
+            raise ProtocolViolationError(f"slot of {atoms} atoms but widest operand is {widest}")
+        held = db.contents.get(sender, {})
+        bases = []
+        for op in operands:
+            base = held.get(op.base)
             if base is None:
                 raise ProtocolViolationError(
                     f"node {sender} does not hold segment {op.base} "
                     f"needed for {op.describe()}"
                 )
-            cut = slice_atoms(base.bits, op.atom_start, op.atom_stop, w)
-            payload = payload ^ cut if j else cut
-        broadcasts.append(Broadcast(sender, kind, operands, atoms, payload))
-    return TransmissionLog(db.params, broadcasts)
+            bases.append(base.bits)
+        checked.append(bases)
+    for (sender, kind, operands, atoms), bases in zip(slots, checked):
+        cuts, payload = [], 0
+        for op, bits in zip(operands, bases):
+            cut = slice_atoms(bits, op.atom_start, op.atom_stop, w)
+            payload = payload ^ cut if cuts else cut
+            cuts.append(cut)
+        yield Broadcast(sender, kind, operands, atoms, payload), cuts
+
+
+def encode(db: Database, slots: Iterable[Slot]) -> TransmissionLog:
+    """Every slot's broadcast from encoded, in slot order, as one log."""
+    return TransmissionLog(db.params, [b for b, _ in encoded(db, slots)])
 
 
 def decode_at_node(db: Database, receiver: int, b: Broadcast) -> tuple[SubsegmentLabel, int] | None:

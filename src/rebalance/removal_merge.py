@@ -15,40 +15,32 @@ the first piece decoded off the bus, in first-decode order, that covers its
 atom range and lists the holder. A received whole segment is a slice source
 like any other piece.
 
-merge applies that rule to any input, damaged or not, per target where it
-can. cyclic_refs certifies the stored layout once and names the nodes that
-deviate from it. Each recipe part is cut once from its reference piece, each
-target is assembled once, and cyclic_layout places it at its r holders as
-one shared piece. The rule runs holder by holder only where damage reaches:
-at a deviating node, at a holder whose first covering decoded piece of a
-part it does not store is missing or cut unequal to the reference, and at
-every holder of a target whose reference is missing. Those holders run in
-target and holder order, so a holder that no source lists fails with
-MergeFailureError, or keeps a short replica, at exactly that holder, and a
-replica equal to another of its target is that one object. An addition is
-merged against its own recipes in node labels; its new node stores nothing.
+merge applies that rule to any input, damaged or not. cyclic_refs certifies
+the stored layout once and names the nodes that deviate from it. Each
+recipe part is cut once from its reference piece, each target assembled
+once, and cyclic_layout places it at its r holders as one shared piece. The
+rule runs holder by holder only where damage reaches: at a deviating node,
+at a holder whose first covering decoded piece of a part it does not store
+is missing or unequal to the reference, and at every holder of a target
+whose reference is missing. Those holders run in target and holder order,
+so a holder that no source lists fails with MergeFailureError, or keeps a
+short replica, at exactly that holder, and a replica equal to another of
+its target is that one object. An addition is merged against its own
+recipes in node labels; its new node stores nothing.
 
-The merge consumes delivery as a stream of decode groups, (range, nodes,
-bits, agrees) in decode order (removal_schemes.decode_groups), and folds it
-by atom range as it comes: a node keeps the first piece of a range it
-decodes. A group that arrives with agrees set is already known to be the
-reference cut of its range: decode_groups checked its broadcast against the
-references of a certified input and carries the cut that check made. Every
-other group's int is compared with the reference cut on arrival, so the
-decoded ints live only as long as the merge needs them. An agreeing piece
-keeps only its receivers; its int waits in a table of equal cuts until the
-recipe part of that same range takes it as its cut, with no second cut, and
-dies when its target is assembled, before the layout. An unequal piece is kept at its
-receivers for the holder walk until the merge returns; a walked holder's
-agreeing range is cut from the reference over the same atoms, which the
-compare has shown to be the same bits. Where every decoded piece of an
-origin agrees, whichever covering piece a holder takes first is the
-reference's cut, so each part of that origin needs only a coverage check:
-the holders that lack the origin, from span arithmetic on the two cyclic
-windows done once per origin, less the receivers of each covering range
-while any remain. An origin with an unequal piece is checked part by part,
-each holder against its first covering piece, with one cut and compare per
-run of one int object among a range's receivers.
+The merge folds delivery, a stream of decode groups (range, nodes, bits,
+agrees) in decode order, by atom range as it comes: a node keeps the first
+piece of a range it decodes. A group with agrees set is the reference cut of
+its range, encode's own cut from removal_schemes.certified_groups; any other
+(removal_schemes.decode_groups) is compared with the reference on arrival.
+An agreeing piece keeps only its receivers, and its int waits until the
+recipe part of its range takes it as its cut. An unequal piece stays at its
+receivers for the holder walk. Where every piece of an origin agrees, a part
+of it needs only a coverage check: the holders that lack the origin, by span
+arithmetic on the two cyclic windows, less the receivers of each covering
+range. An origin with an unequal piece is checked holder by holder against
+the first covering piece, one cut and compare per run of one int among a
+range's receivers.
 """
 
 from __future__ import annotations
@@ -172,8 +164,7 @@ def apply_merge(
     which plan.actual maps to actual nodes (a removal's split or its
     ChangePlan: only the labels of survivors 1..K-1 are read); delivered is
     deliver's output or the stream of decode groups it folds
-    (removal_schemes.decode_groups). This is merge with the certificate
-    computed here.
+    (removal_schemes.decode_groups), merged with the certificate computed here.
     """
     n, r = db.params.n_nodes, db.params.replication
     return merge(db, plan.actual[:n], recipes, delivered, strict, cyclic_refs(db.contents, n, r))
@@ -194,25 +185,17 @@ def merge(
     (cyclic); actual[holder] is the node whose stored segments and decoded
     pieces the holder uses, M = len(actual) - 1 (index 0 unused), as in
     ChangePlan. delivered is the stream of decode groups (range, nodes,
-    bits, agrees) in decode order, as removal_schemes.decode_groups yields
-    them, or deliver's dict of them folded, which is read back as one group
-    per run of one int among a range's receivers, none of them agreeing yet.
-    Either way a node keeps the first piece of a range it decodes, and the
-    result is the same. A group that agrees is taken as the reference cut
-    with no compare; any other is compared on arrival.
-
-    An agreeing piece's int lives until the recipe part of its range takes
-    it, an unequal one until the merge returns (see the module docstring).
-    A caller that passes deliver's dict keeps every decoded int alive
-    instead; rebalance_remove and a damaged rebalance_add pass the stream.
+    bits, agrees) in decode order, or deliver's dict of them folded, read
+    back as one group per run of one int among a range's receivers, none
+    agreeing; the result is the same. An agreeing group is taken as the
+    reference cut with no compare. A caller that passes the dict keeps every
+    decoded int alive; rebalance_remove and a damaged rebalance_add stream.
 
     With strict=True a holder that cannot source a part raises
     MergeFailureError; with strict=False the part is skipped, leaving a short
     replica for the verifier to flag (used by fault injection).
 
-    certificate is cyclic_refs(db.contents, n, r), which the caller computes
-    once: rebalance_remove, rebalance_add for a damaged input, or
-    apply_merge.
+    certificate is cyclic_refs(db.contents, n, r), computed once by the caller.
     """
     params = db.params
     n, r, w = params.n_nodes, params.replication, params.atom_bits

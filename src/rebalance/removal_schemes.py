@@ -4,7 +4,7 @@ Both coded variants first split the r affected segments (see removal_split),
 then move every piece with XOR broadcasts plus two small uncoded corner
 batches, and finally merge (see removal_merge). removal_slots gives each
 schedule as data, slots built from the split plan alone with no database;
-bus.encode cuts their payloads.
+bus.encoded cuts their payloads.
 
 Scheme 1 chains adjacent pieces: r-1 coded broadcasts, each XORing the two
 pieces of one regrown target, the opening piece of one affected segment and
@@ -31,22 +31,22 @@ labels, and the survivor each label stands for. rebalance_remove runs it end
 to end and returns a ChangeRun; verify.verify_change checks the result
 against the plan's recipes.
 
-decode_groups delivers a log as a stream of receiver groups; on a certified
-input it checks each broadcast once against the references instead of
-decoding it per group.
+On a certified layout certified_groups encodes and delivers in one pass,
+each operand's cut both in its payload and, as its receivers' piece, in the
+merge; any other input is encoded whole and decoded by decode_groups.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections import Counter
+from collections.abc import Iterable, Iterator
 
 from . import analytics
 from .analytics import LoadReport
-from .bus import Slot, TransmissionLog, decode_at_node, encode
+from .bus import Broadcast, Slot, TransmissionLog, decode_at_node, encode, encoded
 from .errors import ParameterError
 from .model import (
     Database,
-    StoredPiece,
     SubsegmentLabel,
     SystemParams,
     cyclic_refs,
@@ -61,9 +61,6 @@ from .removal_merge import (
     merge,
 )
 from .removal_split import SplitPlan, actual_survivors, make_split_plan
-
-# the id a group key holds for a base its node does not store
-_NO_PIECE = id(None)
 
 # the CLI's --scheme choices; removal_slots rejects any other scheme
 SCHEME_CHOICES = ("auto", "scheme1", "scheme2", "uncoded")
@@ -127,43 +124,20 @@ def run_uncoded_removal(db: Database, plan: SplitPlan) -> TransmissionLog:
     return encode(db, removal_slots(plan, "uncoded"))
 
 
-def decode_groups(
-    db: Database,
-    log: TransmissionLog,
-    certificate: tuple[list[StoredPiece | None], set[int]] | None = None,
-) -> Iterator[DecodeGroup]:
+def decode_groups(db: Database, log: TransmissionLog) -> Iterator[DecodeGroup]:
     """Decode every broadcast of several operands once per receiver group, and
-    yield each decode as (range, nodes, bits, agrees) in decode order.
+    yield each decode as (range, nodes, bits, False) in decode order.
 
     Addressed nodes that want the same operand and store the same pieces for
     the other operands strip the same bits, so they form one group, and
     decode_at_node runs once at the group's lowest node (a missing base fails
-    there). A one-operand broadcast strips nothing: its payload, cut to the
-    piece's atoms as decode_at_node would cut it, is the piece (a payload
-    that fits is that very int), and it goes to every addressed node with no
-    decode and no look at what they store. range is the decoded piece's
-    (origin, atom start, atom stop) and nodes its receivers, ascending.
-
-    certificate is cyclic_refs(db.contents, n, r) when the caller has it.
-    When it names no deviating node, every node stores its window of the
-    references, so each broadcast is checked once: its operands are cut from
-    the references and XORed as bus.encode does, and the result compared with
-    the payload (a one-operand payload with its reference cut). If they are
-    equal, XOR linearity and decode_at_node's truncation to the piece make
-    every receiver group's decode that operand's reference cut: the group is
-    yielded with that cut and agrees True, and nothing is decoded. A
-    broadcast that fails the check, a group whose node lacks a base (so
-    DecodeFailureError names it), and every group without a certified
-    certificate take the per-group decode, with agrees False; merge then
-    compares them with the references itself.
-
-    A generator: a decoded int is made when its group is asked for, and what
-    the consumer does not keep dies with its group. removal_merge.merge
-    consumes the stream as it comes for both membership changes; deliver
-    folds it into a dict.
+    there). A one-operand broadcast strips nothing: its payload cut to the
+    piece (a payload that fits is that very int) goes to every addressed
+    node. range is the piece's (origin, atom start, atom stop), nodes its
+    receivers, ascending; the merge compares each piece with the references.
+    A generator: a decoded int the consumer does not keep dies with its group.
     """
     w = db.params.atom_bits
-    refs = certificate[0] if certificate is not None and not certificate[1] else None
     for b in log.broadcasts:
         ops = b.operands
         if len(ops) == 1:
@@ -171,20 +145,8 @@ def decode_groups(
             op = ops[0]
             if op.superscript:
                 bits = slice_atoms(b.payload, 0, op.size_atoms, w)
-                agrees = refs is not None and bits == slice_atoms(
-                    refs[op.base - 1].bits, op.atom_start, op.atom_stop, w
-                )
-                yield (op.base, op.atom_start, op.atom_stop), sorted(op.superscript), bits, agrees
+                yield (op.base, op.atom_start, op.atom_stop), sorted(op.superscript), bits, False
             continue
-        cuts = None
-        if refs is not None and ops:
-            # the payload again, from the references
-            cuts = [slice_atoms(refs[op.base - 1].bits, op.atom_start, op.atom_stop, w) for op in ops]
-            payload = cuts[0]
-            for cut in cuts[1:]:
-                payload ^= cut
-            if payload != b.payload:
-                cuts = None
         # (operand index, ids of the node's pieces of the others' bases) ->
         # nodes, ascending, so the groups come in order of their lowest node
         groups: dict[tuple, list[int]] = {}
@@ -201,33 +163,70 @@ def decode_groups(
                 stored = db.contents.get(node, {})
                 key = (strip[0], *[id(stored.get(base)) for base in strip[1]])
                 groups.setdefault(key, []).append(node)
-        for key, nodes in groups.items():
-            # a checked broadcast's group decodes to its operand's reference
-            # cut, unless the group lacks a base: an operand index is never
-            # the id of None
-            if cuts is not None and _NO_PIECE not in key:
-                op = ops[key[0]]
-                yield (op.base, op.atom_start, op.atom_stop), nodes, cuts[key[0]], True
-                continue
+        for nodes in groups.values():
             label, bits = decode_at_node(db, nodes[0], b)
             yield (label.base, label.atom_start, label.atom_stop), nodes, bits, False
+
+
+def certified_groups(
+    db: Database, slots: Iterable[Slot], broadcasts: list[Broadcast]
+) -> Iterator[DecodeGroup]:
+    """Encode slots and deliver them in one pass over a certified layout:
+    append each broadcast to broadcasts, and yield each operand's receiver
+    group as (range, nodes, cut, True) with the cut bus.encoded made.
+
+    A group is the addressed nodes named in that operand alone that store
+    every other operand's base, where node m stores segment b iff
+    (m - b) mod n < r: by XOR linearity each would decode exactly that cut.
+    A receiver that lacks a base goes to decode_at_node, which fails there
+    as decode_groups does, in the same order: by broadcast, then by lowest
+    node. bus.encoded checks every slot before its first yield, so its
+    ProtocolViolationError comes first.
+    """
+    n, r = db.params.n_nodes, db.params.replication
+    for b, cuts in encoded(db, slots):
+        broadcasts.append(b)
+        ops = b.operands
+        if len(ops) == 1:
+            op = ops[0]
+            if op.superscript:
+                yield (op.base, op.atom_start, op.atom_stop), sorted(op.superscript), cuts[0], True
+            continue
+        # nodes named in several operands decode none of them
+        named = [node for op in ops for node in op.superscript]
+        once = set(named)
+        shared = () if len(once) == len(named) else Counter(named) - Counter(once)
+        # (lowest node, operand index, nodes); a receiver that lacks a base
+        # is its own entry with no operand
+        groups = []
+        for i, op in enumerate(ops):
+            others = [other.base for other in ops if other is not op]
+            nodes = sorted([node for node in op.superscript if node not in shared])
+            lacking = {m for m in nodes for base in others if (m - base) % n >= r}
+            if lacking:
+                groups += [(m, None, None) for m in lacking]
+                nodes = [m for m in nodes if m not in lacking]
+            if nodes:
+                groups.append((nodes[0], i, nodes))
+        for m, i, nodes in sorted(groups):
+            if i is None:
+                label, bits = decode_at_node(db, m, b)
+                yield (label.base, label.atom_start, label.atom_stop), [m], bits, False
+            else:
+                op = ops[i]
+                yield (op.base, op.atom_start, op.atom_stop), nodes, cuts[i], True
 
 
 def deliver(
     db: Database, log: TransmissionLog, plan: object
 ) -> dict[AtomRange, dict[int, int]]:
     """Every decode of log folded by atom range: each decoded range (origin,
-    atom start, atom stop) is one key, in first-decode order, mapped to
-    {node: bits} in first-decode order, from decode_groups.
-
-    A node keeps the first piece it decodes of a range. Receivers of equal
+    atom start, atom stop) maps to {node: bits}, both in first-decode order,
+    a node keeping the first piece it decodes of a range. Receivers of equal
     pieces of one range share one int, found by identity and then ==, never
-    by hash: CPython hashes a big int in time linear in its size. The dict
-    holds every decoded int until its caller drops it, so the pipelines
-    stream decode_groups into the merge instead; apply_merge and
-    removal_merge.merge accept the dict too. plan, a removal's SplitPlan or
-    a ChangePlan, is unused; it stays only because the benchmark harness
-    (benchmark/harness.py) passes it, and goes with the next change there.
+    by hash, which costs time linear in a big int's size. The pipelines
+    stream decode_groups into the merge instead of holding this dict. plan
+    is unused; the benchmark harness (benchmark/harness.py) passes it.
     """
     received: dict[AtomRange, dict[int, int]] = {}
     for key, nodes, bits, _ in decode_groups(db, log):
@@ -260,15 +259,20 @@ def rebalance_remove(db: Database, removed: int, scheme: str = "auto") -> Change
     """Run the full removal pipeline: split, broadcast, decode, merge.
 
     scheme "auto" picks the cheaper coded variant. One layout certificate
-    serves delivery and the merge, so a clean removal decodes nothing.
-    """
+    serves the merge and picks the delivery: certified_groups for a certified
+    layout, else the whole log encoded and decoded by decode_groups."""
     if db.generation != "original":
         raise ParameterError("removal runs on an original-layout database")
     params = db.params
     plan = make_removal_plan(params, removed, scheme)
-    log = encode(db, plan.slots)
     certificate = cyclic_refs(db.contents, params.n_nodes, params.replication)
     # decoded pieces stream into the merge: no dict of them all is built
-    groups = decode_groups(db, log, certificate)
-    final = merge(db, plan.actual, plan.recipes, groups, True, certificate)
+    if certificate[1]:
+        log = encode(db, plan.slots)
+        final = merge(db, plan.actual, plan.recipes, decode_groups(db, log), True, certificate)
+    else:
+        broadcasts: list[Broadcast] = []
+        groups = certified_groups(db, plan.slots, broadcasts)
+        final = merge(db, plan.actual, plan.recipes, groups, True, certificate)
+        log = TransmissionLog(params, broadcasts)
     return ChangeRun(final, log, LoadReport(params, plan.scheme, log.load), plan)

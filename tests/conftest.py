@@ -13,7 +13,9 @@ from rebalance import (
     removal_schemes,
     verify,
 )
+from rebalance.bus import encode
 from rebalance.model import cyclic_refs, slice_atoms
+from rebalance.removal_schemes import decode_groups
 
 
 @pytest.fixture
@@ -36,6 +38,37 @@ def replay_without_broadcast():
         return replace(clean, final=final, log=log)
 
     return replay
+
+
+def _layout(final):
+    """Every (node, index, n_atoms, bits) of a database in node and key order,
+    and which replicas are one object, numbered by first appearance."""
+    stream, sharing, first = [], [], {}
+    for node, items in final.contents.items():
+        for index, piece in items.items():
+            stream.append((node, index, piece.n_atoms, piece.bits))
+            sharing.append(first.setdefault(id(piece), len(first)))
+    return final.n_nodes, stream, sharing
+
+
+@pytest.fixture(scope="session")
+def per_group_twin():
+    """A removal's run redone as rebalance_remove does it on a damaged layout:
+    encode the plan's slots whole, then stream decode_groups into the merge.
+
+    Returns a function (db, run) -> (twin, mine): the twin's log and _layout()
+    and the run's own, so a caller can assert they are equal.
+    """
+
+    def twin(db, run):
+        params, plan = db.params, run.plan
+        log = encode(db, plan.slots)
+        certificate = cyclic_refs(db.contents, params.n_nodes, params.replication)
+        groups = decode_groups(db, log)
+        final = removal_merge.merge(db, plan.actual, plan.recipes, groups, True, certificate)
+        return (log, _layout(final)), (run.log, _layout(run.final))
+
+    return twin
 
 
 @pytest.fixture(scope="session")

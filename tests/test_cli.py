@@ -382,6 +382,21 @@ def test_optimized_interpreter_writes_the_same_trace(tmp_path, capsys):
     assert there.read_bytes() == here.read_bytes()
 
 
+def test_module_form_runs_the_cli(capsys):
+    # python -m rebalance is the rebalance command: same stdout, same exit code
+    argv = ["add", "--k", "6", "--r", "3"]
+    rc = main(argv)
+    out = capsys.readouterr().out
+    src = str(Path(rebalance.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "rebalance", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (rc, out) and rc == 0, proc.stderr
+
+
 def test_check_claim1(capsys):
     rc = main(["check-claim1", "--kmax", "30"])
     out = capsys.readouterr().out

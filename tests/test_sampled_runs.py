@@ -3,16 +3,18 @@
 Each case draws K in 26..80, a replication r >= 3, t_mult 1..3, a removed
 node, a content seed, and one of the three removal schedules, auto, or an
 addition, from a seeded generator, so the sample is the same on every run.
-Every run must verify, with its load equal to the closed form. It then gets
+Every run must verify, with its load equal to the closed form, and a removal
+must equal its log encoded whole and merged through the plain per-group
+stream: log, payloads, contents and replica sharing. It then gets
 one flipped stored bit in its result, which must be found by a finding that
 names the node and segment, and separately one dropped broadcast, replayed
 as the replay_without_broadcast fixture does. A drop that carries an operand
 must be found; a scheme-2 filler carries none, so its drop must leave the
 merged contents exactly as the clean run's. Last, one payload bit of a
-broadcast with operands is flipped, and the log is merged through the stream
-that checks each broadcast against the certified references: the result must
-be the plain per-group stream's, a finding when some receiver takes the bit
-into a replica, and the clean run's contents when none does.
+broadcast with operands is flipped, and the tampered log is merged through
+the plain per-group stream: the result must give a finding when some
+receiver takes the bit into a replica, and the clean run's contents when
+none does.
 """
 
 import random
@@ -85,7 +87,9 @@ def taken(db, plan, b, bit):
     return False
 
 
-def test_sampled_runs_verify_and_every_sampled_fault_is_found(replay_without_broadcast):
+def test_sampled_runs_verify_and_every_sampled_fault_is_found(
+    replay_without_broadcast, per_group_twin
+):
     fillers = found = flips = 0
     for k, r, t_mult, node, seed, kind, rng in sample_cases(110, seed=2027):
         case = (k, r, t_mult, node, seed, kind)
@@ -94,6 +98,9 @@ def test_sampled_runs_verify_and_every_sampled_fault_is_found(replay_without_bro
             run, expected = rebalance_add(db), addition_load(k, r)
         else:
             run = rebalance_remove(db, node, kind)
+            # the certified one-pass delivery gives the per-group stream's run
+            twin, mine = per_group_twin(db, run)
+            assert twin == mine, case
             scheme = choose_scheme(k, r) if kind == "auto" else kind
             assert run.report.scheme == scheme, case
             expected = full_removal_load(k, r, scheme)
@@ -124,16 +131,15 @@ def test_sampled_runs_verify_and_every_sampled_fault_is_found(replay_without_bro
         broadcasts = list(run.log.broadcasts)
         broadcasts[index] = b._replace(payload=b.payload ^ (1 << bit))
         log = replace(run.log, broadcasts=broadcasts)
+        # a tampered log goes through the plain per-group stream
         plan, certificate = run.plan, cyclic_refs(db.contents, k, r)
-        checked, plain = (
-            removal_merge.merge(db, plan.actual, plan.recipes, groups, False, certificate)
-            for groups in (decode_groups(db, log, certificate), decode_groups(db, log))
+        merged = removal_merge.merge(
+            db, plan.actual, plan.recipes, decode_groups(db, log), False, certificate
         )
-        assert checked.contents == plain.contents, (case, index, bit)
         if taken(db, plan, b, bit):
-            assert not verify_change(replace(run, final=checked, log=log), seed).ok, case
+            assert not verify_change(replace(run, final=merged, log=log), seed).ok, case
             flips += 1
         else:
-            assert checked.contents == run.final.contents, (case, index, bit)
+            assert merged.contents == run.final.contents, (case, index, bit)
     # every sampled flip lands where some receiver takes it
     assert (found, fillers, flips) == (108, 2, 110)
