@@ -18,12 +18,12 @@ cut), the new segment is assembled once from the broadcast trailers, and
 cyclic_layout places each of the K+1 pieces at all its r holders as one
 shared object; no piece is decoded, as every broadcast is a payload the
 new node stores. Any other input is merged by the removal's merge
-(removal_merge.merge) against the plan's recipes, under the same source
-rule, which runs holder by holder only where the damage reaches; the merge
-takes the certificate rebalance_add computed, not a second one. Its
-decoded pieces stream in from removal_schemes.decode_groups, no dict of
-them is built, and the merge keeps only the ints that differ from the
-reference and those a recipe part of the same range has yet to take.
+(removal_merge.merge) against the plan's recipes: as a deviating node is
+one of its holders, it runs the source rule at every holder of every
+target; the merge takes the certificate rebalance_add computed, not a
+second one. Its decoded pieces stream in from removal_schemes.decode_groups,
+no dict of them is built, and the merge keeps only the ints that differ
+from the reference.
 
 make_addition_plan builds the ChangePlan, the plan record a removal uses
 too, from the parameters alone: the schedule, one uncoded slot per trailer

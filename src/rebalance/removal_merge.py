@@ -15,32 +15,30 @@ the first piece decoded off the bus, in first-decode order, that covers its
 atom range and lists the holder. A received whole segment is a slice source
 like any other piece.
 
-merge applies that rule to any input, damaged or not. cyclic_refs certifies
-the stored layout once and names the nodes that deviate from it. Each
-recipe part is cut once from its reference piece, each target assembled
-once, and cyclic_layout places it at its r holders as one shared piece. The
-rule runs holder by holder only where damage reaches: at a deviating node,
-at a holder whose first covering decoded piece of a part it does not store
-is missing or unequal to the reference, and at every holder of a target
-whose reference is missing. Those holders run in target and holder order,
-so a holder that no source lists fails with MergeFailureError, or keeps a
-short replica, at exactly that holder, and a replica equal to another of
-its target is that one object. An addition is merged against its own
-recipes in node labels; its new node stores nothing.
+merge runs that rule in one of two ways, chosen from the input. cyclic_refs
+certifies the stored layout once and names the nodes that deviate from it.
+A run is certified when no holder's node deviates (damage at a removed node
+alone feeds no holder) and every decoded piece is the reference's cut of its
+range. Then each recipe part is cut once from its reference piece, or taken
+as a decoded piece of the very same range, each target is assembled once, and
+cyclic_layout places it at its r holders as one shared piece; a coverage
+check still requires each holder that lacks a part's origin to be listed by
+some decoded piece that covers the part. Any other input, a coverage miss
+too, is walked: the rule runs at every holder of every target, in target and
+holder order, so a holder that no source lists fails with MergeFailureError,
+or keeps a short replica, at exactly that holder, and a replica equal to
+another of its target is that one object. An addition is merged against its
+own recipes in node labels; its new node stores nothing.
 
 The merge folds delivery, a stream of decode groups (range, nodes, bits,
 agrees) in decode order, by atom range as it comes: a node keeps the first
 piece of a range it decodes. A group with agrees set is the reference cut of
 its range, encode's own cut from removal_schemes.certified_groups; any other
 (removal_schemes.decode_groups) is compared with the reference on arrival.
-An agreeing piece keeps only its receivers, and its int waits until the
-recipe part of its range takes it as its cut. An unequal piece stays at its
-receivers for the holder walk. Where every piece of an origin agrees, a part
-of it needs only a coverage check: the holders that lack the origin, by span
-arithmetic on the two cyclic windows, less the receivers of each covering
-range. An origin with an unequal piece is checked holder by holder against
-the first covering piece, one cut and compare per run of one int among a
-range's receivers.
+An agreeing piece keeps only its receivers. On a run still certified its int
+waits until the recipe part of its range takes it as its cut; the walk cuts
+the reference over the same atoms instead. An unequal piece stays at its
+receivers until the merge returns.
 """
 
 from __future__ import annotations
@@ -178,7 +176,8 @@ def merge(
     strict: bool,
     certificate: tuple[list[StoredPiece | None], set[int]],
 ) -> Database:
-    """The database after a membership change, for any input (see the module
+    """The database after a membership change, for any input: one certified
+    cut per target, or the source rule at every holder (see the module
     docstring).
 
     recipes are targets 1..M in order, target t held by the r holders from t
@@ -203,17 +202,15 @@ def merge(
     refs, deviating = certificate
     # holder label by actual node, a window position; the removed node's is n
     position = dict(zip(actual[1:], range(1, m + 1)))
+    certified = deviating.isdisjoint(position)
     if isinstance(delivered, dict):
         delivered = _unfold(delivered)
-    # each group's int is compared with the reference cut of its range as it
-    # arrives. An agreeing piece keeps only its receivers, marked None, and
-    # its int waits in equal_cuts for the part of the same range to take it;
-    # an unequal one is kept at its receivers and marks its origin.
+    # an agreeing piece keeps only its receivers, marked None; on a run still
+    # certified, its int waits in equal_cuts for the part of the same range
     # origin -> [(start, stop, {actual node: bits or None})], in first-decode order
     decoded: dict[int, list[tuple[int, int, dict[int, int | None]]]] = {}
     ranges: dict[AtomRange, dict[int, int | None]] = {}  # the same dicts by range
     equal_cuts: dict[AtomRange, int] = {}
-    unequal = set()
     for key, nodes, bits, agrees in delivered:
         got = ranges.get(key)
         if got is not None:
@@ -230,16 +227,55 @@ def merge(
                     cut = slice_atoms(ref.bits, start, stop, w)
             agrees = bits is cut or bits == cut
         if agrees:
-            equal_cuts.setdefault(key, bits)
+            if certified:
+                equal_cuts.setdefault(key, bits)
             bits = None
-        else:
-            unequal.add(origin)
+        elif certified:
+            # the walk cuts an agreeing piece from the reference instead
+            certified = False
+            equal_cuts.clear()
         if got is None:
             ranges[key] = got = dict.fromkeys(nodes, bits)
             decoded.setdefault(origin, []).append((start, stop, got))
         else:
             got.update(dict.fromkeys(nodes, bits))
-    damaged = {position[node] for node in deviating if node in position}
+    if certified:
+        pieces = _certified_pieces(params, position, recipes, decoded, refs, equal_cuts)
+        if pieces is not None:
+            return Database(params, m, cyclic_layout(pieces, r))
+    # the walk: every holder by the source rule, each holder's targets in
+    # ascending order as cyclic_layout would store them
+    contents: dict[int, dict[int, StoredPiece]] = {holder: {} for holder in range(1, m + 1)}
+    for recipe in recipes:
+        # a replica equal to an earlier one is it, found by ==, as hashing a
+        # piece costs time linear in its size
+        distinct: list[StoredPiece] = []
+        for holder in recipe.holders:
+            built = _source_rule(db, actual[holder], recipe, decoded, refs, strict)
+            for prior in distinct:
+                if prior == built:
+                    built = prior
+                    break
+            else:
+                distinct.append(built)
+            contents[holder][recipe.target] = built
+    return Database(params, m, contents)
+
+
+def _certified_pieces(
+    params: SystemParams,
+    position: dict[int, int],
+    recipes: tuple[MergeRecipe, ...],
+    decoded: dict[int, list[tuple[int, int, dict[int, int | None]]]],
+    refs: list[StoredPiece | None],
+    equal_cuts: dict[AtomRange, int],
+) -> list[StoredPiece] | None:
+    """Each target's one piece on a certified run, its parts the reference
+    cuts, or None when a holder that lacks a part's origin is listed by no
+    decoded piece that covers the part (a dropped broadcast, a partial dict),
+    which only the walk can place."""
+    n, r, w = params.n_nodes, params.replication, params.atom_bits
+    m = len(position)
     past = ((n + 1, m + 1),) if m > n else ()  # an addition's new node
     # by origin, the holders that take it off the bus: segment p is stored at
     # window positions p..p+r-1 (mod n), so the n-r from p+r lack it, and so
@@ -248,85 +284,38 @@ def merge(
         cyclic_spans((position.get(origin, n) + r - 1) % n + 1, n - r, n) + past
         for origin in range(1, n + 1)
     ]
-    pieces: list[StoredPiece | None] = []
-    walked: list[tuple[int, int, StoredPiece]] = []  # (holder, target, replica)
+    pieces = []
     for recipe in recipes:
-        target = recipe.target
-        held = cyclic_spans(target, r, m)
-        walk = {h for h in damaged if (h - target) % m < r} if damaged else set()
-        replica = None
+        held = cyclic_spans(recipe.target, r, m)
         bits = offset = 0
         for origin, start, stop in recipe.parts:
             ref = refs[origin - 1]
             if ref is None:
-                break
-            # an agreeing piece of this very range is its cut, handed over once
+                return None
+            # the holders of this target that lack the origin
+            need = set()
+            for lo, hi in held:
+                for a, b in lacking[origin]:
+                    if a < hi and lo < b:
+                        need.update(range(a if a > lo else lo, b if b < hi else hi))
+            if need:
+                # every covering piece is the reference's cut: only coverage counts
+                for got_start, got_stop, nodes in decoded.get(origin, ()):
+                    if got_start <= start and stop <= got_stop:
+                        need.difference_update(map(position.get, nodes))
+                        if not need:
+                            break
+                else:
+                    return None
+            # a decoded piece of this very range is its cut, handed over once
             cut = equal_cuts.pop((origin, start, stop), None)
             if cut is None:
                 cut = slice_atoms(ref.bits, start, stop, w)
             # assembled as _assemble does, without a list of the cuts
             bits = (bits | (cut << (offset * w))) if offset else cut
             offset += stop - start
-            need = None
-            for lo, hi in held:
-                for a, b in lacking[origin]:
-                    if a < lo:
-                        a = lo
-                    if b > hi:
-                        b = hi
-                    if a < b:
-                        if need is None:
-                            need = set(range(a, b))
-                        else:
-                            need.update(range(a, b))
-            if need is None:
-                continue
-            if origin not in unequal:
-                # any covering piece is the reference's cut: only coverage counts
-                for got_start, got_stop, nodes in decoded.get(origin, ()):
-                    if got_start <= start and stop <= got_stop:
-                        need.difference_update(map(position.get, nodes))
-                        if not need:
-                            break
-            else:
-                for got_start, got_stop, nodes in decoded.get(origin, ()):
-                    if not need:
-                        break
-                    if got_start <= start and stop <= got_stop:
-                        # a holder still in need takes this piece first; each
-                        # run of one int object is cut and compared once; an
-                        # agreeing piece (None) is the reference's cut
-                        skip, end = start - got_start, stop - got_start
-                        last, differs = None, False
-                        for node, got_bits in nodes.items():
-                            holder = position.get(node)
-                            if holder in need:
-                                if got_bits is not last:
-                                    last = got_bits
-                                    differs = (
-                                        got_bits is not None
-                                        and slice_atoms(got_bits, skip, end, w) != cut
-                                    )
-                                if differs:
-                                    walk.add(holder)
-                        need.difference_update(map(position.get, nodes))
-            walk |= need
-        else:  # every part had its reference
-            replica = StoredPiece(offset, bits)
-        if replica is None:
-            # a missing reference: every holder takes the rule
-            walk.update(recipe.holders)
-        pieces.append(replica)
-        if walk:
-            # a walked replica equal to the reference or an earlier one is that object
-            equal = {} if replica is None else {replica: replica}
-            for holder in sorted(walk):  # the holders are the ascending window
-                built = _source_rule(db, actual[holder], recipe, decoded, refs, strict)
-                walked.append((holder, target, equal.setdefault(built, built)))
-    contents = cyclic_layout(pieces, r)
-    for holder, target, replica in walked:
-        contents[holder][target] = replica
-    return Database(params, m, contents)
+        pieces.append(StoredPiece(offset, bits))
+    return pieces
 
 
 def _unfold(received: dict[AtomRange, dict[int, int]]) -> Iterator[DecodeGroup]:

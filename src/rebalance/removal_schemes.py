@@ -31,9 +31,10 @@ labels, and the survivor each label stands for. rebalance_remove runs it end
 to end and returns a ChangeRun; verify.verify_change checks the result
 against the plan's recipes.
 
-On a certified layout certified_groups encodes and delivers in one pass,
-each operand's cut both in its payload and, as its receivers' piece, in the
-merge; any other input is encoded whole and decoded by decode_groups.
+Where no survivor deviates from the certified layout, certified_groups
+encodes and delivers in one pass, each operand's cut both in its payload
+and, as its receivers' piece, in the merge; any other input is encoded whole
+and decoded by decode_groups.
 """
 
 from __future__ import annotations
@@ -171,9 +172,10 @@ def decode_groups(db: Database, log: TransmissionLog) -> Iterator[DecodeGroup]:
 def certified_groups(
     db: Database, slots: Iterable[Slot], broadcasts: list[Broadcast]
 ) -> Iterator[DecodeGroup]:
-    """Encode slots and deliver them in one pass over a certified layout:
-    append each broadcast to broadcasts, and yield each operand's receiver
-    group as (range, nodes, cut, True) with the cut bus.encoded made.
+    """Encode slots and deliver them in one pass over a layout in which no
+    sender or receiver deviates: append each broadcast to broadcasts, and
+    yield each operand's receiver group as (range, nodes, cut, True) with the
+    cut bus.encoded made.
 
     A group is the addressed nodes named in that operand alone that store
     every other operand's base, where node m stores segment b iff
@@ -259,20 +261,22 @@ def rebalance_remove(db: Database, removed: int, scheme: str = "auto") -> Change
     """Run the full removal pipeline: split, broadcast, decode, merge.
 
     scheme "auto" picks the cheaper coded variant. One layout certificate
-    serves the merge and picks the delivery: certified_groups for a certified
-    layout, else the whole log encoded and decoded by decode_groups."""
+    serves the merge and picks the delivery, by the merge's own predicate:
+    certified_groups when no survivor deviates (the removed node neither
+    sends nor receives), else the whole log encoded and decoded by
+    decode_groups."""
     if db.generation != "original":
         raise ParameterError("removal runs on an original-layout database")
     params = db.params
     plan = make_removal_plan(params, removed, scheme)
     certificate = cyclic_refs(db.contents, params.n_nodes, params.replication)
     # decoded pieces stream into the merge: no dict of them all is built
-    if certificate[1]:
-        log = encode(db, plan.slots)
-        final = merge(db, plan.actual, plan.recipes, decode_groups(db, log), True, certificate)
-    else:
+    if certificate[1].isdisjoint(plan.actual[1:]):
         broadcasts: list[Broadcast] = []
         groups = certified_groups(db, plan.slots, broadcasts)
         final = merge(db, plan.actual, plan.recipes, groups, True, certificate)
         log = TransmissionLog(params, broadcasts)
+    else:
+        log = encode(db, plan.slots)
+        final = merge(db, plan.actual, plan.recipes, decode_groups(db, log), True, certificate)
     return ChangeRun(final, log, LoadReport(params, plan.scheme, log.load), plan)

@@ -6,6 +6,9 @@ from dataclasses import replace
 import pytest
 
 from rebalance import (
+    Database,
+    MergeFailureError,
+    StoredPiece,
     addition,
     deliver,
     drop_broadcast,
@@ -120,39 +123,86 @@ def rule_calls(monkeypatch):
 
 
 @pytest.fixture(scope="session")
-def damage_reach():
+def expected_rule_calls():
     """The (target, node) pairs, in target and holder order, whose replica a
-    merge must build by the source rule, from a plain per-holder reading of
-    the rule's exceptions: the holder's node deviates from the cyclic layout,
-    the target's reference piece is missing, or the holder lacks a part's
-    origin and its first covering decoded piece is missing or cuts unequal to
-    the reference."""
+    merge must build by the source rule: none on a certified input, and every
+    holder of every target on any other. From a plain per-holder reading, an
+    input is certified when no holder's node deviates from the cyclic layout,
+    every received piece is the reference's cut of its range, and every
+    holder takes each part from its own storage or from some received piece
+    that covers the part and lists its node."""
 
-    def reach(db, actual, recipes, received):
+    def expected(db, actual, recipes, received):
         params = db.params
         w = params.atom_bits
         refs, deviating = cyclic_refs(db.contents, params.n_nodes, params.replication)
-        out = []
+        walk = [(recipe.target, actual[holder]) for recipe in recipes for holder in recipe.holders]
+        if not deviating.isdisjoint(actual[1:]):
+            return walk
+        for (origin, start, stop), got in received.items():
+            want = slice_atoms(refs[origin - 1].bits, start, stop, w)
+            if any(bits != want for bits in got.values()):
+                return walk
         for recipe in recipes:
-            whole = any(refs[origin - 1] is None for origin, _, _ in recipe.parts)
             for holder in recipe.holders:
                 node = actual[holder]
-                if whole or node in deviating or not all(
-                    _sourced_as_the_reference(db, node, part, refs, received, w)
-                    for part in recipe.parts
-                ):
-                    out.append((recipe.target, node))
-        return out
+                stored = db.contents.get(node, {})
+                for origin, start, stop in recipe.parts:
+                    if origin not in stored and not any(
+                        got_origin == origin and got_start <= start and stop <= got_stop
+                        and node in got
+                        for (got_origin, got_start, got_stop), got in received.items()
+                    ):
+                        return walk
+        return []
 
-    return reach
+    return expected
 
 
-def _sourced_as_the_reference(db, node, part, refs, received, w):
-    origin, start, stop = part
-    if origin in db.contents.get(node, {}):
-        return True
-    want = slice_atoms(refs[origin - 1].bits, start, stop, w)
-    for (got_origin, got_start, got_stop), got in received.items():
-        if got_origin == origin and got_start <= start and stop <= got_stop and node in got:
-            return slice_atoms(got[node], start - got_start, stop - got_start, w) == want
-    return False
+@pytest.fixture(scope="session")
+def oracle_merge():
+    """The merge one holder at a time: each holder resolves and assembles its own parts.
+
+    Returns a function (db, plan, recipes, received, strict=True) -> Database
+    of one node per recipe, K-1 after a removal and K+1 after an addition. A
+    holder takes its own stored segment, else the first received piece, in
+    dict order, that covers the range and lists the holder's node.
+    """
+
+    def oracle(db, plan, recipes, received, strict=True):
+        params = db.params
+        w = params.atom_bits
+        contents = {n: {} for n in range(1, len(recipes) + 1)}
+        for recipe in recipes:
+            for holder in recipe.holders:
+                node = plan.actual[holder]
+                bits, offset = 0, 0
+                for origin, start, stop in recipe.parts:
+                    src = None
+                    own = db.stored(node, origin)
+                    if own is not None:
+                        src = (own.bits, start)
+                    else:
+                        for (got_origin, got_start, got_stop), got in received.items():
+                            if (
+                                node in got
+                                and got_origin == origin
+                                and got_start <= start
+                                and stop <= got_stop
+                            ):
+                                src = (got[node], start - got_start)
+                                break
+                    if src is None:
+                        if strict:
+                            raise MergeFailureError(
+                                f"node {node} cannot source atoms [{start}:{stop}] "
+                                f"of segment {origin} for target {recipe.target}"
+                            )
+                        continue
+                    at = src[1]
+                    bits |= slice_atoms(src[0], at, at + stop - start, w) << (offset * w)
+                    offset += stop - start
+                contents[holder][recipe.target] = StoredPiece(offset, bits)
+        return Database(params, len(recipes), contents)
+
+    return oracle

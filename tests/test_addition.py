@@ -221,20 +221,33 @@ def test_kept_replicas_share_one_int():
         assert f"node {node}" in msg and "segment 5" in msg
 
 
-def test_a_damaged_addition_keeps_shipped_parts_as_their_payloads():
-    # the merge takes a decoded piece equal to the reference's cut as that
-    # cut, so, as on clean input, segments K-r+2..K keep the shipped ints
+def test_a_damaged_addition_keeps_shipped_parts_as_their_payloads(every_node_deviates, oracle_merge):
+    # damage sends the addition to the walk, which cuts every replica from its
+    # sources: the result is the all-walk merge and the per-holder oracle's,
+    # each target's equal replicas are one object, and segments K-r+2..K keep
+    # parts equal to the payloads that shipped them
     params = default_params(12, 4)
     db = build_cyclic_database(params, seed=6)
     bad = flip_stored_bit(db, 3, 2, 0)
     # node 3 deviates, so the addition is delivered and merged
     assert cyclic_refs(bad.contents, 12, 4)[1] == {3}
+    fast = addition_outcome(bad)
+    with every_node_deviates():
+        assert addition_outcome(bad) == fast
     run = rebalance_add(bad)
+    plan = run.plan
+    want = oracle_merge(bad, plan, plan.recipes, deliver(bad, run.log, plan))
+    assert (run.final.n_nodes, run.final.contents) == (want.n_nodes, want.contents)
+    for recipe in plan.recipes:
+        replicas = [run.final.stored(n, recipe.target) for n in recipe.holders]
+        assert len({id(p) for p in replicas}) == len({(p.n_atoms, p.bits) for p in replicas})
+    # node 3's replica of segment 2 carries the flipped bit; the others share one piece
+    assert len({id(run.final.stored(n, 2)) for n in cyclic_range(2, 4, 13)}) == 2
     shipped = run.log.broadcasts[12:]
     assert [b.operands[0].base for b in shipped] == [10, 11, 12]
     for b in shipped:
         base = b.operands[0].base
-        assert all(run.final.stored(n, base).bits is b.payload for n in cyclic_range(base, 4, 13))
+        assert all(run.final.stored(n, base).bits == b.payload for n in cyclic_range(base, 4, 13))
 
 
 def test_a_damaged_addition_certifies_its_input_once(monkeypatch):
@@ -293,7 +306,7 @@ def damaged_inputs(db, rng):
 
 
 def test_certified_additions_equal_the_walk(
-    monkeypatch, every_node_deviates, rule_calls, damage_reach
+    monkeypatch, every_node_deviates, rule_calls, expected_rule_calls
 ):
     rng = random.Random(12)
     merges = []
@@ -318,15 +331,17 @@ def test_certified_additions_equal_the_walk(
                     assert merges == [] and rule_calls == [], (k, r, name)
                 else:
                     assert [args[0] for args in merges] == [case], (k, r, name)
-                    # the source rule runs at exactly the holders the damage
-                    # reaches, up to the first that fails; the merge took the
-                    # decode stream, which deliver folds for the reading
+                    # the source rule runs at every holder, up to the first
+                    # that fails; the merge took the decode stream, which
+                    # deliver folds for the reading
                     db, actual, recipes = merges[0][:3]
                     plan = make_addition_plan(db.params)
-                    reach = damage_reach(db, actual, recipes, deliver(db, encode(db, plan.slots), plan))
-                    assert rule_calls and rule_calls == reach[: len(rule_calls)], (k, r, name)
+                    received = deliver(db, encode(db, plan.slots), plan)
+                    expected = expected_rule_calls(db, actual, recipes, received)
+                    assert len(expected) == r * (k + 1), (k, r, name)
+                    assert rule_calls and rule_calls == expected[: len(rule_calls)], (k, r, name)
                     if fast[0] != "MergeFailureError":
-                        assert rule_calls == reach, (k, r, name)
+                        assert rule_calls == expected, (k, r, name)
                 with every_node_deviates():
                     assert addition_outcome(case) == fast, (k, r, name)
                 kinds.add(fast[0] if isinstance(fast[0], str) else name)

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rebalance import (
-    Database,
     MergeFailureError,
     StoredPiece,
     apply_merge,
@@ -250,48 +249,6 @@ def test_replicas_share_one_int_per_source_set():
     assert [msg.split(" payload")[0] for _, msg in rep.findings] == ["node 1 target segment 1"]
 
 
-def oracle_merge(db, plan, recipes, received, strict=True):
-    """The merge one holder at a time: each holder resolves and assembles its own parts.
-
-    A holder takes its own stored segment, else the first received piece, in
-    dict order, that covers the range and lists the holder's node.
-    """
-    params = db.params
-    k, w = params.n_nodes, params.atom_bits
-    contents = {n: {} for n in range(1, k)}
-    for recipe in recipes:
-        for holder in recipe.holders:
-            node = plan.actual[holder]
-            bits, offset = 0, 0
-            for origin, start, stop in recipe.parts:
-                src = None
-                own = db.stored(node, origin)
-                if own is not None:
-                    src = (own.bits, start)
-                else:
-                    for (got_origin, got_start, got_stop), got in received.items():
-                        if (
-                            node in got
-                            and got_origin == origin
-                            and got_start <= start
-                            and stop <= got_stop
-                        ):
-                            src = (got[node], start - got_start)
-                            break
-                if src is None:
-                    if strict:
-                        raise MergeFailureError(
-                            f"node {node} cannot source atoms [{start}:{stop}] "
-                            f"of segment {origin} for target {recipe.target}"
-                        )
-                    continue
-                at = src[1]
-                bits |= slice_atoms(src[0], at, at + stop - start, w) << (offset * w)
-                offset += stop - start
-            contents[holder][recipe.target] = StoredPiece(offset, bits)
-    return Database(params, k - 1, contents)
-
-
 SCHEDULES = {"scheme1": run_scheme1, "scheme2": run_scheme2, "uncoded": run_uncoded_removal}
 
 
@@ -313,7 +270,7 @@ def merge_outcome(merge, db, plan, recipes, received, strict):
 
 
 @pytest.mark.parametrize("k", range(4, 11))
-def test_merge_matches_the_per_holder_oracle(k):
+def test_merge_matches_the_per_holder_oracle(k, oracle_merge):
     rng = random.Random(k)
     errors = short = 0
     for r in range(3, k):
@@ -348,7 +305,7 @@ def test_merge_matches_the_per_holder_oracle(k):
 
 
 @pytest.mark.parametrize("arrival", ["whole-first", "whole-last", "short-first"])
-def test_overlapping_received_pieces_are_taken_in_arrival_order(arrival):
+def test_overlapping_received_pieces_are_taken_in_arrival_order(arrival, oracle_merge):
     params = default_params(12, 9)
     db = build_cyclic_database(params, seed=6)
     run = rebalance_remove(db, 5, "scheme2")
@@ -382,7 +339,9 @@ def test_overlapping_received_pieces_are_taken_in_arrival_order(arrival):
     assert changed == (arrival == "whole-first")
 
 
-def test_a_holder_missing_from_its_parts_range_is_covered_by_a_wider_piece(rule_calls):
+def test_a_holder_missing_from_its_parts_range_is_covered_by_a_wider_piece(
+    rule_calls, oracle_merge
+):
     # in the coverage check of an agreeing origin, a holder that the part's own
     # range does not list must still count as covered by another piece that
     # covers the part and lists it, with no walk
@@ -502,9 +461,10 @@ def merge_variants(db, plan, schedule, rng):
     yield "unshared", unshared, deliver(unshared, schedule(unshared, plan), plan)
 
 
-def test_certified_merges_equal_the_walk(every_node_deviates, rule_calls, damage_reach):
+def test_certified_merges_equal_the_walk(every_node_deviates, rule_calls, expected_rule_calls):
     rng = random.Random(13)
-    outcomes = errors = partial = 0
+    outcomes = errors = 0
+    dropped = Counter()
     for k in range(4, 13):
         for r in range(3, k):
             params = default_params(k, r)
@@ -515,20 +475,23 @@ def test_certified_merges_equal_the_walk(every_node_deviates, rule_calls, damage
                     recipes = build_merge_recipes(params, plan)
                     actual = plan.actual[:k]
                     for kind, case, received in merge_variants(db, plan, schedule, rng):
-                        reach = damage_reach(case, actual, recipes, received)
+                        expected = expected_rule_calls(case, actual, recipes, received)
                         where = (k, r, name, removed, kind)
                         if kind == "clean":
-                            assert reach == [], where
-                        partial += 0 < len(reach) < r * (k - 1)
+                            assert expected == [], where
+                        if kind == "dropped":
+                            # a broadcast whose pieces no holder misses stays
+                            # certified; a coverage miss walks every holder
+                            dropped["walked" if expected else "certified"] += 1
                         for strict in (True, False):
                             rule_calls.clear()
                             fast = shared_outcome(case, plan, recipes, received, strict)
-                            # the source rule runs at exactly the holders the
-                            # damage reaches, up to the first that fails
+                            # the source rule runs at no holder of a certified
+                            # input, else at every holder, up to the first that fails
                             if isinstance(fast, str):
-                                assert rule_calls and rule_calls == reach[: len(rule_calls)], where
+                                assert rule_calls and rule_calls == expected[: len(rule_calls)], where
                             else:
-                                assert rule_calls == reach, where
+                                assert rule_calls == expected, where
                             with every_node_deviates():
                                 walk = shared_outcome(case, plan, recipes, received, strict)
                             assert fast == walk, (*where, strict)
@@ -539,7 +502,8 @@ def test_certified_merges_equal_the_walk(every_node_deviates, rule_calls, damage
                                 number = {}
                                 for _, t, n_atoms, bits, obj in fast[1]:
                                     assert number.setdefault((t, n_atoms, bits), obj) == obj
-    assert outcomes > 6000 and errors > 0 and partial > 0
+    assert outcomes > 6000 and errors > 0
+    assert dropped["walked"] > 0 and dropped["certified"] > 0, dropped
 
 
 def disagreeing_variants(db, plan, schedule, rng):
@@ -578,9 +542,9 @@ def disagreeing_variants(db, plan, schedule, rng):
             yield "payload bit, dropped", db, deliver(db, drop_broadcast(mutated, i + 1), plan)
 
 
-def test_a_disagreeing_piece_merges_as_the_walk(every_node_deviates, rule_calls, damage_reach):
-    # the merge takes an origin whose decoded pieces all equal the reference
-    # on coverage alone; one unequal piece must send it back to the walk
+def test_a_disagreeing_piece_merges_as_the_walk(every_node_deviates, rule_calls, expected_rule_calls):
+    # one decoded piece unequal to the reference's cut of its range must send
+    # the merge to the walk of every holder
     rng = random.Random(23)
     seen = Counter()
     for k in range(4, 13):
@@ -601,25 +565,25 @@ def test_a_disagreeing_piece_merges_as_the_walk(every_node_deviates, rule_calls,
                         for (origin, start, stop), got in received.items()
                         for bits in got.values()
                     ), where
-                    reach = damage_reach(case, actual, recipes, received)
-                    # holders walked for an unequal piece alone, not for their own storage
-                    seen[kind, "beyond"] += any(node not in deviating for _, node in reach)
+                    expected = expected_rule_calls(case, actual, recipes, received)
+                    assert len(expected) == r * (k - 1), where
+                    # walked for an unequal piece alone, not for a survivor's own storage
+                    seen[kind, "certified layout"] += deviating.isdisjoint(actual[1:])
                     for strict in (True, False):
                         rule_calls.clear()
                         fast = shared_outcome(case, plan, recipes, received, strict)
                         if isinstance(fast, str):
-                            assert rule_calls and rule_calls == reach[: len(rule_calls)], where
+                            assert rule_calls and rule_calls == expected[: len(rule_calls)], where
                             seen[kind, "error"] += 1
                         else:
-                            assert rule_calls == reach, where
+                            assert rule_calls == expected, where
                         with every_node_deviates():
                             walk = shared_outcome(case, plan, recipes, received, strict)
                         assert fast == walk, (*where, strict)
                         seen[kind] += 1
     assert seen["stored sibling"] > 500 and seen["payload bit"] > 2000, seen
     assert seen["one receiver's copy"] > 500, seen
-    kinds = ("stored sibling", "payload bit", "one receiver's copy")
-    assert all(seen[kind, "beyond"] for kind in kinds), seen
+    assert all(seen[kind, "certified layout"] for kind in ("payload bit", "one receiver's copy")), seen
     assert seen["payload bit, dropped", "error"] > 0, seen
 
 
@@ -628,19 +592,16 @@ def test_the_source_rule_runs_only_at_the_damaged_node(change, every_node_deviat
     params = default_params(40, 30)
     db = build_cyclic_database(params, seed=11)
     removed, w = 7, params.atom_bits
-    plan = make_split_plan(params, removed)
 
     def run(case):
-        # (merged database, log) of this change's pipeline on case;
-        # rule_calls holds where the source rule ran
+        # this change's ChangeRun on case; rule_calls holds where the source rule ran
         rule_calls.clear()
         if change == "addition":
-            done = rebalance_add(case)
-        else:
-            done = rebalance_remove(case, removed, change)
-        return done.final, done.log
+            return rebalance_add(case)
+        return rebalance_remove(case, removed, change)
 
-    clean, log = run(db)
+    clean = run(db)
+    log, plan = clean.log, clean.plan
     assert rule_calls == []
     # a survivor's replica of a segment whose reference is another node's,
     # flipped at an atom that no broadcast the survivor sends carries
@@ -656,22 +617,21 @@ def test_the_source_rule_runs_only_at_the_damaged_node(change, every_node_deviat
     }
     atom = next(a for a in range(params.segment_atoms) if a not in sent)
     flipped = flip_stored_bit(db, node, index, atom * w)
-    damaged, _ = run(flipped)
-    if change == "addition":
-        holder = node
-    else:
-        holder = next(c for c in range(1, 40) if plan.actual[c] == node)
-    assert rule_calls == [(t, node) for t in damaged.contents[holder]]
+    damaged = run(flipped).final
+    # a deviating survivor sends the merge to the walk: every holder of every
+    # target, in target and holder order
+    walk = [(rec.target, plan.actual[h]) for rec in plan.recipes for h in rec.holders]
+    assert rule_calls == walk
     with every_node_deviates():
-        walked, _ = run(flipped)
+        walked = run(flipped).final
     assert merged_stream(walked) == merged_stream(damaged)
     assert len(rule_calls) == len(damaged.contents) * params.replication
     if change != "addition":
         # the removed node's replicas feed no holder: nothing is walked
         other = next(i for i in db.contents[removed] if i != removed)
-        flipped_removed, _ = run(flip_stored_bit(db, removed, other, 0))
+        flipped_removed = run(flip_stored_bit(db, removed, other, 0)).final
         assert rule_calls == []
-        assert merged_stream(flipped_removed) == merged_stream(clean)
+        assert merged_stream(flipped_removed) == merged_stream(clean.final)
 
 
 # sha256 of a removal's merged (node, index, n_atoms, bits) stream at (40,30),

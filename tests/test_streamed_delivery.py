@@ -1,15 +1,15 @@
 """Delivery streams into the merge.
 
-rebalance_remove on a certified layout streams bus.encoded into
+rebalance_remove, where no survivor deviates, streams bus.encoded into
 removal_merge.merge through certified_groups, which yields each operand's
 receiver group with encode's own cut; any other input, and a damaged
 rebalance_add, feed decode_groups into the merge. The merge keeps an
 agreeing piece's receivers but not its int. These tests pin that each
 stream gives what the merge gives fed deliver's dict or the plain stream,
 on clean and damaged input, that a certified removal cuts each operand once
-and decodes nothing, that its two faults raise as the plain path raises
-them, and that a removal's memory peak stays within a small slack of what
-it returns.
+and decodes nothing, damage at the removed node alone included, that its
+two faults raise as the plain path raises them, and that a removal's memory
+peak stays within a small slack of what it returns.
 """
 
 import random
@@ -263,6 +263,26 @@ def test_certified_removals_equal_encode_then_the_per_group_stream(per_group_twi
         node = rng.randint(1, k)
         twin, mine = per_group_twin(db, rebalance_remove(db, node))
         assert twin == mine, (k, r, node)
+
+
+def test_damage_at_the_removed_node_alone_decodes_nothing(decode_calls):
+    # every removal_grid case: the removed node neither sends nor receives, so
+    # a flipped bit in its replica of another node's segment leaves every
+    # survivor certified; the removal streams certified_groups, decodes
+    # nothing and ends with the clean run's contents and log
+    rng = random.Random(32)
+    cases = 0
+    for k, r, scheme, db, node in grid_removals():
+        index = rng.choice([i for i in db.contents[node] if i != node])
+        flipped = flip_stored_bit(db, node, index, rng.randrange(db.params.segment_bits))
+        assert cyclic_refs(flipped.contents, k, r)[1] == {node}, (k, r, node)
+        clean = rebalance_remove(db, node, scheme)
+        run = rebalance_remove(flipped, node, scheme)
+        assert not decode_calls, (k, r, scheme, node)
+        assert outcome(lambda: run.final) == outcome(lambda: clean.final), (k, r, scheme)
+        assert run.log == clean.log, (k, r, scheme)
+        cases += 1
+    assert cases == 759
 
 
 def test_a_checked_receiver_without_a_base_fails_at_that_node(decode_calls):
