@@ -9,17 +9,14 @@ content generator, never from engine bookkeeping: model.database_content
 holds the latest build's immutable ints and walks afresh for any other), and
 the targets together cover every original atom exactly once.
 
-Each check first tries a certificate that accepts a clean layout, where a
-segment's replicas are one shared piece, with C-level dict and list
-compares that take identity first. Both start from model.cyclic_refs, which
+Each check first makes one certified pass from model.cyclic_refs, which
 verify_change computes once for the two. With no node deviating, the shape
-check needs only the references' sizes, and the content check compares one
-piece per target, the reference, when the target's holders are its window
-by this module's own range arithmetic (never the code that built the
-recipes). Any other target has its
-holders' pieces fetched and compared as a list. Only if a certificate fails
-does the walk run, item by item; the walk alone produces findings, so their
-text and order never depend on the certificate.
+pass needs only the references' sizes. The content pass takes the whole run
+at once: the parts tile every original atom exactly once, each target's
+holders are its window by this module's own arithmetic (never the code that
+built the recipes), and each reference equals the generator cuts it should
+carry. Any miss runs the walk, item by item; the walk alone produces
+findings, so their text and order never depend on a pass.
 
 Findings name the offending node and segment, so a single suppressed
 broadcast or flipped bit is traceable. verify_change runs both checks on
@@ -32,7 +29,7 @@ StoredPiece._replace copy at one node, so the other holders keep theirs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import chain
 
 from .bus import TransmissionLog
 from .errors import ParameterError
@@ -40,7 +37,6 @@ from .model import (
     Database,
     StoredPiece,
     SystemParams,
-    concat_bits,
     cyclic_refs,
     database_content,
     slice_atoms,
@@ -196,19 +192,20 @@ def _check_content(
     certificate: Certificate,
 ) -> VerificationReport:
     """verify_preservation, given cyclic_refs(final.contents, len(expected),
-    params.replication)."""
-    refs, deviating = certificate
-    n, r, w = len(expected), params.replication, params.atom_bits
+    params.replication): the certified pass, else the walk, target by target
+    and holder by holder, then the coverage scan."""
+    w = params.atom_bits
     # read once: both are properties, and the loops below ask per part
     n_origins, seg_atoms = params.n_nodes, params.segment_atoms
     # the latest build's own ints when final came from it, else one fresh walk
     content = database_content(seed, n_origins, seg_atoms * w)
+    if _content_certified(expected, params, content, certificate):
+        return VerificationReport(())
+    # the walk: the one source of findings, so the pass never changes them
     findings: list[Finding] = []
-
     coverage: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, n_origins + 1)}
     for tgt in expected:
-        cuts: list[int] = []
-        widths: list[int] = []
+        want = offset = 0
         reported = len(findings)
         for origin, start, stop in tgt.parts:
             if origin not in coverage or not 0 <= start <= stop <= seg_atoms:
@@ -216,73 +213,85 @@ def _check_content(
                 where = f"outside segments 1..{n_origins} of {seg_atoms} atoms"
                 findings.append(("content", f"target segment {tgt.target} expects {part}, {where}"))
                 continue
-            cuts.append(slice_atoms(content[origin - 1], start, stop, w))
-            widths.append((stop - start) * w)
+            cut = slice_atoms(content[origin - 1], start, stop, w)
+            want = want | cut << offset if offset else cut
+            offset += (stop - start) * w
             coverage[origin].append((start, stop))
         if len(findings) > reported:  # a bad part: no payload to compare the replicas with
             continue
-        n_atoms = sum(widths) // w
-        want = concat_bits(cuts, widths)
-        # a certified layout stores a piece equal to refs[t-1] at every node of
-        # segment t's window, so when those nodes are the holders, that one
-        # piece stands for them all
-        t = tgt.target
-        if not deviating and 1 <= t <= n and tgt.holders == _window(t, r, n):
-            if _content_certified([refs[t - 1]], n_atoms, want):
-                continue
-        # each holder's piece, None where its node or the item is missing
-        node_items = map(final.contents.get, tgt.holders, repeat({}))
-        pieces = list(map(dict.get, node_items, repeat(tgt.target)))
-        if _content_certified(pieces, n_atoms, want):
-            continue
-        for node, piece in zip(tgt.holders, pieces):
+        for node in tgt.holders:
+            piece = final.stored(node, tgt.target)
             if piece is None:
                 findings.append(
                     ("content", f"node {node} is missing target segment {tgt.target}")
                 )
-            elif piece.n_atoms != n_atoms or piece.bits != want:
+            elif piece.n_atoms * w != offset or piece.bits != want:
                 payload = f"node {node} target segment {tgt.target} payload"
                 findings.append(("content", f"{payload} does not match its source atoms"))
 
-    for origin in sorted(coverage):
-        spans = sorted(coverage[origin])
+    for origin, spans in coverage.items():
         cursor = 0
-        for start, stop in spans:
+        # an empty span at the end closes the origin: atoms short of it are lost
+        for start, stop in [*sorted(spans), (seg_atoms, seg_atoms)]:
             if start != cursor:
-                findings.append(
-                    (
-                        "content",
-                        f"origin segment {origin} atoms [{cursor}:{start}] "
-                        f"{'duplicated' if start < cursor else 'lost'} across targets",
-                    )
-                )
+                gap = f"origin segment {origin} atoms [{cursor}:{start}]"
+                how = "duplicated" if start < cursor else "lost"
+                findings.append(("content", f"{gap} {how} across targets"))
             cursor = max(cursor, stop)
-        if cursor != seg_atoms:
-            findings.append(
-                (
-                    "content",
-                    f"origin segment {origin} atoms [{cursor}:{seg_atoms}] "
-                    f"lost across targets",
-                )
-            )
     return VerificationReport(tuple(findings))
 
 
-def _window(index: int, r: int, n: int) -> tuple[int, ...]:
-    """Nodes index..index+r-1 wrapped into 1..n, in ascending order: where a
-    cyclic layout of n nodes stores segment index."""
-    wrapped = index + r - 1 - n  # labels past n, which wrap to 1..wrapped
-    if wrapped <= 0:
-        return tuple(range(index, index + r))
-    return tuple(range(1, wrapped + 1)) + tuple(range(index, n + 1))
+def _content_certified(
+    expected: tuple[MergeRecipe, ...],
+    params: SystemParams,
+    content: tuple[int, ...],
+    certificate: Certificate,
+) -> bool:
+    """True when one pass shows the run clean, so the walk would find nothing.
 
-
-def _content_certified(pieces: list[StoredPiece | None], n_atoms: int, bits: int) -> bool:
-    """True when every piece equals the first, which has the expected size and
-    payload; count takes identity first, so shared pieces cost no compare."""
-    first = pieces[0] if pieces else None
-    same = first is not None and pieces.count(first) == len(pieces)
-    return same and first.n_atoms == n_atoms and first.bits == bits
+    Sorted, the parts tile every origin's atoms exactly once, which also puts
+    each in bounds; the certificate names no deviating node; the targets are
+    1..n in order; each target's holders are its window, nodes t..t+r-1
+    wrapped into 1..n, ascending; and each target's reference has the
+    expected size and equals its generator cuts concatenated. A certified
+    node stores exactly its window of references, so every holder's piece
+    equals the reference it is checked through.
+    """
+    refs, deviating = certificate
+    n, r, w = len(expected), params.replication, params.atom_bits
+    n_origins, seg_atoms = params.n_nodes, params.segment_atoms
+    # each origin from atom 0 to seg_atoms, each part starting where the last
+    # stopped and stopping no earlier, the origins 1..n_origins in turn
+    at_origin, cursor = 1, 0
+    for origin, start, stop in sorted(chain.from_iterable(tgt.parts for tgt in expected)):
+        if origin != at_origin or start != cursor:
+            if not (origin == at_origin + 1 and start == 0 and cursor == seg_atoms):
+                return False
+            at_origin = origin
+        if stop < start:
+            return False
+        cursor = stop
+    if deviating or at_origin != n_origins or cursor != seg_atoms:
+        return False
+    nodes = tuple(range(1, n + 1))
+    for t, (target, holders, parts) in enumerate(expected, 1):
+        wrapped = t + r - 1 - n  # window nodes past n, which wrap to 1..wrapped
+        if wrapped <= 0:
+            in_window = holders == nodes[t - 1 : t - 1 + r]
+        else:
+            in_window = holders[:wrapped] == nodes[:wrapped] and holders[wrapped:] == nodes[t - 1 :]
+        if target != t or not in_window:
+            return False
+        # the cuts concatenated in turn, as the walk does
+        want = offset = 0
+        for origin, start, stop in parts:
+            cut = slice_atoms(content[origin - 1], start, stop, w)
+            want = want | cut << offset if offset else cut
+            offset += (stop - start) * w
+        ref = refs[t - 1]
+        if ref.n_atoms * w != offset or ref.bits != want:
+            return False
+    return True
 
 
 def verify_change(run: ChangeRun, seed: int) -> VerificationReport:

@@ -588,7 +588,7 @@ def test_a_disagreeing_piece_merges_as_the_walk(every_node_deviates, rule_calls,
 
 
 @pytest.mark.parametrize("change", [*sorted(SCHEDULES), "addition"])
-def test_the_source_rule_runs_only_at_the_damaged_node(change, every_node_deviates, rule_calls):
+def test_a_damaged_survivor_walks_every_holder(change, every_node_deviates, rule_calls):
     params = default_params(40, 30)
     db = build_cyclic_database(params, seed=11)
     removed, w = 7, params.atom_bits

@@ -8,6 +8,7 @@ import pytest
 from rebalance import model as model_module
 from rebalance import verify as verify_module
 from rebalance import (
+    Database,
     ParameterError,
     StoredPiece,
     SystemParams,
@@ -25,7 +26,13 @@ from rebalance import (
     verify_cyclic_balanced,
     verify_preservation,
 )
-from rebalance.model import cyclic_refs
+from rebalance.model import (
+    concat_bits,
+    cyclic_layout,
+    cyclic_refs,
+    database_content,
+    slice_atoms,
+)
 
 
 def with_piece(db, node, index, piece):
@@ -337,9 +344,26 @@ def by_walk(monkeypatch, run, seed):
         return verify_change(run, seed)
 
 
+def certified_report(monkeypatch, run, seed):
+    """(accepted, report): whether verify_change(run, seed) took the certified
+    content pass, and its report."""
+    accepted = []
+    content_certified = verify_module._content_certified
+
+    def record(*args):
+        accepted.append(content_certified(*args))
+        return accepted[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(verify_module, "_content_certified", record)
+        report = verify_change(run, seed)
+    (taken,) = accepted
+    return taken, report
+
+
 def clean_changes():
-    """(run, seed) for every removal schedule and addition with K <= 10."""
-    for k in range(3, 11):
+    """(run, seed) for every removal schedule and addition with 4 <= K <= 25."""
+    for k in range(4, 26):
         for r in range(2, k):
             seed = 100 * k + r
             db = build_cyclic_database(default_params(k, r), seed=seed)
@@ -350,26 +374,23 @@ def clean_changes():
 
 
 def test_clean_changes_are_certified_and_agree_with_the_walk(monkeypatch):
-    accepted = []
-    content_certified = verify_module._content_certified
-
-    def record(*args):
-        accepted.append(content_certified(*args))
-        return accepted[-1]
-
     def no_walk(*args):
-        raise AssertionError("the shape walk ran on a clean layout")
+        raise AssertionError("a walk ran on a clean layout")
 
     n_runs = 0
     for run, seed in clean_changes():
-        assert by_walk(monkeypatch, run, seed).ok
+        walked = by_walk(monkeypatch, run, seed)
+        assert walked.ok
         with monkeypatch.context() as m:
-            m.setattr(verify_module, "_content_certified", record)
+            # the content walk fetches every holder's piece; the pass reads
+            # the stored pieces only through the certificate
+            m.setattr(Database, "stored", no_walk)
             m.setattr(verify_module, "_shape_walk", no_walk)
-            assert verify_change(run, seed).ok
+            accepted, rep = certified_report(monkeypatch, run, seed)
+        assert accepted and rep == walked, (run.final.n_nodes, run.plan.scheme)
         n_runs += 1
-    assert n_runs == 36 + 3 * 28
-    assert len(accepted) > n_runs and all(accepted)
+    # 275 additions (2 <= r < K) and 253 removals under each schedule (3 <= r < K)
+    assert n_runs == 275 + 3 * 253
 
 
 def tampered_finals(final, targets):
@@ -392,15 +413,66 @@ def tampered_finals(final, targets):
     contents = {n: dict(items) for n, items in final.contents.items()}
     del contents[2][2]
     yield "missing item", replace(final, contents=contents)
-    # one shorter piece shared by every holder of segment 1
+    # one shorter piece shared by every holder of segment 1, and one of the
+    # same bits that claims an atom more
     w = final.params.atom_bits
     piece = final.stored(1, 1)
-    short = StoredPiece(piece.n_atoms - 1, piece.bits >> w)
-    contents = {n: dict(items) for n, items in final.contents.items()}
-    for items in contents.values():
-        if 1 in items:
-            items[1] = short
-    yield "shorter shared piece", replace(final, contents=contents)
+    for name, shared in (
+        ("shorter shared piece", StoredPiece(piece.n_atoms - 1, piece.bits >> w)),
+        ("wider shared piece", StoredPiece(piece.n_atoms + 1, piece.bits)),
+    ):
+        contents = {n: dict(items) for n, items in final.contents.items()}
+        for items in contents.values():
+            if 1 in items:
+                items[1] = shared
+        yield name, replace(final, contents=contents)
+
+
+def tampered_recipes(recipes, params):
+    """(name, recipes) for every way the expected targets can miss the
+    certified pass: order, parts and holders."""
+    first, second, *rest = recipes
+    yield "targets swapped", (second, first, *rest)
+    renumbered = (first._replace(target=2), second._replace(target=1), *rest)
+    yield "target numbers swapped", renumbered
+    split = next(i for i, rec in enumerate(recipes) if len(rec.parts) >= 2)
+    rec = recipes[split]
+
+    def with_recipe(i, edited):
+        return (*recipes[:i], edited, *recipes[i + 1 :])
+
+    yield "part duplicated", with_recipe(split, rec._replace(parts=(*rec.parts, rec.parts[0])))
+    yield "part lost", with_recipe(split, rec._replace(parts=rec.parts[:-1]))
+    origin, start, stop = rec.parts[-1]
+    n_origins, seg_atoms = params.n_nodes, params.segment_atoms
+    for name, part in (
+        ("origin 0", (0, start, stop)),
+        ("origin past the last", (n_origins + 1, start, stop)),
+        ("stop past the end", (origin, start, seg_atoms + 1)),
+        ("start after stop", (origin, stop, start)),
+    ):
+        out = rec._replace(parts=(*rec.parts[:-1], part))
+        yield f"part out of bounds: {name}", with_recipe(split, out)
+    # a part that ends its origin, split at an atom past the end: sorted, the
+    # two still chain from its start to the end of the origin
+    i, j = next(
+        (i, j)
+        for i, rec in enumerate(recipes)
+        for j, part in enumerate(rec.parts)
+        if part[2] == seg_atoms
+    )
+    rec = recipes[i]
+    (origin, start, stop), beyond = rec.parts[j], seg_atoms + 1
+    there_and_back = ((origin, start, beyond), (origin, beyond, stop))
+    out = rec._replace(parts=(*rec.parts[:j], *there_and_back, *rec.parts[j + 1 :]))
+    yield "part out of bounds: past the end and back", with_recipe(i, out)
+    n = len(recipes)
+    # the first target's window does not wrap, the last one's does
+    for i in (0, n - 1):
+        rec = recipes[i]
+        yield f"holders reversed {i + 1}", with_recipe(i, rec._replace(holders=rec.holders[::-1]))
+        shifted = tuple(sorted(h % n + 1 for h in rec.holders))
+        yield f"holders shifted {i + 1}", with_recipe(i, rec._replace(holders=shifted))
 
 
 @pytest.mark.parametrize("op", ["remove", "add"])
@@ -410,9 +482,52 @@ def test_tampered_layouts_get_the_walks_findings(op, k, r, monkeypatch):
     run = rebalance_remove(db, 5) if op == "remove" else rebalance_add(db)
     for name, final in tampered_finals(run.final, run.recipes):
         bad = replace(run, final=final)
-        rep = verify_change(bad, 21)
+        accepted, rep = certified_report(monkeypatch, bad, 21)
         assert rep == by_walk(monkeypatch, bad, 21), name
-        assert rep.ok == (name == "equal-but-distinct"), name
+        assert rep.ok == accepted == (name == "equal-but-distinct"), name
+    for name, recipes in tampered_recipes(run.recipes, db.params):
+        bad = replace(run, plan=replace(run.plan, recipes=recipes))
+        accepted, rep = certified_report(monkeypatch, bad, 21)
+        assert not accepted and rep == by_walk(monkeypatch, bad, 21), name
+        # reordered targets or holders expect the same replicas: nothing to find
+        assert rep.ok == name.startswith(("targets swapped", "holders reversed")), name
+
+
+def assembled(final, recipes, seed):
+    """A copy of final whose targets hold exactly what recipes ask for, cut
+    from the generator and placed in cyclic layout."""
+    params = final.params
+    w = params.atom_bits
+    content = database_content(seed, params.n_nodes, params.segment_atoms * w)
+    pieces = [
+        StoredPiece(
+            sum(stop - start for _, start, stop in rec.parts),
+            concat_bits(
+                [slice_atoms(content[o - 1], start, stop, w) for o, start, stop in rec.parts],
+                [(stop - start) * w for _, start, stop in rec.parts],
+            ),
+        )
+        for rec in recipes
+    ]
+    return replace(final, contents=cyclic_layout(pieces, params.replication))
+
+
+@pytest.mark.parametrize("op", ["remove", "add"])
+@pytest.mark.parametrize("k, r", [(6, 3), (12, 9)])
+def test_targets_that_hold_what_they_expect_still_miss_on_coverage(op, k, r, monkeypatch):
+    # every holder stores its target's expected atoms, so only the coverage
+    # check can tell that the targets lose or repeat original atoms
+    db = build_cyclic_database(default_params(k, r), seed=21)
+    run = rebalance_remove(db, 5) if op == "remove" else rebalance_add(db)
+    edits = dict(tampered_recipes(run.recipes, db.params))
+    for name, how in (("part duplicated", "duplicated"), ("part lost", "lost")):
+        recipes = edits[name]
+        bad = replace(run, final=assembled(run.final, recipes, 21))
+        bad = replace(bad, plan=replace(run.plan, recipes=recipes))
+        accepted, rep = certified_report(monkeypatch, bad, 21)
+        assert not accepted and rep == by_walk(monkeypatch, bad, 21), name
+        content = [msg for cat, msg in rep.findings if cat == "content"]
+        assert content and all(msg.endswith(f"{how} across targets") for msg in content), name
 
 
 def test_dropped_broadcasts_get_the_walks_findings(replay_without_broadcast, monkeypatch):
