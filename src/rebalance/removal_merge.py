@@ -271,9 +271,9 @@ def _certified_pieces(
     equal_cuts: dict[AtomRange, int],
 ) -> list[StoredPiece] | None:
     """Each target's one piece on a certified run, its parts the reference
-    cuts, or None when a holder that lacks a part's origin is listed by no
-    decoded piece that covers the part (a dropped broadcast, a partial dict),
-    which only the walk can place."""
+    cuts, or None when a part's origin is no segment 1..n, or a holder that
+    lacks it is listed by no decoded piece that covers the part (a dropped
+    broadcast, a partial dict): only the walk can place those."""
     n, r, w = params.n_nodes, params.replication, params.atom_bits
     m = len(position)
     past = ((n + 1, m + 1),) if m > n else ()  # an addition's new node
@@ -289,7 +289,7 @@ def _certified_pieces(
         held = cyclic_spans(recipe.target, r, m)
         bits = offset = 0
         for origin, start, stop in recipe.parts:
-            ref = refs[origin - 1]
+            ref = refs[origin - 1] if 0 < origin <= n else None
             if ref is None:
                 return None
             # the holders of this target that lack the origin

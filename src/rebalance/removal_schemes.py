@@ -34,12 +34,11 @@ against the plan's recipes.
 Where no survivor deviates from the certified layout, certified_groups
 encodes and delivers in one pass, each operand's cut both in its payload
 and, as its receivers' piece, in the merge; any other input is encoded whole
-and decoded by decode_groups.
+and decoded by decode_groups, receiver by receiver.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Iterator
 
 from . import analytics
@@ -125,18 +124,25 @@ def run_uncoded_removal(db: Database, plan: SplitPlan) -> TransmissionLog:
     return encode(db, removal_slots(plan, "uncoded"))
 
 
-def decode_groups(db: Database, log: TransmissionLog) -> Iterator[DecodeGroup]:
-    """Decode every broadcast of several operands once per receiver group, and
-    yield each decode as (range, nodes, bits, False) in decode order.
+def _receivers(ops: tuple[SubsegmentLabel, ...]) -> list[tuple[int, int]]:
+    """(node, operand index) for every node named in exactly one of ops, by node."""
+    mine: dict[int, int | None] = {}
+    for i, op in enumerate(ops):
+        for node in op.superscript:
+            mine[node] = None if node in mine else i
+    return sorted((node, i) for node, i in mine.items() if i is not None)
 
-    Addressed nodes that want the same operand and store the same pieces for
-    the other operands strip the same bits, so they form one group, and
-    decode_at_node runs once at the group's lowest node (a missing base fails
-    there). A one-operand broadcast strips nothing: its payload cut to the
-    piece (a payload that fits is that very int) goes to every addressed
-    node. range is the piece's (origin, atom start, atom stop), nodes its
-    receivers, ascending; the merge compares each piece with the references.
-    A generator: a decoded int the consumer does not keep dies with its group.
+
+def decode_groups(db: Database, log: TransmissionLog) -> Iterator[DecodeGroup]:
+    """Decode every broadcast receiver by receiver, and yield each decode as
+    (range, nodes, bits, False) in decode order: by broadcast, then by node.
+
+    decode_at_node runs at each node named in one operand alone of a
+    broadcast of several (a missing base fails there). A one-operand
+    broadcast strips nothing: its payload cut to the piece (a payload that
+    fits is that very int) goes to all its nodes at once. range is the
+    piece's (origin, atom start, atom stop), nodes its receivers, ascending.
+    A generator: a decoded int the consumer does not keep dies with it.
     """
     w = db.params.atom_bits
     for b in log.broadcasts:
@@ -148,25 +154,9 @@ def decode_groups(db: Database, log: TransmissionLog) -> Iterator[DecodeGroup]:
                 bits = slice_atoms(b.payload, 0, op.size_atoms, w)
                 yield (op.base, op.atom_start, op.atom_stop), sorted(op.superscript), bits, False
             continue
-        # (operand index, ids of the node's pieces of the others' bases) ->
-        # nodes, ascending, so the groups come in order of their lowest node
-        groups: dict[tuple, list[int]] = {}
-        # addressed node -> (index of its operand, bases of the others), or
-        # None when named in several operands
-        wants: dict[int, tuple[int, list[int]] | None] = {}
-        for i, op in enumerate(ops):
-            strip = (i, [other.base for other in ops if other is not op])
-            for node in op.superscript:
-                wants[node] = None if node in wants else strip
-        for node in sorted(wants):
-            strip = wants[node]
-            if strip is not None:
-                stored = db.contents.get(node, {})
-                key = (strip[0], *[id(stored.get(base)) for base in strip[1]])
-                groups.setdefault(key, []).append(node)
-        for nodes in groups.values():
-            label, bits = decode_at_node(db, nodes[0], b)
-            yield (label.base, label.atom_start, label.atom_stop), nodes, bits, False
+        for node, _ in _receivers(ops):
+            label, bits = decode_at_node(db, node, b)
+            yield (label.base, label.atom_start, label.atom_stop), [node], bits, False
 
 
 def certified_groups(
@@ -174,16 +164,14 @@ def certified_groups(
 ) -> Iterator[DecodeGroup]:
     """Encode slots and deliver them in one pass over a layout in which no
     sender or receiver deviates: append each broadcast to broadcasts, and
-    yield each operand's receiver group as (range, nodes, cut, True) with the
-    cut bus.encoded made.
+    yield decode_groups' stream with each receiver's operand as (range,
+    nodes, cut, True), the cut bus.encoded made.
 
-    A group is the addressed nodes named in that operand alone that store
-    every other operand's base, where node m stores segment b iff
-    (m - b) mod n < r: by XOR linearity each would decode exactly that cut.
-    A receiver that lacks a base goes to decode_at_node, which fails there
-    as decode_groups does, in the same order: by broadcast, then by lowest
-    node. bus.encoded checks every slot before its first yield, so its
-    ProtocolViolationError comes first.
+    A receiver that stores every other operand's base, where node m stores
+    segment b iff (m - b) mod n < r, would decode exactly that cut by XOR
+    linearity; one that lacks a base goes to decode_at_node, which fails
+    there as decode_groups does. bus.encoded checks every slot before its
+    first yield, so its ProtocolViolationError comes first.
     """
     n, r = db.params.n_nodes, db.params.replication
     for b, cuts in encoded(db, slots):
@@ -194,29 +182,13 @@ def certified_groups(
             if op.superscript:
                 yield (op.base, op.atom_start, op.atom_stop), sorted(op.superscript), cuts[0], True
             continue
-        # nodes named in several operands decode none of them
-        named = [node for op in ops for node in op.superscript]
-        once = set(named)
-        shared = () if len(once) == len(named) else Counter(named) - Counter(once)
-        # (lowest node, operand index, nodes); a receiver that lacks a base
-        # is its own entry with no operand
-        groups = []
-        for i, op in enumerate(ops):
-            others = [other.base for other in ops if other is not op]
-            nodes = sorted([node for node in op.superscript if node not in shared])
-            lacking = {m for m in nodes for base in others if (m - base) % n >= r}
-            if lacking:
-                groups += [(m, None, None) for m in lacking]
-                nodes = [m for m in nodes if m not in lacking]
-            if nodes:
-                groups.append((nodes[0], i, nodes))
-        for m, i, nodes in sorted(groups):
-            if i is None:
-                label, bits = decode_at_node(db, m, b)
-                yield (label.base, label.atom_start, label.atom_stop), [m], bits, False
-            else:
+        for node, i in _receivers(ops):
+            if all((node - other.base) % n < r for j, other in enumerate(ops) if j != i):
                 op = ops[i]
-                yield (op.base, op.atom_start, op.atom_stop), nodes, cuts[i], True
+                yield (op.base, op.atom_start, op.atom_stop), [node], cuts[i], True
+            else:
+                label, bits = decode_at_node(db, node, b)
+                yield (label.base, label.atom_start, label.atom_stop), [node], bits, False
 
 
 def deliver(

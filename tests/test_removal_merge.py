@@ -304,6 +304,29 @@ def test_merge_matches_the_per_holder_oracle(k, oracle_merge):
     assert errors > 0 and short > 0
 
 
+@pytest.mark.parametrize("origin", [0, 7])
+def test_a_part_outside_the_segments_merges_as_the_walk(origin, oracle_merge):
+    # a certified run cuts each part from its origin's reference; an origin
+    # outside 1..n has none, so the run is walked and fails as the oracle does
+    params = default_params(6, 3)
+    db = build_cyclic_database(params, seed=0)
+    plan = make_split_plan(params, 6)
+    first, *recipes = build_merge_recipes(params, plan)
+    (_, start, stop), *parts = first.parts
+    recipes = (first._replace(parts=((origin, start, stop), *parts)), *recipes)
+    received = deliver(db, run_scheme1(db, plan), plan)
+    for strict in (True, False):
+        want = merge_outcome(oracle_merge, db, plan, recipes, received, strict)
+        assert merge_outcome(apply_merge, db, plan, recipes, received, strict) == want, strict
+        if strict:
+            assert want == f"node 1 cannot source atoms [{start}:{stop}] of segment {origin} for target 1"
+        else:
+            # every holder of target 1 keeps a replica short of that part
+            full = sum(b - a for _, a, b in first.parts)
+            sizes = {n for _, items in want[3] for t, n, _ in items if t == 1}
+            assert sizes == {full - (stop - start)}
+
+
 @pytest.mark.parametrize("arrival", ["whole-first", "whole-last", "short-first"])
 def test_overlapping_received_pieces_are_taken_in_arrival_order(arrival, oracle_merge):
     params = default_params(12, 9)

@@ -34,7 +34,8 @@ from rebalance import (
 from rebalance import removal_schemes
 from rebalance.addition import make_addition_plan
 from rebalance.analytics import corner_overhead
-from rebalance.removal_schemes import removal_slots
+from rebalance.bus import encode
+from rebalance.removal_schemes import certified_groups, decode_groups, removal_slots
 
 SCHEDULES = {"scheme1": run_scheme1, "scheme2": run_scheme2, "uncoded": run_uncoded_removal}
 
@@ -189,6 +190,10 @@ def test_schedules_pass_the_payload_free_audit():
                         assert len(ops) == 2, where
                     assert sender != removed, where
                     assert all(holds(sender, op.base) for op in ops), where
+                    if kind == "coded":
+                        # one receiver per operand: a coded slot decodes at
+                        # as many nodes as it has operands
+                        assert all(len(op.superscript) == 1 for op in ops), where
                     for op in ops:
                         for node in op.superscript:
                             # node strips every other operand and keeps its own
@@ -211,26 +216,21 @@ def decodes_node_by_node(db, log):
     return out
 
 
-def receiver_groups(db, log):
-    """Per broadcast of several operands, the nodes named in one operand, grouped
-    by that operand and the stored bits they strip for the others; the number of
-    groups in the log. A one-operand broadcast strips nothing and is not decoded."""
+def addressed_receivers(log):
+    """Per broadcast of several operands, the addressed nodes named in exactly
+    one operand; their number in the log. A one-operand broadcast strips
+    nothing and is not decoded."""
     count = 0
     for b in log.broadcasts:
         if len(b.operands) < 2:
             continue
-        groups = set()
-        for node in {n for op in b.operands for n in op.superscript}:
-            mine = [i for i, op in enumerate(b.operands) if node in op.superscript]
-            if len(mine) == 1:
-                others = [op for i, op in enumerate(b.operands) if i != mine[0]]
-                groups.add((mine[0], *[db.stored(node, op.base).bits for op in others]))
-        count += len(groups)
+        named = [n for op in b.operands for n in op.superscript]
+        count += sum(named.count(n) == 1 for n in set(named))
     return count
 
 
 @pytest.mark.parametrize("k", range(4, 11))
-def test_deliver_decodes_once_per_receiver_group(k, monkeypatch):
+def test_deliver_decodes_once_per_addressed_receiver(k, monkeypatch):
     calls = []
     real = removal_schemes.decode_at_node
 
@@ -258,7 +258,7 @@ def test_deliver_decodes_once_per_receiver_group(k, monkeypatch):
                 want = decodes_node_by_node(db, log)
                 calls.clear()
                 received = deliver(db, log, plan)
-                assert len(calls) == receiver_groups(db, log), (k, r, name)
+                assert len(calls) == addressed_receivers(log), (k, r, name)
                 # each decode once, under the key of its range, at its node with
                 # its bits, and no other entries
                 assert list(received) == list(dict.fromkeys(piece[:3] for _, _, piece in want))
@@ -293,6 +293,43 @@ def test_deliver_decodes_once_per_receiver_group(k, monkeypatch):
         key = (label.base, label.atom_start, label.atom_stop)
         assert list(received) == [key], payload
         assert list(received[key].items()) == [(n, bits) for n in sorted(op.superscript)], payload
+
+
+def test_an_operand_with_two_receivers_is_decoded_at_each(monkeypatch):
+    # no plan names two receivers in one coded operand (the payload-free audit
+    # pins that), so hand-build one at (6,3): node 1's W_5^{2} + W_6^{5} also
+    # sends its first operand to node 1, which holds W_6 as node 2 does
+    params = default_params(6, 3)
+    clean = build_cyclic_database(params, seed=0)
+    plan = removal_schemes.make_removal_plan(params, 6, "scheme1")
+    (sender, kind, (first, second), atoms), *rest = plan.slots
+    assert (sender, first.superscript, second.superscript) == (1, (2,), (5,))
+    two = first._replace(superscript=(1, 2))
+    slots = [(sender, kind, (two, second), atoms), *rest]
+    log = encode(clean, slots)
+    calls = []
+    real = removal_schemes.decode_at_node
+
+    def counted(db, node, b):
+        calls.append(node)
+        return real(db, node, b)
+
+    monkeypatch.setattr(removal_schemes, "decode_at_node", counted)
+    received = deliver(clean, log, plan)
+    # each receiver decodes for itself: nodes 1 and 2, then node 5, then the
+    # second coded slot's nodes 1 and 4
+    assert calls == [1, 2, 5, 1, 4]
+    got = received[5, 0, 35]
+    assert list(got) == [1, 2] and got[1] == got[2]
+    plain = list(decode_groups(clean, log))
+    calls.clear()
+    checked = list(certified_groups(clean, slots, []))
+    # the certified pass hands each receiver encode's own cut and decodes nothing
+    assert calls == [] and all(agrees for *_, agrees in checked)
+    assert [group[:3] for group in checked] == [group[:3] for group in plain]
+    want = rebalance_remove(clean, 6, "scheme1").final.contents
+    for delivered in (received, iter(plain), iter(checked)):
+        assert apply_merge(clean, plan, plan.recipes, delivered).contents == want
 
 
 class UnhashableInt(int):

@@ -4,7 +4,7 @@ Each case draws K in 26..80, a replication r >= 3, t_mult 1..3, a removed
 node, a content seed, and one of the three removal schedules, auto, or an
 addition, from a seeded generator, so the sample is the same on every run.
 Every run must verify, with its load equal to the closed form, and a removal
-must equal its log encoded whole and merged through the plain per-group
+must equal its log encoded whole and merged through the plain per-receiver
 stream: log, payloads, contents and replica sharing. It then gets
 one flipped stored bit in its result, which must be found by a finding that
 names the node and segment, and separately one dropped broadcast, replayed
@@ -12,7 +12,7 @@ as the replay_without_broadcast fixture does. A drop that carries an operand
 must be found; a scheme-2 filler carries none, so its drop must leave the
 merged contents exactly as the clean run's. Last, one payload bit of a
 broadcast with operands is flipped, and the tampered log is merged through
-the plain per-group stream: the result must give a finding when some
+the plain per-receiver stream: the result must give a finding when some
 receiver takes the bit into a replica, and the clean run's contents when
 none does.
 """
@@ -98,7 +98,7 @@ def test_sampled_runs_verify_and_every_sampled_fault_is_found(
             run, expected = rebalance_add(db), addition_load(k, r)
         else:
             run = rebalance_remove(db, node, kind)
-            # the certified one-pass delivery gives the per-group stream's run
+            # the certified one-pass delivery gives the per-receiver stream's run
             twin, mine = per_group_twin(db, run)
             assert twin == mine, case
             scheme = choose_scheme(k, r) if kind == "auto" else kind
@@ -131,7 +131,7 @@ def test_sampled_runs_verify_and_every_sampled_fault_is_found(
         broadcasts = list(run.log.broadcasts)
         broadcasts[index] = b._replace(payload=b.payload ^ (1 << bit))
         log = replace(run.log, broadcasts=broadcasts)
-        # a tampered log goes through the plain per-group stream
+        # a tampered log goes through the plain per-receiver stream
         plan, certificate = run.plan, cyclic_refs(db.contents, k, r)
         merged = removal_merge.merge(
             db, plan.actual, plan.recipes, decode_groups(db, log), False, certificate

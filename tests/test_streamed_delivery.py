@@ -2,7 +2,7 @@
 
 rebalance_remove, where no survivor deviates, streams bus.encoded into
 removal_merge.merge through certified_groups, which yields each operand's
-receiver group with encode's own cut; any other input, and a damaged
+receivers, one by one, with encode's own cut; any other input, and a damaged
 rebalance_add, feed decode_groups into the merge. The merge keeps an
 agreeing piece's receivers but not its int. These tests pin that each
 stream gives what the merge gives fed deliver's dict or the plain stream,
@@ -136,9 +136,9 @@ def test_streamed_removals_equal_the_merge_of_delivers_dict(k):
 @pytest.mark.parametrize("k", range(4, 11))
 def test_checked_removals_equal_the_per_group_stream(k):
     # a certified layout's schedule, encoded and delivered in one pass by
-    # certified_groups, merges as its log through the plain per-group stream
-    # does; a damaged layout names deviating nodes, so rebalance_remove
-    # encodes it whole and decodes every group. A tampered log has only the
+    # certified_groups, merges as its log through the plain per-receiver
+    # stream does; a damaged layout names deviating nodes, so rebalance_remove
+    # encodes it whole and decodes at every receiver. A tampered log has only the
     # plain stream, which the test above checks against deliver's dict
     for where, plan, recipes, slots, case, log in removal_inputs(k):
         removed, scheme, name = where[2:]
@@ -288,7 +288,7 @@ def test_damage_at_the_removed_node_alone_decodes_nothing(decode_calls):
 def test_a_checked_receiver_without_a_base_fails_at_that_node(decode_calls):
     # a hand-built schedule on a certified layout: node 4 (segments 2..4)
     # wants W_1 but stores no W_5 to strip, while node 2 (segments 6, 1, 2)
-    # can strip W_1 to take W_5. Node 2's group is encode's cut with no
+    # can strip W_1 to take W_5. Node 2 gets encode's cut with no
     # decode, and node 4 goes to decode_at_node, which fails there as the
     # plain stream does
     params = default_params(6, 3)
