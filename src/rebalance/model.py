@@ -108,13 +108,13 @@ def cyclic_range(start: int, count: int, modulus: int) -> tuple[int, ...]:
     return tuple(range(start, modulus + 1)) + tuple(range(1, stop - modulus))
 
 
-def cyclic_spans(start: int, count: int, modulus: int) -> tuple[tuple[int, int], ...]:
-    """cyclic_range(start, count, modulus) as at most two half-open ranges of
-    labels, the one from start first; unchecked, for hot loops."""
+def cyclic_mask(start: int, count: int, modulus: int) -> int:
+    """cyclic_range(start, count, modulus) as an int with bit x set for each
+    label x; unchecked, for hot loops."""
     stop = start + count
     if stop <= modulus + 1:
-        return ((start, stop),)
-    return ((start, modulus + 1), (1, stop - modulus))
+        return (1 << stop) - (1 << start)
+    return ((1 << modulus + 1) - (1 << start)) | ((1 << stop - modulus) - 2)
 
 
 def sorted_cyclic_range(start: int, count: int, modulus: int) -> tuple[int, ...]:

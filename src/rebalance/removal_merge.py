@@ -22,23 +22,27 @@ alone feeds no holder) and every decoded piece is the reference's cut of its
 range. Then each recipe part is cut once from its reference piece, or taken
 as a decoded piece of the very same range, each target is assembled once, and
 cyclic_layout places it at its r holders as one shared piece; a coverage
-check still requires each holder that lacks a part's origin to be listed by
-some decoded piece that covers the part. Any other input, a coverage miss
-too, is walked: the rule runs at every holder of every target, in target and
-holder order, so a holder that no source lists fails with MergeFailureError,
-or keeps a short replica, at exactly that holder, and a replica equal to
-another of its target is that one object. An addition is merged against its
-own recipes in node labels; its new node stores nothing.
+check still requires each holder that lacks a part's origin to be in the
+mask of some decoded piece that covers the part, proved with int masks of
+holder labels. Any other input, a coverage miss too, is walked: the rule
+runs at every holder of every target, in target and holder order, so a
+holder that no source lists fails with MergeFailureError, or keeps a short
+replica, at exactly that holder, and a replica equal to another of its
+target is that one object. An addition is merged against its own recipes in
+node labels; its new node stores nothing.
 
 The merge folds delivery, a stream of decode groups (range, nodes, bits,
-agrees) in decode order, by atom range as it comes: a node keeps the first
-piece of a range it decodes. A group with agrees set is the reference cut of
-its range, encode's own cut from removal_schemes.certified_groups; any other
-(removal_schemes.decode_groups) is compared with the reference on arrival.
-An agreeing piece keeps only its receivers. On a run still certified its int
-waits until the recipe part of its range takes it as its cut; the walk cuts
-the reference over the same atoms instead. An unequal piece stays at its
-receivers until the merge returns.
+agrees) in decode order, into one record per decoded range as it comes: a
+mask with bit h set for each holder label h whose node decoded the range (a
+node that holds no target gets a bit past them), and {node: bits} for the
+nodes whose piece is not the reference's cut of the range. A node keeps the
+first piece of a range it decodes. A group with agrees set is the reference
+cut of its range, encode's own cut from removal_schemes.certified_groups;
+any other (removal_schemes.decode_groups) is compared with the reference on
+arrival. An agreeing piece sets only its receivers' bits. On a run still
+certified its int waits until the recipe part of its range takes it as its
+cut; the walk cuts the reference over the same atoms instead. An unequal
+piece stays in its record until the merge returns.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from .model import (
     SystemParams,
     cyclic_layout,
     cyclic_refs,
-    cyclic_spans,
+    cyclic_mask,
     slice_atoms,
     sorted_cyclic_range,
 )
@@ -187,8 +191,11 @@ def merge(
     bits, agrees) in decode order, or deliver's dict of them folded, read
     back as one group per run of one int among a range's receivers, none
     agreeing; the result is the same. An agreeing group is taken as the
-    reference cut with no compare. A caller that passes the dict keeps every
-    decoded int alive; rebalance_remove and a damaged rebalance_add stream.
+    reference cut with no compare. Both paths read the one fold: per decoded
+    range, the mask of its receivers (bit h for holder label h) and the
+    pieces that are not the reference's cut. A caller that passes the dict
+    keeps every decoded int alive; rebalance_remove and a damaged
+    rebalance_add stream.
 
     With strict=True a holder that cannot source a part raises
     MergeFailureError; with strict=False the part is skipped, leaving a short
@@ -203,42 +210,51 @@ def merge(
     # holder label by actual node, a window position; the removed node's is n
     position = dict(zip(actual[1:], range(1, m + 1)))
     certified = deviating.isdisjoint(position)
+    # a node's bit in a range's mask: holder h's is 1 << h, and a node that
+    # holds no target gets the next free bit when the stream first names it
+    bit = {node: 1 << holder for node, holder in position.items()}
     if isinstance(delivered, dict):
         delivered = _unfold(delivered)
-    # an agreeing piece keeps only its receivers, marked None; on a run still
-    # certified, its int waits in equal_cuts for the part of the same range
-    # origin -> [(start, stop, {actual node: bits or None})], in first-decode order
-    decoded: dict[int, list[tuple[int, int, dict[int, int | None]]]] = {}
-    ranges: dict[AtomRange, dict[int, int | None]] = {}  # the same dicts by range
+    # one record per decoded range, [mask of the nodes that decoded it,
+    # {node: bits} of those whose piece is not the reference's cut]; on a run
+    # still certified, an agreeing piece's int waits in equal_cuts for the
+    # part of the same range
+    # origin -> [(start, stop, record)], in first-decode order
+    decoded: dict[int, list[tuple[int, int, list]]] = {}
+    ranges: dict[AtomRange, list] = {}  # the same records by range
     equal_cuts: dict[AtomRange, int] = {}
     for key, nodes, bits, agrees in delivered:
-        got = ranges.get(key)
-        if got is not None:
-            # a node keeps the first piece of a range it decodes
-            nodes = [node for node in nodes if node not in got]
-            if not nodes:
-                continue
+        mask = 0
+        for node in nodes:
+            b = bit.get(node)
+            if b is None:
+                b = bit[node] = 1 << (len(bit) + 1)
+            mask |= b
         origin, start, stop = key
+        got = ranges.get(key)
+        if got is None:
+            ranges[key] = got = [mask, {}]
+            decoded.setdefault(origin, []).append((start, stop, got))
+        else:
+            # a node keeps the first piece of a range it decodes
+            mask &= ~got[0]
+            if not mask:
+                continue
+            got[0] |= mask
         if not agrees:
             cut = equal_cuts.get(key)
             if cut is None:
                 ref = refs[origin - 1] if 0 < origin <= n else None
                 if ref is not None:
                     cut = slice_atoms(ref.bits, start, stop, w)
-            agrees = bits is cut or bits == cut
-        if agrees:
-            if certified:
-                equal_cuts.setdefault(key, bits)
-            bits = None
-        elif certified:
-            # the walk cuts an agreeing piece from the reference instead
-            certified = False
-            equal_cuts.clear()
-        if got is None:
-            ranges[key] = got = dict.fromkeys(nodes, bits)
-            decoded.setdefault(origin, []).append((start, stop, got))
-        else:
-            got.update(dict.fromkeys(nodes, bits))
+            if bits is not cut and bits != cut:
+                got[1].update({node: bits for node in nodes if bit[node] & mask})
+                # the walk cuts an agreeing piece from the reference instead
+                certified = False
+                equal_cuts.clear()
+                continue
+        if certified:
+            equal_cuts.setdefault(key, bits)
     if certified:
         pieces = _certified_pieces(params, position, recipes, decoded, refs, equal_cuts)
         if pieces is not None:
@@ -251,7 +267,8 @@ def merge(
         # piece costs time linear in its size
         distinct: list[StoredPiece] = []
         for holder in recipe.holders:
-            built = _source_rule(db, actual[holder], recipe, decoded, refs, strict)
+            node = actual[holder]
+            built = _source_rule(db, node, recipe, decoded, refs, strict, bit[node])
             for prior in distinct:
                 if prior == built:
                     built = prior
@@ -266,43 +283,34 @@ def _certified_pieces(
     params: SystemParams,
     position: dict[int, int],
     recipes: tuple[MergeRecipe, ...],
-    decoded: dict[int, list[tuple[int, int, dict[int, int | None]]]],
+    decoded: dict[int, list[tuple[int, int, list]]],
     refs: list[StoredPiece | None],
     equal_cuts: dict[AtomRange, int],
 ) -> list[StoredPiece] | None:
     """Each target's one piece on a certified run, its parts the reference
     cuts, or None when a part's origin is no segment 1..n, or a holder that
-    lacks it is listed by no decoded piece that covers the part (a dropped
-    broadcast, a partial dict): only the walk can place those."""
+    lacks it is in the mask of no decoded piece that covers the part (a
+    dropped broadcast, a partial dict): only the walk can place those.
+    Coverage is proved on window masks, bit h for holder label h."""
     n, r, w = params.n_nodes, params.replication, params.atom_bits
     m = len(position)
-    past = ((n + 1, m + 1),) if m > n else ()  # an addition's new node
-    # by origin, the holders that take it off the bus: segment p is stored at
-    # window positions p..p+r-1 (mod n), so the n-r from p+r lack it, and so
-    # does any holder past n, which stores nothing
-    lacking = [()] + [
-        cyclic_spans((position.get(origin, n) + r - 1) % n + 1, n - r, n) + past
-        for origin in range(1, n + 1)
-    ]
     pieces = []
     for recipe in recipes:
-        held = cyclic_spans(recipe.target, r, m)
+        held = cyclic_mask(recipe.target, r, m)
         bits = offset = 0
         for origin, start, stop in recipe.parts:
             ref = refs[origin - 1] if 0 < origin <= n else None
             if ref is None:
                 return None
-            # the holders of this target that lack the origin
-            need = set()
-            for lo, hi in held:
-                for a, b in lacking[origin]:
-                    if a < hi and lo < b:
-                        need.update(range(a if a > lo else lo, b if b < hi else hi))
+            # the holders of this target that lack the origin: segment p is
+            # stored at window positions p..p+r-1 (mod n), and a holder past n
+            # (an addition's new node) stores nothing
+            need = held & ~cyclic_mask(position.get(origin, n), r, n)
             if need:
                 # every covering piece is the reference's cut: only coverage counts
-                for got_start, got_stop, nodes in decoded.get(origin, ()):
+                for got_start, got_stop, (mask, _) in decoded.get(origin, ()):
                     if got_start <= start and stop <= got_stop:
-                        need.difference_update(map(position.get, nodes))
+                        need &= ~mask
                         if not need:
                             break
                 else:
@@ -329,14 +337,15 @@ def _source_rule(
     db: Database,
     node: int,
     recipe: MergeRecipe,
-    decoded: dict[int, list[tuple[int, int, dict[int, int | None]]]],
+    decoded: dict[int, list[tuple[int, int, list]]],
     refs: list[StoredPiece | None],
     strict: bool,
+    mine: int,
 ) -> StoredPiece:
     """node's replica of recipe's target by the source rule: each part from the
     node's own stored segment of the origin, else from the first decoded piece
-    that covers the part and lists the node. The one source of
-    MergeFailureError and of short replicas."""
+    that covers the part and has the node's bit, mine, in its mask. The one
+    source of MergeFailureError and of short replicas."""
     w = db.params.atom_bits
     stored = db.contents.get(node, {})
     cuts: list[int | None] = []
@@ -345,9 +354,9 @@ def _source_rule(
         if own is not None:
             cuts.append(slice_atoms(own.bits, start, stop, w))
             continue
-        for got_start, got_stop, receivers in decoded.get(origin, ()):
-            if got_start <= start and stop <= got_stop and node in receivers:
-                got = receivers[node]
+        for got_start, got_stop, (mask, unequal) in decoded.get(origin, ()):
+            if got_start <= start and stop <= got_stop and mask & mine:
+                got = unequal.get(node)
                 if got is None:
                     # an agreeing piece: the reference over the same atoms
                     cuts.append(slice_atoms(refs[origin - 1].bits, start, stop, w))

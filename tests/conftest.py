@@ -55,7 +55,7 @@ def _layout(final):
 
 
 @pytest.fixture(scope="session")
-def per_group_twin():
+def plain_twin():
     """A removal's run redone as rebalance_remove does it on a damaged layout:
     encode the plan's slots whole, then stream decode_groups into the merge.
 

@@ -20,6 +20,7 @@ from rebalance import (
     cyclic_range,
     default_params,
     deliver,
+    drop_broadcast,
     flip_stored_bit,
     rebalance_add,
     slice_atoms,
@@ -356,6 +357,32 @@ def test_certified_additions_equal_the_walk(
 # sha256 of an addition's (node, index, n_atoms, bits) stream and broadcast
 # payloads at a size well beyond the pinned (6,3) trace; these bits must never change
 ADD_40_30_SEED_7 = "b6127198c6d7169212f1fbd48780f1d0684d9ed158f4db15163939152f4514d2"
+
+
+def test_a_kept_part_only_the_new_node_misses_fails_there(rule_calls, expected_rule_calls):
+    # the new node K+1 is a holder past K that stores no segment: a dropped
+    # shipped kept part starves it alone, on a certified layout, so the merge
+    # walks and fails at that node
+    for k in range(4, 13):
+        for r in range(2, k):
+            db = build_cyclic_database(default_params(k, r), seed=k * r)
+            plan = make_addition_plan(db.params)
+            log = encode(db, plan.slots)
+            certificate = cyclic_refs(db.contents, k, r)
+            assert not certificate[1]
+            for i in range(k, len(log.broadcasts)):
+                (op,) = log.broadcasts[i].operands
+                assert op.superscript == (k + 1,)
+                received = deliver(db, drop_broadcast(log, i), plan)
+                expected = expected_rule_calls(db, plan.actual, plan.recipes, received)
+                rule_calls.clear()
+                with pytest.raises(MergeFailureError) as failure:
+                    removal_merge.merge(db, plan.actual, plan.recipes, received, True, certificate)
+                assert str(failure.value) == (
+                    f"node {k + 1} cannot source atoms [0:{op.atom_stop}] "
+                    f"of segment {op.base} for target {op.base}"
+                ), (k, r, i)
+                assert rule_calls == expected[: expected.index((op.base, k + 1)) + 1], (k, r, i)
 
 
 def test_addition_stream_is_pinned_at_40_30(rule_calls):

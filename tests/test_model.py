@@ -26,7 +26,7 @@ from rebalance import (
     verify_change,
 )
 from rebalance import model as model_module
-from rebalance.model import concat_bits, cyclic_layout, cyclic_refs, database_content
+from rebalance.model import concat_bits, cyclic_layout, cyclic_mask, cyclic_refs, database_content
 
 pair = st.integers(min_value=4, max_value=60).flatmap(
     lambda k: st.tuples(st.just(k), st.integers(min_value=1, max_value=k), st.integers(min_value=1, max_value=k))
@@ -66,6 +66,29 @@ def test_cyclic_range_wraps():
     assert cyclic_range(5, 3, 6) == (5, 6, 1)
     assert cyclic_range(1, 0, 6) == ()
     assert cyclic_range(4, 3, 5) == (4, 5, 1)
+
+
+def test_cyclic_mask_sets_the_bit_of_each_label_of_cyclic_range():
+    for mod in range(1, 31):
+        for start in range(1, mod + 1):
+            for count in range(mod + 1):
+                want = sum(1 << x for x in cyclic_range(start, count, mod))
+                assert cyclic_mask(start, count, mod) == want, (start, count, mod)
+
+
+def test_an_addition_holder_past_n_lacks_every_origin():
+    # the merge's holders of a target that lack an origin are the target's
+    # window over n+1 holders less the origin's stored window over n nodes:
+    # the new node n+1 is in that difference whenever it holds the target
+    for n in range(3, 31):
+        for r in range(2, n):
+            for origin in range(1, n + 1):
+                stored = cyclic_mask(origin, r, n)
+                assert stored >> n + 1 == 0, (n, r, origin)
+                for target in range(1, n + 2):
+                    held = cyclic_mask(target, r, n + 1)
+                    need = held & ~stored
+                    assert bool(need >> n + 1) == (n + 1 in cyclic_range(target, r, n + 1))
 
 
 def test_storage_set_matches_layout():

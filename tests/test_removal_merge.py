@@ -529,6 +529,37 @@ def test_certified_merges_equal_the_walk(every_node_deviates, rule_calls, expect
     assert dropped["walked"] > 0 and dropped["certified"] > 0, dropped
 
 
+def test_dropped_broadcasts_walk_exactly_where_a_holder_starves(rule_calls, expected_rule_calls):
+    # the coverage proof's window masks wrap at K-1 holders and K segments; a
+    # removed node mid-cluster rotates the holder labels against the segments
+    seen = Counter()
+    for k in range(4, 17):
+        removed = k // 2 + 1
+        for r in range(3, k):
+            params = default_params(k, r)
+            db = build_cyclic_database(params, seed=k * r)
+            plan = make_split_plan(params, removed)
+            recipes = build_merge_recipes(params, plan)
+            actual = plan.actual[:k]
+            for name, schedule in SCHEDULES.items():
+                log = schedule(db, plan)
+                for i in range(len(log.broadcasts)):
+                    received = deliver(db, drop_broadcast(log, i), plan)
+                    expected = expected_rule_calls(db, actual, recipes, received)
+                    where = (k, r, name, i)
+                    rule_calls.clear()
+                    try:
+                        apply_merge(db, plan, recipes, received)
+                    except MergeFailureError:
+                        assert rule_calls and rule_calls == expected[: len(rule_calls)], where
+                        seen["failed"] += 1
+                    else:
+                        assert rule_calls == expected, where
+                        seen["certified"] += 1
+    # strict: a walked run fails at its first starved holder
+    assert seen["failed"] > 0 and seen["certified"] > 0, seen
+
+
 def disagreeing_variants(db, plan, schedule, rng):
     """(kind, database, received) in which some decoded piece is not the
     reference's cut of its range: a sibling bit flipped in one receiver's

@@ -88,7 +88,7 @@ def taken(db, plan, b, bit):
 
 
 def test_sampled_runs_verify_and_every_sampled_fault_is_found(
-    replay_without_broadcast, per_group_twin
+    replay_without_broadcast, plain_twin
 ):
     fillers = found = flips = 0
     for k, r, t_mult, node, seed, kind, rng in sample_cases(110, seed=2027):
@@ -99,7 +99,7 @@ def test_sampled_runs_verify_and_every_sampled_fault_is_found(
         else:
             run = rebalance_remove(db, node, kind)
             # the certified one-pass delivery gives the per-receiver stream's run
-            twin, mine = per_group_twin(db, run)
+            twin, mine = plain_twin(db, run)
             assert twin == mine, case
             scheme = choose_scheme(k, r) if kind == "auto" else kind
             assert run.report.scheme == scheme, case

@@ -134,7 +134,7 @@ def test_streamed_removals_equal_the_merge_of_delivers_dict(k):
 
 
 @pytest.mark.parametrize("k", range(4, 11))
-def test_checked_removals_equal_the_per_group_stream(k):
+def test_checked_removals_equal_the_plain_stream(k):
     # a certified layout's schedule, encoded and delivered in one pass by
     # certified_groups, merges as its log through the plain per-receiver
     # stream does; a damaged layout names deviating nodes, so rebalance_remove
@@ -251,17 +251,17 @@ def test_a_clean_certified_removal_decodes_nothing(decode_calls, cut_calls):
     assert cases == 759 and flipped > 0, (cases, flipped)
 
 
-def test_certified_removals_equal_encode_then_the_per_group_stream(per_group_twin):
+def test_certified_removals_equal_encode_then_the_plain_stream(plain_twin):
     # the log, payload ints included, the final contents and the replica
     # sharing of every removal_grid case and every removal_large pair
     for k, r, scheme, db, node in grid_removals():
-        twin, mine = per_group_twin(db, rebalance_remove(db, node, scheme))
+        twin, mine = plain_twin(db, rebalance_remove(db, node, scheme))
         assert twin == mine, (k, r, scheme)
     rng = random.Random(41)
     for k, r in LARGE_PAIRS:
         db = build_cyclic_database(default_params(k, r), seed=k + r)
         node = rng.randint(1, k)
-        twin, mine = per_group_twin(db, rebalance_remove(db, node))
+        twin, mine = plain_twin(db, rebalance_remove(db, node))
         assert twin == mine, (k, r, node)
 
 
