@@ -3,11 +3,13 @@
 Every transmission is a broadcast heard by all nodes; cost is the payload
 size. A schedule is data: a list of slots, each naming its sender, kind
 ("coded" or "uncoded"), operand pieces and payload size, built from a plan
-alone. encoded is the one place operands are cut: it cuts each slot's
-operands from the sender's stored segments and XORs them, aligned at bit 0
-and zero padded at the tail to the slot's size, which its widest operand
-must fill; a slot with no operands is zero filler. encode collects the
-broadcasts into a log.
+alone. encoded is the one place operands are cut. It takes the slots one at
+a time: it checks that the widest operand fills the slot and that the sender
+stores each operand's base, cuts the operands from those segments and XORs
+them, aligned at bit 0 and zero padded at the tail to the slot's size, and
+yields the broadcast with its cuts; a slot with no operands is zero filler.
+encode collects the broadcasts into a log, so a schedule that fails raises
+before any log exists.
 
 A receiver named in exactly one operand's superscript strips the other
 operands, which it can rebuild from its own stored base segments, and keeps
@@ -62,20 +64,18 @@ Slot = tuple[int, str, tuple[SubsegmentLabel, ...], int]
 
 
 def encoded(db: Database, slots: Iterable[Slot]) -> Iterator[tuple[Broadcast, list[int]]]:
-    """Each slot as (broadcast, operand cuts), in slot order: the operands cut
-    from the sender's stored segments and the payload their XOR, the first
-    cut as it is (a whole segment sent in the clear is the stored int).
-    Every slot is checked before the first is cut, so a plan that fails
-    raises before anything is yielded."""
+    """Each slot as (broadcast, operand cuts), checked and cut in slot order:
+    the operands cut from the sender's stored segments and the payload their
+    XOR, the first cut as it is (a whole segment sent in the clear is the
+    stored int). A slot that fails raises ProtocolViolationError when it is
+    reached, after the slots before it were yielded."""
     w = db.params.atom_bits
-    slots = tuple(slots)
-    checked = []
-    for sender, _, operands, atoms in slots:
+    for sender, kind, operands, atoms in slots:
         widest = max([op.size_atoms for op in operands], default=atoms)
         if widest != atoms:
             raise ProtocolViolationError(f"slot of {atoms} atoms but widest operand is {widest}")
         held = db.contents.get(sender, {})
-        bases = []
+        cuts, payload = [], 0
         for op in operands:
             base = held.get(op.base)
             if base is None:
@@ -83,19 +83,15 @@ def encoded(db: Database, slots: Iterable[Slot]) -> Iterator[tuple[Broadcast, li
                     f"node {sender} does not hold segment {op.base} "
                     f"needed for {op.describe()}"
                 )
-            bases.append(base.bits)
-        checked.append(bases)
-    for (sender, kind, operands, atoms), bases in zip(slots, checked):
-        cuts, payload = [], 0
-        for op, bits in zip(operands, bases):
-            cut = slice_atoms(bits, op.atom_start, op.atom_stop, w)
+            cut = slice_atoms(base.bits, op.atom_start, op.atom_stop, w)
             payload = payload ^ cut if cuts else cut
             cuts.append(cut)
         yield Broadcast(sender, kind, operands, atoms, payload), cuts
 
 
 def encode(db: Database, slots: Iterable[Slot]) -> TransmissionLog:
-    """Every slot's broadcast from encoded, in slot order, as one log."""
+    """Every slot's broadcast from encoded, in slot order, as one log; a slot
+    that fails raises before any log is returned."""
     return TransmissionLog(db.params, [b for b, _ in encoded(db, slots)])
 
 

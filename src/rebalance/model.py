@@ -34,6 +34,10 @@ from .errors import ParameterError, UnsupportedConfigError
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _SEGMENT_SALT = 0xD1342543DE82EF95
+# the most content bits, K * segment_bits, a fresh database may hold: 128 MiB
+# of distinct payload, over eight times that of remove --k 400, so a mistyped
+# size is rejected before any content is generated
+MAX_CONTENT_BITS = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,7 @@ class SystemParams:
     segment_bits: int
 
     def validate(self) -> None:
-        """Range and divisibility checks for building a fresh database.
+        """Range, divisibility and size checks for building a fresh database.
 
         Derived databases (after a node change) keep the original atom size, so
         their shapes are described by plain SystemParams instances without
@@ -61,6 +65,10 @@ class SystemParams:
         if t % (2 * (k * k - 1)) != 0:
             raise ParameterError(
                 f"segment size {t} not divisible by 2*(K^2-1) = {2 * (k * k - 1)}"
+            )
+        if k * t > MAX_CONTENT_BITS:
+            raise ParameterError(
+                f"content of K*T = {k * t} bits is over the bound of {MAX_CONTENT_BITS} bits"
             )
 
     def require_removal_support(self) -> None:

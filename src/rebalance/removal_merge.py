@@ -31,18 +31,20 @@ replica, at exactly that holder, and a replica equal to another of its
 target is that one object. An addition is merged against its own recipes in
 node labels; its new node stores nothing.
 
-The merge folds delivery, a stream of decode groups (range, nodes, bits,
-agrees) in decode order, into one record per decoded range as it comes: a
-mask with bit h set for each holder label h whose node decoded the range (a
-node that holds no target gets a bit past them), and {node: bits} for the
-nodes whose piece is not the reference's cut of the range. A node keeps the
-first piece of a range it decodes. A group with agrees set is the reference
-cut of its range, encode's own cut from removal_schemes.certified_groups;
-any other (removal_schemes.decode_groups) is compared with the reference on
-arrival. An agreeing piece sets only its receivers' bits. On a run still
+The merge folds delivery, a stream of decode groups (range, nodes, bits)
+in decode order, into one record per decoded range as it comes: a mask with
+bit h set for each holder label h whose node decoded the range (a node that
+holds no target gets a bit past them), and {node: bits} for the nodes whose
+piece is not the reference's cut of the range. A node keeps the first piece
+of a range it decodes. Each piece is compared with the reference's cut on
+arrival. An equal piece sets only its receivers' bits; on a run still
 certified its int waits until the recipe part of its range takes it as its
-cut; the walk cuts the reference over the same atoms instead. An unequal
+cut, and the walk cuts the reference over the same atoms instead. An unequal
 piece stays in its record until the merge returns.
+
+A certified removal does not come here: removal_schemes.rebalance_remove
+builds the same records in its one loop over bus.encoded, with encode's own
+cuts as the equal pieces, and hands them to _certified_pieces directly.
 """
 
 from __future__ import annotations
@@ -70,9 +72,8 @@ from .removal_split import SplitPlan
 
 # part of a target: (actual original segment, atom start, atom stop)
 AtomRange = tuple[int, int, int]
-# one decode: (decoded range, the receiving actual nodes, ascending, the piece,
-# whether the piece is already known to equal the reference's cut of its range)
-DecodeGroup = tuple[AtomRange, list[int], int, bool]
+# one decode: (decoded range, the receiving actual nodes, ascending, the piece)
+DecodeGroup = tuple[AtomRange, list[int], int]
 
 
 class MergeRecipe(NamedTuple):
@@ -188,14 +189,12 @@ def merge(
     (cyclic); actual[holder] is the node whose stored segments and decoded
     pieces the holder uses, M = len(actual) - 1 (index 0 unused), as in
     ChangePlan. delivered is the stream of decode groups (range, nodes,
-    bits, agrees) in decode order, or deliver's dict of them folded, read
-    back as one group per run of one int among a range's receivers, none
-    agreeing; the result is the same. An agreeing group is taken as the
-    reference cut with no compare. Both paths read the one fold: per decoded
-    range, the mask of its receivers (bit h for holder label h) and the
-    pieces that are not the reference's cut. A caller that passes the dict
-    keeps every decoded int alive; rebalance_remove and a damaged
-    rebalance_add stream.
+    bits) in decode order, or deliver's dict of them folded, read back as one
+    group per run of one int among a range's receivers; the result is the
+    same. Both paths read the one fold: per decoded range, the mask of its
+    receivers (bit h for holder label h) and the pieces that are not the
+    reference's cut. A caller that passes the dict keeps every decoded int
+    alive; rebalance_remove's plain path and a damaged rebalance_add stream.
 
     With strict=True a holder that cannot source a part raises
     MergeFailureError; with strict=False the part is skipped, leaving a short
@@ -217,13 +216,13 @@ def merge(
         delivered = _unfold(delivered)
     # one record per decoded range, [mask of the nodes that decoded it,
     # {node: bits} of those whose piece is not the reference's cut]; on a run
-    # still certified, an agreeing piece's int waits in equal_cuts for the
-    # part of the same range
+    # still certified, an equal piece's int waits in equal_cuts for the part
+    # of the same range
     # origin -> [(start, stop, record)], in first-decode order
     decoded: dict[int, list[tuple[int, int, list]]] = {}
     ranges: dict[AtomRange, list] = {}  # the same records by range
     equal_cuts: dict[AtomRange, int] = {}
-    for key, nodes, bits, agrees in delivered:
+    for key, nodes, bits in delivered:
         mask = 0
         for node in nodes:
             b = bit.get(node)
@@ -241,18 +240,17 @@ def merge(
             if not mask:
                 continue
             got[0] |= mask
-        if not agrees:
-            cut = equal_cuts.get(key)
-            if cut is None:
-                ref = refs[origin - 1] if 0 < origin <= n else None
-                if ref is not None:
-                    cut = slice_atoms(ref.bits, start, stop, w)
-            if bits is not cut and bits != cut:
-                got[1].update({node: bits for node in nodes if bit[node] & mask})
-                # the walk cuts an agreeing piece from the reference instead
-                certified = False
-                equal_cuts.clear()
-                continue
+        cut = equal_cuts.get(key)
+        if cut is None:
+            ref = refs[origin - 1] if 0 < origin <= n else None
+            if ref is not None:
+                cut = slice_atoms(ref.bits, start, stop, w)
+        if bits is not cut and bits != cut:
+            got[1].update({node: bits for node in nodes if bit[node] & mask})
+            # the walk cuts an equal piece from the reference instead
+            certified = False
+            equal_cuts.clear()
+            continue
         if certified:
             equal_cuts.setdefault(key, bits)
     if certified:
@@ -330,7 +328,7 @@ def _unfold(received: dict[AtomRange, dict[int, int]]) -> Iterator[DecodeGroup]:
     # deliver's dict as decode groups: one per run of one int among a range's receivers
     for key, got in received.items():
         for bits, run in groupby(got.items(), itemgetter(1)):
-            yield key, [node for node, _ in run], bits, False
+            yield key, [node for node, _ in run], bits
 
 
 def _source_rule(
@@ -358,7 +356,7 @@ def _source_rule(
             if got_start <= start and stop <= got_stop and mask & mine:
                 got = unequal.get(node)
                 if got is None:
-                    # an agreeing piece: the reference over the same atoms
+                    # an equal piece: the reference over the same atoms
                     cuts.append(slice_atoms(refs[origin - 1].bits, start, stop, w))
                 else:
                     cuts.append(slice_atoms(got, start - got_start, stop - got_start, w))

@@ -31,24 +31,28 @@ labels, and the survivor each label stands for. rebalance_remove runs it end
 to end and returns a ChangeRun; verify.verify_change checks the result
 against the plan's recipes.
 
-Where no survivor deviates from the certified layout, certified_groups
-encodes and delivers in one pass, each operand's cut both in its payload
-and, as its receivers' piece, in the merge; any other input is encoded whole
-and decoded by decode_groups, receiver by receiver.
+Where no survivor deviates from the certified layout, rebalance_remove
+makes one loop over bus.encoded: it keeps each broadcast, keeps each
+operand's cut as the piece its receivers decode, records who decodes what
+from the slots alone, and assembles the targets in the merge's certified
+half. Any other input, and any miss of that loop, is encoded whole, decoded
+by decode_groups receiver by receiver and folded by removal_merge.merge.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from . import analytics
 from .analytics import LoadReport
-from .bus import Broadcast, Slot, TransmissionLog, decode_at_node, encode, encoded
+from .bus import Slot, TransmissionLog, decode_at_node, encode, encoded
 from .errors import ParameterError
 from .model import (
     Database,
+    StoredPiece,
     SubsegmentLabel,
     SystemParams,
+    cyclic_layout,
     cyclic_refs,
     slice_atoms,
 )
@@ -57,6 +61,7 @@ from .removal_merge import (
     ChangePlan,
     ChangeRun,
     DecodeGroup,
+    _certified_pieces,
     build_merge_recipes,
     merge,
 )
@@ -124,18 +129,18 @@ def run_uncoded_removal(db: Database, plan: SplitPlan) -> TransmissionLog:
     return encode(db, removal_slots(plan, "uncoded"))
 
 
-def _receivers(ops: tuple[SubsegmentLabel, ...]) -> list[tuple[int, int]]:
-    """(node, operand index) for every node named in exactly one of ops, by node."""
-    mine: dict[int, int | None] = {}
-    for i, op in enumerate(ops):
+def _receivers(ops: tuple[SubsegmentLabel, ...]) -> list[int]:
+    """Every node named in exactly one of ops, ascending."""
+    once: dict[int, bool] = {}
+    for op in ops:
         for node in op.superscript:
-            mine[node] = None if node in mine else i
-    return sorted((node, i) for node, i in mine.items() if i is not None)
+            once[node] = node not in once
+    return sorted(node for node, alone in once.items() if alone)
 
 
 def decode_groups(db: Database, log: TransmissionLog) -> Iterator[DecodeGroup]:
     """Decode every broadcast receiver by receiver, and yield each decode as
-    (range, nodes, bits, False) in decode order: by broadcast, then by node.
+    (range, nodes, bits) in decode order: by broadcast, then by node.
 
     decode_at_node runs at each node named in one operand alone of a
     broadcast of several (a missing base fails there). A one-operand
@@ -152,43 +157,11 @@ def decode_groups(db: Database, log: TransmissionLog) -> Iterator[DecodeGroup]:
             op = ops[0]
             if op.superscript:
                 bits = slice_atoms(b.payload, 0, op.size_atoms, w)
-                yield (op.base, op.atom_start, op.atom_stop), sorted(op.superscript), bits, False
+                yield (op.base, op.atom_start, op.atom_stop), sorted(op.superscript), bits
             continue
-        for node, _ in _receivers(ops):
+        for node in _receivers(ops):
             label, bits = decode_at_node(db, node, b)
-            yield (label.base, label.atom_start, label.atom_stop), [node], bits, False
-
-
-def certified_groups(
-    db: Database, slots: Iterable[Slot], broadcasts: list[Broadcast]
-) -> Iterator[DecodeGroup]:
-    """Encode slots and deliver them in one pass over a layout in which no
-    sender or receiver deviates: append each broadcast to broadcasts, and
-    yield decode_groups' stream with each receiver's operand as (range,
-    nodes, cut, True), the cut bus.encoded made.
-
-    A receiver that stores every other operand's base, where node m stores
-    segment b iff (m - b) mod n < r, would decode exactly that cut by XOR
-    linearity; one that lacks a base goes to decode_at_node, which fails
-    there as decode_groups does. bus.encoded checks every slot before its
-    first yield, so its ProtocolViolationError comes first.
-    """
-    n, r = db.params.n_nodes, db.params.replication
-    for b, cuts in encoded(db, slots):
-        broadcasts.append(b)
-        ops = b.operands
-        if len(ops) == 1:
-            op = ops[0]
-            if op.superscript:
-                yield (op.base, op.atom_start, op.atom_stop), sorted(op.superscript), cuts[0], True
-            continue
-        for node, i in _receivers(ops):
-            if all((node - other.base) % n < r for j, other in enumerate(ops) if j != i):
-                op = ops[i]
-                yield (op.base, op.atom_start, op.atom_stop), [node], cuts[i], True
-            else:
-                label, bits = decode_at_node(db, node, b)
-                yield (label.base, label.atom_start, label.atom_stop), [node], bits, False
+            yield (label.base, label.atom_start, label.atom_stop), [node], bits
 
 
 def deliver(
@@ -203,7 +176,7 @@ def deliver(
     is unused; the benchmark harness (benchmark/harness.py) passes it.
     """
     received: dict[AtomRange, dict[int, int]] = {}
-    for key, nodes, bits, _ in decode_groups(db, log):
+    for key, nodes, bits in decode_groups(db, log):
         got = received.get(key)
         if got is None:
             received[key] = dict.fromkeys(nodes, bits)
@@ -233,22 +206,89 @@ def rebalance_remove(db: Database, removed: int, scheme: str = "auto") -> Change
     """Run the full removal pipeline: split, broadcast, decode, merge.
 
     scheme "auto" picks the cheaper coded variant. One layout certificate
-    serves the merge and picks the delivery, by the merge's own predicate:
-    certified_groups when no survivor deviates (the removed node neither
-    sends nor receives), else the whole log encoded and decoded by
-    decode_groups."""
+    picks the path. When no survivor deviates (the removed node neither sends
+    nor receives), _certified_run encodes, delivers and assembles in one loop
+    over the slots. On a miss there, or on any other layout, the plain path
+    encodes the whole log, decodes it receiver by receiver (decode_groups)
+    and merges the stream, which raises each failure where it lies."""
     if db.generation != "original":
         raise ParameterError("removal runs on an original-layout database")
     params = db.params
     plan = make_removal_plan(params, removed, scheme)
     certificate = cyclic_refs(db.contents, params.n_nodes, params.replication)
-    # decoded pieces stream into the merge: no dict of them all is built
+    done = None
     if certificate[1].isdisjoint(plan.actual[1:]):
-        broadcasts: list[Broadcast] = []
-        groups = certified_groups(db, plan.slots, broadcasts)
-        final = merge(db, plan.actual, plan.recipes, groups, True, certificate)
-        log = TransmissionLog(params, broadcasts)
-    else:
+        done = _certified_run(db, plan, certificate[0])
+    if done is None:
         log = encode(db, plan.slots)
+        # decoded pieces stream into the merge: no dict of them all is built
         final = merge(db, plan.actual, plan.recipes, decode_groups(db, log), True, certificate)
+    else:
+        log, final = done
     return ChangeRun(final, log, LoadReport(params, plan.scheme, log.load), plan)
+
+
+def _certified_run(
+    db: Database, plan: ChangePlan, refs: list[StoredPiece | None]
+) -> tuple[TransmissionLog, Database] | None:
+    """plan's log and final database on a layout where no survivor deviates,
+    from one loop over bus.encoded, or None on a miss.
+
+    Each operand that reaches a survivor gets the merge's record of its
+    range, the mask of its receivers' holder labels, with encode's cut as
+    the piece. The decode rule is decode_groups': a one-operand slot reaches
+    its whole superscript, survivors only, and a node named in one operand
+    alone of a coded slot takes that operand, by XOR linearity encode's cut,
+    when it stores every other operand's base (node m stores segment b iff
+    (m - b) mod n < r). A miss is a sender, or a coded slot's receiver, that
+    is no survivor, a receiver that lacks a base, or a coverage miss in
+    _certified_pieces. A sender without an operand's base raises, as in encode.
+    """
+    params = db.params
+    n, r = params.n_nodes, params.replication
+    position = dict(zip(plan.actual[1:], range(1, n)))
+    bit = {node: 1 << holder for node, holder in position.items()}
+    broadcasts = []
+    # the merge's fold: origin -> [(start, stop, [mask, {}])], the same
+    # records by range, and encode's cut of each range as its piece
+    decoded: dict[int, list[tuple[int, int, list]]] = {}
+    ranges: dict[AtomRange, list] = {}
+    cuts_by_range: dict[AtomRange, int] = {}
+    for b, cuts in encoded(db, plan.slots):
+        if b.sender not in bit:
+            return None
+        broadcasts.append(b)
+        ops = b.operands
+        named = [node for op in ops for node in op.superscript] if len(ops) > 1 else None
+        for i, (base, superscript, start, stop) in enumerate(ops):
+            mask = 0
+            if named is None:
+                for node in superscript:
+                    mask |= bit.get(node, 0)
+            else:
+                others = [op.base for op in ops[:i] + ops[i + 1 :]]
+                for node in superscript:
+                    # a node named in two operands strips nothing
+                    if named.count(node) > 1:
+                        continue
+                    mine = bit.get(node)
+                    if mine is None:
+                        return None
+                    for other in others:
+                        if (node - other) % n >= r:
+                            return None
+                    mask |= mine
+            if not mask:
+                continue
+            key = (base, start, stop)
+            got = ranges.get(key)
+            if got is None:
+                ranges[key] = got = [mask, {}]
+                decoded.setdefault(base, []).append((start, stop, got))
+                cuts_by_range[key] = cuts[i]
+            else:
+                got[0] |= mask
+    pieces = _certified_pieces(params, position, plan.recipes, decoded, refs, cuts_by_range)
+    if pieces is None:
+        return None
+    return TransmissionLog(params, broadcasts), Database(params, n - 1, cyclic_layout(pieces, r))

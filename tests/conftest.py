@@ -74,6 +74,41 @@ def plain_twin():
     return twin
 
 
+@pytest.fixture
+def certified_records(monkeypatch):
+    """What each certified removal's loop hands _certified_pieces, in call
+    order: ({decoded range: mask of its receivers' holder labels}, {decoded
+    range: the piece}), taken before the assembly pops the pieces."""
+    handed = []
+    real = removal_schemes._certified_pieces
+
+    def spy(params, position, recipes, decoded, refs, cuts):
+        masks = {
+            (origin, start, stop): mask
+            for origin, got in decoded.items()
+            for start, stop, (mask, _) in got
+        }
+        handed.append((masks, dict(cuts)))
+        return real(params, position, recipes, decoded, refs, cuts)
+
+    monkeypatch.setattr(removal_schemes, "_certified_pieces", spy)
+    return handed
+
+
+@pytest.fixture
+def remove_with_slots(monkeypatch):
+    """A function (db, removed, slots) -> ChangeRun: rebalance_remove with the
+    scheme-1 plan's schedule replaced by slots, for hand-built schedules."""
+    make = removal_schemes.make_removal_plan
+
+    def run(db, removed, slots):
+        plan = replace(make(db.params, removed, "scheme1"), slots=tuple(slots))
+        monkeypatch.setattr(removal_schemes, "make_removal_plan", lambda *args: plan)
+        return removal_schemes.rebalance_remove(db, removed)
+
+    return run
+
+
 @pytest.fixture(scope="session")
 def total_stored_atoms():
     """Atoms a database stores over all nodes and replicas: a function of the database."""

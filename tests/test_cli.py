@@ -56,6 +56,19 @@ def test_remove_rejects_bad_node(capsys):
     capsys.readouterr()
 
 
+def test_an_oversized_input_exits_2_before_anything_is_built(capsys, monkeypatch):
+    def no_content(*args):
+        raise AssertionError("content generated")
+
+    monkeypatch.setattr(rebalance.model, "database_content", no_content)
+    assert main(["remove", "--k", "20000", "--r", "3", "--node", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"parameter error: content of K*T = {20000 * 2 * (20000**2 - 1)} bits "
+        f"is over the bound of {2**30} bits\n"
+    )
+
+
 def test_add_happy_path(capsys):
     rc = main(["add", "--k", "6", "--r", "3"])
     out = capsys.readouterr().out
@@ -125,6 +138,7 @@ def test_sweep_rejects_bad_range(tmp_path, capsys):
         ["--k", "3"],
         ["--k", "10", "--node", "11"],
         ["--k", "10", "--t-mult", "0"],
+        ["--k", "20000"],
     ):
         assert main(["sweep", *argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("parameter error: ")

@@ -133,6 +133,11 @@ def test_params_validation():
         default_params(2, 1).validate()
     with pytest.raises(ParameterError):
         default_params(6, 3, t_mult=0)
+    # the content bound, K * T <= 2**30 bits, at the largest valid T for K = 4 and the next
+    t = 2**28 // 30 * 30
+    SystemParams(4, 3, t).validate()
+    with pytest.raises(ParameterError, match=r"^content of K\*T = 1073741880 bits is over"):
+        SystemParams(4, 3, t + 30).validate()
 
 
 def test_default_params_atom_geometry():

@@ -35,7 +35,7 @@ from rebalance import removal_schemes
 from rebalance.addition import make_addition_plan
 from rebalance.analytics import corner_overhead
 from rebalance.bus import encode
-from rebalance.removal_schemes import certified_groups, decode_groups, removal_slots
+from rebalance.removal_schemes import decode_groups, removal_slots
 
 SCHEDULES = {"scheme1": run_scheme1, "scheme2": run_scheme2, "uncoded": run_uncoded_removal}
 
@@ -295,7 +295,9 @@ def test_deliver_decodes_once_per_addressed_receiver(k, monkeypatch):
         assert list(received[key].items()) == [(n, bits) for n in sorted(op.superscript)], payload
 
 
-def test_an_operand_with_two_receivers_is_decoded_at_each(monkeypatch):
+def test_an_operand_with_two_receivers_is_decoded_at_each(
+    monkeypatch, certified_records, remove_with_slots
+):
     # no plan names two receivers in one coded operand (the payload-free audit
     # pins that), so hand-build one at (6,3): node 1's W_5^{2} + W_6^{5} also
     # sends its first operand to node 1, which holds W_6 as node 2 does
@@ -322,13 +324,22 @@ def test_an_operand_with_two_receivers_is_decoded_at_each(monkeypatch):
     got = received[5, 0, 35]
     assert list(got) == [1, 2] and got[1] == got[2]
     plain = list(decode_groups(clean, log))
-    calls.clear()
-    checked = list(certified_groups(clean, slots, []))
-    # the certified pass hands each receiver encode's own cut and decodes nothing
-    assert calls == [] and all(agrees for *_, agrees in checked)
-    assert [group[:3] for group in checked] == [group[:3] for group in plain]
     want = rebalance_remove(clean, 6, "scheme1").final.contents
-    for delivered in (received, iter(plain), iter(checked)):
+    certified_records.clear()
+    calls.clear()
+    run = remove_with_slots(clean, 6, slots)
+    # the certified loop hands each receiver encode's own cut and decodes
+    # nothing: one record per range, its mask the receivers' holder labels
+    # (removing node 6 leaves node h as holder h)
+    assert calls == [] and run.log == log
+    [(masks, pieces)] = certified_records
+    want_masks = {}
+    for key, nodes, bits in plain:
+        want_masks[key] = want_masks.get(key, 0) | sum(1 << node for node in nodes)
+        assert pieces[key] == bits
+    assert masks == want_masks and masks[5, 0, 35] == 0b110
+    assert run.final.contents == want
+    for delivered in (received, iter(plain)):
         assert apply_merge(clean, plan, plan.recipes, delivered).contents == want
 
 

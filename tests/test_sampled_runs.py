@@ -1,4 +1,5 @@
-"""Bit-level runs and faults past the K <= 25 grid, on a fixed sample.
+"""Bit-level runs and faults past the K <= 25 grid: a fixed sample, and one
+removal per (K, r) up to K = 40.
 
 Each case draws K in 26..80, a replication r >= 3, t_mult 1..3, a removed
 node, a content seed, and one of the three removal schedules, auto, or an
@@ -143,3 +144,27 @@ def test_sampled_runs_verify_and_every_sampled_fault_is_found(
             assert merged.contents == run.final.contents, (case, index, bit)
     # every sampled flip lands where some receiver takes it
     assert (found, fillers, flips) == (108, 2, 110)
+
+
+def test_one_removal_per_pair_up_to_k40_verifies_at_its_closed_form(plain_twin):
+    # one seeded removed node and content seed per (K, r) with 26 <= K <= 40,
+    # under all three schedules: every run verifies and its load is the
+    # closed form. Relabeling is a bijection, so one node per pair checks the
+    # loads; every node is run at K <= 25 (C3). Every seventh run must also
+    # equal its log encoded whole and merged through the plain stream
+    rng = random.Random(40)
+    runs = 0
+    for k in range(26, 41):
+        for r in range(3, k):
+            node, seed = rng.randint(1, k), rng.randrange(1 << 32)
+            db = build_cyclic_database(default_params(k, r), seed=seed)
+            for scheme in ("scheme1", "scheme2", "uncoded"):
+                case = (k, r, node, seed, scheme)
+                run = rebalance_remove(db, node, scheme)
+                assert verify_change(run, seed).ok, case
+                assert run.report.measured == full_removal_load(k, r, scheme), case
+                if runs % 7 == 0:
+                    twin, mine = plain_twin(db, run)
+                    assert twin == mine, case
+                runs += 1
+    assert runs == 1350

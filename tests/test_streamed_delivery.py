@@ -1,18 +1,19 @@
 """Delivery streams into the merge.
 
-rebalance_remove, where no survivor deviates, streams bus.encoded into
-removal_merge.merge through certified_groups, which yields each operand's
-receivers, one by one, with encode's own cut; any other input, and a damaged
-rebalance_add, feed decode_groups into the merge. The merge keeps an
-agreeing piece's receivers but not its int. These tests pin that each
-stream gives what the merge gives fed deliver's dict or the plain stream,
-on clean and damaged input, that a certified removal cuts each operand once
-and decodes nothing, damage at the removed node alone included, that its
-two faults raise as the plain path raises them, and that a removal's memory
-peak stays within a small slack of what it returns.
+rebalance_remove, where no survivor deviates, makes one loop over
+bus.encoded that keeps each operand's cut as its receivers' piece, records
+who decodes what as holder masks and hands both to the merge's certified
+assembly; any other input, any miss of that loop, and a damaged
+rebalance_add feed decode_groups into removal_merge.merge. These tests pin
+that each stream gives what the merge gives fed deliver's dict or the plain
+stream, on clean and damaged input, that a certified removal cuts each
+operand once and decodes and walks nothing, damage at the removed node alone
+included, that its faults raise as the plain path raises them, and that a
+removal's memory peak stays within a small slack of what it returns.
 """
 
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -43,9 +44,9 @@ from rebalance import (
     verify_change,
 )
 from rebalance.addition import make_addition_plan
-from rebalance.bus import encode
+from rebalance.bus import encode, encoded
 from rebalance.model import SubsegmentLabel, cyclic_refs, slice_atoms
-from rebalance.removal_schemes import certified_groups, decode_groups, removal_slots
+from rebalance.removal_schemes import decode_groups, removal_slots
 
 # the (K, r) pairs of the removal_large workload (benchmark/harness.py)
 LARGE_PAIRS = ((240, 30), (240, 120), (240, 160), (240, 200), (300, 150))
@@ -135,31 +136,27 @@ def test_streamed_removals_equal_the_merge_of_delivers_dict(k):
 
 @pytest.mark.parametrize("k", range(4, 11))
 def test_checked_removals_equal_the_plain_stream(k):
-    # a certified layout's schedule, encoded and delivered in one pass by
-    # certified_groups, merges as its log through the plain per-receiver
-    # stream does; a damaged layout names deviating nodes, so rebalance_remove
-    # encodes it whole and decodes at every receiver. A tampered log has only the
-    # plain stream, which the test above checks against deliver's dict
+    # a certified layout's removal, encoded, delivered and assembled in one
+    # loop, gives the log and contents its log gives through the plain
+    # per-receiver stream; a damaged layout names deviating nodes, so
+    # rebalance_remove encodes it whole and decodes at every receiver. A
+    # tampered log has only the plain stream, which the test above checks
+    # against deliver's dict
     for where, plan, recipes, slots, case, log in removal_inputs(k):
         removed, scheme, name = where[2:]
         certificate = cyclic_refs(case.contents, k, case.params.replication)
         actual = plan.actual[:k]
         if name == "clean":
             assert not certificate[1], where
+            run = rebalance_remove(case, removed, scheme)
+            assert run.log.broadcasts == log.broadcasts, where
             for strict in (True, False):
-                broadcasts = []
-                checked = outcome(
-                    lambda: removal_merge.merge(
-                        case, actual, recipes, certified_groups(case, slots, broadcasts), strict,
-                        certificate,
-                    )
-                )
                 plain = outcome(
                     lambda: removal_merge.merge(
                         case, actual, recipes, decode_groups(case, log), strict, certificate
                     )
                 )
-                assert checked == plain and tuple(broadcasts) == log.broadcasts, (where, strict)
+                assert outcome(lambda: run.final) == plain, (where, strict)
         elif certificate[1]:
             own = outcome(lambda: rebalance_remove(case, removed, scheme).final)
             plain = outcome(
@@ -199,6 +196,20 @@ def cut_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def merge_calls(monkeypatch):
+    """The database of every removal_merge.merge call rebalance_remove makes."""
+    calls = []
+    real = removal_schemes.merge
+
+    def counted(db, *args):
+        calls.append(db)
+        return real(db, *args)
+
+    monkeypatch.setattr(removal_schemes, "merge", counted)
+    return calls
+
+
 def grid_removals():
     """(k, r, scheme, database, removed node) for every removal_grid case."""
     rng = random.Random(41)
@@ -210,9 +221,10 @@ def grid_removals():
                 yield k, r, scheme, db, node
 
 
-def test_a_clean_certified_removal_decodes_nothing(decode_calls, cut_calls):
-    # every removal_grid case: a certified removal decodes no piece and cuts
-    # each slot operand once, in encode. A flipped payload bit in a broadcast
+def test_a_clean_certified_removal_decodes_nothing(decode_calls, cut_calls, merge_calls, rule_calls):
+    # every removal_grid case: a certified removal decodes no piece, calls
+    # neither merge nor the per-holder source rule, and cuts each slot
+    # operand once, in encode. A flipped payload bit in a broadcast
     # of several operands makes a log that only the plain stream takes: it
     # decodes that broadcast, and the merge either leaves the clean run's
     # contents or the verifier finds the flip
@@ -221,6 +233,7 @@ def test_a_clean_certified_removal_decodes_nothing(decode_calls, cut_calls):
     for k, r, scheme, db, node in grid_removals():
         run = rebalance_remove(db, node, scheme)
         assert not decode_calls, (k, r, scheme, decode_calls[:1])
+        assert not merge_calls and not rule_calls, (k, r, scheme, rule_calls[:1])
         operands = sum([len(slot[2]) for slot in run.plan.slots])
         assert cut_calls == Counter({"rebalance.bus": operands}), (k, r, scheme)
         cut_calls.clear()
@@ -247,6 +260,7 @@ def test_a_clean_certified_removal_decodes_nothing(decode_calls, cut_calls):
         ), (k, r, scheme)
         decode_calls.clear()
         cut_calls.clear()
+        rule_calls.clear()
         flipped += 1
     assert cases == 759 and flipped > 0, (cases, flipped)
 
@@ -268,7 +282,7 @@ def test_certified_removals_equal_encode_then_the_plain_stream(plain_twin):
 def test_damage_at_the_removed_node_alone_decodes_nothing(decode_calls):
     # every removal_grid case: the removed node neither sends nor receives, so
     # a flipped bit in its replica of another node's segment leaves every
-    # survivor certified; the removal streams certified_groups, decodes
+    # survivor certified; the removal takes the certified loop, decodes
     # nothing and ends with the clean run's contents and log
     rng = random.Random(32)
     cases = 0
@@ -285,64 +299,127 @@ def test_damage_at_the_removed_node_alone_decodes_nothing(decode_calls):
     assert cases == 759
 
 
-def test_a_checked_receiver_without_a_base_fails_at_that_node(decode_calls):
-    # a hand-built schedule on a certified layout: node 4 (segments 2..4)
-    # wants W_1 but stores no W_5 to strip, while node 2 (segments 6, 1, 2)
-    # can strip W_1 to take W_5. Node 2 gets encode's cut with no
-    # decode, and node 4 goes to decode_at_node, which fails there as the
-    # plain stream does
+def test_a_checked_receiver_without_a_base_fails_at_that_node(
+    decode_calls, certified_records, remove_with_slots
+):
+    # hand-built schedules on a certified layout. In the first, node 4
+    # (segments 2..4) wants W_1 but stores no W_5 to strip, while node 2
+    # (segments 6, 1, 2) can strip W_1 to take W_5. In the second, node 4
+    # wants W_5 and lacks W_1, one segment past its window ((4 - 1) mod 6 =
+    # r), while node 5 (segments 3..5) strips W_5 to take W_1. The certified
+    # loop misses at node 4 with no decode and hands nothing on, so the
+    # removal runs the plain stream, which fails at node 4
     params = default_params(6, 3)
     db = build_cyclic_database(params, seed=1)
-    certificate = cyclic_refs(db.contents, 6, 3)
-    assert not certificate[1]
-    ops = (SubsegmentLabel(1, (4,), 0, 20), SubsegmentLabel(5, (2,), 10, 30))
-    slots = [(1, "coded", ops, 20)]
-    broadcasts = []
-    checked = certified_groups(db, slots, broadcasts)
-    first = next(checked)
-    cut = slice_atoms(certificate[0][5 - 1].bits, 10, 30, params.atom_bits)
-    assert first == ((5, 10, 30), [2], cut, True)
-    assert not decode_calls
-    log = encode(db, slots)
-    assert tuple(broadcasts) == log.broadcasts
-    message = r"^node 4 cannot rebuild W_5\^\{2\}\[10:30\] to decode W_1\^\{4\}\[0:20\]$"
-    with pytest.raises(DecodeFailureError, match=message):
-        next(checked)
-    with pytest.raises(DecodeFailureError, match=message):
-        list(decode_groups(db, log))
-    assert [node for node, _ in decode_calls] == [4, 2, 4]
+    assert not cyclic_refs(db.contents, 6, 3)[1]
+    cases = (
+        ((SubsegmentLabel(1, (4,), 0, 20), SubsegmentLabel(5, (2,), 10, 30)), [2, 4],
+         "node 4 cannot rebuild W_5^{2}[10:30] to decode W_1^{4}[0:20]"),
+        ((SubsegmentLabel(5, (4,), 0, 20), SubsegmentLabel(1, (5,), 10, 30)), [4],
+         "node 4 cannot rebuild W_1^{5}[10:30] to decode W_5^{4}[0:20]"),
+    )
+    for ops, decoded, message in cases:
+        slots = [(1, "coded", ops, 20)]
+        with pytest.raises(DecodeFailureError, match=f"^{re.escape(message)}$"):
+            remove_with_slots(db, 6, slots)
+        assert certified_records == []
+        with pytest.raises(DecodeFailureError, match=f"^{re.escape(message)}$"):
+            list(decode_groups(db, encode(db, slots)))
+        assert [node for node, _ in decode_calls] == decoded * 2
+        decode_calls.clear()
 
 
-def test_a_node_named_in_two_operands_takes_neither():
+def test_a_node_named_in_two_operands_takes_neither(certified_records, remove_with_slots):
     # node 3 is named in both operands, so it strips nothing and decodes
     # nothing, as in decode_groups; node 1 (segments 5, 6, 1) takes W_6 and
-    # node 2 (segments 6, 1, 2) takes W_1, each as encode's own cut
-    db = build_cyclic_database(default_params(6, 3), seed=1)
+    # node 2 (segments 6, 1, 2) takes W_1, each as encode's own cut. The one
+    # slot covers no target, so the assembly misses and the removal fails
+    # in the plain merge's walk, at the holder the plain stream names
+    params = default_params(6, 3)
+    db = build_cyclic_database(params, seed=1)
+    plan = removal_schemes.make_removal_plan(params, 6, "scheme1")
     ops = (SubsegmentLabel(1, (2, 3), 0, 20), SubsegmentLabel(6, (3, 1), 5, 25))
     slots = [(1, "coded", ops, 20)]
-    broadcasts = []
-    checked = list(certified_groups(db, slots, broadcasts))
-    plain = list(decode_groups(db, encode(db, slots)))
-    assert [(key, nodes) for key, nodes, _, _ in checked] == [((6, 5, 25), [1]), ((1, 0, 20), [2])]
-    assert [group[:3] for group in checked] == [group[:3] for group in plain]
-    assert [agrees for *_, agrees in checked] == [True, True]
+    log = encode(db, slots)
+    plain = list(decode_groups(db, log))
+    assert [(key, nodes) for key, nodes, _ in plain] == [((6, 5, 25), [1]), ((1, 0, 20), [2])]
+    [(_, cuts)] = encoded(db, slots)
+    mine = outcome(lambda: remove_with_slots(db, 6, slots).final)
+    [(masks, pieces)] = certified_records
+    # removing node 6 leaves node h as holder h, whose bit is 1 << h
+    assert masks == {key: 1 << nodes[0] for key, nodes, _ in plain}
+    assert pieces == {key: bits for key, _, bits in plain}
+    assert [pieces[1, 0, 20], pieces[6, 5, 25]] == cuts
+    certificate = cyclic_refs(db.contents, 6, 3)
+    assert mine == outcome(
+        lambda: removal_merge.merge(
+            db, plan.actual, plan.recipes, decode_groups(db, log), True, certificate
+        )
+    )
+    assert mine[0] == "MergeFailureError", mine
 
 
-def test_a_sender_without_a_base_fails_before_any_decode(decode_calls):
-    # the decode failure above in the first slot, and a second slot whose
-    # sender, node 2 (segments 6, 1, 2), does not hold the W_5 it sends:
-    # every slot is checked before the first group is yielded, so encode's
-    # ProtocolViolationError wins, as it does when the log is encoded whole
+def test_a_sender_without_a_base_fails_before_any_decode(
+    decode_calls, certified_records, remove_with_slots
+):
+    # a second slot whose sender, node 2 (segments 6, 1, 2), does not hold
+    # the W_5 it sends. encoded yields the first slot and raises at the
+    # second, and encode raises before any log exists. The first slot either
+    # makes the certified loop miss, at node 4 as above, or is clean; either
+    # way the removal raises encode's ProtocolViolationError and decodes nothing
     db = build_cyclic_database(default_params(6, 3), seed=1)
-    ops = (SubsegmentLabel(1, (4,), 0, 20), SubsegmentLabel(5, (2,), 10, 30))
-    slots = [(1, "coded", ops, 20), (2, "uncoded", (SubsegmentLabel(5, (3,), 0, 20),), 20)]
+    bad = (2, "uncoded", (SubsegmentLabel(5, (3,), 0, 20),), 20)
     message = r"^node 2 does not hold segment 5 needed for W_5\^\{3\}\[0:20\]$"
-    broadcasts = []
-    with pytest.raises(ProtocolViolationError, match=message):
-        next(certified_groups(db, slots, broadcasts))
-    assert broadcasts == [] and not decode_calls
-    with pytest.raises(ProtocolViolationError, match=message):
-        encode(db, slots)
+    missing = (SubsegmentLabel(1, (4,), 0, 20), SubsegmentLabel(5, (2,), 10, 30))
+    clean = (SubsegmentLabel(1, (2,), 0, 20), SubsegmentLabel(6, (1,), 0, 20))
+    for ops in (missing, clean):
+        slots = [(1, "coded", ops, 20), bad]
+        stream = encoded(db, slots)
+        assert next(stream)[0] == encode(db, slots[:1]).broadcasts[0]
+        with pytest.raises(ProtocolViolationError, match=message):
+            next(stream)
+        with pytest.raises(ProtocolViolationError, match=message):
+            encode(db, slots)
+        with pytest.raises(ProtocolViolationError, match=message):
+            remove_with_slots(db, 6, slots)
+    assert certified_records == [] and not decode_calls
+
+
+def test_the_removed_node_on_the_bus_takes_the_plain_path(certified_records, remove_with_slots):
+    # the removed node may deviate on a certified run, so the certified loop
+    # trusts neither its cuts nor its storage. At (6,3) without node 6: with
+    # a flipped bit in its W_5, it sends that W_5 to node 4 (segments 2..4)
+    # ahead of the schedule, and node 4 takes target 4's part of W_5 from it;
+    # with its W_5 deleted, it is named to take W_1 by stripping W_5. Both
+    # hand nothing on and give the plain stream's outcome
+    params = default_params(6, 3)
+    db = build_cyclic_database(params, seed=1)
+    plan = removal_schemes.make_removal_plan(params, 6, "scheme1")
+    clean = outcome(lambda: rebalance_remove(db, 6, "scheme1").final)
+    certified_records.clear()
+    seg = params.segment_atoms
+    deleted = replace(db, contents={n: dict(items) for n, items in db.contents.items()})
+    del deleted.contents[6][5]
+    sends = (6, "uncoded", (SubsegmentLabel(5, (4,), 0, seg),), seg)
+    strips = (1, "coded", (SubsegmentLabel(1, (6,), 0, 20), SubsegmentLabel(5, (2,), 10, 30)), 20)
+    outcomes = []
+    for case, slot in ((flip_stored_bit(db, 6, 5, 40), sends), (deleted, strips)):
+        certificate = cyclic_refs(case.contents, 6, 3)
+        assert certificate[1] == {6}
+        slots = (slot, *plan.slots)
+        mine = outcome(lambda: remove_with_slots(case, 6, slots).final)
+        assert mine == outcome(
+            lambda: removal_merge.merge(
+                case, plan.actual, plan.recipes, decode_groups(case, encode(case, slots)), True,
+                certificate,
+            )
+        )
+        outcomes.append(mine)
+    assert certified_records == []
+    assert outcomes[0][0] == 5 and outcomes[0] != clean
+    assert outcomes[1] == (
+        "DecodeFailureError", "node 6 cannot rebuild W_5^{2}[10:30] to decode W_1^{6}[0:20]"
+    )
 
 
 @pytest.mark.parametrize("k", range(4, 11))
@@ -390,7 +467,7 @@ def test_deliver_folds_the_stream():
         plan = make_split_plan(params, 2)
         log = encode(db, removal_slots(plan, scheme))
         folded = {}
-        for key, nodes, bits, agrees in decode_groups(db, log):
+        for key, nodes, bits in decode_groups(db, log):
             assert list(nodes) == sorted(nodes)
             got = folded.setdefault(key, {})
             for node in nodes:
