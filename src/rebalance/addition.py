@@ -18,12 +18,12 @@ cut), the new segment is assembled once from the broadcast trailers, and
 cyclic_layout places each of the K+1 pieces at all its r holders as one
 shared object; no piece is decoded, as every broadcast is a payload the
 new node stores. Any other input is merged by the removal's merge
-(removal_merge.merge) against the plan's recipes: as a deviating node is
+(removal_merge.merge) against the plan's recipes, fed the one input it
+takes, the stream of removal_schemes.decode_groups: as a deviating node is
 one of its holders, it runs the source rule at every holder of every
-target; the merge takes the certificate rebalance_add computed, not a
-second one. Its decoded pieces stream in from removal_schemes.decode_groups,
-no dict of them is built, and the merge keeps only the ints that differ
-from the reference.
+target, and a holder that cannot source a part raises MergeFailureError
+there. The merge takes the certificate rebalance_add computed, not a second
+one, and keeps only the decoded ints that differ from the reference.
 
 make_addition_plan builds the ChangePlan, the plan record a removal uses
 too, from the parameters alone: the schedule, one uncoded slot per trailer
@@ -36,7 +36,6 @@ verify.verify_change checks against its recipes.
 from __future__ import annotations
 
 from . import removal_merge
-from .analytics import LoadReport
 from .bus import encode
 from .errors import ParameterError
 from .model import (
@@ -105,7 +104,7 @@ def rebalance_add(db: Database) -> ChangeRun:
         # the new node stores nothing, so it takes every part off the bus,
         # streamed into the merge
         groups = decode_groups(db, log)
-        final = removal_merge.merge(db, plan.actual, plan.recipes, groups, True, certificate)
+        final = removal_merge.merge(db, plan.actual, plan.recipes, groups, certificate)
     else:
         # every holder of W_i holds a piece equal to node i's, which both
         # broadcasts of W_i were cut from: cut each kept part once, assemble the
@@ -125,4 +124,4 @@ def rebalance_add(db: Database) -> ChangeRun:
         pieces.append(StoredPiece(k * small_atoms, new_bits))
         final = Database(params, k + 1, cyclic_layout(pieces, r))
 
-    return ChangeRun(final, log, LoadReport(params, plan.scheme, log.load), plan)
+    return ChangeRun(final, log, plan)

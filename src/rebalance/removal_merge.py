@@ -26,10 +26,10 @@ check still requires each holder that lacks a part's origin to be in the
 mask of some decoded piece that covers the part, proved with int masks of
 holder labels. Any other input, a coverage miss too, is walked: the rule
 runs at every holder of every target, in target and holder order, so a
-holder that no source lists fails with MergeFailureError, or keeps a short
-replica, at exactly that holder, and a replica equal to another of its
-target is that one object. An addition is merged against its own recipes in
-node labels; its new node stores nothing.
+holder that no source lists fails with MergeFailureError at exactly that
+holder, and a replica equal to another of its target is that one object.
+An addition is merged against its own recipes in node labels; its new node
+stores nothing.
 
 The merge folds delivery, a stream of decode groups (range, nodes, bits)
 in decode order, into one record per decoded range as it comes: a mask with
@@ -62,6 +62,7 @@ from .model import (
     Database,
     StoredPiece,
     SystemParams,
+    concat_bits,
     cyclic_layout,
     cyclic_refs,
     cyclic_mask,
@@ -106,14 +107,18 @@ class ChangePlan:
 
 @dataclass
 class ChangeRun:
-    """Everything one membership change produces: the new database, the traffic,
-    the loads, and the plan (verify.verify_change checks final against the
-    plan's recipes alone)."""
+    """Everything one membership change produces: the new database, the traffic
+    and the plan (verify.verify_change checks final against the plan's
+    recipes alone); the loads are derived from the three."""
 
     final: Database
     log: TransmissionLog
-    report: LoadReport
     plan: ChangePlan
+
+    @property
+    def report(self) -> LoadReport:
+        # derived on read, so a run replayed with another log reports that log
+        return LoadReport(self.final.params, self.plan.scheme, self.log.load)
 
     @property
     def recipes(self) -> tuple[MergeRecipe, ...]:
@@ -159,7 +164,6 @@ def apply_merge(
     plan: SplitPlan | ChangePlan,
     recipes: tuple[MergeRecipe, ...],
     delivered: dict[AtomRange, dict[int, int]] | Iterable[DecodeGroup],
-    strict: bool = True,
 ) -> Database:
     """Assemble every target at every holder and return the survivor database.
 
@@ -167,18 +171,22 @@ def apply_merge(
     which plan.actual maps to actual nodes (a removal's split or its
     ChangePlan: only the labels of survivors 1..K-1 are read); delivered is
     deliver's output or the stream of decode groups it folds
-    (removal_schemes.decode_groups), merged with the certificate computed here.
+    (removal_schemes.decode_groups), merged with the certificate computed
+    here. deliver's dict is read back as one group per run of one int among
+    a range's receivers, which gives the stream's result and keeps every
+    decoded int alive.
     """
     n, r = db.params.n_nodes, db.params.replication
-    return merge(db, plan.actual[:n], recipes, delivered, strict, cyclic_refs(db.contents, n, r))
+    if isinstance(delivered, dict):
+        delivered = _unfold(delivered)
+    return merge(db, plan.actual[:n], recipes, delivered, cyclic_refs(db.contents, n, r))
 
 
 def merge(
     db: Database,
     actual: tuple[int, ...],
     recipes: tuple[MergeRecipe, ...],
-    delivered: dict[AtomRange, dict[int, int]] | Iterable[DecodeGroup],
-    strict: bool,
+    groups: Iterable[DecodeGroup],
     certificate: tuple[list[StoredPiece | None], set[int]],
 ) -> Database:
     """The database after a membership change, for any input: one certified
@@ -188,17 +196,11 @@ def merge(
     recipes are targets 1..M in order, target t held by the r holders from t
     (cyclic); actual[holder] is the node whose stored segments and decoded
     pieces the holder uses, M = len(actual) - 1 (index 0 unused), as in
-    ChangePlan. delivered is the stream of decode groups (range, nodes,
-    bits) in decode order, or deliver's dict of them folded, read back as one
-    group per run of one int among a range's receivers; the result is the
-    same. Both paths read the one fold: per decoded range, the mask of its
-    receivers (bit h for holder label h) and the pieces that are not the
-    reference's cut. A caller that passes the dict keeps every decoded int
-    alive; rebalance_remove's plain path and a damaged rebalance_add stream.
-
-    With strict=True a holder that cannot source a part raises
-    MergeFailureError; with strict=False the part is skipped, leaving a short
-    replica for the verifier to flag (used by fault injection).
+    ChangePlan. groups is the stream of decode groups (range, nodes, bits)
+    in decode order, removal_schemes.decode_groups; both paths read its one
+    fold: per decoded range, the mask of its receivers (bit h for holder
+    label h) and the pieces that are not the reference's cut. A holder that
+    cannot source a part raises MergeFailureError.
 
     certificate is cyclic_refs(db.contents, n, r), computed once by the caller.
     """
@@ -212,8 +214,6 @@ def merge(
     # a node's bit in a range's mask: holder h's is 1 << h, and a node that
     # holds no target gets the next free bit when the stream first names it
     bit = {node: 1 << holder for node, holder in position.items()}
-    if isinstance(delivered, dict):
-        delivered = _unfold(delivered)
     # one record per decoded range, [mask of the nodes that decoded it,
     # {node: bits} of those whose piece is not the reference's cut]; on a run
     # still certified, an equal piece's int waits in equal_cuts for the part
@@ -222,7 +222,7 @@ def merge(
     decoded: dict[int, list[tuple[int, int, list]]] = {}
     ranges: dict[AtomRange, list] = {}  # the same records by range
     equal_cuts: dict[AtomRange, int] = {}
-    for key, nodes, bits in delivered:
+    for key, nodes, bits in groups:
         mask = 0
         for node in nodes:
             b = bit.get(node)
@@ -266,7 +266,7 @@ def merge(
         distinct: list[StoredPiece] = []
         for holder in recipe.holders:
             node = actual[holder]
-            built = _source_rule(db, node, recipe, decoded, refs, strict, bit[node])
+            built = _source_rule(db, node, recipe, decoded, refs, bit[node])
             for prior in distinct:
                 if prior == built:
                     built = prior
@@ -317,7 +317,7 @@ def _certified_pieces(
             cut = equal_cuts.pop((origin, start, stop), None)
             if cut is None:
                 cut = slice_atoms(ref.bits, start, stop, w)
-            # assembled as _assemble does, without a list of the cuts
+            # concatenated as model.concat_bits does, without a list of the cuts
             bits = (bits | (cut << (offset * w))) if offset else cut
             offset += stop - start
         pieces.append(StoredPiece(offset, bits))
@@ -337,16 +337,15 @@ def _source_rule(
     recipe: MergeRecipe,
     decoded: dict[int, list[tuple[int, int, list]]],
     refs: list[StoredPiece | None],
-    strict: bool,
     mine: int,
 ) -> StoredPiece:
     """node's replica of recipe's target by the source rule: each part from the
     node's own stored segment of the origin, else from the first decoded piece
     that covers the part and has the node's bit, mine, in its mask. The one
-    source of MergeFailureError and of short replicas."""
+    source of MergeFailureError: a part with neither raises at this node."""
     w = db.params.atom_bits
     stored = db.contents.get(node, {})
-    cuts: list[int | None] = []
+    cuts = []
     for origin, start, stop in recipe.parts:
         own = stored.get(origin)
         if own is not None:
@@ -362,25 +361,9 @@ def _source_rule(
                     cuts.append(slice_atoms(got, start - got_start, stop - got_start, w))
                 break
         else:
-            if strict:
-                raise MergeFailureError(
-                    f"node {node} cannot source atoms [{start}:{stop}] "
-                    f"of segment {origin} for target {recipe.target}"
-                )
-            cuts.append(None)
-    return _assemble(recipe.parts, cuts, w)
-
-
-def _assemble(
-    parts: tuple[AtomRange, ...], cuts: list[int | None], atom_bits: int
-) -> StoredPiece:
-    # concatenate the cut parts, skipping unsourced ones
-    bits = 0
-    offset = 0
-    for (_, start, stop), cut in zip(parts, cuts):
-        if cut is None:
-            continue
-        # the first cut is taken as it is, not copied by 0 | cut
-        bits = (bits | (cut << (offset * atom_bits))) if offset else cut
-        offset += stop - start
-    return StoredPiece(offset, bits)
+            raise MergeFailureError(
+                f"node {node} cannot source atoms [{start}:{stop}] "
+                f"of segment {origin} for target {recipe.target}"
+            )
+    sizes = [stop - start for _, start, stop in recipe.parts]
+    return StoredPiece(sum(sizes), concat_bits(cuts, [size * w for size in sizes]))

@@ -44,7 +44,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from . import analytics
-from .analytics import LoadReport
 from .bus import Slot, TransmissionLog, decode_at_node, encode, encoded
 from .errors import ParameterError
 from .model import (
@@ -222,10 +221,10 @@ def rebalance_remove(db: Database, removed: int, scheme: str = "auto") -> Change
     if done is None:
         log = encode(db, plan.slots)
         # decoded pieces stream into the merge: no dict of them all is built
-        final = merge(db, plan.actual, plan.recipes, decode_groups(db, log), True, certificate)
+        final = merge(db, plan.actual, plan.recipes, decode_groups(db, log), certificate)
     else:
         log, final = done
-    return ChangeRun(final, log, LoadReport(params, plan.scheme, log.load), plan)
+    return ChangeRun(final, log, plan)
 
 
 def _certified_run(

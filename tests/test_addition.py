@@ -30,6 +30,7 @@ from rebalance import addition, removal_merge
 from rebalance.addition import make_addition_plan
 from rebalance.bus import encode
 from rebalance.model import cyclic_refs
+from rebalance.removal_schemes import decode_groups
 
 
 def test_golden_plan_6_3():
@@ -373,11 +374,13 @@ def test_a_kept_part_only_the_new_node_misses_fails_there(rule_calls, expected_r
             for i in range(k, len(log.broadcasts)):
                 (op,) = log.broadcasts[i].operands
                 assert op.superscript == (k + 1,)
-                received = deliver(db, drop_broadcast(log, i), plan)
+                dropped = drop_broadcast(log, i)
+                received = deliver(db, dropped, plan)
                 expected = expected_rule_calls(db, plan.actual, plan.recipes, received)
+                groups = decode_groups(db, dropped)
                 rule_calls.clear()
                 with pytest.raises(MergeFailureError) as failure:
-                    removal_merge.merge(db, plan.actual, plan.recipes, received, True, certificate)
+                    removal_merge.merge(db, plan.actual, plan.recipes, groups, certificate)
                 assert str(failure.value) == (
                     f"node {k + 1} cannot source atoms [0:{op.atom_stop}] "
                     f"of segment {op.base} for target {op.base}"

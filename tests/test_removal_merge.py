@@ -1,4 +1,5 @@
-"""Merge recipes: target composition, sizes, holder placement, strictness."""
+"""Merge recipes: target composition, sizes, holder placement, and the
+failure at a holder that cannot source a part."""
 
 import hashlib
 import random
@@ -143,7 +144,7 @@ def test_merged_target_concatenates_in_listed_order():
     assert got.n_atoms == 49 + 35
 
 
-def test_strict_merge_requires_every_part(total_stored_atoms):
+def test_strict_merge_requires_every_part():
     params = default_params(6, 3)
     db = build_cyclic_database(params, seed=0)
     plan = make_split_plan(params, removed=6)
@@ -152,9 +153,6 @@ def test_strict_merge_requires_every_part(total_stored_atoms):
     want = "node 3 cannot source atoms [56:70] of segment 6 for target 1"
     with pytest.raises(MergeFailureError, match=f"^{re.escape(want)}$"):
         apply_merge(db, plan, recipes, {})
-    # lenient mode produces short replicas instead of raising
-    partial = apply_merge(db, plan, recipes, {}, strict=False)
-    assert total_stored_atoms(partial) < 3 * 5 * 84
 
 
 def test_holders_follow_relabeling():
@@ -252,10 +250,10 @@ def test_replicas_share_one_int_per_source_set():
 SCHEDULES = {"scheme1": run_scheme1, "scheme2": run_scheme2, "uncoded": run_uncoded_removal}
 
 
-def merge_outcome(merge, db, plan, recipes, received, strict):
+def merge_outcome(merge, db, plan, recipes, received):
     """The error text, or every stored (node, target) with its size and payload."""
     try:
-        final = merge(db, plan, recipes, received, strict=strict)
+        final = merge(db, plan, recipes, received)
     except MergeFailureError as exc:
         return str(exc)
     return (
@@ -272,7 +270,7 @@ def merge_outcome(merge, db, plan, recipes, received, strict):
 @pytest.mark.parametrize("k", range(4, 11))
 def test_merge_matches_the_per_holder_oracle(k, oracle_merge):
     rng = random.Random(k)
-    errors = short = 0
+    errors = 0
     for r in range(3, k):
         params = default_params(k, r)
         for name, schedule in SCHEDULES.items():
@@ -292,16 +290,12 @@ def test_merge_matches_the_per_holder_oracle(k, oracle_merge):
                 (flipped, deliver(flipped, schedule(flipped, plan), plan)),
             ]
             for db, received in variants:
-                for strict in (True, False):
-                    want = merge_outcome(oracle_merge, db, plan, recipes, received, strict)
-                    got = merge_outcome(apply_merge, db, plan, recipes, received, strict)
-                    assert got == want, (k, r, name, removed, strict)
-                    if strict:
-                        errors += isinstance(want, str)
-                    else:
-                        short += any(n < want[2] for _, items in want[3] for _, n, _ in items)
+                want = merge_outcome(oracle_merge, db, plan, recipes, received)
+                got = merge_outcome(apply_merge, db, plan, recipes, received)
+                assert got == want, (k, r, name, removed)
+                errors += isinstance(want, str)
     # the dropped broadcasts starve some holder in every K
-    assert errors > 0 and short > 0
+    assert errors > 0
 
 
 @pytest.mark.parametrize("origin", [0, 7])
@@ -315,16 +309,9 @@ def test_a_part_outside_the_segments_merges_as_the_walk(origin, oracle_merge):
     (_, start, stop), *parts = first.parts
     recipes = (first._replace(parts=((origin, start, stop), *parts)), *recipes)
     received = deliver(db, run_scheme1(db, plan), plan)
-    for strict in (True, False):
-        want = merge_outcome(oracle_merge, db, plan, recipes, received, strict)
-        assert merge_outcome(apply_merge, db, plan, recipes, received, strict) == want, strict
-        if strict:
-            assert want == f"node 1 cannot source atoms [{start}:{stop}] of segment {origin} for target 1"
-        else:
-            # every holder of target 1 keeps a replica short of that part
-            full = sum(b - a for _, a, b in first.parts)
-            sizes = {n for _, items in want[3] for t, n, _ in items if t == 1}
-            assert sizes == {full - (stop - start)}
+    want = merge_outcome(oracle_merge, db, plan, recipes, received)
+    assert merge_outcome(apply_merge, db, plan, recipes, received) == want
+    assert want == f"node 1 cannot source atoms [{start}:{stop}] of segment {origin} for target 1"
 
 
 @pytest.mark.parametrize("arrival", ["whole-first", "whole-last", "short-first"])
@@ -355,8 +342,8 @@ def test_overlapping_received_pieces_are_taken_in_arrival_order(arrival, oracle_
         "whole-last": {**clean, whole: {node: (1 << params.segment_bits) - 1}},
         "short-first": {short: {node: (1 << params.atom_bits) - 1}, **clean},
     }[arrival]
-    want = merge_outcome(oracle_merge, db, plan, recipes, received, True)
-    assert merge_outcome(apply_merge, db, plan, recipes, received, True) == want
+    want = merge_outcome(oracle_merge, db, plan, recipes, received)
+    assert merge_outcome(apply_merge, db, plan, recipes, received) == want
     final = apply_merge(db, plan, recipes, received)
     changed = final.stored(holder, recipe.target).bits != run.final.stored(holder, recipe.target).bits
     assert changed == (arrival == "whole-first")
@@ -389,8 +376,8 @@ def test_a_holder_missing_from_its_parts_range_is_covered_by_a_wider_piece(
     rule_calls.clear()
     final = apply_merge(db, plan, recipes, received)
     assert rule_calls == []
-    assert merge_outcome(apply_merge, db, plan, recipes, received, True) == merge_outcome(
-        oracle_merge, db, plan, recipes, received, True
+    assert merge_outcome(apply_merge, db, plan, recipes, received) == merge_outcome(
+        oracle_merge, db, plan, recipes, received
     )
     assert final.contents == run.final.contents
 
@@ -435,11 +422,11 @@ def test_a_flipped_source_bit_shares_only_outside_the_cut_range():
     assert inside[holder] != outside[holder]
 
 
-def shared_outcome(db, plan, recipes, received, strict):
+def shared_outcome(db, plan, recipes, received):
     """The error text, or the node count and merged_stream, in which replicas
     that are one object carry one number."""
     try:
-        final = apply_merge(db, plan, recipes, received, strict=strict)
+        final = apply_merge(db, plan, recipes, received)
     except MergeFailureError as exc:
         return str(exc)
     return final.n_nodes, merged_stream(final)
@@ -506,26 +493,25 @@ def test_certified_merges_equal_the_walk(every_node_deviates, rule_calls, expect
                             # a broadcast whose pieces no holder misses stays
                             # certified; a coverage miss walks every holder
                             dropped["walked" if expected else "certified"] += 1
-                        for strict in (True, False):
-                            rule_calls.clear()
-                            fast = shared_outcome(case, plan, recipes, received, strict)
-                            # the source rule runs at no holder of a certified
-                            # input, else at every holder, up to the first that fails
-                            if isinstance(fast, str):
-                                assert rule_calls and rule_calls == expected[: len(rule_calls)], where
-                            else:
-                                assert rule_calls == expected, where
-                            with every_node_deviates():
-                                walk = shared_outcome(case, plan, recipes, received, strict)
-                            assert fast == walk, (*where, strict)
-                            outcomes += 1
-                            errors += isinstance(fast, str)
-                            if not isinstance(fast, str):
-                                # replicas of one target equal in (n_atoms, bits) are one object
-                                number = {}
-                                for _, t, n_atoms, bits, obj in fast[1]:
-                                    assert number.setdefault((t, n_atoms, bits), obj) == obj
-    assert outcomes > 6000 and errors > 0
+                        rule_calls.clear()
+                        fast = shared_outcome(case, plan, recipes, received)
+                        # the source rule runs at no holder of a certified
+                        # input, else at every holder, up to the first that fails
+                        if isinstance(fast, str):
+                            assert rule_calls and rule_calls == expected[: len(rule_calls)], where
+                        else:
+                            assert rule_calls == expected, where
+                        with every_node_deviates():
+                            walk = shared_outcome(case, plan, recipes, received)
+                        assert fast == walk, where
+                        outcomes += 1
+                        errors += isinstance(fast, str)
+                        if not isinstance(fast, str):
+                            # replicas of one target equal in (n_atoms, bits) are one object
+                            number = {}
+                            for _, t, n_atoms, bits, obj in fast[1]:
+                                assert number.setdefault((t, n_atoms, bits), obj) == obj
+    assert outcomes > 3000 and errors > 0
     assert dropped["walked"] > 0 and dropped["certified"] > 0, dropped
 
 
@@ -623,20 +609,19 @@ def test_a_disagreeing_piece_merges_as_the_walk(every_node_deviates, rule_calls,
                     assert len(expected) == r * (k - 1), where
                     # walked for an unequal piece alone, not for a survivor's own storage
                     seen[kind, "certified layout"] += deviating.isdisjoint(actual[1:])
-                    for strict in (True, False):
-                        rule_calls.clear()
-                        fast = shared_outcome(case, plan, recipes, received, strict)
-                        if isinstance(fast, str):
-                            assert rule_calls and rule_calls == expected[: len(rule_calls)], where
-                            seen[kind, "error"] += 1
-                        else:
-                            assert rule_calls == expected, where
-                        with every_node_deviates():
-                            walk = shared_outcome(case, plan, recipes, received, strict)
-                        assert fast == walk, (*where, strict)
-                        seen[kind] += 1
-    assert seen["stored sibling"] > 500 and seen["payload bit"] > 2000, seen
-    assert seen["one receiver's copy"] > 500, seen
+                    rule_calls.clear()
+                    fast = shared_outcome(case, plan, recipes, received)
+                    if isinstance(fast, str):
+                        assert rule_calls and rule_calls == expected[: len(rule_calls)], where
+                        seen[kind, "error"] += 1
+                    else:
+                        assert rule_calls == expected, where
+                    with every_node_deviates():
+                        walk = shared_outcome(case, plan, recipes, received)
+                    assert fast == walk, where
+                    seen[kind] += 1
+    assert seen["stored sibling"] > 250 and seen["payload bit"] > 1000, seen
+    assert seen["one receiver's copy"] > 250, seen
     assert all(seen[kind, "certified layout"] for kind in ("payload bit", "one receiver's copy")), seen
     assert seen["payload bit, dropped", "error"] > 0, seen
 

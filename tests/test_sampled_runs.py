@@ -132,10 +132,11 @@ def test_sampled_runs_verify_and_every_sampled_fault_is_found(
         broadcasts = list(run.log.broadcasts)
         broadcasts[index] = b._replace(payload=b.payload ^ (1 << bit))
         log = replace(run.log, broadcasts=broadcasts)
-        # a tampered log goes through the plain per-receiver stream
+        # a tampered log goes through the plain per-receiver stream; a flipped
+        # payload bit starves no receiver, so no holder lacks a source
         plan, certificate = run.plan, cyclic_refs(db.contents, k, r)
         merged = removal_merge.merge(
-            db, plan.actual, plan.recipes, decode_groups(db, log), False, certificate
+            db, plan.actual, plan.recipes, decode_groups(db, log), certificate
         )
         if taken(db, plan, b, bit):
             assert not verify_change(replace(run, final=merged, log=log), seed).ok, case

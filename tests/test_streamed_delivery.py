@@ -121,15 +121,10 @@ def test_streamed_removals_equal_the_merge_of_delivers_dict(k):
             assert outcome(lambda: rebalance_remove(case, removed, scheme).final) == (
                 outcome(lambda: apply_merge(case, plan, recipes, deliver(case, log, plan)))
             ), where
-        for strict in (True, False):
-            streamed = outcome(
-                lambda: apply_merge(case, plan, recipes, decode_groups(case, log), strict)
-            )
-            folded = outcome(
-                lambda: apply_merge(case, plan, recipes, deliver(case, log, plan), strict)
-            )
-            assert streamed == folded, (where, strict)
-            kinds.add(streamed[0] if isinstance(streamed[0], str) else "merged")
+        streamed = outcome(lambda: apply_merge(case, plan, recipes, decode_groups(case, log)))
+        folded = outcome(lambda: apply_merge(case, plan, recipes, deliver(case, log, plan)))
+        assert streamed == folded, where
+        kinds.add(streamed[0] if isinstance(streamed[0], str) else "merged")
     if k >= 6:
         assert kinds == {"merged", "MergeFailureError", "DecodeFailureError"}, kinds
 
@@ -150,19 +145,17 @@ def test_checked_removals_equal_the_plain_stream(k):
             assert not certificate[1], where
             run = rebalance_remove(case, removed, scheme)
             assert run.log.broadcasts == log.broadcasts, where
-            for strict in (True, False):
-                plain = outcome(
-                    lambda: removal_merge.merge(
-                        case, actual, recipes, decode_groups(case, log), strict, certificate
-                    )
+            plain = outcome(
+                lambda: removal_merge.merge(
+                    case, actual, recipes, decode_groups(case, log), certificate
                 )
-                assert outcome(lambda: run.final) == plain, (where, strict)
+            )
+            assert outcome(lambda: run.final) == plain, where
         elif certificate[1]:
             own = outcome(lambda: rebalance_remove(case, removed, scheme).final)
             plain = outcome(
                 lambda: removal_merge.merge(
-                    case, actual, recipes, decode_groups(case, encode(case, slots)), True,
-                    certificate,
+                    case, actual, recipes, decode_groups(case, encode(case, slots)), certificate
                 )
             )
             assert own == plain, where
@@ -252,7 +245,7 @@ def test_a_clean_certified_removal_decodes_nothing(decode_calls, cut_calls, merg
         log = replace(run.log, broadcasts=broadcasts)
         plan, certificate = run.plan, cyclic_refs(db.contents, k, r)
         merged = removal_merge.merge(
-            db, plan.actual, plan.recipes, decode_groups(db, log), True, certificate
+            db, plan.actual, plan.recipes, decode_groups(db, log), certificate
         )
         assert broadcasts[i] in {b for _, b in decode_calls}, (k, r, scheme)
         assert merged.contents == run.final.contents or not (
@@ -353,7 +346,7 @@ def test_a_node_named_in_two_operands_takes_neither(certified_records, remove_wi
     certificate = cyclic_refs(db.contents, 6, 3)
     assert mine == outcome(
         lambda: removal_merge.merge(
-            db, plan.actual, plan.recipes, decode_groups(db, log), True, certificate
+            db, plan.actual, plan.recipes, decode_groups(db, log), certificate
         )
     )
     assert mine[0] == "MergeFailureError", mine
@@ -410,7 +403,7 @@ def test_the_removed_node_on_the_bus_takes_the_plain_path(certified_records, rem
         mine = outcome(lambda: remove_with_slots(case, 6, slots).final)
         assert mine == outcome(
             lambda: removal_merge.merge(
-                case, plan.actual, plan.recipes, decode_groups(case, encode(case, slots)), True,
+                case, plan.actual, plan.recipes, decode_groups(case, encode(case, slots)),
                 certificate,
             )
         )
@@ -432,29 +425,24 @@ def test_streamed_additions_equal_the_merge_of_delivers_dict(k):
         db = build_cyclic_database(params, seed=k * r)
         plan = make_addition_plan(params)
         for name, case, log in damaged(db, encode(db, plan.slots), rng):
+            certificate = cyclic_refs(case.contents, k, r)
+
+            def folded():
+                # deliver's dict, read back as decode groups as apply_merge reads it
+                groups = removal_merge._unfold(deliver(case, log, plan))
+                return removal_merge.merge(case, nodes, plan.recipes, groups, certificate)
+
             if log is None:
                 log = encode(case, plan.slots)
                 # rebalance_add merges a damaged input from the stream of its own log
-                certificate = cyclic_refs(case.contents, k, r)
-                assert outcome(lambda: rebalance_add(case).final) == outcome(
-                    lambda: removal_merge.merge(
-                        case, nodes, plan.recipes, deliver(case, log, plan), True, certificate
-                    )
-                ), (k, r, name)
-            for strict in (True, False):
-                certificate = cyclic_refs(case.contents, k, r)
-                streamed = outcome(
-                    lambda: removal_merge.merge(
-                        case, nodes, plan.recipes, decode_groups(case, log), strict, certificate
-                    )
+                assert outcome(lambda: rebalance_add(case).final) == outcome(folded), (k, r, name)
+            streamed = outcome(
+                lambda: removal_merge.merge(
+                    case, nodes, plan.recipes, decode_groups(case, log), certificate
                 )
-                folded = outcome(
-                    lambda: removal_merge.merge(
-                        case, nodes, plan.recipes, deliver(case, log, plan), strict, certificate
-                    )
-                )
-                assert streamed == folded, (k, r, name, strict)
-                kinds.add(streamed[0] if isinstance(streamed[0], str) else "merged")
+            )
+            assert streamed == outcome(folded), (k, r, name)
+            kinds.add(streamed[0] if isinstance(streamed[0], str) else "merged")
     assert "merged" in kinds and "MergeFailureError" in kinds, kinds
 
 
